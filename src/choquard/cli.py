@@ -11,10 +11,9 @@ from a flat key=value config file; explicit flags win.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import analysis, field as field_mod, functionals, riesz, solver
 from .coxeter import from_name
@@ -62,14 +61,11 @@ _SOLVE_DEFAULTS = {
     "step": 1.0,
     "grad_tol": 1e-4,
     "pohozaev_tol": 1e-3,
-    "rescale_every": 1,
     "threshold": 1e-3,
-    "precondition": 1,
 }
 
 _CASTS = {
     "dim": int, "M": int, "seed": int, "restarts": int, "max_iters": int,
-    "rescale_every": int, "precondition": int,
     "alpha": float, "L": float, "step": float, "grad_tol": float,
     "pohozaev_tol": float, "threshold": float,
     "nl": str, "group": str, "groups": str,
@@ -95,16 +91,8 @@ def _merge_options(args, defaults) -> dict:
 
 
 def _solver_config(opts) -> solver.SolverConfig:
-    return solver.SolverConfig(
-        max_iters=opts["max_iters"],
-        step=opts["step"],
-        grad_tol=opts["grad_tol"],
-        pohozaev_tol=opts["pohozaev_tol"],
-        rescale_every=opts["rescale_every"],
-        restarts=opts["restarts"],
-        seed=opts["seed"],
-        precondition=bool(opts["precondition"]),
-    )
+    names = [f.name for f in dataclasses.fields(solver.SolverConfig)]
+    return solver.SolverConfig(**{name: opts[name] for name in names})
 
 
 def _check_hypotheses(nl, dim, alpha, force):
@@ -179,10 +167,7 @@ def cmd_verify(args) -> int:
     nl = functionals.parse_nonlinearity(args.nl)
     kernel = riesz.get_kernel(u.grid, args.alpha)
     state, grad = functionals.evaluate_with_gradient(nl, kernel, u)
-    norm = np.sqrt(field_mod.l2_sq_integral(u))
-    grad_norm = np.sqrt(field_mod.l2_sq_integral(grad))
-    grad_res = grad_norm / norm if norm else float("inf")
-    p_res = abs(state.pohozaev) / (state.A + state.B)
+    grad_res, p_res = functionals.residuals(u.grid, state, grad.data, u.data)
     group = from_name(args.group) if args.group else None
     action = (
         field_mod.GroupAction(group, u.grid)
@@ -239,9 +224,7 @@ def build_parser() -> _Parser:
         p.add_argument("--step", type=float)
         p.add_argument("--grad-tol", dest="grad_tol", type=float)
         p.add_argument("--pohozaev-tol", dest="pohozaev_tol", type=float)
-        p.add_argument("--rescale-every", dest="rescale_every", type=int)
         p.add_argument("--threshold", type=float)
-        p.add_argument("--precondition", type=int)
         p.add_argument("--force", action="store_true")
         p.add_argument("--out")
 
@@ -289,7 +272,3 @@ def main(argv=None) -> int:
     except ChoquardError as exc:
         sys.stderr.write(f"choquard: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -145,23 +145,9 @@ def _idst(a: np.ndarray) -> np.ndarray:
     return scipy.fft.idstn(a, type=2, norm="ortho", workers=thread_count())
 
 
-def laplacian(u: Field) -> Field:
-    return u.with_data(laplacian_array(u.grid, u.data))
-
-
-def laplacian_array(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    return _idst(-sine_multipliers(grid) * _dst(a))
-
-
 def helmholtz_inverse_array(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """(1 - Delta)^{-1} a in the sine basis."""
     return _idst(_dst(a) / (1.0 + sine_multipliers(grid)))
-
-
-def grad_sq_integral(u: Field) -> float:
-    """A(u) = integral of |grad u|^2, evaluated spectrally."""
-    coeff = _dst(u.data)
-    return float(u.grid.cell_volume * np.sum(sine_multipliers(u.grid) * coeff ** 2))
 
 
 def l2_sq_integral(u: Field) -> float:
@@ -350,6 +336,7 @@ def act(action: GroupAction, g: np.ndarray, u: Field) -> Field:
 
 
 def symmetrize_array(action: GroupAction, a: np.ndarray) -> np.ndarray:
+    """Projector onto the sign-equivariant class: (1/|G|) sum_g psi(g) g . a."""
     mats = action.group.element_matrices()
     signs = action.group.element_signs()
     acc = np.zeros_like(a)
@@ -357,13 +344,6 @@ def symmetrize_array(action: GroupAction, a: np.ndarray) -> np.ndarray:
         p = action.embed(g).T
         acc += s * apply_matrix_array(action.grid, p, a)
     return acc / len(mats)
-
-
-def symmetrize(action: GroupAction, u: Field) -> Field:
-    """Projector onto the sign-equivariant class: (1/|G|) sum_g psi(g) g . u."""
-    if u.grid != action.grid:
-        raise GridMismatch("field grid does not match the action grid")
-    return u.with_data(symmetrize_array(action, u.data))
 
 
 def symmetry_residual(action: GroupAction, u: Field) -> float:
@@ -416,7 +396,7 @@ def dilate(u: Field, t: float) -> Field:
     Mild shrinkages and all expansions (t >= 0.9) are resampled through the
     sine interpolant, which is exact for band-limited data and leaves no
     rough residue; this matters inside the solver, where the rescaling step
-    runs every few iterations and piecewise-polynomial interpolation injects
+    runs on every trial step and piecewise-polynomial interpolation injects
     O(h^2) noise whose Laplacian dominates the gradient residual long before
     the stopping tolerance is reached.  Stronger shrinkages read points far
     outside the cube, where the periodic sine extension is wrong, so they
@@ -502,22 +482,30 @@ def write_field(path, u: Field):
 
 
 def read_field(path) -> Field:
+    """Inverse of write_field; a cut or overlong file or NaN/Inf data is a ParseError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != FORMAT_MAGIC:
-            raise ParseError(f"{path}: bad magic, not a field file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        blob = fh.read()
+    if blob[:4] != FORMAT_MAGIC:
+        raise ParseError(f"{path}: bad magic, not a field file")
+    try:
+        version, dim = struct.unpack_from("<IB3x", blob, 4)
         if version != FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
-        (dim,) = struct.unpack("<B3x", fh.read(4))
         if dim not in (2, 3):
             raise ParseError(f"{path}: bad dimension {dim}")
-        ms = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        if len(set(ms)) != 1:
-            raise IncompatibleGrid(f"{path}: anisotropic grid {ms} not supported")
-        (big_l,) = struct.unpack("<d", fh.read(8))
-        grid = GridSpec(dim, ms[0], big_l)
-        raw = fh.read(8 * ms[0] ** dim)
-        data = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
+        *ms, big_l = struct.unpack_from(f"<{dim}Id", blob, 12)
+    except struct.error:
+        raise ParseError(f"{path}: truncated header") from None
+    if len(set(ms)) != 1:
+        raise IncompatibleGrid(f"{path}: anisotropic grid {tuple(ms)} not supported")
+    grid = GridSpec(dim, ms[0], big_l)
+    head = 20 + 4 * dim
+    if len(blob) - head != 8 * grid.M ** dim:
+        raise ParseError(f"{path}: {len(blob) - head} data bytes, "
+                         f"expected {8 * grid.M ** dim}")
+    data = np.frombuffer(blob, dtype="<f8", offset=head).reshape(grid.shape)
+    if not np.all(np.isfinite(data)):
+        raise ParseError(f"{path}: field data holds NaN or Inf")
     return Field(grid, data)
 
 

@@ -13,6 +13,11 @@ Along the dilation path t -> u(./t) these become polynomials in t,
 and for Q > 0 the equation b(t) = 0 has a unique positive root t_u, the
 projection of u onto the Pohozaev manifold.  For N = 2 the root is the
 closed form (2B / ((2+alpha) Q))^(1/alpha).
+
+This module is the one evaluation core: the solver, `evaluate` and
+`choquard verify` all take A, B, Q, the gradient and the residuals from
+the array functions `_state_parts`, `_gradient_from_parts`, `_q_parts`
+and `residuals`.
 """
 
 from __future__ import annotations
@@ -26,13 +31,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import GridMismatch, NonpositiveQ, ParseError
-from .field import (
-    Field,
-    _dst,
-    _idst,
-    l2_sq_integral,
-    sine_multipliers,
-)
+from .field import Field, _dst, _idst, sine_multipliers
 from .riesz import RieszKernel
 
 
@@ -254,39 +253,66 @@ def _assemble(dim, alpha, a_val, b_val, q_val) -> FunctionalState:
     return FunctionalState(a_val, b_val, q_val, energy, poh)
 
 
+def _check_grid(kernel: RieszKernel, u: Field):
+    if u.grid != kernel.grid:
+        raise GridMismatch("field grid does not match the kernel grid")
+
+
 def evaluate(nl: Nonlinearity, kernel: RieszKernel, u: Field) -> FunctionalState:
-    state, _ = _evaluate_core(nl, kernel, u, need_gradient=False)
-    return state
-
-
-def gradient(nl: Nonlinearity, kernel: RieszKernel, u: Field) -> Field:
-    """L^2 gradient -Delta u + u - (I_alpha * F(u)) f(u) of the energy."""
-    _, grad = _evaluate_core(nl, kernel, u, need_gradient=True)
-    return grad
+    _check_grid(kernel, u)
+    return _state_parts(nl, kernel, u.data)[0]
 
 
 def evaluate_with_gradient(nl, kernel, u):
     """State and gradient sharing one convolution and one sine transform."""
-    return _evaluate_core(nl, kernel, u, need_gradient=True)
+    _check_grid(kernel, u)
+    state, coeff, conv = _state_parts(nl, kernel, u.data)
+    return state, u.with_data(
+        _gradient_from_parts(nl, kernel, u.data, coeff, conv))
 
 
-def _evaluate_core(nl, kernel, u, need_gradient):
-    grid = u.grid
-    if grid != kernel.grid:
-        raise GridMismatch("field grid does not match the kernel grid")
-    coeff = _dst(u.data)
-    lam = sine_multipliers(grid)
-    a_val = float(grid.cell_volume * np.sum(lam * coeff ** 2))
-    b_val = l2_sq_integral(u)
-    f_of_u = nl.F(u.data)
+def _q_parts(nl, kernel, a):
+    """Q = int (I_alpha * F(u)) F(u) and the convolution behind it."""
+    f_of_u = nl.F(a)
     conv = kernel.convolve_array(f_of_u)
-    q_val = float(grid.cell_volume * np.sum(conv * f_of_u))
+    return float(kernel.grid.cell_volume * np.sum(conv * f_of_u)), conv
+
+
+def _state_parts(nl, kernel, a):
+    """FunctionalState of the array a plus its sine coefficients and convolution."""
+    grid = kernel.grid
+    coeff = _dst(a)
+    a_val = float(grid.cell_volume * np.sum(sine_multipliers(grid) * coeff ** 2))
+    b_val = float(grid.cell_volume * np.sum(a ** 2))
+    q_val, conv = _q_parts(nl, kernel, a)
     state = _assemble(grid.dim, kernel.alpha, a_val, b_val, q_val)
-    if not need_gradient:
-        return state, None
-    lap = _idst(-lam * coeff)
-    grad = u.with_data(-lap + u.data - conv * nl.f(u.data))
-    return state, grad
+    return state, coeff, conv
+
+
+def _gradient_from_parts(nl, kernel, a, coeff, conv):
+    """L^2 gradient -Delta u + u - (I_alpha * F(u)) f(u) from _state_parts."""
+    lap = _idst(-sine_multipliers(kernel.grid) * coeff)
+    return -lap + a - conv * nl.f(a)
+
+
+def _ensure_positive_q(nl, kernel, a):
+    """Double the amplitude until Q > 0; the zero field never gets there."""
+    for _ in range(60):
+        if _q_parts(nl, kernel, a)[0] > 0.0:
+            return a
+        a = 2.0 * a
+    raise NonpositiveQ("could not reach Q > 0 by amplitude doubling")
+
+
+def _l2_norm(grid, a):
+    return float(np.sqrt(grid.cell_volume * np.sum(a ** 2)))
+
+
+def residuals(grid, state, grad, a):
+    """Gradient residual ||grad||/||u|| and Pohozaev residual |P|/(A + B)."""
+    denom = _l2_norm(grid, a)
+    grad_res = _l2_norm(grid, grad) / denom if denom else np.inf
+    return grad_res, abs(state.pohozaev) / (state.A + state.B)
 
 
 # -- dilation path ------------------------------------------------------------

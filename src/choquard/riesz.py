@@ -17,8 +17,8 @@ import math
 import numpy as np
 import scipy.fft
 
-from .errors import AlphaOutOfRange, GridMismatch
-from .field import Field, GridSpec, thread_count
+from .errors import AlphaOutOfRange
+from .field import GridSpec, thread_count
 
 _GAUSS_ORDER = 80
 
@@ -163,10 +163,3 @@ def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
         kern = RieszKernel(grid, alpha)
         _kernel_cache[key] = kern
     return kern
-
-
-def convolve(kernel: RieszKernel, v: Field) -> Field:
-    """(I_alpha * v)(x_j) = h^N sum_i K(x_j - x_i) v(x_i)."""
-    if v.grid != kernel.grid:
-        raise GridMismatch("field grid does not match the kernel grid")
-    return v.with_data(kernel.convolve_array(v.data))

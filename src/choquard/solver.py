@@ -3,11 +3,12 @@
 Ground states minimize E on the Pohozaev manifold P = 0; sign-changing
 saddles minimize E over the equivariant class H_G intersected with the
 manifold.  The iteration descends E with a backtracked step along the
-Sobolev gradient (1 - Delta)^{-1} gradE (the plain L^2 gradient is
-available via config), projecting back onto the manifold by an exact
-dilation rescale every few steps, onto nonnegativity by taking |u| for
-ground states, and onto H_G by the group average for saddles.  Stopping
-is measured on the L^2 gradient and the Pohozaev residual.
+Sobolev gradient (1 - Delta)^{-1} gradE, projecting every trial back
+onto the manifold by an exact dilation rescale, onto nonnegativity by
+taking |u| for ground states, and onto H_G by the group average for
+saddles.  Stopping is measured on the L^2 gradient and the Pohozaev
+residual.  All functional values come from `functionals`; one driver,
+`_solve`, serves the trivial group and real groups alike.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import functionals
 from .coxeter import CoxeterGroup
 from .errors import (
     BumpLeavesDomain,
+    GridMismatch,
     NoDescent,
     NonpositiveQ,
     SeparationViolation,
@@ -34,20 +35,28 @@ from .field import (
     Field,
     GridSpec,
     GroupAction,
-    _idst,
     boundary_amplitude,
     dilate,
     helmholtz_inverse_array,
-    sine_multipliers,
     symmetrize_array,
     symmetry_residual,
     translate,
 )
-from .functionals import Nonlinearity, pohozaev_root
+# bench/tracer.py wraps _idst here by name; nothing in this module calls it.
+from .field import _idst  # noqa: F401
+from .functionals import (
+    Nonlinearity,
+    _ensure_positive_q,
+    _gradient_from_parts,
+    _state_parts,
+    pohozaev_root,
+    residuals,
+)
 from .riesz import RieszKernel
 
 SYMMETRY_DRIFT_LIMIT = 1e-2
 ENERGY_SLACK = 1e-12
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -56,11 +65,8 @@ class SolverConfig:
     step: float = 1.0
     grad_tol: float = 1e-4
     pohozaev_tol: float = 1e-3
-    rescale_every: int = 1
     restarts: int = 3
     seed: int = 0
-    precondition: bool = True
-    max_backtracks: int = 30
 
 
 @dataclass
@@ -107,50 +113,20 @@ class SolveReport:
         }
 
 
-def _state_parts(nl, kernel, grid, a):
-    """FunctionalState plus the sine coefficients and convolution behind it."""
-    coeff = functionals._dst(a)
-    lam = sine_multipliers(grid)
-    a_val = float(grid.cell_volume * np.sum(lam * coeff ** 2))
-    b_val = float(grid.cell_volume * np.sum(a ** 2))
-    f_of_u = nl.F(a)
-    conv = kernel.convolve_array(f_of_u)
-    q_val = float(grid.cell_volume * np.sum(conv * f_of_u))
-    state = functionals._assemble(grid.dim, kernel.alpha, a_val, b_val, q_val)
-    return state, coeff, conv
-
-
-def _gradient_from_parts(nl, grid, a, coeff, conv):
-    lam = sine_multipliers(grid)
-    lap = _idst(-lam * coeff)
-    return -lap + a - conv * nl.f(a)
-
-
-def _l2_norm(grid, a):
-    return float(np.sqrt(grid.cell_volume * np.sum(a ** 2)))
-
-
 class _Descent:
     """One descent run from a fixed initial iterate."""
 
-    def __init__(self, nl, kernel, grid, cfg, project, action=None):
+    def __init__(self, nl, kernel, cfg, project, action=None):
         self.nl = nl
         self.kernel = kernel
-        self.grid = grid
+        self.grid = kernel.grid
         self.cfg = cfg
         self.project = project
         self.action = action
 
-    def _residuals(self, state, grad, a):
-        denom = _l2_norm(self.grid, a)
-        grad_res = _l2_norm(self.grid, grad) / denom if denom else np.inf
-        p_res = abs(state.pohozaev) / (state.A + state.B)
-        return grad_res, p_res
-
     def _ray_energy(self, a, t):
         w = dilate(Field(self.grid, a), t).data
-        st, _, _ = _state_parts(self.nl, self.kernel, self.grid, w)
-        return st.energy
+        return _state_parts(self.nl, self.kernel, w)[0].energy
 
     def _retraction_root(self, a, state):
         """Dilation factor that restores the zero-Pohozaev condition.
@@ -186,36 +162,36 @@ class _Descent:
         if abs(t - 1.0) <= 1e-12:
             return a, state, None, None
         a = self.project(dilate(Field(self.grid, a), t).data)
-        state, coeff, conv = _state_parts(self.nl, self.kernel, self.grid, a)
+        state, coeff, conv = _state_parts(self.nl, self.kernel, a)
         return a, state, coeff, conv
 
     def run(self, a0: np.ndarray):
         cfg = self.cfg
         grid = self.grid
+        nl, kernel = self.nl, self.kernel
         a = self.project(a0)
-        state, coeff, conv = _state_parts(self.nl, self.kernel, grid, a)
+        state, coeff, conv = _state_parts(nl, kernel, a)
         if not (state.Q > 0.0):
             raise NonpositiveQ(f"initializer has Q = {state.Q:g}")
         a, state, c2, v2 = self._retract(a, state)
         if c2 is not None:
             coeff, conv = c2, v2
         eta = cfg.step
-        iters = 0
         grad_res = p_res = float("inf")
+        # every pass through the loop accepts a step or raises, so the
+        # loop index counts the accepted steps
         for it in range(cfg.max_iters):
-            grad = _gradient_from_parts(self.nl, grid, a, coeff, conv)
-            grad_res, p_res = self._residuals(state, grad, a)
+            grad = _gradient_from_parts(nl, kernel, a, coeff, conv)
+            grad_res, p_res = residuals(grid, state, grad, a)
             if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
-                return a, state, grad_res, p_res, iters
+                return a, state, grad_res, p_res, it
             if self.action is not None and it % 20 == 0:
                 drift = symmetry_residual(self.action, Field(grid, a))
                 if drift > SYMMETRY_DRIFT_LIMIT:
                     raise SymmetryDrift(
                         f"symmetry residual {drift:.3e} at iteration {it}"
                     )
-            direction = (
-                helmholtz_inverse_array(grid, grad) if cfg.precondition else grad
-            )
+            direction = helmholtz_inverse_array(grid, grad)
             # The Pohozaev rescaling is applied inside the line search and
             # the comparison uses the energy of the rescaled trial.  Judging
             # the raw trial instead admits two failure modes: descent drains
@@ -223,26 +199,20 @@ class _Descent:
             # near convergence the preconditioned step keeps a first-order
             # component along the dilation ray, whose apparent energy gain
             # the rescaling exactly undoes, freezing the iteration.
-            rescale = it % cfg.rescale_every == 0
-            accepted = False
-            for _ in range(cfg.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial = self.project(a - eta * direction)
-                t_state, t_coeff, t_conv = _state_parts(self.nl, self.kernel,
-                                                        grid, trial)
-                if rescale:
-                    if not (t_state.Q > 0.0):
-                        eta *= 0.5
-                        continue
-                    trial, t_state, c2, v2 = self._retract(trial, t_state)
-                    if c2 is not None:
-                        t_coeff, t_conv = c2, v2
+                t_state, t_coeff, t_conv = _state_parts(nl, kernel, trial)
+                if not (t_state.Q > 0.0):
+                    eta *= 0.5
+                    continue
+                trial, t_state, c2, v2 = self._retract(trial, t_state)
+                if c2 is not None:
+                    t_coeff, t_conv = c2, v2
                 if t_state.energy <= state.energy + ENERGY_SLACK * abs(state.energy):
                     a, state, coeff, conv = trial, t_state, t_coeff, t_conv
-                    accepted = True
-                    iters += 1
                     break
                 eta *= 0.5
-            if not accepted:
+            else:
                 raise NoDescent(
                     f"line search stalled at iteration {it}: "
                     f"E = {state.energy:.6e}, grad residual {grad_res:.3e}"
@@ -269,19 +239,15 @@ def _gaussian_seed(grid: GridSpec) -> np.ndarray:
     return np.exp(-r2 / (2.0 * sigma ** 2))
 
 
-def _ensure_positive_q(nl, kernel, grid, a):
-    """Double the amplitude until Q > 0; the zero field never gets there."""
-    for _ in range(60):
-        f_of_u = nl.F(a)
-        conv = kernel.convolve_array(f_of_u)
-        q_val = float(grid.cell_volume * np.sum(conv * f_of_u))
-        if q_val > 0.0:
-            return a
-        a = 2.0 * a
-    raise NonpositiveQ("could not reach Q > 0 by amplitude doubling")
+def _solve(nl, kernel, grid, cfg, project, a0, tag, action=None):
+    """Best of cfg.restarts descents from a0 and its noisy copies.
 
-
-def _run_restarts(nl, kernel, grid, cfg, project, a0, action=None):
+    project maps an array into the admissible class: |.| for ground states,
+    the group average for saddles; action, when given, is the group action
+    whose drift the descent watches and the report measures.
+    """
+    if grid != kernel.grid:
+        raise GridMismatch("solver grid does not match the kernel grid")
     start = time.perf_counter()
     best = None
     energies = []
@@ -292,8 +258,10 @@ def _run_restarts(nl, kernel, grid, cfg, project, a0, action=None):
         if r > 0:
             a_init += _smooth_noise(grid, rng, 0.05 * np.max(np.abs(a0)))
         try:
-            a_init = _ensure_positive_q(nl, kernel, grid, project(a_init))
-            result = _Descent(nl, kernel, grid, cfg, project, action).run(a_init)
+            # run() projects once more; the shear group average is not
+            # bit-idempotent, so dropping either projection moves the result
+            a_init = _ensure_positive_q(nl, kernel, project(a_init))
+            result = _Descent(nl, kernel, cfg, project, action).run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
             failure = exc
             energies.append(float("nan"))
@@ -305,21 +273,9 @@ def _run_restarts(nl, kernel, grid, cfg, project, a0, action=None):
         raise failure if failure is not None else NoDescent("all restarts failed")
     a, state, grad_res, p_res, iters = best
     wall = time.perf_counter() - start
-    return a, state, grad_res, p_res, iters, energies, wall
-
-
-def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
-                 cfg: SolverConfig = SolverConfig(), init: Field = None
-                 ) -> SolveReport:
-    """Positive ground state on the trivial symmetry class."""
-    a0 = init.data.copy() if init is not None else _gaussian_seed(grid)
-    project = np.abs
-    a, state, grad_res, p_res, iters, energies, wall = _run_restarts(
-        nl, kernel, grid, cfg, project, a0
-    )
     u = Field(grid, a)
     return SolveReport(
-        group="trivial",
+        group=tag,
         grid=grid,
         alpha=kernel.alpha,
         nonlinearity=nl.config_string(),
@@ -330,12 +286,21 @@ def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
         Q=state.Q,
         p_residual=p_res,
         grad_residual=grad_res,
-        symmetry_residual=0.0,
+        symmetry_residual=(
+            symmetry_residual(action, u) if action is not None else 0.0),
         boundary_amplitude=boundary_amplitude(u),
         wall_clock=wall,
         field=u,
         restart_energies=energies,
     )
+
+
+def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
+                 cfg: SolverConfig = SolverConfig(), init: Field = None
+                 ) -> SolveReport:
+    """Positive ground state on the trivial symmetry class."""
+    a0 = init.data if init is not None else _gaussian_seed(grid)
+    return _solve(nl, kernel, grid, cfg, np.abs, a0, "trivial")
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -414,25 +379,5 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     def project(a):
         return symmetrize_array(action, a)
 
-    a, state, grad_res, p_res, iters, energies, wall = _run_restarts(
-        nl, kernel, grid, cfg, project, init.data.copy(), action
-    )
-    u = Field(grid, a)
-    return SolveReport(
-        group=group.tag or "custom",
-        grid=grid,
-        alpha=kernel.alpha,
-        nonlinearity=nl.config_string(),
-        iters=iters,
-        energy=state.energy,
-        A=state.A,
-        B=state.B,
-        Q=state.Q,
-        p_residual=p_res,
-        grad_residual=grad_res,
-        symmetry_residual=symmetry_residual(action, u),
-        boundary_amplitude=boundary_amplitude(u),
-        wall_clock=wall,
-        field=u,
-        restart_energies=energies,
-    )
+    return _solve(nl, kernel, grid, cfg, project, init.data,
+                  group.tag or "custom", action)

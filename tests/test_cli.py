@@ -1,14 +1,19 @@
 """End-to-end tests of the command line driver and its exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from choquard.cli import main
 from choquard.field import read_field
 
+ROOT = Path(__file__).resolve().parents[1]
 FAST = ["--dim", "2", "--alpha", "1.0", "--M", "64", "--L", "10.0",
         "--restarts", "1"]
 
@@ -110,6 +115,23 @@ def test_missing_subcommand_exits_64(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [["solve", "--precondition", "0"],
+                                  ["hierarchy", "--rescale-every", "2"]])
+def test_removed_solver_flags_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("key", ["precondition", "rescale_every"])
+def test_removed_config_keys_exit_64(capsys, tmp_path, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert main(["solve", "--config", str(cfg)]) == 64
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_64(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
@@ -206,10 +228,57 @@ def test_hierarchy_command(capsys, tmp_path):
     assert [r["group"] for r in stored["rows"]] == ["trivial", "A1"]
 
 
+@pytest.fixture
+def damaged(tmp_path, solved):
+    """Copies of the solved field file, cut short, overlong or non-finite."""
+    prefix, _ = solved
+    blob = open(f"{prefix}.field", "rb").read()
+    poisoned = bytearray(blob)
+    poisoned[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    infinite = bytearray(blob)
+    infinite[-16:-8] = np.array([-np.inf], dtype="<f8").tobytes()
+    out = {}
+    for name, data in (("header", blob[:10]), ("short", blob[:-8]),
+                       ("long", blob + b"\0"), ("nan", poisoned),
+                       ("inf", infinite)):
+        out[name] = tmp_path / f"{name}.field"
+        out[name].write_bytes(bytes(data))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])
+def test_verify_rejects_damaged_field_with_64(capsys, damaged, kind):
+    rc = main(["verify", "--field", str(damaged[kind]), "--alpha", "1.0",
+               "--nl", "power:p=2"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert "choquard:" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])
+def test_convert_rejects_damaged_field_with_64(capsys, tmp_path, damaged, kind):
+    out = tmp_path / "profile.csv"
+    rc = main(["convert", "--field", str(damaged[kind]), "--out", str(out)])
+    assert rc == 64
+    assert "choquard:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_is_installed():
+    """The declared `choquard` script runs: installed, or from src via -m."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert '[project.scripts]\nchoquard = "choquard.cli:main"\n' in pyproject
     exe = shutil.which("choquard")
-    assert exe is not None
-    proc = subprocess.run([exe, "coxeter", "--group", "A1"],
-                          capture_output=True, text=True)
+    if exe is not None:
+        cmd, env = [exe], None
+    else:
+        # nothing installed: run the same main through choquard/__main__.py
+        path = os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        cmd, env = [sys.executable, "-m", "choquard"], dict(os.environ,
+                                                             PYTHONPATH=path)
+    proc = subprocess.run([*cmd, "coxeter", "--group", "A1"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 2

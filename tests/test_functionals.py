@@ -13,7 +13,6 @@ from choquard.functionals import (
     dilation_pohozaev,
     evaluate,
     evaluate_with_gradient,
-    gradient,
     parse_nonlinearity,
     pohozaev_root,
     pohozaev_scale,
@@ -168,16 +167,6 @@ def test_gradient_matches_finite_differences(dim, alpha, nl_text):
         em = evaluate(nl, kern, Field(grid, u.data - eps * phi.data)).energy
         fd = (ep - em) / (2 * eps)
         assert abs(dd - fd) / max(abs(fd), 1e-12) <= 1e-5
-
-
-def test_gradient_convenience_wrapper():
-    grid = GridSpec(2, 16, 4.0)
-    kern = RieszKernel(grid, 1.0)
-    rng = np.random.default_rng(8)
-    u = smooth_random_field(grid, rng)
-    st, g1 = evaluate_with_gradient(power(2.0), kern, u)
-    g2 = gradient(power(2.0), kern, u)
-    np.testing.assert_allclose(g1.data, g2.data)
 
 
 # -- dilation path and Pohozaev root ------------------------------------------

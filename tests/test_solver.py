@@ -14,6 +14,7 @@ from choquard.analysis import nodal_domains
 from choquard.coxeter import from_name
 from choquard.errors import (
     BumpLeavesDomain,
+    GridMismatch,
     NoDescent,
     NonpositiveQ,
     SeparationViolation,
@@ -122,6 +123,12 @@ def test_iteration_budget_exhaustion_raises(kernel):
                        pohozaev_tol=1e-14)
     with pytest.raises(NoDescent):
         solve_ground(NL, kernel, GRID, cfg)
+
+
+def test_solver_grid_must_match_kernel(kernel):
+    with pytest.raises(GridMismatch):
+        solve_ground(NL, kernel, GridSpec(2, 32, 10.0),
+                     SolverConfig(seed=0, restarts=1))
 
 
 @pytest.mark.parametrize("radius", [1.5, 2.5])
