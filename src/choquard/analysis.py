@@ -282,12 +282,14 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
     profile of every saddle initializer (the stabilizer of an interior
     direction is trivial).
     """
+    groups = [from_name(tag) for tag in tags]
+    for group in groups:
+        GroupAction(group, grid)  # a group with no exact action fails here
     rows = []
     notes = []
     by_signature = {}
     ground = None
-    for tag in tags:
-        group = from_name(tag)
+    for group in groups:
         if group.rank == 0:
             report = solve_ground(nl, kernel, grid, cfg)
             ground = report

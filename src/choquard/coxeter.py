@@ -5,9 +5,9 @@ B_ij = -cos(pi / m_ij) is built.  The form is positive definite exactly when
 the group is finite; in that case the Tits reflection representation
 conjugated by a Cholesky factor of B yields orthogonal generators.  Named
 groups with an axis-aligned realization (products of A1, the dihedral groups
-with mirrors on coordinate planes and diagonals, the full cube group) are
-built from hand-picked signed-permutation generators instead, so that their
-action on a symmetric grid is exact.
+with mirrors on coordinate planes and diagonals, the tetrahedral and the full
+cube group) are built from hand-picked signed-permutation generators
+instead, so that their action on a symmetric grid is exact.
 
 Elements are enumerated by breadth-first closure under generator
 multiplication.  The sign character is the determinant, which equals -1 on
@@ -182,8 +182,8 @@ class CoxeterGroup:
     def __init__(self, matrix, generators, chamber_normals, tag=None,
                  element_cap=ELEMENT_CAP):
         self.matrix = matrix
-        self.generators = [np.asarray(g, dtype=float) for g in generators]
-        self.chamber_normals = np.asarray(chamber_normals, dtype=float)
+        self.generators = [np.array(g, dtype=float) for g in generators]
+        self.chamber_normals = np.array(chamber_normals, dtype=float)
         self.tag = tag
         mats = _close_under_products(self.generators, element_cap)
         self._mats = np.array(mats) if mats else np.eye(0)[None]
@@ -330,6 +330,20 @@ def _embed_block(g: np.ndarray, k: int, offset: int) -> np.ndarray:
 
 
 _SQ2 = math.sqrt(0.5)
+_SWAP01 = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
+_SWAP12 = np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+# (generators, chamber normals) of the named groups realized by signed
+# permutations outside the dihedral family; A3 is the tetrahedral group
+_AXIS_REALIZATIONS = {
+    "trivial": ([], np.zeros((0, 0))),
+    "A1": ([-np.eye(1)], np.eye(1)),
+    "A1xA1xA1": ([np.diag(d) for d in 1.0 - 2.0 * np.eye(3)], np.eye(3)),
+    "A3": ([_SWAP01, _SWAP12, np.diag([-1.0, -1, 1]) @ _SWAP01],
+           [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [-_SQ2, -_SQ2, 0]]),
+    "B3": ([_SWAP01, _SWAP12, np.diag([1.0, 1, -1])],
+           [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [0, 0, 1]]),
+}
 
 _NAMED_MATRICES = {
     "trivial": np.zeros((0, 0), dtype=int),
@@ -367,38 +381,16 @@ def parse_tag(tag: str):
 def from_name(tag: str, element_cap: int = ELEMENT_CAP) -> CoxeterGroup:
     """Build a named group, preferring grid-exact realizations where they exist."""
     tag, matrix, m = parse_tag(tag)
-    if tag == "trivial":
-        return CoxeterGroup(matrix, [], np.zeros((0, 0)), tag=tag,
-                            element_cap=element_cap)
-    if tag == "A1":
-        return CoxeterGroup(matrix, [np.array([[-1.0]])], np.array([[1.0]]),
-                            tag=tag, element_cap=element_cap)
-    if tag == "A1xA1" or (m is not None and tag.startswith("I2:")):
-        gens, normals = _dihedral_realization(m if m is not None else 2)
-        return CoxeterGroup(matrix, gens, normals, tag=tag,
-                            element_cap=element_cap)
-    if tag == "A1xA1xA1":
-        gens = [np.diag([-1.0, 1, 1]), np.diag([1, -1.0, 1]), np.diag([1, 1, -1.0])]
-        return CoxeterGroup(matrix, gens, np.eye(3), tag=tag,
-                            element_cap=element_cap)
-    if m is not None and tag.startswith("A1xI2:"):
+    if tag in _AXIS_REALIZATIONS:
+        gens, normals = _AXIS_REALIZATIONS[tag]
+    elif tag == "A1xA1" or tag.startswith("I2:"):
+        gens, normals = _dihedral_realization(m or 2)
+    elif tag.startswith("A1xI2:"):
         dg, dn = _dihedral_realization(m)
         gens = [np.diag([-1.0, 1, 1])] + [_embed_block(g, 3, 1) for g in dg]
         normals = np.zeros((3, 3))
         normals[0, 0] = 1.0
         normals[1:, 1:] = dn
-        return CoxeterGroup(matrix, gens, normals, tag=tag,
-                            element_cap=element_cap)
-    if tag == "B3":
-        swap01 = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1.0]])
-        swap12 = np.array([[1.0, 0, 0], [0, 0, 1], [0, 1.0, 0]])
-        flip2 = np.diag([1.0, 1.0, -1.0])
-        normals = np.array([
-            [_SQ2, -_SQ2, 0.0],
-            [0.0, _SQ2, -_SQ2],
-            [0.0, 0.0, 1.0],
-        ])
-        return CoxeterGroup(matrix, [swap01, swap12, flip2], normals, tag=tag,
-                            element_cap=element_cap)
-    # A3 and H3 have no signed-permutation realization; use the Tits route.
-    return build_group(matrix, element_cap=element_cap, tag=tag)
+    else:  # H3 has no signed-permutation realization; use the Tits route
+        return build_group(matrix, element_cap=element_cap, tag=tag)
+    return CoxeterGroup(matrix, gens, normals, tag=tag, element_cap=element_cap)

@@ -10,7 +10,7 @@ class ChoquardError(Exception):
 
 
 class ParseError(ChoquardError):
-    """Malformed group tag, nonlinearity string or config entry."""
+    """Malformed group tag, nonlinearity string, config entry or field data."""
 
 
 class NonPositiveDefinite(ChoquardError):
@@ -46,7 +46,7 @@ class NoDescent(ChoquardError):
 
 
 class SymmetryDrift(ChoquardError):
-    """Symmetry residual of an interpolated group action grew too large."""
+    """Symmetry residual of a saddle iterate grew too large."""
 
 
 class SeparationViolation(ChoquardError):

@@ -5,9 +5,10 @@ symmetric under sign flips and axis permutations and no node lies on a
 coordinate mirror or at the origin.  Homogeneous Dirichlet data at the cube
 boundary is emulated by expanding in the odd sine basis
 sin(k pi (x + L) / (2L)), k >= 1, which the type-II discrete sine transform
-diagonalizes on this node set.  Signed-permutation group elements act by
-exact index manipulation; all other orthogonal elements act by multilinear
-interpolation with zero extension outside the cube.
+diagonalizes on this node set.  Group elements act exactly or not at all:
+signed permutations by index moves, orthogonal maps of the first two axes by
+three shears of the sine interpolant with zero extension outside the cube.
+Any other element has no exact action and is rejected with IncompatibleGrid.
 """
 
 from __future__ import annotations
@@ -166,7 +167,9 @@ class GroupAction:
     """Action of a rank-k Coxeter group on fields over a dim-N grid, k <= N.
 
     An element g acts on the first k coordinates, g x = (g + 1_{N-k}) x, and
-    on fields by (g . u)(x) = u(g^{-1} x).
+    on fields by (g . u)(x) = u(g^{-1} x).  Every element must act exactly:
+    a signed permutation, or an orthogonal map of the first two axes.  Any
+    other group raises IncompatibleGrid here, before any solve.
     """
 
     def __init__(self, group: CoxeterGroup, grid: GridSpec):
@@ -176,6 +179,12 @@ class GroupAction:
             )
         self.group = group
         self.grid = grid
+        for g in group.element_matrices():
+            if not _acts_exactly(self.embed(g).T):
+                raise IncompatibleGrid(
+                    f"group {group.tag or 'custom'} has an element with no "
+                    f"exact action on the grid: {g.tolist()}"
+                )
 
     def embed(self, g: np.ndarray) -> np.ndarray:
         n = self.grid.dim
@@ -195,43 +204,33 @@ def _signed_perm_apply(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     cols = np.argmax(np.abs(p), axis=1)
     signs = p[np.arange(n), cols]
-    out = a
-    for axis in range(n):
-        if signs[axis] < 0:
-            out = np.flip(out, axis=axis)
+    out = np.flip(a, axis=tuple(np.flatnonzero(signs < 0)))
     return np.ascontiguousarray(np.transpose(out, np.argsort(cols)))
-
-
-def _interp_apply(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Samples of x -> a(P x) by multilinear interpolation, zero outside."""
-    mesh = grid.mesh()
-    coords = np.empty((grid.dim,) + grid.shape)
-    for b in range(grid.dim):
-        y = np.zeros(grid.shape)
-        for c in range(grid.dim):
-            if p[b, c] != 0.0:
-                y = y + p[b, c] * mesh[c]
-        coords[b] = (y + grid.L) / grid.h - 0.5
-    return map_coordinates(a, coords, order=1, mode="constant", cval=0.0)
 
 
 _SHEAR_CACHE: dict = {}
 _SHEAR_CACHE_CAP = 6
 
 
-def _shear_tensor(grid: GridSpec, coef: float) -> np.ndarray:
-    """Evaluation tensor T[j, i, :] for the sheared points x_i + coef * x_j.
+def _shear_tensor(grid: GridSpec, coef: float) -> tuple:
+    """Tables (cos, sin_up, inside) for the sheared points x_i + coef * x_j.
 
-    T[j] maps one axis of DST-II coefficients to interpolant values at the
-    axis nodes shifted by coef times the j-th node of the driving axis.  The
-    tensors depend only on (M, L, coef) and are cached; at M = 256 each one
-    holds M^3 doubles, so the cache is kept short.
+    With s_j = coef * x_j and kappa_k = (k + 1) pi / 2L, cos[j, k] is
+    cos(kappa_k s_j) and sin_up[j, k] is sin(kappa_{k-1} s_j), one mode up,
+    with sin_up[j, 0] = 0; inside[j, i] is 1 where |x_i + s_j| <= L and 0
+    outside the cube.  Each table holds M^2 doubles and depends only on
+    (M, L, coef).
     """
     key = (grid.M, float(grid.L), round(float(coef), 14))
     t = _SHEAR_CACHE.get(key)
     if t is None:
         ax = grid.axis_coords()
-        t = _sine_eval_matrix(grid, ax[None, :] + coef * ax[:, None])
+        kappa = (np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)
+        s = coef * ax[:, None]
+        sin_up = np.zeros((grid.M, grid.M))
+        sin_up[:, 1:] = np.sin(s * kappa[:-1])
+        inside = (np.abs(ax[None, :] + s) <= grid.L).astype(float)
+        t = (np.cos(s * kappa), sin_up, inside)
         if len(_SHEAR_CACHE) >= _SHEAR_CACHE_CAP:
             _SHEAR_CACHE.pop(next(iter(_SHEAR_CACHE)))
         _SHEAR_CACHE[key] = t
@@ -241,20 +240,25 @@ def _shear_tensor(grid: GridSpec, coef: float) -> np.ndarray:
 def _planar_shear(grid: GridSpec, a: np.ndarray, moved: int, coef: float) -> np.ndarray:
     """Samples of a(.., x_moved + coef * x_driving, ..) on the first two axes.
 
-    The moved coordinate is resampled through the sine interpolant, driving
-    coordinate fixed per slice; axes beyond the second ride along as a batch.
+    The moved coordinate is resampled through the sine interpolant by a
+    phase shift of its DST-II coefficients, driving coordinate fixed per
+    slice: sin(kappa (x + L + s)) splits into a cos(kappa s) part, summed by
+    a DST-III, and a sin(kappa s) part, summed by a DCT-III one mode up.  The
+    Nyquist cosine vanishes on the nodes, so nothing is lost.  Points outside
+    the cube read zero; axes beyond the second ride along as a batch.
     """
-    m = grid.M
-    tail = a.shape[2:]
-    c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho", workers=thread_count())
-    t = _shear_tensor(grid, coef)
+    cos_t, sin_up, inside = _shear_tensor(grid, coef)
     if moved == 0:
-        cc = np.moveaxis(c, 1, 0).reshape(m, m, -1)   # (drive j, mode k, batch)
-        out = np.matmul(t, cc)                        # (j, node i, batch)
-        return np.moveaxis(out.reshape((m, m) + tail), 0, 1)
-    cc = c.reshape(m, m, -1)                          # (drive i, mode k, batch)
-    out = np.matmul(t, cc)                            # (i, node j, batch)
-    return out.reshape((m, m) + tail)
+        cos_t, sin_up, inside = cos_t.T, sin_up.T, inside.T
+    shape = (grid.M, grid.M) + (1,) * (a.ndim - 2)
+    cos_t, sin_up, inside = (t.reshape(shape) for t in (cos_t, sin_up, inside))
+    workers = thread_count()
+    c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho", workers=workers)
+    even = scipy.fft.idst(c * cos_t, type=2, axis=moved, norm="ortho",
+                          workers=workers)
+    odd = scipy.fft.idct(np.roll(c, 1, axis=moved) * sin_up, type=2,
+                         axis=moved, norm="ortho", workers=workers)
+    return (even + odd) * inside
 
 
 def _rotation_apply(grid: GridSpec, phi: float, a: np.ndarray) -> np.ndarray:
@@ -274,19 +278,18 @@ def _rotation_apply(grid: GridSpec, phi: float, a: np.ndarray) -> np.ndarray:
     return _planar_shear(grid, out, 0, shx)
 
 
-def _planar_rotation_block(grid: GridSpec, p: np.ndarray) -> np.ndarray | None:
-    """The 2x2 orthogonal block of p if p acts only on the first two axes."""
-    n = p.shape[0]
-    if n < 2 or grid.M < 2:
-        return None
-    if n > 2:
-        if not (np.all(np.abs(p[2:, :] - np.eye(n)[2:, :]) < 1e-12)
-                and np.all(np.abs(p[:2, 2:]) < 1e-12)):
-            return None
+def _is_planar(p: np.ndarray) -> bool:
+    """True when p is orthogonal and moves only the first two axes."""
     blk = p[:2, :2]
-    if np.max(np.abs(blk @ blk.T - np.eye(2))) > 1e-10:
-        return None
-    return blk
+    rest = np.eye(p.shape[0])
+    rest[:2, :2] = blk
+    return bool(np.max(np.abs(p - rest)) < 1e-12
+                and np.max(np.abs(blk @ blk.T - np.eye(2))) <= 1e-10)
+
+
+def _acts_exactly(p: np.ndarray) -> bool:
+    """True when apply_matrix_array has an exact algorithm for p."""
+    return is_signed_permutation(p) or _is_planar(p)
 
 
 def _planar_orthogonal_apply(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -304,27 +307,22 @@ def _planar_orthogonal_apply(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np
     phi = float(np.arctan2(blk[1, 0], blk[0, 0]))
     k = int(np.round(phi / (np.pi / 2.0)))
     phi_r = phi - k * np.pi / 2.0
-    out = a
-    if k % 4:
-        cs = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
-        pe = np.eye(p.shape[0])
-        pe[:2, :2] = ((cs[0], -cs[1]), (cs[1], cs[0]))
-        out = _signed_perm_apply(pe, out)
+    out = np.rot90(a, -k, axes=(0, 1))   # x -> a(R(k pi/2) x)
     if abs(phi_r) > 1e-14:
         out = _rotation_apply(grid, phi_r, out)
     if reflect:
-        pf = np.eye(p.shape[0])
-        pf[1, 1] = -1.0
-        out = _signed_perm_apply(pf, out)
+        out = np.flip(out, axis=1)
     return np.ascontiguousarray(out)
 
 
 def apply_matrix_array(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Samples of x -> a(P x): index moves for a signed permutation, sine
+    interpolant shears for a planar orthogonal P; any other P is rejected."""
     if is_signed_permutation(p):
         return _signed_perm_apply(p, a)
-    if _planar_rotation_block(grid, p) is not None:
+    if _is_planar(p):
         return _planar_orthogonal_apply(grid, p, a)
-    return _interp_apply(grid, p, a)
+    raise IncompatibleGrid(f"no exact grid action for the matrix {p.tolist()}")
 
 
 def act(action: GroupAction, g: np.ndarray, u: Field) -> Field:

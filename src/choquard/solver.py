@@ -28,6 +28,7 @@ from .errors import (
     GridMismatch,
     NoDescent,
     NonpositiveQ,
+    ParseError,
     SeparationViolation,
     SymmetryDrift,
 )
@@ -248,6 +249,8 @@ def _solve(nl, kernel, grid, cfg, project, a0, tag, action=None):
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
+    if not np.all(np.isfinite(a0)):
+        raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
     best = None
     energies = []

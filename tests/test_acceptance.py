@@ -39,7 +39,7 @@ REF_ALPHA = 2.0
 PLANE_GRID = GridSpec(dim=2, M=256, L=16.0)
 PLANE_ALPHA = 1.0
 
-# wider planar box for the interpolated six-fold group
+# wider planar box for the sheared six-fold group
 WIDE_GRID = GridSpec(dim=2, M=256, L=24.0)
 
 

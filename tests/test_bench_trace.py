@@ -3,7 +3,9 @@
 bench/tracer.py wraps module-level bindings of the package by name, so a
 rename or a moved call in src/ silently drops its counts or breaks the
 benchmark.  This runs a small ground and A1 solve under the tracer as the
-benchmark does and checks the counts against the solve reports.
+benchmark does and checks the counts against the solve reports, and a
+six-fold symmetrization, which is the only traffic through the shear-table
+hook and its cache.
 """
 
 import sys
@@ -12,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from choquard import field
 from choquard.coxeter import from_name
-from choquard.field import GridSpec
+from choquard.field import GridSpec, GroupAction, symmetrize_array
 from choquard.functionals import power
 from choquard.riesz import get_kernel
 from choquard.solver import SolverConfig, solve_ground, solve_saddle
@@ -66,3 +69,25 @@ def test_tracer_counts_match_an_untraced_chain(tracer_module):
     assert m["riesz.convolve.calls"] > 0
     assert m["solver.retraction.calls"] > 0
     assert np.isfinite(m["traced_wall_s"])
+
+
+def test_tracer_counts_shear_tables(tracer_module, monkeypatch):
+    # a fresh cache, so the tables are built under the tracer
+    monkeypatch.setattr(field, "_SHEAR_CACHE", {})
+    action = GroupAction(from_name("I2:3"), GRID)
+    a = np.random.default_rng(0).standard_normal(GRID.shape)
+    plain = symmetrize_array(action, a)
+    monkeypatch.setattr(field, "_SHEAR_CACHE", {})
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        root_span = tr.open("test.pass")
+        traced = field.symmetrize_array(action, a)
+        tr.close(root_span)
+    finally:
+        restored = tr.restore()
+    assert restored
+    assert np.array_equal(traced, plain)
+    m = tracer_module.summarize(tr.spans, 0)
+    assert m["field.shear_tensor.lookups"] > 0
+    assert m["field.shear_tensor.builds"] >= 1

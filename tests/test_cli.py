@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from choquard import analysis, solver
 from choquard.cli import main
 from choquard.field import read_field
 
@@ -161,6 +162,24 @@ def test_force_bypasses_hypothesis_gate(capsys):
                "--max-iters", "1", "--restarts", "1"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--group", "H3"],
+    ["solve", "--group", "A1xI2:3"],
+    ["hierarchy", "--groups", "trivial,A1,H3"],
+])
+def test_group_without_exact_action_exits_64_before_solving(
+        capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the ground solve ran")
+
+    monkeypatch.setattr(solver, "solve_ground", no_solve)
+    monkeypatch.setattr(analysis, "solve_ground", no_solve)
+    rc = main([*argv, "--dim", "3", "--M", "16", "--L", "4.0",
+               "--restarts", "1"])
+    assert rc == 64
+    assert "no exact action" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_2(capsys):

@@ -90,7 +90,7 @@ def test_trivial_group_is_rank_zero():
 @pytest.mark.parametrize(
     "tag,exact",
     [("A1", True), ("I2:2", True), ("I2:3", False), ("I2:4", True),
-     ("I2:5", False), ("A3", False), ("B3", True), ("H3", False)],
+     ("I2:5", False), ("A3", True), ("B3", True), ("H3", False)],
 )
 def test_grid_exact_flag(tag, exact):
     assert from_name(tag).grid_exact is exact

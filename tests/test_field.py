@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from choquard.coxeter import from_name
 from choquard.errors import GridMismatch, IncompatibleGrid, ParseError
@@ -9,7 +10,10 @@ from choquard.field import (
     Field,
     GridSpec,
     GroupAction,
+    _planar_shear,
+    _sine_eval_matrix,
     act,
+    apply_matrix_array,
     boundary_amplitude,
     dilate,
     from_function,
@@ -171,6 +175,30 @@ def test_planar_rotation_matches_analytic():
         assert err < 1e-6
 
 
+def _direct_shear(grid, a, moved, coef):
+    """The sheared samples, evaluating the sine interpolant point by point."""
+    ax = grid.axis_coords()
+    c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho")
+    if moved == 0:   # out[i, j] reads the moved axis 0 at x_i + coef * x_j
+        mat = _sine_eval_matrix(grid, ax[:, None] + coef * ax[None, :])
+        return np.einsum("ijk,kj...->ij...", mat, c)
+    mat = _sine_eval_matrix(grid, ax[None, :] + coef * ax[:, None])
+    return np.einsum("ijk,ik...->ij...", mat, c)
+
+
+@pytest.mark.parametrize("dim,M", [(2, 48), (3, 16)])
+@pytest.mark.parametrize("moved", [0, 1])
+def test_planar_shear_matches_direct_evaluation(dim, M, moved):
+    """The phase-shift shear is the sine interpolant at the sheared points,
+    masked to zero outside the cube (coefficients up to 1 push points out)."""
+    grid = GridSpec(dim, M, 5.0)
+    a = np.random.default_rng(7).standard_normal(grid.shape)
+    for coef in (0.37, -0.26, 1.0):
+        ref = _direct_shear(grid, a, moved, coef)
+        got = _planar_shear(grid, a, moved, coef)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_rotation_action_is_exactly_invertible():
     """g then g^{-1} returns the samples up to spectral roundoff."""
     grid = GridSpec(2, 64, 6.0)
@@ -197,7 +225,7 @@ def test_symmetrize_idempotent_grid_exact(tag):
 
 
 @pytest.mark.parametrize("tag", ["I2:3", "I2:5"])
-def test_symmetrize_near_idempotent_interpolated(tag):
+def test_symmetrize_near_idempotent_sheared(tag):
     group = from_name(tag)
     grid = GridSpec(2, 64, 6.0)
     action = GroupAction(group, grid)
@@ -223,6 +251,35 @@ def test_symmetrize_is_self_adjoint():
 def test_action_rank_cannot_exceed_dim():
     with pytest.raises(IncompatibleGrid):
         GroupAction(from_name("B3"), GridSpec(2, 16, 4.0))
+
+
+@pytest.mark.parametrize("tag,exact", [
+    ("trivial", True), ("A1", True), ("A1xA1", True), ("A1xA1xA1", True),
+    *((f"I2:{m}", True) for m in range(2, 9)),
+    ("A1xI2:2", True), ("A1xI2:3", False), ("A1xI2:4", True),
+    ("A3", True), ("B3", True), ("H3", False),
+])
+def test_group_acts_exactly_or_is_rejected(tag, exact):
+    """Index moves or planar shears, or IncompatibleGrid before any use."""
+    group = from_name(tag)
+    grid = GridSpec(max(2, group.rank), 32, 8.0)
+    if not exact:
+        with pytest.raises(IncompatibleGrid):
+            GroupAction(group, grid)
+        return
+    action = GroupAction(group, grid)
+    u = gaussian(grid, np.linspace(0.3, 0.9, grid.dim))
+    pu = u.with_data(symmetrize_array(action, u.data))
+    # shears of a smooth bump at h = 0.5 are exact to about 3e-4 (I2:8)
+    assert symmetry_residual(action, pu) < 1e-3
+
+
+def test_non_exact_matrix_is_rejected():
+    grid = GridSpec(3, 16, 4.0)
+    c, s = np.cos(0.3), np.sin(0.3)
+    tilt = np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
+    with pytest.raises(IncompatibleGrid):
+        apply_matrix_array(grid, tilt, np.zeros(grid.shape))
 
 
 def test_embed_pads_with_identity():

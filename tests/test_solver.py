@@ -17,6 +17,7 @@ from choquard.errors import (
     GridMismatch,
     NoDescent,
     NonpositiveQ,
+    ParseError,
     SeparationViolation,
 )
 from choquard.field import Field, GridSpec, GroupAction, symmetry_residual
@@ -116,6 +117,22 @@ def test_zero_initializer_rejected(kernel):
     with pytest.raises(NonpositiveQ):
         solve_ground(NL, kernel, GRID, SolverConfig(seed=0, restarts=1),
                      init=flat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["ground_init", "saddle_init", "saddle_base"])
+def test_non_finite_start_field_is_rejected(kernel, entry, bad):
+    data = np.exp(-GRID.radius() ** 2)
+    data[GRID.M // 2, GRID.M // 2] = bad
+    start = Field(GRID, data)
+    cfg = SolverConfig(seed=0, restarts=1)
+    with pytest.raises(ParseError, match="NaN or Inf"):
+        if entry == "ground_init":
+            solve_ground(NL, kernel, GRID, cfg, init=start)
+        elif entry == "saddle_init":
+            solve_saddle(from_name("A1"), NL, kernel, GRID, cfg, init=start)
+        else:
+            solve_saddle(from_name("A1"), NL, kernel, GRID, cfg, base=start)
 
 
 def test_iteration_budget_exhaustion_raises(kernel):
