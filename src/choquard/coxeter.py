@@ -257,13 +257,6 @@ class CoxeterGroup:
             )
         return int(np.sum(np.abs(dots) <= tol * scale))
 
-    def in_closed_chamber(self, q: np.ndarray, tol: float = MATRIX_TOL) -> bool:
-        if self.rank == 0:
-            return True
-        q = np.asarray(q, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(q)))
-        return bool(np.all(self.chamber_normals @ q >= -tol * scale))
-
     def chamber_interior_point(self) -> np.ndarray:
         """Unit vector with <q, n_i> > 0 for every wall normal."""
         if self.rank == 0:

@@ -151,6 +151,28 @@ def helmholtz_inverse_array(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return _idst(_dst(a) / (1.0 + sine_multipliers(grid)))
 
 
+def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
+    """x . grad u at the nodes from the DST-II coefficients coeff of u.
+
+    d/dx_i sin(kappa_k (x + L)) = kappa_k cos(kappa_k (x + L)) is the
+    DCT-II mode k + 1, so each derivative moves the coefficients one mode up
+    and sums them by a DCT-III along axis i, a DST-III along the others.
+    The Nyquist cosine vanishes on the nodes, so the result is exact.
+    """
+    kappa = (np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)
+    workers = thread_count()
+    out = np.zeros(grid.shape)
+    for axis, x in enumerate(grid.mesh()):
+        shape = [-1 if b == axis else 1 for b in range(grid.dim)]
+        d = np.roll(coeff * kappa.reshape(shape), 1, axis=axis)
+        np.moveaxis(d, axis, 0)[0] = 0.0
+        d = scipy.fft.idct(d, type=2, axis=axis, norm="ortho", workers=workers)
+        others = tuple(b for b in range(grid.dim) if b != axis)
+        out += x * scipy.fft.idstn(d, type=2, axes=others, norm="ortho",
+                                   workers=workers)
+    return out
+
+
 def l2_sq_integral(u: Field) -> float:
     """B(u) = integral of u^2 as the plain cell sum."""
     return float(u.grid.cell_volume * np.sum(u.data ** 2))

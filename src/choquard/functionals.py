@@ -361,13 +361,3 @@ def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
         )
     )
 
-
-def pohozaev_scale(nl: Nonlinearity, kernel: RieszKernel, u: Field,
-                   state: FunctionalState = None):
-    """Project u onto the Pohozaev manifold: return (t_u, u(./t_u))."""
-    from .field import dilate
-
-    if state is None:
-        state = evaluate(nl, kernel, u)
-    t = pohozaev_root(state, u.grid.dim, kernel.alpha)
-    return t, dilate(u, t)

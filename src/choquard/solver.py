@@ -3,12 +3,12 @@
 Ground states minimize E on the Pohozaev manifold P = 0; sign-changing
 saddles minimize E over the equivariant class H_G intersected with the
 manifold.  The iteration descends E with a backtracked step along the
-Sobolev gradient (1 - Delta)^{-1} gradE, projecting every trial back
-onto the manifold by an exact dilation rescale, onto nonnegativity by
-taking |u| for ground states, and onto H_G by the group average for
-saddles.  Stopping is measured on the L^2 gradient and the Pohozaev
-residual.  All functional values come from `functionals`; one driver,
-`_solve`, serves the trivial group and real groups alike.
+Sobolev gradient (1 - Delta)^{-1} gradE, dilating every trial back onto
+the manifold (near convergence, onto the zero of the discrete ray
+derivative of E_h) and projecting it by |u| for ground states or onto
+H_G by the group average for saddles.  Stopping is measured on the L^2
+gradient and the continuum Pohozaev residual.  All functional values come
+from `functionals`; one driver, `_solve`, serves every group alike.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
@@ -18,7 +18,7 @@ signed bump per orbit point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .field import (
     symmetrize_array,
     symmetry_residual,
     translate,
+    x_dot_grad_array,
 )
 # bench/tracer.py wraps _idst here by name; nothing in this module calls it.
 from .field import _idst  # noqa: F401
@@ -125,41 +126,33 @@ class _Descent:
         self.project = project
         self.action = action
 
+    # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
     def _ray_energy(self, a, t):
         w = dilate(Field(self.grid, a), t).data
         return _state_parts(self.nl, self.kernel, w)[0].energy
 
-    def _retraction_root(self, a, state):
+    def _retraction_root(self, a, state, coeff, conv):
         """Dilation factor that restores the zero-Pohozaev condition.
 
-        Far from the critical point the closed-form root of the continuum
-        dilation polynomial is good enough.  Near it the O(h^2) quadrature
-        defect biases that root away from 1 by a small constant, which traps
-        the iteration in a limit cycle of repeated small dilations.  A
-        three-point parabola fit to the energy actually realized on the grid
-        removes the bias: at a discrete critical point every resampling
-        family is energy-stationary, so the fitted maximizer sits at t = 1
-        and the retraction degenerates to the identity.
+        Far from the critical point this is the root of the continuum
+        dilation polynomial.  Near it, where the O(h^2) quadrature defect of
+        that root would trap the iteration in a limit cycle of small
+        dilations, the defect is folded into Q so that P becomes the discrete
+        ray derivative d/dt E_h(u(./t)) at t = 1 = -<grad E_h(u), x . grad u>_h;
+        the root is then 1 exactly where the grid energy is stationary on the ray.
         """
-        t0 = pohozaev_root(state, self.grid.dim, self.kernel.alpha)
+        dim, alpha = self.grid.dim, self.kernel.alpha
+        t0 = pohozaev_root(state, dim, alpha)
         if abs(t0 - 1.0) > 0.05:
             return t0
-        s = t0 - 1.0
-        if abs(s) < 5e-4:
-            s = 5e-4 if s >= 0 else -5e-4
-        e0 = state.energy
-        e1 = self._ray_energy(a, 1.0 + s)
-        e2 = self._ray_energy(a, 1.0 + 2.0 * s)
-        curv = e0 - 2.0 * e1 + e2
-        if not (curv < 0.0):
-            return t0
-        t_fit = (1.0 + s) + 0.5 * s * (e0 - e2) / curv
-        lo, hi = sorted((1.0 - 2.0 * abs(s), 1.0 + 3.0 * abs(s)))
-        return min(max(t_fit, lo), hi)
+        grad = _gradient_from_parts(self.nl, self.kernel, a, coeff, conv)
+        p_h = -self.grid.cell_volume * np.sum(grad * x_dot_grad_array(self.grid, coeff))
+        q = float(state.Q - 2.0 * (p_h - state.pohozaev) / (dim + alpha))
+        return pohozaev_root(replace(state, Q=q), dim, alpha)
 
-    def _retract(self, a, state):
+    def _retract(self, a, state, coeff, conv):
         """Dilate a back onto the ray maximum; reuses state when t = 1."""
-        t = self._retraction_root(a, state)
+        t = self._retraction_root(a, state, coeff, conv)
         if abs(t - 1.0) <= 1e-12:
             return a, state, None, None
         a = self.project(dilate(Field(self.grid, a), t).data)
@@ -174,7 +167,7 @@ class _Descent:
         state, coeff, conv = _state_parts(nl, kernel, a)
         if not (state.Q > 0.0):
             raise NonpositiveQ(f"initializer has Q = {state.Q:g}")
-        a, state, c2, v2 = self._retract(a, state)
+        a, state, c2, v2 = self._retract(a, state, coeff, conv)
         if c2 is not None:
             coeff, conv = c2, v2
         eta = cfg.step
@@ -206,7 +199,8 @@ class _Descent:
                 if not (t_state.Q > 0.0):
                     eta *= 0.5
                     continue
-                trial, t_state, c2, v2 = self._retract(trial, t_state)
+                trial, t_state, c2, v2 = self._retract(
+                    trial, t_state, t_coeff, t_conv)
                 if c2 is not None:
                     t_coeff, t_conv = c2, v2
                 if t_state.energy <= state.energy + ENERGY_SLACK * abs(state.energy):

@@ -10,6 +10,7 @@ from choquard.field import (
     Field,
     GridSpec,
     GroupAction,
+    _dst,
     _planar_shear,
     _sine_eval_matrix,
     act,
@@ -28,6 +29,7 @@ from choquard.field import (
     translate,
     write_field,
     write_radial_csv,
+    x_dot_grad_array,
     zeros,
 )
 from choquard.functionals import evaluate, evaluate_with_gradient, power
@@ -105,6 +107,23 @@ def test_laplacian_eigenfunctions(dim, mode):
         atol=1e-10 * lam)
     assert grad_sq_integral(u) == pytest.approx(lam * l2_sq_integral(u),
                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,M", [(2, 24), (3, 12)])
+def test_x_dot_grad_matches_analytic_sine_product(dim, M):
+    """x . grad u of a product of sine modes, the Nyquist mode included."""
+    grid = GridSpec(dim, M, 3.0)
+    ks = (M, 3, 2)[:dim]
+    kap = [k * np.pi / (2 * grid.L) for k in ks]
+    xs = grid.mesh()
+    sines = [np.sin(k * (x + grid.L)) for x, k in zip(xs, kap)]
+    u = np.prod(sines, axis=0)
+    expected = np.zeros(grid.shape)
+    for i, (x, k) in enumerate(zip(xs, kap)):
+        d = x * k * np.cos(k * (x + grid.L))
+        expected += d * np.prod(sines[:i] + sines[i + 1:], axis=0)
+    np.testing.assert_allclose(x_dot_grad_array(grid, _dst(u)), expected,
+                               atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_helmholtz_inverse_inverts():

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from choquard.errors import NonpositiveQ, ParseError
-from choquard.field import Field, GridSpec, from_function
+from choquard.field import Field, GridSpec, _dst, dilate, x_dot_grad_array
 from choquard.functionals import (
     Nonlinearity,
     _assemble,
@@ -15,7 +15,6 @@ from choquard.functionals import (
     evaluate_with_gradient,
     parse_nonlinearity,
     pohozaev_root,
-    pohozaev_scale,
     power,
     validate_hypotheses,
 )
@@ -169,6 +168,23 @@ def test_gradient_matches_finite_differences(dim, alpha, nl_text):
         assert abs(dd - fd) / max(abs(fd), 1e-12) <= 1e-5
 
 
+@pytest.mark.parametrize("dim,M,L,alpha", [(2, 64, 8.0, 1.0), (3, 32, 6.0, 2.0)])
+def test_discrete_ray_derivative_matches_dilated_energies(dim, M, L, alpha):
+    """-<grad E_h(u), x . grad u>_h = d/dt E_h(u(./t)) at t = 1."""
+    grid = GridSpec(dim, M, L)
+    kern = RieszKernel(grid, alpha)
+    nl = power(2.0)
+    xs = grid.mesh()
+    u = Field(grid, 1.5 * np.exp(-grid.radius() ** 2 / 2.0) * (1.0 + 0.2 * xs[0]))
+    _, grad = evaluate_with_gradient(nl, kern, u)
+    xgu = x_dot_grad_array(grid, _dst(u.data))
+    p_h = -grid.cell_volume * np.sum(grad.data * xgu)
+    eps = 1e-4
+    ep = evaluate(nl, kern, dilate(u, 1.0 + eps)).energy
+    em = evaluate(nl, kern, dilate(u, 1.0 - eps)).energy
+    assert p_h == pytest.approx((ep - em) / (2 * eps), rel=1e-6)
+
+
 # -- dilation path and Pohozaev root ------------------------------------------
 
 def test_dilation_pohozaev_is_t_times_derivative():
@@ -228,17 +244,6 @@ def test_root_requires_positive_q():
     st = _assemble(3, 2.0, 1.0, 1.0, -0.5)
     with pytest.raises(NonpositiveQ):
         pohozaev_root(st, 3, 2.0)
-
-
-def test_pohozaev_scale_lands_on_manifold():
-    grid = GridSpec(2, 64, 8.0)
-    kern = RieszKernel(grid, 1.0)
-    u = from_function(grid, lambda x, y: 1.5 * np.exp(-(x**2 + y**2) / 2.0))
-    st = evaluate(power(2.0), kern, u)
-    t, scaled = pohozaev_scale(power(2.0), kern, u, st)
-    assert t == pytest.approx(pohozaev_root(st, 2, 1.0))
-    st2 = evaluate(power(2.0), kern, scaled)
-    assert abs(st2.pohozaev) / (st2.A + st2.B) < 1e-3
 
 
 def test_dilation_ray_energy_has_interior_maximum():

@@ -20,11 +20,26 @@ from choquard.errors import (
     ParseError,
     SeparationViolation,
 )
-from choquard.field import Field, GridSpec, GroupAction, symmetry_residual
-from choquard.functionals import evaluate, parse_nonlinearity
+from choquard.field import (
+    Field,
+    GridSpec,
+    GroupAction,
+    _dst,
+    dilate,
+    symmetry_residual,
+    x_dot_grad_array,
+)
+from choquard.functionals import (
+    _state_parts,
+    evaluate,
+    evaluate_with_gradient,
+    parse_nonlinearity,
+    pohozaev_root,
+)
 from choquard.riesz import RieszKernel
 from choquard.solver import (
     SolverConfig,
+    _Descent,
     build_initializer,
     quintic_cutoff,
     solve_ground,
@@ -110,6 +125,24 @@ def test_report_json_round_trip(ground):
     assert d["nonlinearity"] == "power:p=2"
     parsed = json.loads(json.dumps(d))
     assert parsed["energy"] == pytest.approx(ground.energy)
+
+
+def discrete_pohozaev(kernel, a):
+    """P_h = d/dt E_h(u(./t)) at t = 1 = -<grad E_h(u), x . grad u>_h."""
+    _, grad = evaluate_with_gradient(NL, kernel, Field(GRID, a))
+    xgu = x_dot_grad_array(GRID, _dst(a))
+    return -GRID.cell_volume * float(np.sum(grad.data * xgu))
+
+
+@pytest.mark.parametrize("t", [0.97, 0.99, 1.01, 1.03])
+def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
+    """One retraction of a dilated ground state shrinks |P_h| at least 100x."""
+    a = dilate(ground.field, t).data
+    state, coeff, conv = _state_parts(NL, kernel, a)
+    assert abs(pohozaev_root(state, GRID.dim, kernel.alpha) - 1.0) <= 0.05
+    retracted = _Descent(NL, kernel, CFG, np.abs)._retract(a, state, coeff, conv)[0]
+    before = discrete_pohozaev(kernel, a)
+    assert abs(discrete_pohozaev(kernel, retracted)) * 100.0 <= abs(before)
 
 
 def test_zero_initializer_rejected(kernel):
