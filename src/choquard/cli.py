@@ -164,6 +164,8 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_verify(args) -> int:
     u = field_mod.read_field(args.field)
+    if u.norm_max() == 0.0:
+        raise ParseError(f"{args.field}: field is identically zero")
     nl = functionals.parse_nonlinearity(args.nl)
     kernel = riesz.get_kernel(u.grid, args.alpha)
     state, grad = functionals.evaluate_with_gradient(nl, kernel, u)

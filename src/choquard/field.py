@@ -9,6 +9,8 @@ diagonalizes on this node set.  Group elements act exactly or not at all:
 signed permutations by index moves, orthogonal maps of the first two axes by
 three shears of the sine interpolant with zero extension outside the cube.
 Any other element has no exact action and is rejected with IncompatibleGrid.
+Dilation and translation sample the same sine interpolant, which reads zero
+outside the cube; there is no other resampling model.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-from scipy.ndimage import map_coordinates
 
 from .coxeter import CoxeterGroup, is_signed_permutation
 from .errors import GridMismatch, IncompatibleGrid, ParseError
@@ -119,22 +121,16 @@ def check_same_grid(u: Field, v: Field):
 
 # -- spectral operators -------------------------------------------------------
 
-_mult_cache: dict = {}
-
-
+@lru_cache(maxsize=16)
 def sine_multipliers(grid: GridSpec) -> np.ndarray:
     """Eigenvalues sum_a ((k_a + 1) pi / 2L)^2 of -Delta on the sine basis."""
-    key = (grid.dim, grid.M, grid.L)
-    lam = _mult_cache.get(key)
-    if lam is None:
-        kappa2 = (((np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)) ** 2)
-        lam = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[a] = grid.M
-            lam = lam + kappa2.reshape(shape)
-        lam.setflags(write=False)
-        _mult_cache[key] = lam
+    kappa2 = (((np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)) ** 2)
+    lam = np.zeros(grid.shape)
+    for a in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[a] = grid.M
+        lam = lam + kappa2.reshape(shape)
+    lam.setflags(write=False)
     return lam
 
 
@@ -399,11 +395,15 @@ def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _spectral_resample(u: Field, pts: np.ndarray) -> np.ndarray:
-    """Sample the sine interpolant of u on the tensor grid pts x ... x pts."""
-    mat = _sine_eval_matrix(u.grid, pts)
+def _spectral_resample(u: Field, pts) -> np.ndarray:
+    """Sample the sine interpolant of u on the tensor grid pts[0] x pts[1] x ...
+
+    pts holds one array of physical coordinates per axis; coordinates
+    outside the cube read zero.
+    """
     out = _dst(u.data)
-    for axis in range(u.grid.dim):
+    for axis, p in enumerate(pts):
+        mat = _sine_eval_matrix(u.grid, p)
         out = np.moveaxis(
             np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis
         )
@@ -411,40 +411,24 @@ def _spectral_resample(u: Field, pts: np.ndarray) -> np.ndarray:
 
 
 def dilate(u: Field, t: float) -> Field:
-    """u(x / t), zero outside the cube.
+    """u(x / t) from the sine interpolant, zero outside the cube.
 
-    Mild shrinkages and all expansions (t >= 0.9) are resampled through the
-    sine interpolant, which is exact for band-limited data and leaves no
-    rough residue; this matters inside the solver, where the rescaling step
-    runs on every trial step and piecewise-polynomial interpolation injects
-    O(h^2) noise whose Laplacian dominates the gradient residual long before
-    the stopping tolerance is reached.  Stronger shrinkages read points far
-    outside the cube, where the periodic sine extension is wrong, so they
-    fall back to cubic spline interpolation.
+    Exact for band-limited data at every t > 0, so the rescaling inside the
+    solver, which runs on every trial step, adds no interpolation noise to
+    the gradient residual.
     """
     if not (t > 0):
         raise ValueError(f"dilation factor must be positive, got {t}")
-    grid = u.grid
-    if t >= 0.9:
-        return u.with_data(_spectral_resample(u, grid.axis_coords() / t))
-    c = (grid.axis_coords() / t + grid.L) / grid.h - 0.5
-    mesh = np.meshgrid(*(c,) * grid.dim, indexing="ij")
-    return u.with_data(
-        map_coordinates(u.data, np.stack(mesh), order=3, mode="constant", cval=0.0)
-    )
+    x = u.grid.axis_coords() / t
+    return u.with_data(_spectral_resample(u, (x,) * u.grid.dim))
 
 
 def translate(u: Field, shift: np.ndarray) -> Field:
-    """u(x - shift) by cubic spline interpolation, zero outside the cube."""
-    grid = u.grid
+    """u(x - shift) from the sine interpolant, zero outside the cube."""
+    x = u.grid.axis_coords()
     shift = np.asarray(shift, dtype=float)
-    axes = [
-        (grid.axis_coords() - shift[a] + grid.L) / grid.h - 0.5
-        for a in range(grid.dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
     return u.with_data(
-        map_coordinates(u.data, np.stack(mesh), order=3, mode="constant", cval=0.0)
+        _spectral_resample(u, [x - shift[a] for a in range(u.grid.dim)])
     )
 
 

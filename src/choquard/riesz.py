@@ -13,6 +13,7 @@ of a smooth boundary integrand.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -36,9 +37,7 @@ def riesz_constant(dim: int, alpha: float) -> float:
     return math.exp(log_a)
 
 
-_corr_cache: dict = {}
-
-
+@lru_cache(maxsize=16)
 def cube_correction(dim: int, alpha: float) -> float:
     """Ratio of the |x|^(alpha-N) integral over [-1,1]^N to that over B_1.
 
@@ -51,9 +50,6 @@ def cube_correction(dim: int, alpha: float) -> float:
 
     The ball integral is S_{N-1}/alpha.
     """
-    key = (dim, round(alpha, 12))
-    if key in _corr_cache:
-        return _corr_cache[key]
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     if dim == 2:
         cube = 4.0 / alpha * float(
@@ -67,7 +63,6 @@ def cube_correction(dim: int, alpha: float) -> float:
             np.sum(ww * (1.0 + uu ** 2 + vv ** 2) ** ((alpha - 3.0) / 2.0))
         )
         ball = 4.0 * math.pi / alpha
-    _corr_cache[key] = cube / ball
     return cube / ball
 
 
@@ -153,13 +148,9 @@ class RieszKernel:
         return conv[(slice(0, m),) * n] * self.grid.cell_volume
 
 
-_kernel_cache: dict = {}
-
-
+# A 3D kernel at M = 128 holds about 270 MB.  Eight is the fewest that
+# makes the test suite rebuild no kernel it has evicted.
+@lru_cache(maxsize=8)
 def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
-    key = (grid.dim, grid.M, grid.L, round(float(alpha), 12))
-    kern = _kernel_cache.get(key)
-    if kern is None:
-        kern = RieszKernel(grid, alpha)
-        _kernel_cache[key] = kern
-    return kern
+    """The kernel for (grid, alpha), shared by callers while it stays cached."""
+    return RieszKernel(grid, alpha)

@@ -151,13 +151,10 @@ class _Descent:
         return pohozaev_root(replace(state, Q=q), dim, alpha)
 
     def _retract(self, a, state, coeff, conv):
-        """Dilate a back onto the ray maximum; reuses state when t = 1."""
+        """Dilate a back onto the ray maximum and evaluate it there."""
         t = self._retraction_root(a, state, coeff, conv)
-        if abs(t - 1.0) <= 1e-12:
-            return a, state, None, None
         a = self.project(dilate(Field(self.grid, a), t).data)
-        state, coeff, conv = _state_parts(self.nl, self.kernel, a)
-        return a, state, coeff, conv
+        return (a, *_state_parts(self.nl, self.kernel, a))
 
     def run(self, a0: np.ndarray):
         cfg = self.cfg
@@ -167,9 +164,7 @@ class _Descent:
         state, coeff, conv = _state_parts(nl, kernel, a)
         if not (state.Q > 0.0):
             raise NonpositiveQ(f"initializer has Q = {state.Q:g}")
-        a, state, c2, v2 = self._retract(a, state, coeff, conv)
-        if c2 is not None:
-            coeff, conv = c2, v2
+        a, state, coeff, conv = self._retract(a, state, coeff, conv)
         eta = cfg.step
         grad_res = p_res = float("inf")
         # every pass through the loop accepts a step or raises, so the
@@ -199,10 +194,8 @@ class _Descent:
                 if not (t_state.Q > 0.0):
                     eta *= 0.5
                     continue
-                trial, t_state, c2, v2 = self._retract(
+                trial, t_state, t_coeff, t_conv = self._retract(
                     trial, t_state, t_coeff, t_conv)
-                if c2 is not None:
-                    t_coeff, t_conv = c2, v2
                 if t_state.energy <= state.energy + ENERGY_SLACK * abs(state.energy):
                     a, state, coeff, conv = trial, t_state, t_coeff, t_conv
                     break

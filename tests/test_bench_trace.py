@@ -68,6 +68,7 @@ def test_tracer_counts_match_an_untraced_chain(tracer_module):
     assert m["solver.restarts.failed"] == 0
     assert m["riesz.convolve.calls"] > 0
     assert m["solver.retraction.calls"] > 0
+    assert m["field.dilate.calls"] == m["solver.retraction.calls"]
     assert np.isfinite(m["traced_wall_s"])
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from choquard import analysis, solver
 from choquard.cli import main
-from choquard.field import read_field
+from choquard.field import GridSpec, read_field, write_field, zeros
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST = ["--dim", "2", "--alpha", "1.0", "--M", "64", "--L", "10.0",
@@ -273,6 +273,18 @@ def test_verify_rejects_damaged_field_with_64(capsys, damaged, kind):
     assert rc == 64
     assert captured.out == ""
     assert "choquard:" in captured.err
+
+
+def test_verify_rejects_zero_field_with_64(capsys, tmp_path):
+    path = tmp_path / "zero.field"
+    write_field(path, zeros(GridSpec(2, 16, 4.0)))
+    rc = main(["verify", "--field", str(path), "--alpha", "1",
+               "--nl", "power:p=2"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "field is identically zero" in captured.err
 
 
 @pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])
