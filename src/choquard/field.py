@@ -9,8 +9,10 @@ diagonalizes on this node set.  Group elements act exactly or not at all:
 signed permutations by index moves, orthogonal maps of the first two axes by
 three shears of the sine interpolant with zero extension outside the cube.
 Any other element has no exact action and is rejected with IncompatibleGrid.
-Dilation and translation sample the same sine interpolant, which reads zero
-outside the cube; there is no other resampling model.
+`parity_fold` makes a field bit-exactly odd or even under the mirror of
+chosen axes, since no node lies on a mirror.  Dilation and translation
+sample the same sine interpolant, which reads zero outside the cube; there
+is no other resampling model.
 """
 
 from __future__ import annotations
@@ -181,6 +183,19 @@ def inner(u: Field, v: Field) -> float:
 
 # -- group action -------------------------------------------------------------
 
+def parity_fold(a: np.ndarray, parity) -> np.ndarray:
+    """a -> (a + s flip(a, axis)) / 2 along every axis whose parity s is +-1.
+
+    Axes with parity 0 are left alone.  The result is bit-exactly even
+    (s = +1) or odd (s = -1) under the mirror of each folded axis, and
+    folding it again returns it unchanged.
+    """
+    for axis, s in enumerate(parity):
+        if s:
+            a = (a + s * np.flip(a, axis)) / 2.0
+    return a
+
+
 class GroupAction:
     """Action of a rank-k Coxeter group on fields over a dim-N grid, k <= N.
 
@@ -188,6 +203,11 @@ class GroupAction:
     on fields by (g . u)(x) = u(g^{-1} x).  Every element must act exactly:
     a signed permutation, or an orthogonal map of the first two axes.  Any
     other group raises IncompatibleGrid here, before any solve.
+
+    parity[i] is the mirror parity the class imposes along axis i: the
+    character value psi(g) when the single flip g of axis i is in G, +1 when
+    every element fixes axis i (for named groups, the axes beyond the rank),
+    and 0 otherwise.
     """
 
     def __init__(self, group: CoxeterGroup, grid: GridSpec):
@@ -203,6 +223,24 @@ class GroupAction:
                     f"group {group.tag or 'custom'} has an element with no "
                     f"exact action on the grid: {g.tolist()}"
                 )
+        self.parity = self._parity()
+
+    def _parity(self) -> tuple:
+        n = self.grid.dim
+        mats = [self.embed(g) for g in self.group.element_matrices()]
+        signs = self.group.element_signs()
+        parity = []
+        for axis in range(n):
+            flip = np.eye(n)
+            flip[axis, axis] = -1.0
+            unit = np.eye(n)[axis]
+            if all(np.allclose(g[axis], unit) and np.allclose(g[:, axis], unit)
+                   for g in mats):
+                parity.append(1)
+                continue
+            parity.append(next((int(s) for g, s in zip(mats, signs)
+                                if np.allclose(g, flip)), 0))
+        return tuple(parity)
 
     def embed(self, g: np.ndarray) -> np.ndarray:
         n = self.grid.dim

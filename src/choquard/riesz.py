@@ -2,12 +2,22 @@
 
 The kernel I_alpha(x) = A_alpha |x|^(alpha - N) is sampled at all node
 offsets of the doubled grid; convolution is then carried out as an exact
-linear (zero-padded) circular convolution via real FFTs.  The singular
-zero-offset sample is replaced by the exact mean of the kernel over one
-grid cell: by radial integration the cell integral equals the integral
-over the inscribed-half-width ball times a dimensionless cube correction
-factor, which is computed once per (N, alpha) by Gauss-Legendre quadrature
-of a smooth boundary integrand.
+linear (zero-padded) circular convolution.  The singular zero-offset sample
+is replaced by the exact mean of the kernel over one grid cell: by radial
+integration the cell integral equals the integral over the
+inscribed-half-width ball times a dimensionless cube correction factor,
+which is computed once per (N, alpha) by Gauss-Legendre quadrature of a
+smooth boundary integrand.
+
+The kernel is even in every axis, so along each axis where the input is
+its own mirror image, bit for bit, the convolution is a symmetric one
+(Martucci, IEEE Trans. Signal Process. 42(5), 1994): the positive half of
+the input, zero-padded to M nodes, goes through a DCT-II, is multiplied by
+the DCT-I of the kernel samples at offsets 0..M, and comes back through
+the inverse DCT-II; the output is that half mirrored out.  Those axes
+transform at length M instead of 2M.  Every other axis keeps the
+zero-padded real FFT of length 2M, so an input with no mirror-even axis
+takes the plain doubled-grid path.  The choice is made from the data alone.
 """
 
 from __future__ import annotations
@@ -98,12 +108,14 @@ def _near_cell_average(dim: int, alpha: float, offset, h: float) -> float:
 
 
 class RieszKernel:
-    """Sampled free-space kernel on the doubled grid plus its real FFT.
+    """Sampled free-space kernel on the doubled grid plus its transforms.
 
     Cells within _NEAR_RADIUS of the singularity carry exact cell averages
     instead of midpoint samples; without this the quadrature error of the
     convolution is concentrated at the singularity and shows up as an O(h^2)
-    defect in the scaling identities at critical points.
+    defect in the scaling identities at critical points.  The kernel
+    transform for each set of folded axes is built the first time a
+    convolution needs it and kept (at most 2^N of them).
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
@@ -130,7 +142,7 @@ class RieszKernel:
                 k[idx] = _near_cell_average(grid.dim, alpha, cell, grid.h)
         self.sampled = k
         self.sampled.setflags(write=False)
-        self._khat = scipy.fft.rfftn(k, workers=thread_count())
+        self._spectra = {}
 
     def offset_value(self, offset) -> float:
         """Kernel sample at integer node offset (j - i) per axis."""
@@ -138,14 +150,58 @@ class RieszKernel:
         idx = tuple(int(o) % m2 for o in offset)
         return float(self.sampled[idx])
 
+    def _spectrum(self, folded: tuple) -> np.ndarray:
+        """Kernel transform: DCT-I of offsets 0..M on folded, rfft elsewhere."""
+        khat = self._spectra.get(folded)
+        if khat is None:
+            m = self.grid.M
+            rest = tuple(ax for ax in range(self.grid.dim) if ax not in folded)
+            khat = self.sampled
+            if folded:
+                # offset M reads the sample at -M, equal by symmetry
+                keep = tuple(slice(0, m + 1) if ax in folded else slice(None)
+                             for ax in range(self.grid.dim))
+                khat = scipy.fft.dctn(khat[keep], type=1, axes=folded,
+                                      workers=thread_count())
+                khat = khat[tuple(slice(0, m) if ax in folded else slice(None)
+                                  for ax in range(self.grid.dim))]
+            if rest:
+                khat = scipy.fft.rfftn(khat, axes=rest, workers=thread_count())
+            self._spectra[folded] = khat
+        return khat
+
     def convolve_array(self, v: np.ndarray) -> np.ndarray:
+        """I_alpha * v at the nodes, folded on every axis where v is mirror-even."""
         m, n = self.grid.M, self.grid.dim
-        pad = np.zeros((2 * m,) * n)
-        pad[(slice(0, m),) * n] = v
-        vhat = scipy.fft.rfftn(pad, workers=thread_count())
-        conv = scipy.fft.irfftn(vhat * self._khat, s=(2 * m,) * n,
-                                workers=thread_count())
-        return conv[(slice(0, m),) * n] * self.grid.cell_volume
+        folded = tuple(ax for ax in range(n)
+                       if np.array_equal(v, np.flip(v, ax)))
+        rest = tuple(ax for ax in range(n) if ax not in folded)
+        khat = self._spectrum(folded)
+        workers = thread_count()
+        # Each transform zero-pads its own axis (n= and s=), and each
+        # inverse DCT keeps only the positive half, so every folded stage
+        # runs on the smallest array it can; the largest stages run along
+        # the last, contiguous axis.
+        x = v[tuple(slice(m // 2, m) if ax in folded else slice(None)
+                    for ax in range(n))]
+        for ax in folded:
+            x = scipy.fft.dct(x, type=2, n=m, axis=ax, workers=workers)
+        if rest:
+            x = scipy.fft.rfftn(x, s=(2 * m,) * len(rest), axes=rest,
+                                workers=workers)
+            x = scipy.fft.irfftn(x * khat, s=(2 * m,) * len(rest), axes=rest,
+                                 workers=workers)
+            x = x[tuple(slice(None) if ax in folded else slice(0, m)
+                        for ax in range(n))]
+        else:
+            x = x * khat
+        for ax in reversed(folded):
+            x = scipy.fft.idct(x, type=2, axis=ax, workers=workers)
+            x = x[(slice(None),) * ax + (slice(0, m // 2),)]
+        x = x * self.grid.cell_volume
+        for ax in folded:
+            x = np.concatenate((np.flip(x, ax), x), axis=ax)
+        return x
 
 
 # A 3D kernel at M = 128 holds about 270 MB.  Eight is the fewest that

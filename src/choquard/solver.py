@@ -5,10 +5,15 @@ saddles minimize E over the equivariant class H_G intersected with the
 manifold.  The iteration descends E with a backtracked step along the
 Sobolev gradient (1 - Delta)^{-1} gradE, dilating every trial back onto
 the manifold (near convergence, onto the zero of the discrete ray
-derivative of E_h) and projecting it by |u| for ground states or onto
-H_G by the group average for saddles.  Stopping is measured on the L^2
-gradient and the continuum Pohozaev residual.  All functional values come
-from `functionals`; one driver, `_solve`, serves every group alike.
+derivative of E_h) and projecting it into the solve class.  That class
+carries a mirror parity per axis (`GroupAction.parity`): ground states
+are |u| of the part even in every axis; saddles are the group average,
+then folded to be bit-exactly odd or even along every axis the class
+fixes, so the convolution can fold those axes.  Restart noise passes
+through the same projection, so restarts explore only the parity class.
+Stopping is measured on the L^2 gradient and the continuum Pohozaev
+residual.  All functional values come from `functionals`; one driver,
+`_solve`, serves every group alike.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
@@ -39,6 +44,7 @@ from .field import (
     boundary_amplitude,
     dilate,
     helmholtz_inverse_array,
+    parity_fold,
     symmetrize_array,
     symmetry_residual,
     translate,
@@ -140,6 +146,8 @@ class _Descent:
         dilations, the defect is folded into Q so that P becomes the discrete
         ray derivative d/dt E_h(u(./t)) at t = 1 = -<grad E_h(u), x . grad u>_h;
         the root is then 1 exactly where the grid energy is stationary on the ray.
+        A defect so large that the folded Q is not positive is not folded:
+        the continuum root is returned instead.
         """
         dim, alpha = self.grid.dim, self.kernel.alpha
         t0 = pohozaev_root(state, dim, alpha)
@@ -148,6 +156,8 @@ class _Descent:
         grad = _gradient_from_parts(self.nl, self.kernel, a, coeff, conv)
         p_h = -self.grid.cell_volume * np.sum(grad * x_dot_grad_array(self.grid, coeff))
         q = float(state.Q - 2.0 * (p_h - state.pohozaev) / (dim + alpha))
+        if not (q > 0.0):
+            return t0
         return pohozaev_root(replace(state, Q=q), dim, alpha)
 
     def _retract(self, a, state, coeff, conv):
@@ -194,8 +204,12 @@ class _Descent:
                 if not (t_state.Q > 0.0):
                     eta *= 0.5
                     continue
-                trial, t_state, t_coeff, t_conv = self._retract(
-                    trial, t_state, t_coeff, t_conv)
+                try:
+                    trial, t_state, t_coeff, t_conv = self._retract(
+                        trial, t_state, t_coeff, t_conv)
+                except NonpositiveQ:
+                    eta *= 0.5
+                    continue
                 if t_state.energy <= state.energy + ENERGY_SLACK * abs(state.energy):
                     a, state, coeff, conv = trial, t_state, t_coeff, t_conv
                     break
@@ -230,9 +244,10 @@ def _gaussian_seed(grid: GridSpec) -> np.ndarray:
 def _solve(nl, kernel, grid, cfg, project, a0, tag, action=None):
     """Best of cfg.restarts descents from a0 and its noisy copies.
 
-    project maps an array into the admissible class: |.| for ground states,
-    the group average for saddles; action, when given, is the group action
-    whose drift the descent watches and the report measures.
+    project maps an array into the admissible class: |.| of the even part
+    for ground states, the parity-folded group average for saddles; action,
+    when given, is the group action whose drift the descent watches and the
+    report measures.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
@@ -290,7 +305,11 @@ def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
                  ) -> SolveReport:
     """Positive ground state on the trivial symmetry class."""
     a0 = init.data if init is not None else _gaussian_seed(grid)
-    return _solve(nl, kernel, grid, cfg, np.abs, a0, "trivial")
+
+    def project(a):
+        return np.abs(parity_fold(a, (1,) * grid.dim))
+
+    return _solve(nl, kernel, grid, cfg, project, a0, "trivial")
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -367,7 +386,7 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
         init = build_initializer(action, base)
 
     def project(a):
-        return symmetrize_array(action, a)
+        return parity_fold(symmetrize_array(action, a), action.parity)
 
     return _solve(nl, kernel, grid, cfg, project, init.data,
                   group.tag or "custom", action)

@@ -21,6 +21,7 @@ from choquard.field import (
     helmholtz_inverse_array,
     inner,
     l2_sq_integral,
+    parity_fold,
     radial_shell_stats,
     read_field,
     sine_multipliers,
@@ -291,6 +292,54 @@ def test_group_acts_exactly_or_is_rejected(tag, exact):
     pu = u.with_data(symmetrize_array(action, u.data))
     # shears of a smooth bump at h = 0.5 are exact to about 3e-4 (I2:8)
     assert symmetry_residual(action, pu) < 1e-3
+
+
+@pytest.mark.parametrize("tag,parity2,parity3", [
+    pytest.param(*case, id=case[0]) for case in [
+        ("trivial", (1, 1), (1, 1, 1)),
+        ("A1", (-1, 1), (-1, 1, 1)),
+        ("A1xA1", (-1, -1), (-1, -1, 1)),
+        ("A1xA1xA1", None, (-1, -1, -1)),
+        *((f"I2:{m}", (p, -1), (p, -1, 1)) for m, p in
+          [(2, -1), (3, 0), (4, -1), (5, 0), (6, -1), (7, 0), (8, -1)]),
+        ("A1xI2:2", None, (-1, -1, -1)),
+        ("A1xI2:4", None, (-1, -1, -1)),
+        ("A3", None, (0, 0, 0)),
+        ("B3", None, (-1, -1, -1)),
+    ]
+])
+def test_group_parity(tag, parity2, parity3):
+    """-1 where the axis flip is in G, +1 on axes G fixes, 0 otherwise."""
+    group = from_name(tag)
+    for dim, want in ((2, parity2), (3, parity3)):
+        if want is None:
+            continue
+        action = GroupAction(group, GridSpec(dim, 16, 4.0))
+        assert action.parity == want
+        # the group average already has the parity of every flip in G
+        u = gaussian(action.grid, np.linspace(0.3, 0.9, dim)).data
+        pu = symmetrize_array(action, u)
+        for ax, s in enumerate(want):
+            if s == -1:
+                assert np.allclose(pu, s * np.flip(pu, ax), atol=1e-12)
+
+
+@pytest.mark.parametrize("parity", [(1, 1), (-1, 1), (0, -1), (1, -1, 0),
+                                    (-1, -1, -1), (0, 1, -1)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_parity_fold_is_exact_and_idempotent(parity):
+    grid = GridSpec(len(parity), 16, 4.0)
+    a = np.random.default_rng(5).standard_normal(grid.shape)
+    b = parity_fold(a, parity)
+    for ax, s in enumerate(parity):
+        if s:
+            assert np.array_equal(b, s * np.flip(b, ax))
+        else:
+            assert not np.allclose(b, np.flip(b, ax))
+            assert not np.allclose(b, -np.flip(b, ax))
+    assert np.array_equal(parity_fold(b, parity), b)
+    # a projector: the folded-away part is orthogonal to the result
+    assert abs(np.sum((a - b) * b)) <= 1e-12 * np.sum(a * a)
 
 
 def test_non_exact_matrix_is_rejected():

@@ -7,11 +7,14 @@ have the same radial profile).  The 2D origin value equals the closed
 form 4 asinh(1).
 """
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from choquard.errors import AlphaOutOfRange
-from choquard.field import Field, GridSpec, inner
+from choquard.field import Field, GridSpec, inner, parity_fold
 from choquard.riesz import RieszKernel, get_kernel, riesz_constant
 
 # mean of 1/|x| over unit-spacing cells centered at the given offsets
@@ -159,3 +162,46 @@ def test_kernel_samples_are_read_only():
     kern = RieszKernel(grid, 1.0)
     with pytest.raises(ValueError):
         kern.sampled[0, 0] = 0.0
+
+
+def doubled_grid_convolution(kern, v):
+    """The zero-padded length-2M real FFT convolution on every axis."""
+    m, n = kern.grid.M, kern.grid.dim
+    pad = np.zeros((2 * m,) * n)
+    pad[(slice(0, m),) * n] = v
+    conv = scipy.fft.irfftn(scipy.fft.rfftn(pad) * scipy.fft.rfftn(kern.sampled),
+                            s=(2 * m,) * n)
+    return conv[(slice(0, m),) * n] * kern.grid.cell_volume
+
+
+@pytest.mark.parametrize("dim,M,alpha,axes", [
+    pytest.param(dim, M, alpha, axes,
+                 id=f"{dim}D-even" + "".join(str(ax) for ax in axes))
+    for dim, M, alpha in [(2, 32, 1.0), (3, 16, 2.0)]
+    for r in range(1, dim + 1)
+    for axes in itertools.combinations(range(dim), r)
+])
+def test_folded_convolution_matches_doubled_grid(dim, M, alpha, axes):
+    """Symmetric convolution on the mirror-even axes, any subset of them."""
+    grid = GridSpec(dim, M, 4.0)
+    kern = RieszKernel(grid, alpha)
+    rng = np.random.default_rng(13)
+    v = parity_fold(rng.standard_normal(grid.shape),
+                    [1 if ax in axes else 0 for ax in range(dim)])
+    conv = kern.convolve_array(v)
+    assert set(kern._spectra) == {axes}
+    want = doubled_grid_convolution(kern, v)
+    assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
+    for ax in axes:
+        assert np.array_equal(conv, np.flip(conv, ax))
+
+
+@pytest.mark.parametrize("dim,M", [(2, 32), (3, 16)])
+def test_one_asymmetric_sample_takes_the_doubled_grid_path(dim, M):
+    grid = GridSpec(dim, M, 4.0)
+    kern = RieszKernel(grid, 1.0)
+    v = parity_fold(np.exp(-grid.radius() ** 2), (1,) * dim)
+    kern.convolve_array(v)
+    v[(1,) * dim] += 1e-9
+    assert np.array_equal(kern.convolve_array(v), doubled_grid_convolution(kern, v))
+    assert set(kern._spectra) == {tuple(range(dim)), ()}

@@ -6,6 +6,7 @@ configured tolerances.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from choquard.field import (
     GroupAction,
     _dst,
     dilate,
+    parity_fold,
     symmetry_residual,
     x_dot_grad_array,
 )
@@ -40,6 +42,7 @@ from choquard.riesz import RieszKernel
 from choquard.solver import (
     SolverConfig,
     _Descent,
+    _gaussian_seed,
     build_initializer,
     quintic_cutoff,
     solve_ground,
@@ -145,6 +148,54 @@ def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
     assert abs(discrete_pohozaev(kernel, retracted)) * 100.0 <= abs(before)
 
 
+def test_retraction_returns_continuum_root_when_fold_leaves_q_nonpositive(
+        kernel, ground):
+    """A defect P_h - P larger than the folded Q falls back to t0."""
+    a = ground.field.data
+    state, coeff, conv = _state_parts(NL, kernel, a)
+    dim, alpha = GRID.dim, kernel.alpha
+    # Q with P(u(./t)) = 0 at t = 1, and a continuum P far below P_h
+    q_root = ((dim - 2) * state.A + dim * state.B) / (dim + alpha)
+    synthetic = replace(state, Q=q_root, pohozaev=-10.0 * (state.A + state.B))
+    t0 = pohozaev_root(synthetic, dim, alpha)
+    assert abs(t0 - 1.0) <= 0.05
+    descent = _Descent(NL, kernel, CFG, np.abs)
+    assert descent._retraction_root(a, synthetic, coeff, conv) == t0
+
+
+def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
+    """NonpositiveQ from a trial retraction halves the step like Q <= 0 does."""
+    root = _Descent._retraction_root
+    calls = []
+
+    def first_trial_raises(self, *args):
+        calls.append(None)
+        if len(calls) == 2:  # the first call retracts the start field
+            raise NonpositiveQ("forced")
+        return root(self, *args)
+
+    monkeypatch.setattr(_Descent, "_retraction_root", first_trial_raises)
+    seen = []
+
+    def even_abs(a):
+        return np.abs(parity_fold(a, (1, 1)))
+
+    def project(a):
+        seen.append(a)
+        return even_abs(a)
+
+    cfg = SolverConfig(seed=0, restarts=1)
+    a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, project).run(
+        _gaussian_seed(GRID))
+    assert grad_res <= cfg.grad_tol and iters >= 1 and len(calls) > 2
+    # project sees: the start field, its retraction, then trials at eta = 1
+    # and, after the forced failure, eta = 1/2 from the same iterate
+    iterate = even_abs(seen[1])
+    full, half = seen[2] - iterate, seen[3] - iterate
+    assert np.allclose(half, 0.5 * full, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(full)))
+
+
 def test_zero_initializer_rejected(kernel):
     flat = Field(GRID, np.zeros(GRID.shape))
     with pytest.raises(NonpositiveQ):
@@ -223,6 +274,15 @@ def test_saddle_sits_above_ground(ground, saddle):
     assert saddle.p_residual <= 1e-3
     assert 3.1 < saddle.energy < 3.4
     assert saddle.energy > ground.energy
+
+
+def test_solves_are_exact_mirror_images(ground, saddle):
+    """Ground even in every axis; A1 odd in x1 and even in x2, bit for bit."""
+    u = ground.field.data
+    assert all(np.array_equal(u, np.flip(u, ax)) for ax in range(GRID.dim))
+    v = saddle.field.data
+    assert np.array_equal(v, -np.flip(v, 0))
+    assert np.array_equal(v, np.flip(v, 1))
 
 
 def test_saddle_is_odd_with_two_nodal_domains(saddle):
