@@ -1,23 +1,24 @@
 """Riesz potential I_alpha * v on the truncated grid.
 
-The kernel I_alpha(x) = A_alpha |x|^(alpha - N) is sampled at all node
-offsets of the doubled grid; convolution is then carried out as an exact
-linear (zero-padded) circular convolution.  The singular zero-offset sample
-is replaced by the exact mean of the kernel over one grid cell: by radial
-integration the cell integral equals the integral over the
-inscribed-half-width ball times a dimensionless cube correction factor,
-which is computed once per (N, alpha) by Gauss-Legendre quadrature of a
-smooth boundary integrand.
+The kernel I_alpha(x) = A_alpha |x|^(alpha - N) is even in every axis, so
+its samples at node offsets 0..M per axis determine it on the doubled grid;
+convolution is an exact linear (zero-padded) circular convolution.  The
+singular zero-offset sample is replaced by the exact mean of the kernel over
+one grid cell: by radial integration the cell integral equals the integral
+over the inscribed-half-width ball times a dimensionless cube correction
+factor, which is computed once per (N, alpha) by Gauss-Legendre quadrature
+of a smooth boundary integrand.
 
-The kernel is even in every axis, so along each axis where the input is
-its own mirror image, bit for bit, the convolution is a symmetric one
-(Martucci, IEEE Trans. Signal Process. 42(5), 1994): the positive half of
-the input, zero-padded to M nodes, goes through a DCT-II, is multiplied by
-the DCT-I of the kernel samples at offsets 0..M, and comes back through
-the inverse DCT-II; the output is that half mirrored out.  Those axes
-transform at length M instead of 2M.  Every other axis keeps the
-zero-padded real FFT of length 2M, so an input with no mirror-even axis
-takes the plain doubled-grid path.  The choice is made from the data alone.
+For an even sequence the length-2M real FFT equals the DCT-I of its
+samples 0..M (Martucci, IEEE Trans. Signal Process. 42(5), 1994), so the
+one DCT-I of the samples serves every axis.  Along each axis where the
+input is its own mirror image, bit for bit, the convolution is a symmetric
+one: the positive half of the input, zero-padded to M nodes, goes through a
+DCT-II, is multiplied by DCT-I entries 0..M-1 and comes back through the
+inverse DCT-II; the output is that half mirrored out.  Those axes transform
+at length M instead of 2M.  Every other axis keeps the zero-padded real FFT
+of length 2M, multiplied by the DCT-I entries mirrored to the FFT's
+frequencies.  The choice is made from the data alone.
 """
 
 from __future__ import annotations
@@ -108,67 +109,36 @@ def _near_cell_average(dim: int, alpha: float, offset, h: float) -> float:
 
 
 class RieszKernel:
-    """Sampled free-space kernel on the doubled grid plus its transforms.
+    """Kernel samples at node offsets 0..M per axis plus their DCT-I.
 
     Cells within _NEAR_RADIUS of the singularity carry exact cell averages
     instead of midpoint samples; without this the quadrature error of the
     convolution is concentrated at the singularity and shows up as an O(h^2)
-    defect in the scaling identities at critical points.  The kernel
-    transform for each set of folded axes is built the first time a
-    convolution needs it and kept (at most 2^N of them).
+    defect in the scaling identities at critical points.  Both arrays,
+    `sampled` and `spectrum`, are (M+1)^N and read-only.
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
         self.grid = grid
         self.alpha = float(alpha)
         self.constant = riesz_constant(grid.dim, alpha)
-        m2 = 2 * grid.M
-        # offset index o maps to displacement ((o + M) mod 2M - M) h
-        d = ((np.arange(m2) + grid.M) % m2 - grid.M) * grid.h
-        r2 = np.zeros((m2,) * grid.dim)
-        for axis in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[axis] = m2
-            r2 = r2 + (d ** 2).reshape(shape)
+        d = np.arange(grid.M + 1) * grid.h
+        r2 = sum(np.ix_(*(d ** 2,) * grid.dim))
         with np.errstate(divide="ignore"):
             k = self.constant * np.sqrt(r2) ** (alpha - grid.dim)
-        span = range(-_NEAR_RADIUS, _NEAR_RADIUS + 1)
-        for offset in np.ndindex(*(len(span),) * grid.dim):
-            cell = tuple(span[o] for o in offset)
-            idx = tuple(c % m2 for c in cell)
-            if all(c == 0 for c in cell):
-                k[idx] = singular_cell_average(grid, alpha)
+        for cell in np.ndindex(*(_NEAR_RADIUS + 1,) * grid.dim):
+            if any(cell):
+                k[cell] = _near_cell_average(grid.dim, alpha, cell, grid.h)
             else:
-                k[idx] = _near_cell_average(grid.dim, alpha, cell, grid.h)
+                k[cell] = singular_cell_average(grid, alpha)
         self.sampled = k
+        self.spectrum = scipy.fft.dctn(k, type=1, workers=thread_count())
         self.sampled.setflags(write=False)
-        self._spectra = {}
+        self.spectrum.setflags(write=False)
 
     def offset_value(self, offset) -> float:
         """Kernel sample at integer node offset (j - i) per axis."""
-        m2 = 2 * self.grid.M
-        idx = tuple(int(o) % m2 for o in offset)
-        return float(self.sampled[idx])
-
-    def _spectrum(self, folded: tuple) -> np.ndarray:
-        """Kernel transform: DCT-I of offsets 0..M on folded, rfft elsewhere."""
-        khat = self._spectra.get(folded)
-        if khat is None:
-            m = self.grid.M
-            rest = tuple(ax for ax in range(self.grid.dim) if ax not in folded)
-            khat = self.sampled
-            if folded:
-                # offset M reads the sample at -M, equal by symmetry
-                keep = tuple(slice(0, m + 1) if ax in folded else slice(None)
-                             for ax in range(self.grid.dim))
-                khat = scipy.fft.dctn(khat[keep], type=1, axes=folded,
-                                      workers=thread_count())
-                khat = khat[tuple(slice(0, m) if ax in folded else slice(None)
-                                  for ax in range(self.grid.dim))]
-            if rest:
-                khat = scipy.fft.rfftn(khat, axes=rest, workers=thread_count())
-            self._spectra[folded] = khat
-        return khat
+        return float(self.sampled[tuple(abs(int(o)) for o in offset)])
 
     def convolve_array(self, v: np.ndarray) -> np.ndarray:
         """I_alpha * v at the nodes, folded on every axis where v is mirror-even."""
@@ -176,7 +146,12 @@ class RieszKernel:
         folded = tuple(ax for ax in range(n)
                        if np.array_equal(v, np.flip(v, ax)))
         rest = tuple(ax for ax in range(n) if ax not in folded)
-        khat = self._spectrum(folded)
+        # A folded axis reads entries 0..M-1, the rfft axis all M+1 of its
+        # frequencies; a full FFT axis reads them mirrored to length 2M.
+        khat = self.spectrum[tuple(slice(0, m) if ax in folded else slice(None)
+                                   for ax in range(n))]
+        for ax in rest[:-1]:
+            khat = khat.take(np.r_[0:m + 1, m - 1:0:-1], axis=ax)
         workers = thread_count()
         # Each transform zero-pads its own axis (n= and s=), and each
         # inverse DCT keeps only the positive half, so every folded stage
@@ -204,8 +179,8 @@ class RieszKernel:
         return x
 
 
-# A 3D kernel at M = 128 holds about 270 MB.  Eight is the fewest that
-# makes the test suite rebuild no kernel it has evicted.
+# A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Eight is
+# the fewest that makes the test suite rebuild no kernel it has evicted.
 @lru_cache(maxsize=8)
 def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
     """The kernel for (grid, alpha), shared by callers while it stays cached."""

@@ -142,7 +142,7 @@ def test_criterion_01_group_orders_closure_and_character():
 
 def direct_convolution(kernel, f, grid):
     m = grid.M
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % (2 * m)
+    idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
     t = kernel.sampled
     if grid.dim == 2:
         kk = t[idx[:, :, None, None], idx[None, None, :, :]]

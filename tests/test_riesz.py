@@ -8,6 +8,7 @@ form 4 asinh(1).
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_fft_convolution_equals_direct_summation(dim, M, alpha):
     rng = np.random.default_rng(11)
     f = rng.standard_normal(grid.shape)
     conv = kern.convolve_array(f)
-    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % (2 * M)
+    idx = np.abs(np.arange(M)[:, None] - np.arange(M)[None, :])
     t = kern.sampled
     if dim == 2:
         kk = t[idx[:, :, None, None], idx[None, None, :, :]]
@@ -162,6 +163,29 @@ def test_kernel_samples_are_read_only():
     kern = RieszKernel(grid, 1.0)
     with pytest.raises(ValueError):
         kern.sampled[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        kern.spectrum[0, 0] = 0.0
+
+
+def test_kernel_build_memory_is_bounded_by_the_half_grid():
+    """Only the (M+1)^N samples and their DCT-I are built and kept."""
+    grid = GridSpec(3, 64, 12.0)
+    RieszKernel(GridSpec(3, 8, 2.0), 2.0)  # warm the quadrature caches
+    tracemalloc.start()
+    try:
+        kern = RieszKernel(grid, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert kern.sampled.nbytes + kern.spectrum.nbytes == 2 * 8 * 65 ** 3
+
+
+def mirrored_kernel(kern):
+    """The (2M)^N kernel: index o holds the sample at ((o + M) mod 2M) - M."""
+    m = kern.grid.M
+    o = np.abs((np.arange(2 * m) + m) % (2 * m) - m)
+    return kern.sampled[np.ix_(*(o,) * kern.grid.dim)]
 
 
 def doubled_grid_convolution(kern, v):
@@ -169,39 +193,55 @@ def doubled_grid_convolution(kern, v):
     m, n = kern.grid.M, kern.grid.dim
     pad = np.zeros((2 * m,) * n)
     pad[(slice(0, m),) * n] = v
-    conv = scipy.fft.irfftn(scipy.fft.rfftn(pad) * scipy.fft.rfftn(kern.sampled),
+    conv = scipy.fft.irfftn(scipy.fft.rfftn(pad)
+                            * scipy.fft.rfftn(mirrored_kernel(kern)),
                             s=(2 * m,) * n)
     return conv[(slice(0, m),) * n] * kern.grid.cell_volume
 
 
-@pytest.mark.parametrize("dim,M,alpha,axes", [
-    pytest.param(dim, M, alpha, axes,
-                 id=f"{dim}D-even" + "".join(str(ax) for ax in axes))
+@pytest.mark.parametrize("dim,M,alpha", [(2, 32, 1.0), (3, 16, 2.0)])
+def test_spectrum_is_rfft_of_the_mirrored_kernel(dim, M, alpha):
+    kern = RieszKernel(GridSpec(dim, M, 4.0), alpha)
+    want = scipy.fft.rfftn(mirrored_kernel(kern))
+    peak = np.max(np.abs(want))
+    assert np.max(np.abs(want.imag)) <= 1e-13 * peak
+    # the full-FFT axes hold the same entries again, mirrored, above M
+    half = want.real[(slice(0, M + 1),) * dim]
+    assert np.max(np.abs(kern.spectrum - half)) <= 1e-13 * peak
+
+
+def parity_id(parity):
+    """2D-even0-odd1 for parity (1, -1); 2D-none for (0, 0)."""
+    parts = [name + "".join(str(ax) for ax, p in enumerate(parity) if p == s)
+             for name, s in (("even", 1), ("odd", -1)) if s in parity]
+    return "-".join([f"{len(parity)}D"] + (parts or ["none"]))
+
+
+@pytest.mark.parametrize("dim,M,alpha,parity", [
+    pytest.param(dim, M, alpha, parity, id=parity_id(parity))
     for dim, M, alpha in [(2, 32, 1.0), (3, 16, 2.0)]
-    for r in range(1, dim + 1)
-    for axes in itertools.combinations(range(dim), r)
+    for parity in itertools.product((1, -1, 0), repeat=dim)
 ])
-def test_folded_convolution_matches_doubled_grid(dim, M, alpha, axes):
-    """Symmetric convolution on the mirror-even axes, any subset of them."""
+def test_folded_convolution_matches_doubled_grid(dim, M, alpha, parity):
+    """Every parity class: folded on the even axes, FFT on the others."""
     grid = GridSpec(dim, M, 4.0)
     kern = RieszKernel(grid, alpha)
     rng = np.random.default_rng(13)
-    v = parity_fold(rng.standard_normal(grid.shape),
-                    [1 if ax in axes else 0 for ax in range(dim)])
+    v = parity_fold(rng.standard_normal(grid.shape), list(parity))
     conv = kern.convolve_array(v)
-    assert set(kern._spectra) == {axes}
     want = doubled_grid_convolution(kern, v)
     assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
-    for ax in axes:
-        assert np.array_equal(conv, np.flip(conv, ax))
+    for ax in range(dim):
+        if parity[ax] == 1:
+            assert np.array_equal(conv, np.flip(conv, ax))
 
 
 @pytest.mark.parametrize("dim,M", [(2, 32), (3, 16)])
-def test_one_asymmetric_sample_takes_the_doubled_grid_path(dim, M):
+def test_one_asymmetric_sample_is_not_folded(dim, M):
     grid = GridSpec(dim, M, 4.0)
     kern = RieszKernel(grid, 1.0)
     v = parity_fold(np.exp(-grid.radius() ** 2), (1,) * dim)
-    kern.convolve_array(v)
     v[(1,) * dim] += 1e-9
-    assert np.array_equal(kern.convolve_array(v), doubled_grid_convolution(kern, v))
-    assert set(kern._spectra) == {tuple(range(dim)), ()}
+    want = doubled_grid_convolution(kern, v)
+    conv = kern.convolve_array(v)
+    assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
