@@ -30,6 +30,7 @@ from .riesz import RieszKernel
 from .solver import SolveReport, SolverConfig, solve_ground, solve_saddle
 
 AMPLITUDE_FLOOR = 1e-300
+CHAMBER_TOL = 1e-9  # wall distance, relative to 1 + |x|, that counts as on the wall
 
 
 @dataclass(frozen=True)
@@ -44,32 +45,32 @@ class NodalReport:
 
 def _chamber_dots(action: GroupAction):
     """<x_k, n_i> for every node, one array per chamber wall."""
-    group = action.group
-    mesh = action.grid.mesh()
+    group, grid = action.group, action.grid
+    c = grid.axis_coords()
     dots = []
     for i in range(group.rank):
-        d = np.zeros(action.grid.shape)
+        d = np.zeros(grid.shape)
         for a in range(group.rank):
-            d += group.chamber_normals[i, a] * mesh[a]
+            d += group.chamber_normals[i, a] * grid.along(a, c)
         dots.append(d)
     return dots
 
 
-def open_chamber_mask(action: GroupAction, tol: float = 1e-9) -> np.ndarray:
+def open_chamber_mask(action: GroupAction) -> np.ndarray:
     grid = action.grid
     scale = 1.0 + grid.radius()
     mask = np.ones(grid.shape, dtype=bool)
     for d in _chamber_dots(action):
-        mask &= d > tol * scale
+        mask &= d > CHAMBER_TOL * scale
     return mask
 
 
-def closed_chamber_mask(action: GroupAction, tol: float = 1e-9) -> np.ndarray:
+def closed_chamber_mask(action: GroupAction) -> np.ndarray:
     grid = action.grid
     scale = 1.0 + grid.radius()
     mask = np.ones(grid.shape, dtype=bool)
     for d in _chamber_dots(action):
-        mask &= d >= -tol * scale
+        mask &= d >= -CHAMBER_TOL * scale
     return mask
 
 
@@ -296,7 +297,7 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
         else:
             report = solve_saddle(group, nl, kernel, grid, cfg,
                                   base=ground.field if ground else None)
-        report = annotate_report(report, threshold, group if group.rank else None)
+        report = annotate_report(report, threshold, group)
         rows.append(report)
         sig = (group.rank, group.order)
         by_signature.setdefault(sig, report)

@@ -55,21 +55,12 @@ _SOLVE_DEFAULTS = {
     "group": "trivial",
     "M": 64,
     "L": 12.0,
-    "seed": 0,
-    "restarts": 3,
-    "max_iters": 4000,
-    "step": 1.0,
-    "grad_tol": 1e-4,
-    "pohozaev_tol": 1e-3,
     "threshold": 1e-3,
+    **dataclasses.asdict(solver.SolverConfig()),
 }
 
-_CASTS = {
-    "dim": int, "M": int, "seed": int, "restarts": int, "max_iters": int,
-    "alpha": float, "L": float, "step": float, "grad_tol": float,
-    "pohozaev_tol": float, "threshold": float,
-    "nl": str, "group": str, "groups": str,
-}
+_CASTS = {key: type(val) for key, val in _SOLVE_DEFAULTS.items()}
+_CASTS["groups"] = str
 
 
 def _merge_options(args, defaults) -> dict:
@@ -90,16 +81,16 @@ def _merge_options(args, defaults) -> dict:
     return merged
 
 
-def _solver_config(opts) -> solver.SolverConfig:
-    names = [f.name for f in dataclasses.fields(solver.SolverConfig)]
-    return solver.SolverConfig(**{name: opts[name] for name in names})
-
-
-def _check_hypotheses(nl, dim, alpha, force):
-    report = functionals.validate_hypotheses(nl, dim, alpha)
+def _problem(opts, force):
+    """Nonlinearity, grid, kernel and solver settings of solve and hierarchy."""
+    nl = functionals.parse_nonlinearity(opts["nl"])
+    report = functionals.validate_hypotheses(nl, opts["dim"], opts["alpha"])
     if report.violations and not force:
         raise HypothesisViolation("; ".join(report.violations))
-    return report
+    grid = field_mod.GridSpec(opts["dim"], opts["M"], opts["L"])
+    names = [f.name for f in dataclasses.fields(solver.SolverConfig)]
+    cfg = solver.SolverConfig(**{name: opts[name] for name in names})
+    return nl, grid, riesz.get_kernel(grid, opts["alpha"]), cfg
 
 
 def _dump(obj, stream=None):
@@ -125,18 +116,13 @@ def _write_solution(prefix, report):
 
 def cmd_solve(args) -> int:
     opts = _merge_options(args, _SOLVE_DEFAULTS)
-    nl = functionals.parse_nonlinearity(opts["nl"])
-    _check_hypotheses(nl, opts["dim"], opts["alpha"], args.force)
-    grid = field_mod.GridSpec(opts["dim"], opts["M"], opts["L"])
-    kernel = riesz.get_kernel(grid, opts["alpha"])
-    cfg = _solver_config(opts)
+    nl, grid, kernel, cfg = _problem(opts, args.force)
     group = from_name(opts["group"])
     if group.rank == 0:
         report = solver.solve_ground(nl, kernel, grid, cfg)
-        annotated = analysis.annotate_report(report, opts["threshold"])
     else:
         report = solver.solve_saddle(group, nl, kernel, grid, cfg)
-        annotated = analysis.annotate_report(report, opts["threshold"], group)
+    annotated = analysis.annotate_report(report, opts["threshold"], group)
     _dump(annotated.to_json_dict())
     if args.out:
         _write_solution(args.out, annotated)
@@ -148,11 +134,7 @@ def cmd_hierarchy(args) -> int:
     tags = [t.strip() for t in opts["groups"].split(",") if t.strip()]
     if not tags:
         raise ParseError("hierarchy needs a non-empty group list")
-    nl = functionals.parse_nonlinearity(opts["nl"])
-    _check_hypotheses(nl, opts["dim"], opts["alpha"], args.force)
-    grid = field_mod.GridSpec(opts["dim"], opts["M"], opts["L"])
-    kernel = riesz.get_kernel(grid, opts["alpha"])
-    cfg = _solver_config(opts)
+    nl, grid, kernel, cfg = _problem(opts, args.force)
     report = analysis.hierarchy_report(tags, nl, kernel, grid, cfg,
                                        opts["threshold"])
     sys.stdout.write(report.to_text() + "\n")
@@ -223,7 +205,6 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int)
         p.add_argument("--restarts", type=int)
         p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--step", type=float)
         p.add_argument("--grad-tol", dest="grad_tol", type=float)
         p.add_argument("--pohozaev-tol", dest="pohozaev_tol", type=float)
         p.add_argument("--threshold", type=float)
@@ -247,9 +228,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--group")
     p_verify.add_argument("--threshold", type=float, default=1e-3)
     p_verify.add_argument("--grad-tol", dest="grad_tol", type=float,
-                          default=1e-4)
+                          default=solver.SolverConfig.grad_tol)
     p_verify.add_argument("--pohozaev-tol", dest="pohozaev_tol", type=float,
-                          default=1e-3)
+                          default=solver.SolverConfig.pohozaev_tol)
     p_verify.set_defaults(func=cmd_verify)
 
     p_conv = sub.add_parser("convert", help="field binary to radial CSV")

@@ -67,13 +67,13 @@ class CoxeterMatrix:
             return -np.cos(np.pi / m)
 
 
-def _cholesky(b: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
-    """Lower Cholesky factor of b, raising if any pivot is <= pivot_tol."""
+def _cholesky(b: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of b, raising if any pivot is <= 1e-12."""
     k = b.shape[0]
     low = np.zeros_like(b)
     for i in range(k):
         pivot = b[i, i] - low[i, :i] @ low[i, :i]
-        if pivot <= pivot_tol:
+        if pivot <= 1e-12:
             raise NonPositiveDefinite(
                 f"bilinear form pivot {pivot:.3e} at row {i}; group is infinite"
             )
@@ -83,10 +83,10 @@ def _cholesky(b: np.ndarray, pivot_tol: float = 1e-12) -> np.ndarray:
     return low
 
 
-def _snap_signed_perm(g: np.ndarray, tol: float = MATRIX_TOL) -> np.ndarray:
-    """Round g to an exact signed permutation matrix when it is within tol of one."""
+def _snap_signed_perm(g: np.ndarray) -> np.ndarray:
+    """Round g to an exact signed permutation matrix within MATRIX_TOL of it."""
     r = np.rint(g)
-    if np.max(np.abs(g - r)) > tol:
+    if np.max(np.abs(g - r)) > MATRIX_TOL:
         return g
     if not np.all(np.isin(r, (-1.0, 0.0, 1.0))):
         return g
@@ -212,7 +212,7 @@ class CoxeterGroup:
     def sign(self, g: np.ndarray) -> int:
         return _element_sign(np.asarray(g, dtype=float))
 
-    def orbit(self, q: np.ndarray, tol: float = MATRIX_TOL) -> Orbit:
+    def orbit(self, q: np.ndarray) -> Orbit:
         """Deduplicated orbit G q with min and max pairwise distances.
 
         A singleton orbit reports infinite distances: no separation
@@ -222,7 +222,7 @@ class CoxeterGroup:
         pts = self._mats @ q if self.rank else np.zeros((1, 0))
         keep = []
         for p in pts:
-            if not keep or min(np.linalg.norm(p - b) for b in keep) > tol:
+            if not keep or min(np.linalg.norm(p - b) for b in keep) > MATRIX_TOL:
                 keep.append(p)
         pts = np.array(keep)
         if len(pts) < 2:
@@ -232,30 +232,30 @@ class CoxeterGroup:
         iu = np.triu_indices(len(pts), k=1)
         return Orbit(pts, float(dist[iu].min()), float(dist[iu].max()))
 
-    def isotropy(self, q: np.ndarray, tol: float = MATRIX_TOL) -> Subgroup:
+    def isotropy(self, q: np.ndarray) -> Subgroup:
         """Stabilizer subgroup S_q = {g : g q = q}."""
         q = np.asarray(q, dtype=float)
         scale = max(1.0, float(np.linalg.norm(q)))
         if self.rank == 0:
             return Subgroup(self._mats, self._signs, 1, 0)
-        fix = np.linalg.norm(self._mats @ q - q, axis=1) <= tol * scale
+        fix = np.linalg.norm(self._mats @ q - q, axis=1) <= MATRIX_TOL * scale
         mats = self._mats[fix]
         rows = (mats - np.eye(self.rank)).reshape(-1, self.rank)
         rank = int(np.linalg.matrix_rank(rows, tol=1e-8)) if len(mats) else 0
         return Subgroup(mats, self._signs[fix], int(fix.sum()), rank)
 
-    def chamber_stratum(self, q: np.ndarray, tol: float = MATRIX_TOL) -> int:
+    def chamber_stratum(self, q: np.ndarray) -> int:
         """Number of chamber walls containing q, for q in the closed chamber."""
         q = np.asarray(q, dtype=float)
         if self.rank == 0:
             return 0
         scale = max(1.0, float(np.linalg.norm(q)))
         dots = self.chamber_normals @ q
-        if np.any(dots < -tol * scale):
+        if np.any(dots < -MATRIX_TOL * scale):
             raise PointOutsideChamber(
                 f"point {q} has negative wall products {dots}"
             )
-        return int(np.sum(np.abs(dots) <= tol * scale))
+        return int(np.sum(np.abs(dots) <= MATRIX_TOL * scale))
 
     def chamber_interior_point(self) -> np.ndarray:
         """Unit vector with <q, n_i> > 0 for every wall normal."""

@@ -54,8 +54,8 @@ class GridSpec:
             raise IncompatibleGrid(f"dim must be 2 or 3, got {self.dim}")
         if self.M < 8 or self.M % 2 != 0:
             raise IncompatibleGrid(f"M must be an even integer >= 8, got {self.M}")
-        if not (self.L > 0):
-            raise IncompatibleGrid(f"L must be positive, got {self.L}")
+        if not (0 < self.L < np.inf):
+            raise IncompatibleGrid(f"L must be positive and finite, got {self.L}")
 
     @property
     def h(self) -> float:
@@ -69,19 +69,31 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
+    @property
+    def kappa(self) -> np.ndarray:
+        """Wavenumbers (k + 1) pi / 2L of the sine modes k = 0 .. M-1."""
+        return (np.arange(self.M) + 1) * np.pi / (2.0 * self.L)
+
     def axis_coords(self) -> np.ndarray:
         return -self.L + (np.arange(self.M) + 0.5) * self.h
+
+    def along(self, axis: int, v: np.ndarray) -> np.ndarray:
+        """The length-M array v laid along one axis, broadcast over the rest."""
+        return v.reshape([-1 if b == axis else 1 for b in range(self.dim)])
 
     def mesh(self):
         c = self.axis_coords()
         return np.meshgrid(*(c,) * self.dim, indexing="ij")
 
+    def radius_sq(self) -> np.ndarray:
+        """|x|^2 at every node, summed over the axes in order."""
+        c = self.axis_coords()
+        return sum(self.along(axis, c * c) for axis in range(self.dim))
+
     def radius(self) -> np.ndarray:
         """|x| at every node."""
-        r2 = np.zeros(self.shape)
-        for x in self.mesh():
-            r2 += x * x
-        return np.sqrt(r2)
+        r2 = self.radius_sq()
+        return np.sqrt(r2, out=r2)
 
 
 @dataclass(frozen=True)
@@ -126,12 +138,10 @@ def check_same_grid(u: Field, v: Field):
 @lru_cache(maxsize=16)
 def sine_multipliers(grid: GridSpec) -> np.ndarray:
     """Eigenvalues sum_a ((k_a + 1) pi / 2L)^2 of -Delta on the sine basis."""
-    kappa2 = (((np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)) ** 2)
+    kappa2 = grid.kappa ** 2
     lam = np.zeros(grid.shape)
     for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = grid.M
-        lam = lam + kappa2.reshape(shape)
+        lam = lam + grid.along(a, kappa2)
     lam.setflags(write=False)
     return lam
 
@@ -157,17 +167,16 @@ def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
     and sums them by a DCT-III along axis i, a DST-III along the others.
     The Nyquist cosine vanishes on the nodes, so the result is exact.
     """
-    kappa = (np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)
+    x = grid.axis_coords()
     workers = thread_count()
     out = np.zeros(grid.shape)
-    for axis, x in enumerate(grid.mesh()):
-        shape = [-1 if b == axis else 1 for b in range(grid.dim)]
-        d = np.roll(coeff * kappa.reshape(shape), 1, axis=axis)
+    for axis in range(grid.dim):
+        d = np.roll(coeff * grid.along(axis, grid.kappa), 1, axis=axis)
         np.moveaxis(d, axis, 0)[0] = 0.0
         d = scipy.fft.idct(d, type=2, axis=axis, norm="ortho", workers=workers)
         others = tuple(b for b in range(grid.dim) if b != axis)
-        out += x * scipy.fft.idstn(d, type=2, axes=others, norm="ortho",
-                                   workers=workers)
+        out += grid.along(axis, x) * scipy.fft.idstn(
+            d, type=2, axes=others, norm="ortho", workers=workers)
     return out
 
 
@@ -281,7 +290,7 @@ def _shear_tensor(grid: GridSpec, coef: float) -> tuple:
     t = _SHEAR_CACHE.get(key)
     if t is None:
         ax = grid.axis_coords()
-        kappa = (np.arange(grid.M) + 1) * np.pi / (2.0 * grid.L)
+        kappa = grid.kappa
         s = coef * ax[:, None]
         sin_up = np.zeros((grid.M, grid.M))
         sin_up[:, 1:] = np.sin(s * kappa[:-1])
@@ -423,12 +432,10 @@ def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
     which may have any shape.  Points outside the open cube map to zero rows,
     matching the Dirichlet extension.
     """
-    k = np.arange(grid.M)
-    kappa = (k + 1) * np.pi / (2.0 * grid.L)
     norm = np.full(grid.M, np.sqrt(2.0 / grid.M))
     norm[grid.M - 1] = np.sqrt(1.0 / grid.M)
     pts = np.asarray(pts, dtype=float)
-    mat = norm * np.sin((pts + grid.L)[..., None] * kappa)
+    mat = norm * np.sin((pts + grid.L)[..., None] * grid.kappa)
     mat[np.abs(pts) > grid.L] = 0.0
     return mat
 

@@ -49,12 +49,16 @@ class Nonlinearity:
         self.terms = tuple(terms)
         self.even = even
         self._config = config
+        if not np.all(np.isfinite([(t.coeff, t.exponent) for t in self.terms])):
+            raise ParseError("nonlinearity coefficients and exponents must be finite")
         if kind == "tabulated":
             s_vals, f_vals = table
             s_vals = np.asarray(s_vals, dtype=float)
             f_vals = np.asarray(f_vals, dtype=float)
             if s_vals.ndim != 1 or s_vals.size < 3:
                 raise ParseError("tabulated nonlinearity needs >= 3 samples")
+            if not (np.all(np.isfinite(s_vals)) and np.all(np.isfinite(f_vals))):
+                raise ParseError("tabulated samples must be finite")
             if np.any(np.diff(s_vals) <= 0):
                 raise ParseError("tabulated s values must be increasing")
             if even and s_vals[0] != 0.0:

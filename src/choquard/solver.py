@@ -13,7 +13,8 @@ fixes, so the convolution can fold those axes.  Restart noise passes
 through the same projection, so restarts explore only the parity class.
 Stopping is measured on the L^2 gradient and the continuum Pohozaev
 residual.  All functional values come from `functionals`; one driver,
-`_solve`, serves every group alike.
+`_solve`, serves every group alike, the ground state's trivial group
+included, and `pohozaev_root` alone decides whether Q admits a retraction.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .coxeter import CoxeterGroup
+from .coxeter import CoxeterGroup, from_name
 from .errors import (
     BumpLeavesDomain,
     GridMismatch,
@@ -65,12 +66,12 @@ from .riesz import RieszKernel
 SYMMETRY_DRIFT_LIMIT = 1e-2
 ENERGY_SLACK = 1e-12
 MAX_BACKTRACKS = 30
+STEP = 1.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 4000
-    step: float = 1.0
     grad_tol: float = 1e-4
     pohozaev_tol: float = 1e-3
     restarts: int = 3
@@ -124,7 +125,7 @@ class SolveReport:
 class _Descent:
     """One descent run from a fixed initial iterate."""
 
-    def __init__(self, nl, kernel, cfg, project, action=None):
+    def __init__(self, nl, kernel, cfg, project, action):
         self.nl = nl
         self.kernel = kernel
         self.grid = kernel.grid
@@ -171,11 +172,8 @@ class _Descent:
         grid = self.grid
         nl, kernel = self.nl, self.kernel
         a = self.project(a0)
-        state, coeff, conv = _state_parts(nl, kernel, a)
-        if not (state.Q > 0.0):
-            raise NonpositiveQ(f"initializer has Q = {state.Q:g}")
-        a, state, coeff, conv = self._retract(a, state, coeff, conv)
-        eta = cfg.step
+        a, state, coeff, conv = self._retract(a, *_state_parts(nl, kernel, a))
+        eta = STEP
         grad_res = p_res = float("inf")
         # every pass through the loop accepts a step or raises, so the
         # loop index counts the accepted steps
@@ -184,7 +182,7 @@ class _Descent:
             grad_res, p_res = residuals(grid, state, grad, a)
             if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
                 return a, state, grad_res, p_res, it
-            if self.action is not None and it % 20 == 0:
+            if it % 20 == 0:
                 drift = symmetry_residual(self.action, Field(grid, a))
                 if drift > SYMMETRY_DRIFT_LIMIT:
                     raise SymmetryDrift(
@@ -200,18 +198,13 @@ class _Descent:
             # the rescaling exactly undoes, freezing the iteration.
             for _ in range(MAX_BACKTRACKS):
                 trial = self.project(a - eta * direction)
-                t_state, t_coeff, t_conv = _state_parts(nl, kernel, trial)
-                if not (t_state.Q > 0.0):
-                    eta *= 0.5
-                    continue
-                try:
-                    trial, t_state, t_coeff, t_conv = self._retract(
-                        trial, t_state, t_coeff, t_conv)
+                try:  # a trial whose Q admits no Pohozaev root is rejected
+                    t_parts = self._retract(trial, *_state_parts(nl, kernel, trial))
                 except NonpositiveQ:
                     eta *= 0.5
                     continue
-                if t_state.energy <= state.energy + ENERGY_SLACK * abs(state.energy):
-                    a, state, coeff, conv = trial, t_state, t_coeff, t_conv
+                if t_parts[1].energy <= state.energy + ENERGY_SLACK * abs(state.energy):
+                    a, state, coeff, conv = t_parts
                     break
                 eta *= 0.5
             else:
@@ -219,7 +212,7 @@ class _Descent:
                     f"line search stalled at iteration {it}: "
                     f"E = {state.energy:.6e}, grad residual {grad_res:.3e}"
                 )
-            eta = min(eta * 2.0, cfg.step)
+            eta = min(eta * 2.0, STEP)
         raise NoDescent(
             f"no convergence in {cfg.max_iters} iterations: "
             f"grad residual {grad_res:.3e}, Pohozaev residual {p_res:.3e}"
@@ -235,19 +228,16 @@ def _smooth_noise(grid, rng, scale):
 
 def _gaussian_seed(grid: GridSpec) -> np.ndarray:
     sigma = grid.L / 6.0
-    r2 = np.zeros(grid.shape)
-    for x in grid.mesh():
-        r2 += x * x
-    return np.exp(-r2 / (2.0 * sigma ** 2))
+    return np.exp(-grid.radius_sq() / (2.0 * sigma ** 2))
 
 
-def _solve(nl, kernel, grid, cfg, project, a0, tag, action=None):
+def _solve(nl, kernel, grid, cfg, project, a0, action):
     """Best of cfg.restarts descents from a0 and its noisy copies.
 
-    project maps an array into the admissible class: |.| of the even part
-    for ground states, the parity-folded group average for saddles; action,
-    when given, is the group action whose drift the descent watches and the
-    report measures.
+    project maps an array into the admissible class of the group action:
+    |.| of the even part for ground states (the trivial group), the
+    parity-folded group average for saddles.  The descent watches the
+    action's symmetry drift and the report measures it.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
@@ -280,7 +270,7 @@ def _solve(nl, kernel, grid, cfg, project, a0, tag, action=None):
     wall = time.perf_counter() - start
     u = Field(grid, a)
     return SolveReport(
-        group=tag,
+        group=action.group.tag or "custom",
         grid=grid,
         alpha=kernel.alpha,
         nonlinearity=nl.config_string(),
@@ -291,8 +281,7 @@ def _solve(nl, kernel, grid, cfg, project, a0, tag, action=None):
         Q=state.Q,
         p_residual=p_res,
         grad_residual=grad_res,
-        symmetry_residual=(
-            symmetry_residual(action, u) if action is not None else 0.0),
+        symmetry_residual=symmetry_residual(action, u),
         boundary_amplitude=boundary_amplitude(u),
         wall_clock=wall,
         field=u,
@@ -305,11 +294,12 @@ def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
                  ) -> SolveReport:
     """Positive ground state on the trivial symmetry class."""
     a0 = init.data if init is not None else _gaussian_seed(grid)
+    action = GroupAction(from_name("trivial"), grid)
 
     def project(a):
-        return np.abs(parity_fold(a, (1,) * grid.dim))
+        return np.abs(parity_fold(a, action.parity))
 
-    return _solve(nl, kernel, grid, cfg, project, a0, "trivial")
+    return _solve(nl, kernel, grid, cfg, project, a0, action)
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -320,35 +310,27 @@ def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
 
 
 def build_initializer(action: GroupAction, base: Field, radius: float = None,
-                      separation: float = None, q: np.ndarray = None) -> Field:
+                      separation: float = None) -> Field:
     """Signed orbit-bump seed: Pi_G of a cut-off base translated to l R q.
 
-    The output is scaled by the group order so each bump keeps the base
-    amplitude; for a chamber-interior q the orbit is free and the bumps are
-    disjoint copies signed by the character.
+    q is the chamber-interior direction, so the orbit is free and the bumps
+    are disjoint copies signed by the character.  The output is scaled by
+    the group order so each bump keeps the base amplitude.
     """
     group = action.group
     grid = action.grid
-    if q is None:
-        q = group.chamber_interior_point()
-    q = np.asarray(q, dtype=float)
-    if q.size and np.linalg.norm(q) > 0:
+    q = group.chamber_interior_point()
+    if q.size:
         q = q / np.linalg.norm(q)
     orbit = group.orbit(q) if group.rank else None
     k1 = orbit.min_dist if orbit is not None else np.inf
     if separation is None:
         separation = 0.0 if np.isinf(k1) else 6.0 / k1
+    # The farthest-out coordinate over the whole embedded orbit governs how
+    # large the bumps can be; using q alone would overflow the box whenever
+    # a group element rotates q onto a coordinate axis.
+    qmax = float(np.max(np.abs(orbit.points))) if orbit is not None else 0.0
     if radius is None:
-        # The farthest-out coordinate over the whole embedded orbit governs
-        # how large the bumps can be; using q alone would overflow the box
-        # whenever a group element rotates q onto a coordinate axis.
-        if orbit is not None and orbit.points.size:
-            qmax = max(
-                float(np.max(np.abs(action.embed_point(p))))
-                for p in orbit.points
-            )
-        else:
-            qmax = 0.0
         # Fill at most 80% of the half-width: the descent path stretches the
         # configuration before settling, and a seed that already touches the
         # boundary turns those dilations into wall artifacts.
@@ -358,13 +340,7 @@ def build_initializer(action: GroupAction, base: Field, radius: float = None,
             f"separation {separation:g} x orbit distance {k1:g} < 4; "
             "bump supports overlap"
         )
-    centers = (
-        orbit.points * separation * radius if orbit is not None else np.zeros((1, 0))
-    )
-    reach = 0.0
-    for c in centers:
-        c_emb = action.embed_point(c)
-        reach = max(reach, float(np.max(np.abs(c_emb))) + 2.0 * radius)
+    reach = radius * (separation * qmax + 2.0)
     if reach > grid.L:
         raise BumpLeavesDomain(
             f"bump support reaches {reach:g} beyond half-width {grid.L:g}"
@@ -388,5 +364,4 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     def project(a):
         return parity_fold(symmetrize_array(action, a), action.parity)
 
-    return _solve(nl, kernel, grid, cfg, project, init.data,
-                  group.tag or "custom", action)
+    return _solve(nl, kernel, grid, cfg, project, init.data, action)

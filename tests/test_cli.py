@@ -1,8 +1,10 @@
 """End-to-end tests of the command line driver and its exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquard import analysis, solver
+from choquard import analysis, cli, solver
 from choquard.cli import main
 from choquard.field import GridSpec, read_field, write_field, zeros
 
@@ -117,7 +119,8 @@ def test_missing_subcommand_exits_64(capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve", "--precondition", "0"],
-                                  ["hierarchy", "--rescale-every", "2"]])
+                                  ["hierarchy", "--rescale-every", "2"],
+                                  ["solve", "--step", "1"]])
 def test_removed_solver_flags_exit_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -125,12 +128,31 @@ def test_removed_solver_flags_exit_64(capsys, argv):
     assert exc.value.code == 64
 
 
-@pytest.mark.parametrize("key", ["precondition", "rescale_every"])
+@pytest.mark.parametrize("key", ["precondition", "rescale_every", "step"])
 def test_removed_config_keys_exit_64(capsys, tmp_path, key):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"{key} = 1\n")
     assert main(["solve", "--config", str(cfg)]) == 64
     assert key in capsys.readouterr().err
+
+
+def test_solver_defaults_are_solver_config():
+    """solve, hierarchy and verify read their solver defaults from SolverConfig."""
+    cfg = dataclasses.asdict(solver.SolverConfig())
+    assert {k: cli._SOLVE_DEFAULTS[k] for k in cfg} == cfg
+    assert all(cli._CASTS[k] is type(v) for k, v in cfg.items())
+    args = cli.build_parser().parse_args(
+        ["verify", "--field", "f", "--alpha", "1", "--nl", "power:p=2"])
+    assert args.grad_tol == cfg["grad_tol"]
+    assert args.pohozaev_tol == cfg["pohozaev_tol"]
+
+
+def test_infinite_half_width_exits_64_naming_l(capsys):
+    rc = main(["solve", *FAST, "--L", "inf"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert "L must be positive and finite" in captured.err
 
 
 def test_unknown_config_key_exits_64(capsys, tmp_path):
@@ -273,6 +295,31 @@ def test_verify_rejects_damaged_field_with_64(capsys, damaged, kind):
     assert rc == 64
     assert captured.out == ""
     assert "choquard:" in captured.err
+
+
+def test_verify_rejects_infinite_half_width_with_64(capsys, tmp_path):
+    path = tmp_path / "wide.field"
+    write_field(path, zeros(GridSpec(2, 16, 4.0)))
+    blob = bytearray(path.read_bytes())
+    blob[20:28] = struct.pack("<d", np.inf)  # L follows magic, version, dim, 2 M
+    path.write_bytes(bytes(blob))
+    rc = main(["verify", "--field", str(path), "--alpha", "1",
+               "--nl", "power:p=2"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert "L must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("nl", ["power:p=nan", "sum:c1=inf,p1=2"])
+def test_verify_rejects_non_finite_nonlinearity_with_64(capsys, solved, nl):
+    prefix, _ = solved
+    rc = main(["verify", "--field", f"{prefix}.field", "--alpha", "1.0",
+               "--nl", nl])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_verify_rejects_zero_field_with_64(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Grid, spectral operator, group action and serialization tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -59,10 +61,23 @@ def gaussian(grid, center=None, width=1.0):
 
 @pytest.mark.parametrize("dim,M,L", [(1, 32, 8.0), (4, 32, 8.0),
                                      (2, 7, 8.0), (2, 6, 8.0),
-                                     (2, 32, 0.0), (2, 32, -1.0)])
+                                     (2, 32, 0.0), (2, 32, -1.0),
+                                     (2, 16, np.inf), (2, 16, np.nan)])
 def test_grid_validation(dim, M, L):
     with pytest.raises(IncompatibleGrid):
         GridSpec(dim, M, L)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_broadcast_radius_matches_the_mesh_bit_for_bit(dim):
+    """|x| and |x|^2 from per-axis coordinates equal the full-mesh sums."""
+    grid = GridSpec(dim, 16, 4.0)
+    r2 = np.zeros(grid.shape)
+    for x in grid.mesh():
+        r2 += x * x
+    assert np.array_equal(grid.radius_sq(), r2)
+    assert np.array_equal(grid.radius(), np.sqrt(r2))
+    assert np.array_equal(grid.kappa, (np.arange(16) + 1) * np.pi / 8.0)
 
 
 def test_grid_accepts_non_power_of_two_even_m():
@@ -125,6 +140,24 @@ def test_x_dot_grad_matches_analytic_sine_product(dim, M):
         expected += d * np.prod(sines[:i] + sines[i + 1:], axis=0)
     np.testing.assert_allclose(x_dot_grad_array(grid, _dst(u)), expected,
                                atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_x_dot_grad_allocates_no_coordinate_mesh():
+    """Peak traced memory of one 3D call stays under six grid arrays.
+
+    It reads about four; building x . grad u from N full coordinate
+    arrays, as a mesh does, peaks at seven.
+    """
+    grid = GridSpec(3, 32, 6.0)
+    coeff = _dst(np.exp(-grid.radius() ** 2))
+    x_dot_grad_array(grid, coeff)
+    tracemalloc.start()
+    try:
+        x_dot_grad_array(grid, coeff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * coeff.nbytes
 
 
 def test_helmholtz_inverse_inverts():

@@ -68,10 +68,21 @@ def test_parse_tabulated(tmp_path):
     "sum:c2=1,p2=2",      # wrong index
     "tabulated:even=true",  # no file
     "mystery:p=2",        # unknown kind
+    "power:p=nan",        # non-finite exponent
+    "sum:c1=inf,p1=2",    # non-finite coefficient
+    "sum:c1=nan,p1=2",    # NaN coefficient, which no hypothesis branch trips
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_nonlinearity(text)
+
+
+@pytest.mark.parametrize("row", ["nan,1.0", "2.0,nan", "inf,4.0"])
+def test_tabulated_rejects_non_finite_samples(tmp_path, row):
+    path = tmp_path / "profile.csv"
+    path.write_text("0.0,0.0\n0.5,0.25\n1.0,1.0\n" + row + "\n")
+    with pytest.raises(ParseError, match="finite"):
+        parse_nonlinearity(f"tabulated:file={path}")
 
 
 def test_tabulated_requires_increasing_samples():

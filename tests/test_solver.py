@@ -52,6 +52,7 @@ from choquard.solver import (
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
 CFG = SolverConfig(seed=0, restarts=2)
+TRIVIAL = GroupAction(from_name("trivial"), GRID)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
     a = dilate(ground.field, t).data
     state, coeff, conv = _state_parts(NL, kernel, a)
     assert abs(pohozaev_root(state, GRID.dim, kernel.alpha) - 1.0) <= 0.05
-    retracted = _Descent(NL, kernel, CFG, np.abs)._retract(a, state, coeff, conv)[0]
+    retracted = _Descent(NL, kernel, CFG, np.abs, TRIVIAL)._retract(a, state, coeff, conv)[0]
     before = discrete_pohozaev(kernel, a)
     assert abs(discrete_pohozaev(kernel, retracted)) * 100.0 <= abs(before)
 
@@ -159,7 +160,7 @@ def test_retraction_returns_continuum_root_when_fold_leaves_q_nonpositive(
     synthetic = replace(state, Q=q_root, pohozaev=-10.0 * (state.A + state.B))
     t0 = pohozaev_root(synthetic, dim, alpha)
     assert abs(t0 - 1.0) <= 0.05
-    descent = _Descent(NL, kernel, CFG, np.abs)
+    descent = _Descent(NL, kernel, CFG, np.abs, TRIVIAL)
     assert descent._retraction_root(a, synthetic, coeff, conv) == t0
 
 
@@ -185,7 +186,7 @@ def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
         return even_abs(a)
 
     cfg = SolverConfig(seed=0, restarts=1)
-    a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, project).run(
+    a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, project, TRIVIAL).run(
         _gaussian_seed(GRID))
     assert grad_res <= cfg.grad_tol and iters >= 1 and len(calls) > 2
     # project sees: the start field, its retraction, then trials at eta = 1
