@@ -156,11 +156,6 @@ def annotate_report(report: SolveReport, threshold: float = 1e-3,
 
 # -- chamber reconstruction ---------------------------------------------------
 
-def chamber_restrict(action: GroupAction, u: Field) -> Field:
-    """u restricted to the closed fundamental chamber, zero elsewhere."""
-    return u.with_data(u.data * closed_chamber_mask(action))
-
-
 def chamber_reconstruct(action: GroupAction, v: Field) -> Field:
     """U(v)(x) = sum_g psi(g) (chi_F v)(g x), the equivariant unfolding.
 

@@ -13,6 +13,15 @@ Any other element has no exact action and is rejected with IncompatibleGrid.
 chosen axes, since no node lies on a mirror.  Dilation and translation
 sample the same sine interpolant, which reads zero outside the cube; there
 is no other resampling model.
+
+A `GridSpec` with parity +-1 on an axis holds only the positive half of
+that axis, for fields even or odd under its mirror; the full grid is parity
+(0, ..., 0).  The sine modes split alike (Martucci, IEEE Trans. Signal
+Process. 42(5), 1994): an even axis carries kappa_{2j} through a DCT-IV of
+the half, an odd axis kappa_{2j+1} through a DST-II of length M/2, each
+orthonormal times sqrt 2, so every reduced coefficient is, up to sign, the
+full grid's.  The Laplacian, Helmholtz inverse, x.grad u and dilation read
+the parity from the grid; there is one set of operators.
 """
 
 from __future__ import annotations
@@ -43,11 +52,13 @@ def thread_count() -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform cell-centered grid on [-L, L]^dim."""
+    """Uniform cell-centered grid on [-L, L]^dim; parity[i] = +-1 keeps only
+    the nodes M/2..M-1 of axis i, 0 (the default) all M."""
 
     dim: int
     M: int
     L: float
+    parity: tuple = None
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -56,6 +67,10 @@ class GridSpec:
             raise IncompatibleGrid(f"M must be an even integer >= 8, got {self.M}")
         if not (0 < self.L < np.inf):
             raise IncompatibleGrid(f"L must be positive and finite, got {self.L}")
+        parity = tuple(int(s) for s in self.parity or (0,) * self.dim)
+        if len(parity) != self.dim or not set(parity) <= {-1, 0, 1}:
+            raise IncompatibleGrid(f"parity must be dim entries in -1, 0, 1, got {parity}")
+        object.__setattr__(self, "parity", parity)
 
     @property
     def h(self) -> float:
@@ -63,32 +78,54 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple:
-        return (self.M,) * self.dim
+        return tuple(self.M // 2 if s else self.M for s in self.parity)
 
     @property
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
     @property
+    def folded(self) -> tuple:
+        return tuple(ax for ax, s in enumerate(self.parity) if s)
+
+    @property
+    def weight(self) -> float:
+        """Quadrature weight of a stored node: h^N, twice per folded axis."""
+        return self.cell_volume * 2 ** len(self.folded)
+
+    @property
     def kappa(self) -> np.ndarray:
         """Wavenumbers (k + 1) pi / 2L of the sine modes k = 0 .. M-1."""
         return (np.arange(self.M) + 1) * np.pi / (2.0 * self.L)
 
-    def axis_coords(self) -> np.ndarray:
-        return -self.L + (np.arange(self.M) + 0.5) * self.h
+    def axis_coords(self, axis: int = None) -> np.ndarray:
+        """Node coordinates; along a folded axis, its positive half."""
+        c = -self.L + (np.arange(self.M) + 0.5) * self.h
+        return c[self.M // 2:] if axis is not None and self.parity[axis] else c
+
+    def fold(self, a: np.ndarray) -> np.ndarray:
+        """Positive halves of parity_fold(a) for a full-grid array a."""
+        return parity_fold(a, self.parity)[
+            tuple(slice(self.M // 2, None) if s else slice(None) for s in self.parity)]
+
+    def unfold(self, b: np.ndarray) -> np.ndarray:
+        """The full-grid array with positive halves b, mirrored with sign."""
+        for ax in self.folded:
+            b = np.concatenate((self.parity[ax] * np.flip(b, ax), b), axis=ax)
+        return b
 
     def along(self, axis: int, v: np.ndarray) -> np.ndarray:
         """The length-M array v laid along one axis, broadcast over the rest."""
         return v.reshape([-1 if b == axis else 1 for b in range(self.dim)])
 
     def mesh(self):
-        c = self.axis_coords()
-        return np.meshgrid(*(c,) * self.dim, indexing="ij")
+        return np.meshgrid(*(self.axis_coords(ax) for ax in range(self.dim)),
+                           indexing="ij")
 
     def radius_sq(self) -> np.ndarray:
         """|x|^2 at every node, summed over the axes in order."""
-        c = self.axis_coords()
-        return sum(self.along(axis, c * c) for axis in range(self.dim))
+        return sum(self.along(axis, self.axis_coords(axis) ** 2)
+                   for axis in range(self.dim))
 
     def radius(self) -> np.ndarray:
         """|x| at every node."""
@@ -124,70 +161,82 @@ def zeros(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
 
-def from_function(grid: GridSpec, fn) -> Field:
-    return Field(grid, fn(*grid.mesh()))
-
-
-def check_same_grid(u: Field, v: Field):
-    if u.grid != v.grid:
-        raise GridMismatch(f"grids differ: {u.grid} vs {v.grid}")
-
-
 # -- spectral operators -------------------------------------------------------
+
+def _modes(parity: int) -> slice:
+    """Sine modes k an axis of this parity carries: even k if even, odd k if odd."""
+    return slice(None) if not parity else slice(0 if parity > 0 else 1, None, 2)
+
 
 @lru_cache(maxsize=16)
 def sine_multipliers(grid: GridSpec) -> np.ndarray:
-    """Eigenvalues sum_a ((k_a + 1) pi / 2L)^2 of -Delta on the sine basis."""
-    kappa2 = grid.kappa ** 2
+    """Eigenvalues sum_a kappa_(k_a)^2 of -Delta on the grid's sine modes."""
     lam = np.zeros(grid.shape)
     for a in range(grid.dim):
-        lam = lam + grid.along(a, kappa2)
+        lam = lam + grid.along(a, grid.kappa[_modes(grid.parity[a])] ** 2)
     lam.setflags(write=False)
     return lam
 
 
-def _dst(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.dstn(a, type=2, norm="ortho", workers=thread_count())
+def _sine_transform(a, parity, axes, inverse=False):
+    """Sine transform along axes on the grid of that parity: DST-II (or its
+    inverse) on free and odd axes, DCT-IV on even ones, times sqrt 2 per
+    folded axis among them (divided by it when inverse)."""
+    workers = thread_count()
+    even = [ax for ax in axes if parity[ax] > 0]
+    rest = [ax for ax in axes if parity[ax] <= 0]
+    if even:
+        a = scipy.fft.dctn(a, type=4, axes=even, norm="ortho", workers=workers)
+    if rest:
+        fn = scipy.fft.idstn if inverse else scipy.fft.dstn
+        a = fn(a, type=2, axes=rest, norm="ortho", workers=workers)
+    folded = sum(1 for ax in axes if parity[ax])
+    return a * 2.0 ** (folded / (-2 if inverse else 2)) if folded else a
 
 
-def _idst(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.idstn(a, type=2, norm="ortho", workers=thread_count())
+def _dst(a: np.ndarray, parity: tuple = None) -> np.ndarray:
+    """Sine coefficients of a on the grid of that parity (None: full grid)."""
+    return _sine_transform(a, parity or (0,) * a.ndim, range(a.ndim))
+
+
+def _idst(c: np.ndarray, parity: tuple = None) -> np.ndarray:
+    """Inverse of _dst."""
+    return _sine_transform(c, parity or (0,) * c.ndim, range(c.ndim), inverse=True)
 
 
 def helmholtz_inverse_array(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """(1 - Delta)^{-1} a in the sine basis."""
-    return _idst(_dst(a) / (1.0 + sine_multipliers(grid)))
+    return _idst(_dst(a, grid.parity) / (1.0 + sine_multipliers(grid)), grid.parity)
 
 
 def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
-    """x . grad u at the nodes from the DST-II coefficients coeff of u.
+    """x . grad u at the nodes from the sine coefficients coeff of u.
 
-    d/dx_i sin(kappa_k (x + L)) = kappa_k cos(kappa_k (x + L)) is the
-    DCT-II mode k + 1, so each derivative moves the coefficients one mode up
-    and sums them by a DCT-III along axis i, a DST-III along the others.
-    The Nyquist cosine vanishes on the nodes, so the result is exact.
+    d/dx_i sin(kappa_k x') = kappa_k cos(kappa_k x') (x' = x + L, or x on an
+    odd axis) is the DCT-II mode one up: a DCT-III sums it, and the Nyquist
+    cosine vanishes on the nodes.  On an even axis -kappa sin(kappa x) is
+    summed by a DST-IV.  The other axes take their inverse transforms.
     """
-    x = grid.axis_coords()
     workers = thread_count()
     out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        d = np.roll(coeff * grid.along(axis, grid.kappa), 1, axis=axis)
-        np.moveaxis(d, axis, 0)[0] = 0.0
-        d = scipy.fft.idct(d, type=2, axis=axis, norm="ortho", workers=workers)
+    for axis, s in enumerate(grid.parity):
+        kappa = grid.kappa[_modes(s)] * (0.5 ** 0.5 if s else 1.0)
+        d = coeff * grid.along(axis, kappa)
+        if s > 0:
+            d = -scipy.fft.dst(d, type=4, axis=axis, norm="ortho", workers=workers)
+        else:
+            d = np.roll(d, 1, axis=axis)
+            np.moveaxis(d, axis, 0)[0] = 0.0
+            d = scipy.fft.idct(d, type=2, axis=axis, norm="ortho", workers=workers)
         others = tuple(b for b in range(grid.dim) if b != axis)
-        out += grid.along(axis, x) * scipy.fft.idstn(
-            d, type=2, axes=others, norm="ortho", workers=workers)
+        out += grid.along(axis, grid.axis_coords(axis)) * _sine_transform(
+            d, grid.parity, others, inverse=True)
     return out
 
 
 def l2_sq_integral(u: Field) -> float:
     """B(u) = integral of u^2 as the plain cell sum."""
     return float(u.grid.cell_volume * np.sum(u.data ** 2))
-
-
-def inner(u: Field, v: Field) -> float:
-    check_same_grid(u, v)
-    return float(u.grid.cell_volume * np.sum(u.data * v.data))
 
 
 # -- group action -------------------------------------------------------------
@@ -424,18 +473,22 @@ def symmetry_residual(action: GroupAction, u: Field) -> float:
 
 # -- resampling ---------------------------------------------------------------
 
-def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
-    """Rows evaluate the orthonormal sine interpolant at physical points.
+def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray, parity: int = 0) -> np.ndarray:
+    """Rows evaluate the sine interpolant at physical points along one axis.
 
-    The last axis of the result dotted with one axis of DST-II coefficients
+    The last axis of the result dotted with one axis of sine coefficients
     gives the trigonometric interpolant at the corresponding entry of pts,
-    which may have any shape.  Points outside the open cube map to zero rows,
-    matching the Dirichlet extension.
+    which may have any shape.  An axis of the given parity carries its own
+    modes: sin(kappa (x + L)) on a free axis, cos(kappa x) on an even one and
+    sin(kappa x) on an odd one.  Points outside the open cube map to zero
+    rows, matching the Dirichlet extension.
     """
     norm = np.full(grid.M, np.sqrt(2.0 / grid.M))
     norm[grid.M - 1] = np.sqrt(1.0 / grid.M)
+    norm, kappa = norm[_modes(parity)], grid.kappa[_modes(parity)]
     pts = np.asarray(pts, dtype=float)
-    mat = norm * np.sin((pts + grid.L)[..., None] * grid.kappa)
+    arg = (pts if parity else pts + grid.L)[..., None] * kappa
+    mat = norm * (np.cos(arg) if parity > 0 else np.sin(arg))
     mat[np.abs(pts) > grid.L] = 0.0
     return mat
 
@@ -444,11 +497,12 @@ def _spectral_resample(u: Field, pts) -> np.ndarray:
     """Sample the sine interpolant of u on the tensor grid pts[0] x pts[1] x ...
 
     pts holds one array of physical coordinates per axis; coordinates
-    outside the cube read zero.
+    outside the cube read zero.  u may live on a parity-reduced grid.
     """
-    out = _dst(u.data)
+    grid = u.grid
+    out = _dst(u.data, grid.parity)
     for axis, p in enumerate(pts):
-        mat = _sine_eval_matrix(u.grid, p)
+        mat = _sine_eval_matrix(grid, p, grid.parity[axis])
         out = np.moveaxis(
             np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis
         )
@@ -460,12 +514,13 @@ def dilate(u: Field, t: float) -> Field:
 
     Exact for band-limited data at every t > 0, so the rescaling inside the
     solver, which runs on every trial step, adds no interpolation noise to
-    the gradient residual.
+    the gradient residual.  On a parity-reduced grid it evaluates the
+    class's modes at the positive-half points.
     """
     if not (t > 0):
         raise ValueError(f"dilation factor must be positive, got {t}")
-    x = u.grid.axis_coords() / t
-    return u.with_data(_spectral_resample(u, (x,) * u.grid.dim))
+    pts = [u.grid.axis_coords(ax) / t for ax in range(u.grid.dim)]
+    return u.with_data(_spectral_resample(u, pts))
 
 
 def translate(u: Field, shift: np.ndarray) -> Field:

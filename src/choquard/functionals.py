@@ -17,7 +17,8 @@ closed form (2B / ((2+alpha) Q))^(1/alpha).
 This module is the one evaluation core: the solver, `evaluate` and
 `choquard verify` all take A, B, Q, the gradient and the residuals from
 the array functions `_state_parts`, `_gradient_from_parts`, `_q_parts`
-and `residuals`.
+and `residuals`, on the grid the array lives on: the solver's
+parity-reduced grid, or the full grid for `evaluate` and `verify`.
 """
 
 from __future__ import annotations
@@ -275,41 +276,44 @@ def evaluate_with_gradient(nl, kernel, u):
         _gradient_from_parts(nl, kernel, u.data, coeff, conv))
 
 
-def _q_parts(nl, kernel, a):
-    """Q = int (I_alpha * F(u)) F(u) and the convolution behind it."""
+def _q_parts(nl, kernel, a, grid=None):
+    """Q = int (I_alpha * F(u)) F(u) and the convolution behind it; F(u)
+    must be even along the folded axes of grid."""
+    grid = grid or kernel.grid
     f_of_u = nl.F(a)
-    conv = kernel.convolve_array(f_of_u)
-    return float(kernel.grid.cell_volume * np.sum(conv * f_of_u)), conv
+    conv = kernel.convolve_array(f_of_u, grid.folded or None)
+    return float(grid.weight * np.sum(conv * f_of_u)), conv
 
 
-def _state_parts(nl, kernel, a):
+def _state_parts(nl, kernel, a, grid=None):
     """FunctionalState of the array a plus its sine coefficients and convolution."""
-    grid = kernel.grid
-    coeff = _dst(a)
+    grid = grid or kernel.grid
+    coeff = _dst(a, grid.parity)
     a_val = float(grid.cell_volume * np.sum(sine_multipliers(grid) * coeff ** 2))
-    b_val = float(grid.cell_volume * np.sum(a ** 2))
-    q_val, conv = _q_parts(nl, kernel, a)
+    b_val = float(grid.weight * np.sum(a ** 2))
+    q_val, conv = _q_parts(nl, kernel, a, grid)
     state = _assemble(grid.dim, kernel.alpha, a_val, b_val, q_val)
     return state, coeff, conv
 
 
-def _gradient_from_parts(nl, kernel, a, coeff, conv):
+def _gradient_from_parts(nl, kernel, a, coeff, conv, grid=None):
     """L^2 gradient -Delta u + u - (I_alpha * F(u)) f(u) from _state_parts."""
-    lap = _idst(-sine_multipliers(kernel.grid) * coeff)
+    grid = grid or kernel.grid
+    lap = _idst(-sine_multipliers(grid) * coeff, grid.parity)
     return -lap + a - conv * nl.f(a)
 
 
-def _ensure_positive_q(nl, kernel, a):
+def _ensure_positive_q(nl, kernel, a, grid=None):
     """Double the amplitude until Q > 0; the zero field never gets there."""
     for _ in range(60):
-        if _q_parts(nl, kernel, a)[0] > 0.0:
+        if _q_parts(nl, kernel, a, grid)[0] > 0.0:
             return a
         a = 2.0 * a
     raise NonpositiveQ("could not reach Q > 0 by amplitude doubling")
 
 
 def _l2_norm(grid, a):
-    return float(np.sqrt(grid.cell_volume * np.sum(a ** 2)))
+    return float(np.sqrt(grid.weight * np.sum(a ** 2)))
 
 
 def residuals(grid, state, grad, a):

@@ -18,7 +18,9 @@ DCT-II, is multiplied by DCT-I entries 0..M-1 and comes back through the
 inverse DCT-II; the output is that half mirrored out.  Those axes transform
 at length M instead of 2M.  Every other axis keeps the zero-padded real FFT
 of length 2M, multiplied by the DCT-I entries mirrored to the FFT's
-frequencies.  The choice is made from the data alone.
+frequencies.  One core does this on the positive half; `convolve_array`
+picks the folded axes from the data, slices, runs it and mirrors out, or,
+given the folded axes of a half input, runs it alone.
 """
 
 from __future__ import annotations
@@ -140,11 +142,24 @@ class RieszKernel:
         """Kernel sample at integer node offset (j - i) per axis."""
         return float(self.sampled[tuple(abs(int(o)) for o in offset)])
 
-    def convolve_array(self, v: np.ndarray) -> np.ndarray:
-        """I_alpha * v at the nodes, folded on every axis where v is mirror-even."""
+    def convolve_array(self, v: np.ndarray, folded: tuple = None) -> np.ndarray:
+        """I_alpha * v at the nodes, folded on every axis where v is mirror-even;
+        given folded axes, v and the result are the positive halves there."""
+        if folded is not None:
+            return self._convolve_half(v, folded)
         m, n = self.grid.M, self.grid.dim
         folded = tuple(ax for ax in range(n)
                        if np.array_equal(v, np.flip(v, ax)))
+        x = self._convolve_half(
+            v[tuple(slice(m // 2, m) if ax in folded else slice(None)
+                    for ax in range(n))], folded)
+        for ax in folded:
+            x = np.concatenate((np.flip(x, ax), x), axis=ax)
+        return x
+
+    def _convolve_half(self, x: np.ndarray, folded: tuple) -> np.ndarray:
+        """Positive half of I_alpha * v along the folded axes, from that of v."""
+        m, n = self.grid.M, self.grid.dim
         rest = tuple(ax for ax in range(n) if ax not in folded)
         # A folded axis reads entries 0..M-1, the rfft axis all M+1 of its
         # frequencies; a full FFT axis reads them mirrored to length 2M.
@@ -157,8 +172,6 @@ class RieszKernel:
         # inverse DCT keeps only the positive half, so every folded stage
         # runs on the smallest array it can; the largest stages run along
         # the last, contiguous axis.
-        x = v[tuple(slice(m // 2, m) if ax in folded else slice(None)
-                    for ax in range(n))]
         for ax in folded:
             x = scipy.fft.dct(x, type=2, n=m, axis=ax, workers=workers)
         if rest:
@@ -173,10 +186,7 @@ class RieszKernel:
         for ax in reversed(folded):
             x = scipy.fft.idct(x, type=2, axis=ax, workers=workers)
             x = x[(slice(None),) * ax + (slice(0, m // 2),)]
-        x = x * self.grid.cell_volume
-        for ax in folded:
-            x = np.concatenate((np.flip(x, ax), x), axis=ax)
-        return x
+        return x * self.grid.cell_volume
 
 
 # A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Eight is

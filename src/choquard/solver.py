@@ -6,15 +6,18 @@ manifold.  The iteration descends E with a backtracked step along the
 Sobolev gradient (1 - Delta)^{-1} gradE, dilating every trial back onto
 the manifold (near convergence, onto the zero of the discrete ray
 derivative of E_h) and projecting it into the solve class.  That class
-carries a mirror parity per axis (`GroupAction.parity`): ground states
-are |u| of the part even in every axis; saddles are the group average,
-then folded to be bit-exactly odd or even along every axis the class
-fixes, so the convolution can fold those axes.  Restart noise passes
-through the same projection, so restarts explore only the parity class.
-Stopping is measured on the L^2 gradient and the continuum Pohozaev
-residual.  All functional values come from `functionals`; one driver,
-`_solve`, serves every group alike, the ground state's trivial group
-included, and `pohozaev_root` alone decides whether Q admits a retraction.
+carries a mirror parity per axis (`GroupAction.parity`), and every descent
+stores and iterates only the positive half of each axis with a parity (the
+solve grid, `_solve_grid`), where transforms, dilation and convolution run
+at length M/2.  The start field and each restart's noise are folded onto
+it once, so restarts explore only the parity class, and the report's field
+is unfolded from it.  On the half, the ground projector is |u|, a group of
+axis flips (A1, I2:2, A1xA1xA1) needs none, and any other group unfolds,
+averages and folds back.  Stopping is measured on the L^2 gradient and the
+continuum Pohozaev residual.  All functional values come from
+`functionals`; one driver, `_solve`, serves every group alike, the ground
+state's trivial group included, and `pohozaev_root` alone decides whether
+Q admits a retraction.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
@@ -45,7 +48,6 @@ from .field import (
     boundary_amplitude,
     dilate,
     helmholtz_inverse_array,
-    parity_fold,
     symmetrize_array,
     symmetry_residual,
     translate,
@@ -123,12 +125,12 @@ class SolveReport:
 
 
 class _Descent:
-    """One descent run from a fixed initial iterate."""
+    """One descent run from a fixed initial iterate, on the solve grid."""
 
     def __init__(self, nl, kernel, cfg, project, action):
         self.nl = nl
         self.kernel = kernel
-        self.grid = kernel.grid
+        self.grid = _solve_grid(nl, kernel.grid, action)
         self.cfg = cfg
         self.project = project
         self.action = action
@@ -136,7 +138,7 @@ class _Descent:
     # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
     def _ray_energy(self, a, t):
         w = dilate(Field(self.grid, a), t).data
-        return _state_parts(self.nl, self.kernel, w)[0].energy
+        return _state_parts(self.nl, self.kernel, w, self.grid)[0].energy
 
     def _retraction_root(self, a, state, coeff, conv):
         """Dilation factor that restores the zero-Pohozaev condition.
@@ -154,8 +156,8 @@ class _Descent:
         t0 = pohozaev_root(state, dim, alpha)
         if abs(t0 - 1.0) > 0.05:
             return t0
-        grad = _gradient_from_parts(self.nl, self.kernel, a, coeff, conv)
-        p_h = -self.grid.cell_volume * np.sum(grad * x_dot_grad_array(self.grid, coeff))
+        grad = _gradient_from_parts(self.nl, self.kernel, a, coeff, conv, self.grid)
+        p_h = -self.grid.weight * np.sum(grad * x_dot_grad_array(self.grid, coeff))
         q = float(state.Q - 2.0 * (p_h - state.pohozaev) / (dim + alpha))
         if not (q > 0.0):
             return t0
@@ -165,25 +167,26 @@ class _Descent:
         """Dilate a back onto the ray maximum and evaluate it there."""
         t = self._retraction_root(a, state, coeff, conv)
         a = self.project(dilate(Field(self.grid, a), t).data)
-        return (a, *_state_parts(self.nl, self.kernel, a))
+        return (a, *_state_parts(self.nl, self.kernel, a, self.grid))
 
     def run(self, a0: np.ndarray):
         cfg = self.cfg
         grid = self.grid
         nl, kernel = self.nl, self.kernel
         a = self.project(a0)
-        a, state, coeff, conv = self._retract(a, *_state_parts(nl, kernel, a))
+        a, state, coeff, conv = self._retract(a, *_state_parts(nl, kernel, a, grid))
         eta = STEP
         grad_res = p_res = float("inf")
         # every pass through the loop accepts a step or raises, so the
         # loop index counts the accepted steps
         for it in range(cfg.max_iters):
-            grad = _gradient_from_parts(nl, kernel, a, coeff, conv)
+            grad = _gradient_from_parts(nl, kernel, a, coeff, conv, grid)
             grad_res, p_res = residuals(grid, state, grad, a)
             if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
                 return a, state, grad_res, p_res, it
             if it % 20 == 0:
-                drift = symmetry_residual(self.action, Field(grid, a))
+                drift = symmetry_residual(self.action,
+                                          Field(self.action.grid, grid.unfold(a)))
                 if drift > SYMMETRY_DRIFT_LIMIT:
                     raise SymmetryDrift(
                         f"symmetry residual {drift:.3e} at iteration {it}"
@@ -199,7 +202,7 @@ class _Descent:
             for _ in range(MAX_BACKTRACKS):
                 trial = self.project(a - eta * direction)
                 try:  # a trial whose Q admits no Pohozaev root is rejected
-                    t_parts = self._retract(trial, *_state_parts(nl, kernel, trial))
+                    t_parts = self._retract(trial, *_state_parts(nl, kernel, trial, grid))
                 except NonpositiveQ:
                     eta *= 0.5
                     continue
@@ -219,6 +222,13 @@ class _Descent:
         )
 
 
+def _solve_grid(nl, grid, action):
+    """The parity-reduced grid a solve runs on.  An odd axis stays full for
+    a non-even F, since F(u) has no parity along it to fold."""
+    return replace(grid, parity=tuple(s if nl.even else max(s, 0)
+                                      for s in action.parity))
+
+
 def _smooth_noise(grid, rng, scale):
     raw = rng.standard_normal(grid.shape)
     smooth = helmholtz_inverse_array(grid, helmholtz_inverse_array(grid, raw))
@@ -234,28 +244,30 @@ def _gaussian_seed(grid: GridSpec) -> np.ndarray:
 def _solve(nl, kernel, grid, cfg, project, a0, action):
     """Best of cfg.restarts descents from a0 and its noisy copies.
 
-    project maps an array into the admissible class of the group action:
-    |.| of the even part for ground states (the trivial group), the
-    parity-folded group average for saddles.  The descent watches the
-    action's symmetry drift and the report measures it.
+    a0 and each restart's noise are folded once onto the solve grid, where
+    project maps arrays into the admissible class of the group action; the
+    report's field is unfolded from it.  The descent watches the action's
+    symmetry drift and the report measures it.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
     if not np.all(np.isfinite(a0)):
         raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
+    half = _solve_grid(nl, grid, action)
     best = None
     energies = []
     failure = None
+    a0_half = half.fold(a0)
     for r in range(max(1, cfg.restarts)):
         rng = np.random.default_rng(cfg.seed + r)
-        a_init = a0.copy()
+        a_init = a0_half.copy()
         if r > 0:
-            a_init += _smooth_noise(grid, rng, 0.05 * np.max(np.abs(a0)))
+            a_init += half.fold(_smooth_noise(grid, rng, 0.05 * np.max(np.abs(a0))))
         try:
             # run() projects once more; the shear group average is not
             # bit-idempotent, so dropping either projection moves the result
-            a_init = _ensure_positive_q(nl, kernel, project(a_init))
+            a_init = _ensure_positive_q(nl, kernel, project(a_init), half)
             result = _Descent(nl, kernel, cfg, project, action).run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
             failure = exc
@@ -268,7 +280,7 @@ def _solve(nl, kernel, grid, cfg, project, a0, action):
         raise failure if failure is not None else NoDescent("all restarts failed")
     a, state, grad_res, p_res, iters = best
     wall = time.perf_counter() - start
-    u = Field(grid, a)
+    u = Field(grid, half.unfold(a))
     return SolveReport(
         group=action.group.tag or "custom",
         grid=grid,
@@ -295,11 +307,8 @@ def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
     """Positive ground state on the trivial symmetry class."""
     a0 = init.data if init is not None else _gaussian_seed(grid)
     action = GroupAction(from_name("trivial"), grid)
-
-    def project(a):
-        return np.abs(parity_fold(a, action.parity))
-
-    return _solve(nl, kernel, grid, cfg, project, a0, action)
+    # the trivial group's parity is even in every axis: |.| of the half
+    return _solve(nl, kernel, grid, cfg, np.abs, a0, action)
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -360,8 +369,12 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
         init = build_initializer(action, base)
+    half = _solve_grid(nl, grid, action)
+    # a group of axis flips whose parity the half grid holds leaves no work
+    flips = all(half.parity) and all(np.allclose(g, np.diag(np.diagonal(g)))
+                                     for g in group.element_matrices())
 
     def project(a):
-        return parity_fold(symmetrize_array(action, a), action.parity)
+        return a if flips else half.fold(symmetrize_array(action, half.unfold(a)))
 
     return _solve(nl, kernel, grid, cfg, project, init.data, action)

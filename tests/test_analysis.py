@@ -9,7 +9,6 @@ import pytest
 from choquard.analysis import (
     annotate_report,
     chamber_reconstruct,
-    chamber_restrict,
     closed_chamber_mask,
     decay_fit,
     facet_ray_representatives,
@@ -27,6 +26,11 @@ from choquard.solver import SolveReport, SolverConfig, solve_ground
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
+
+
+def chamber_restrict(action, u):
+    """u restricted to the closed fundamental chamber, zero elsewhere."""
+    return u.with_data(u.data * closed_chamber_mask(action))
 
 
 @pytest.fixture(scope="module")

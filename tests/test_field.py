@@ -19,9 +19,7 @@ from choquard.field import (
     apply_matrix_array,
     boundary_amplitude,
     dilate,
-    from_function,
     helmholtz_inverse_array,
-    inner,
     l2_sq_integral,
     parity_fold,
     radial_shell_stats,
@@ -40,6 +38,15 @@ from choquard.riesz import get_kernel
 
 # F = 0 leaves E = (A + B)/2, whose L^2 gradient is -Delta u + u
 NO_INTERACTION = power(2.0, coeff=0.0)
+
+
+def from_function(grid, fn):
+    return Field(grid, fn(*grid.mesh()))
+
+
+def inner(u, v):
+    assert u.grid == v.grid
+    return float(u.grid.cell_volume * np.sum(u.data * v.data))
 
 
 def grad_sq_integral(u):

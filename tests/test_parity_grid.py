@@ -1,0 +1,173 @@
+"""The parity-reduced grid against the full grid.
+
+A field of fixed mirror parity along an axis is stored as its positive
+half there.  Every operator the solver runs on that half (sine transforms,
+A and B, the Helmholtz inverse, x.grad u, the dilation and the Riesz
+convolution) must give the positive half of what the full grid gives, for
+every parity vector in {+1, -1, 0}^N.
+"""
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from choquard.coxeter import from_name
+from choquard.field import (
+    Field,
+    GridSpec,
+    GroupAction,
+    _dst,
+    _idst,
+    dilate,
+    helmholtz_inverse_array,
+    parity_fold,
+    x_dot_grad_array,
+)
+from choquard.functionals import (
+    Nonlinearity,
+    _gradient_from_parts,
+    _q_parts,
+    _state_parts,
+    power,
+)
+from choquard.riesz import RieszKernel
+from choquard.solver import _solve_grid
+
+TOL = 1e-13
+GRIDS = {2: GridSpec(2, 32, 6.0), 3: GridSpec(3, 16, 5.0)}
+KERNELS = {}
+CASES = [
+    pytest.param(dim, par, id=f"{dim}D" + "".join("0+-"[s] for s in par))
+    for dim in (2, 3) for par in itertools.product((1, -1, 0), repeat=dim)
+]
+
+
+def kernel_for(grid):
+    if grid not in KERNELS:
+        KERNELS[grid] = RieszKernel(grid, 1.0 if grid.dim == 2 else 2.0)
+    return KERNELS[grid]
+
+
+def class_field(grid, par, seed=0):
+    """A field exactly in the parity class, decaying toward the wall, with
+    every sine mode present (the Nyquist mode included)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(grid.shape) * np.exp(-grid.radius_sq() / grid.L)
+    return parity_fold(a, par)
+
+
+def positive_half(grid, par, a):
+    m = grid.M // 2
+    return a[tuple(slice(m, None) if s else slice(None) for s in par)]
+
+
+def rel(x, y):
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_fold_unfold_round_trip(dim, par):
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    a = class_field(grid, par)
+    b = half.fold(a)
+    assert b.shape == half.shape
+    assert np.array_equal(b, positive_half(grid, par, a))
+    assert np.array_equal(half.unfold(b), a)
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_transform_round_trip_and_class_modes(dim, par):
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    a = class_field(grid, par)
+    b = half.fold(a)
+    c = _dst(b, par)
+    assert rel(_idst(c, par), b) <= TOL
+    # each reduced coefficient is, up to sign, the full grid's coefficient
+    # of the same mode: kappa_{2j} on an even axis, kappa_{2j+1} on an odd one
+    modes = tuple(slice(None) if not s else slice(0 if s > 0 else 1, None, 2)
+                  for s in par)
+    assert rel(np.abs(c), np.abs(_dst(a)[modes])) <= TOL
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_reduced_a_and_b_match_the_full_grid(dim, par):
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    kernel = kernel_for(grid)
+    a = class_field(grid, par)
+    full = _state_parts(power(2.0), kernel, a)[0]
+    reduced = _state_parts(power(2.0), kernel, half.fold(a), half)[0]
+    assert reduced.A == pytest.approx(full.A, rel=TOL, abs=0.0)
+    assert reduced.B == pytest.approx(full.B, rel=TOL, abs=0.0)
+    assert reduced.Q == pytest.approx(full.Q, rel=TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_reduced_helmholtz_inverse(dim, par):
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    a = class_field(grid, par)
+    out = helmholtz_inverse_array(half, half.fold(a))
+    assert rel(out, positive_half(grid, par, helmholtz_inverse_array(grid, a))) <= TOL
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_reduced_x_dot_grad(dim, par):
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    a = class_field(grid, par)
+    out = x_dot_grad_array(half, _dst(half.fold(a), par))
+    assert rel(out, positive_half(grid, par, x_dot_grad_array(grid, _dst(a)))) <= TOL
+
+
+@pytest.mark.parametrize("t", [0.9, 1.1])
+@pytest.mark.parametrize("dim,par", CASES)
+def test_reduced_dilation(dim, par, t):
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    a = class_field(grid, par)
+    out = dilate(Field(half, half.fold(a)), t)
+    assert out.grid == half
+    full = dilate(Field(grid, a), t).data
+    assert rel(out.data, positive_half(grid, par, full)) <= TOL
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_half_input_convolution_is_the_positive_half(dim, par):
+    """The core on the half input is bit for bit what convolve_array keeps."""
+    grid = GRIDS[dim]
+    kernel = kernel_for(grid)
+    even = tuple(abs(s) for s in par)
+    folded = tuple(ax for ax, s in enumerate(par) if s)
+    v = class_field(grid, even) ** 2
+    out = kernel.convolve_array(positive_half(grid, par, v), folded)
+    assert np.array_equal(out, positive_half(grid, par, kernel.convolve_array(v)))
+
+
+def test_non_even_f_on_the_a1_class_convolves_like_the_full_grid():
+    """F(u) of an odd axis has no parity for non-even F: that axis stays full."""
+    grid = GRIDS[2]
+    kernel = kernel_for(grid)
+    action = GroupAction(from_name("A1"), grid)
+    s = np.linspace(-3.0, 3.0, 61)
+    nl = Nonlinearity("tabulated", table=(s, s * s + 0.5 * s ** 3 / 3.0),
+                      even=False)
+    half = _solve_grid(nl, grid, action)
+    assert action.parity == (-1, 1) and half.parity == (0, 1)
+    assert _solve_grid(power(2.0), grid, action).parity == (-1, 1)
+    a = class_field(grid, action.parity)
+    b = half.fold(a)
+    q_full, conv_full = _q_parts(nl, kernel, a)
+    q_half, conv_half = _q_parts(nl, kernel, b, half)
+    assert q_half == pytest.approx(q_full, rel=TOL, abs=0.0)
+    assert rel(conv_half, half.fold(conv_full)) <= TOL
+    state, coeff, conv = _state_parts(nl, kernel, a)
+    g_full = _gradient_from_parts(nl, kernel, a, coeff, conv)
+    state_h, coeff_h, conv_h = _state_parts(nl, kernel, b, half)
+    g_half = _gradient_from_parts(nl, kernel, b, coeff_h, conv_h, half)
+    assert rel(g_half, half.fold(g_full)) <= TOL
+    assert state_h.energy == pytest.approx(state.energy, rel=TOL, abs=0.0)

@@ -15,8 +15,13 @@ import pytest
 import scipy.fft
 
 from choquard.errors import AlphaOutOfRange
-from choquard.field import Field, GridSpec, inner, parity_fold
+from choquard.field import Field, GridSpec, parity_fold
 from choquard.riesz import RieszKernel, get_kernel, riesz_constant
+
+
+def inner(u, v):
+    return float(u.grid.cell_volume * np.sum(u.data * v.data))
+
 
 # mean of 1/|x| over unit-spacing cells centered at the given offsets
 UNIT_CELL_AVG = {

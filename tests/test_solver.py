@@ -27,7 +27,6 @@ from choquard.field import (
     GroupAction,
     _dst,
     dilate,
-    parity_fold,
     symmetry_residual,
     x_dot_grad_array,
 )
@@ -53,6 +52,8 @@ GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
 CFG = SolverConfig(seed=0, restarts=2)
 TRIVIAL = GroupAction(from_name("trivial"), GRID)
+# _Descent iterates on the trivial group's parity-reduced grid
+HALF = replace(GRID, parity=TRIVIAL.parity)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,9 @@ def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
     a = dilate(ground.field, t).data
     state, coeff, conv = _state_parts(NL, kernel, a)
     assert abs(pohozaev_root(state, GRID.dim, kernel.alpha) - 1.0) <= 0.05
-    retracted = _Descent(NL, kernel, CFG, np.abs, TRIVIAL)._retract(a, state, coeff, conv)[0]
+    half = HALF.fold(a)
+    retracted = HALF.unfold(_Descent(NL, kernel, CFG, np.abs, TRIVIAL)._retract(
+        half, *_state_parts(NL, kernel, half, HALF))[0])
     before = discrete_pohozaev(kernel, a)
     assert abs(discrete_pohozaev(kernel, retracted)) * 100.0 <= abs(before)
 
@@ -152,8 +155,8 @@ def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
 def test_retraction_returns_continuum_root_when_fold_leaves_q_nonpositive(
         kernel, ground):
     """A defect P_h - P larger than the folded Q falls back to t0."""
-    a = ground.field.data
-    state, coeff, conv = _state_parts(NL, kernel, a)
+    a = HALF.fold(ground.field.data)
+    state, coeff, conv = _state_parts(NL, kernel, a, HALF)
     dim, alpha = GRID.dim, kernel.alpha
     # Q with P(u(./t)) = 0 at t = 1, and a continuum P far below P_h
     q_root = ((dim - 2) * state.A + dim * state.B) / (dim + alpha)
@@ -178,8 +181,8 @@ def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
     monkeypatch.setattr(_Descent, "_retraction_root", first_trial_raises)
     seen = []
 
-    def even_abs(a):
-        return np.abs(parity_fold(a, (1, 1)))
+    def even_abs(a):  # the ground projector on the half grid
+        return np.abs(a)
 
     def project(a):
         seen.append(a)
@@ -187,7 +190,7 @@ def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
 
     cfg = SolverConfig(seed=0, restarts=1)
     a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, project, TRIVIAL).run(
-        _gaussian_seed(GRID))
+        HALF.fold(_gaussian_seed(GRID)))
     assert grad_res <= cfg.grad_tol and iters >= 1 and len(calls) > 2
     # project sees: the start field, its retraction, then trials at eta = 1
     # and, after the forced failure, eta = 1/2 from the same iterate
@@ -284,6 +287,13 @@ def test_solves_are_exact_mirror_images(ground, saddle):
     v = saddle.field.data
     assert np.array_equal(v, -np.flip(v, 0))
     assert np.array_equal(v, np.flip(v, 1))
+
+
+def test_half_grid_solves_keep_the_full_grid_energies(ground, saddle):
+    """The full-grid solver reached these energies; the half grid keeps them."""
+    assert ground.energy == pytest.approx(1.9052390557660284, rel=1e-9, abs=0.0)
+    assert saddle.energy == pytest.approx(3.253487574277285, rel=1e-9, abs=0.0)
+    assert (ground.iters, saddle.iters) == (15, 66)
 
 
 def test_saddle_is_odd_with_two_nodal_domains(saddle):
