@@ -43,35 +43,27 @@ class NodalReport:
     sign_on_chamber: object  # +1, -1, 0 for mixed, None when no chamber given
 
 
-def _chamber_dots(action: GroupAction):
-    """<x_k, n_i> for every node, one array per chamber wall."""
+def _chamber_mask(action: GroupAction, strict: bool) -> np.ndarray:
+    """Nodes x with <x, n_i> > tol on every chamber wall i (strict), or
+    >= -tol, where tol = CHAMBER_TOL (1 + |x|)."""
     group, grid = action.group, action.grid
     c = grid.axis_coords()
-    dots = []
+    tol = CHAMBER_TOL * (1.0 + grid.radius())
+    mask = np.ones(grid.shape, dtype=bool)
     for i in range(group.rank):
         d = np.zeros(grid.shape)
         for a in range(group.rank):
             d += group.chamber_normals[i, a] * grid.along(a, c)
-        dots.append(d)
-    return dots
+        mask &= d > tol if strict else d >= -tol
+    return mask
 
 
 def open_chamber_mask(action: GroupAction) -> np.ndarray:
-    grid = action.grid
-    scale = 1.0 + grid.radius()
-    mask = np.ones(grid.shape, dtype=bool)
-    for d in _chamber_dots(action):
-        mask &= d > CHAMBER_TOL * scale
-    return mask
+    return _chamber_mask(action, strict=True)
 
 
 def closed_chamber_mask(action: GroupAction) -> np.ndarray:
-    grid = action.grid
-    scale = 1.0 + grid.radius()
-    mask = np.ones(grid.shape, dtype=bool)
-    for d in _chamber_dots(action):
-        mask &= d >= -CHAMBER_TOL * scale
-    return mask
+    return _chamber_mask(action, strict=False)
 
 
 def nodal_domains(u: Field, threshold: float = 1e-3,

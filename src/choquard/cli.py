@@ -148,16 +148,14 @@ def cmd_verify(args) -> int:
     u = field_mod.read_field(args.field)
     if u.norm_max() == 0.0:
         raise ParseError(f"{args.field}: field is identically zero")
+    if field_mod.l2_sq_integral(u) == 0.0:  # B, and with it A + B, is 0
+        raise ParseError(f"{args.field}: field so small that int u^2 underflows to 0")
     nl = functionals.parse_nonlinearity(args.nl)
     kernel = riesz.get_kernel(u.grid, args.alpha)
     state, grad = functionals.evaluate_with_gradient(nl, kernel, u)
     grad_res, p_res = functionals.residuals(u.grid, state, grad.data, u.data)
-    group = from_name(args.group) if args.group else None
-    action = (
-        field_mod.GroupAction(group, u.grid)
-        if group is not None and group.rank else None
-    )
-    sym = field_mod.symmetry_residual(action, u) if action else 0.0
+    action = field_mod.GroupAction(from_name(args.group or "trivial"), u.grid)
+    sym = field_mod.symmetry_residual(action, u)
     nodal = analysis.nodal_domains(u, args.threshold, action)
     out = {
         "energy": state.energy,

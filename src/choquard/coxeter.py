@@ -85,31 +85,26 @@ def _cholesky(b: np.ndarray) -> np.ndarray:
 
 def _snap_signed_perm(g: np.ndarray) -> np.ndarray:
     """Round g to an exact signed permutation matrix within MATRIX_TOL of it."""
-    r = np.rint(g)
-    if np.max(np.abs(g - r)) > MATRIX_TOL:
-        return g
-    if not np.all(np.isin(r, (-1.0, 0.0, 1.0))):
-        return g
-    a = np.abs(r)
-    if np.all(a.sum(axis=0) == 1) and np.all(a.sum(axis=1) == 1):
-        return r
-    return g
+    return np.rint(g) if is_signed_permutation(g, MATRIX_TOL) else g
 
 
-def is_signed_permutation(g: np.ndarray) -> bool:
+def is_signed_permutation(g: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when g is within tol of a matrix with one entry +-1 per row and
+    column and zeros elsewhere."""
     r = np.rint(g)
-    if np.max(np.abs(g - r), initial=0.0) > 1e-12:
+    if np.max(np.abs(g - r), initial=0.0) > tol:
         return False
     a = np.abs(r)
     return bool(np.all(a.sum(axis=0) == 1) and np.all(a.sum(axis=1) == 1))
 
 
-def _close_under_products(generators, cap: int):
+def _close_under_products(generators):
     """Breadth-first closure of the generator set under multiplication.
 
     Matrices are deduplicated in max-norm with tolerance MATRIX_TOL; candidates
     close to a signed permutation are snapped first so exact subgroups do not
-    accumulate rounding drift.
+    accumulate rounding drift.  More than ELEMENT_CAP elements raise
+    CapExceeded.
     """
     k = generators[0].shape[0] if generators else 0
     mats = [np.eye(k)]
@@ -125,9 +120,9 @@ def _close_under_products(generators, cap: int):
                     mats.append(c)
                     stack = np.concatenate([stack, c[None]])
                     new.append(c)
-                    if len(mats) > cap:
+                    if len(mats) > ELEMENT_CAP:
                         raise CapExceeded(
-                            f"group closure exceeded {cap} elements"
+                            f"group closure exceeded {ELEMENT_CAP} elements"
                         )
         frontier = new
     return mats
@@ -179,13 +174,12 @@ class CoxeterGroup:
         Name used to build the group, when it came from a named tag.
     """
 
-    def __init__(self, matrix, generators, chamber_normals, tag=None,
-                 element_cap=ELEMENT_CAP):
+    def __init__(self, matrix, generators, chamber_normals, tag=None):
         self.matrix = matrix
         self.generators = [np.array(g, dtype=float) for g in generators]
         self.chamber_normals = np.array(chamber_normals, dtype=float)
         self.tag = tag
-        mats = _close_under_products(self.generators, element_cap)
+        mats = _close_under_products(self.generators)
         self._mats = np.array(mats) if mats else np.eye(0)[None]
         self._signs = np.array([_element_sign(g) for g in mats], dtype=int)
         self.grid_exact = all(is_signed_permutation(g) for g in self.generators)
@@ -275,8 +269,7 @@ class CoxeterGroup:
         }
 
 
-def build_group(matrix: CoxeterMatrix, element_cap: int = ELEMENT_CAP,
-                tag: str | None = None) -> CoxeterGroup:
+def build_group(matrix: CoxeterMatrix, tag: str | None = None) -> CoxeterGroup:
     """Build a group from its Coxeter matrix via the Tits representation.
 
     The Tits reflections sigma_i(x) = x - 2 B(x, e_i) e_i preserve B; with
@@ -286,8 +279,7 @@ def build_group(matrix: CoxeterMatrix, element_cap: int = ELEMENT_CAP,
     """
     k = matrix.rank
     if k == 0:
-        return CoxeterGroup(matrix, [], np.zeros((0, 0)), tag=tag,
-                            element_cap=element_cap)
+        return CoxeterGroup(matrix, [], np.zeros((0, 0)), tag=tag)
     b = matrix.bilinear_form()
     c = _cholesky(b).T
     cinv = np.linalg.inv(c)
@@ -296,7 +288,7 @@ def build_group(matrix: CoxeterMatrix, element_cap: int = ELEMENT_CAP,
         tits = np.eye(k) - 2.0 * np.outer(np.eye(k)[i], b[i])
         gens.append(_snap_signed_perm(c @ tits @ cinv))
     normals = c.T / np.linalg.norm(c, axis=0)  # row i = C e_i normalized
-    return CoxeterGroup(matrix, gens, normals, tag=tag, element_cap=element_cap)
+    return CoxeterGroup(matrix, gens, normals, tag=tag)
 
 
 def _dihedral_realization(m: int):
@@ -371,7 +363,7 @@ def parse_tag(tag: str):
     raise ParseError(f"unknown group tag {tag!r}")
 
 
-def from_name(tag: str, element_cap: int = ELEMENT_CAP) -> CoxeterGroup:
+def from_name(tag: str) -> CoxeterGroup:
     """Build a named group, preferring grid-exact realizations where they exist."""
     tag, matrix, m = parse_tag(tag)
     if tag in _AXIS_REALIZATIONS:
@@ -385,5 +377,5 @@ def from_name(tag: str, element_cap: int = ELEMENT_CAP) -> CoxeterGroup:
         normals[0, 0] = 1.0
         normals[1:, 1:] = dn
     else:  # H3 has no signed-permutation realization; use the Tits route
-        return build_group(matrix, element_cap=element_cap, tag=tag)
-    return CoxeterGroup(matrix, gens, normals, tag=tag, element_cap=element_cap)
+        return build_group(matrix, tag=tag)
+    return CoxeterGroup(matrix, gens, normals, tag=tag)

@@ -49,14 +49,6 @@ class SymmetryDrift(ChoquardError):
     """Symmetry residual of a saddle iterate grew too large."""
 
 
-class SeparationViolation(ChoquardError):
-    """Orbit bumps of an initializer overlap."""
-
-
-class BumpLeavesDomain(ChoquardError):
-    """Translated bump support does not fit inside the computational cube."""
-
-
 class AllBelowFloor(ChoquardError):
     """Every radial shell statistic sits below the floating point floor."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -265,7 +265,10 @@ class GroupAction:
     parity[i] is the mirror parity the class imposes along axis i: the
     character value psi(g) when the single flip g of axis i is in G, +1 when
     every element fixes axis i (for named groups, the axes beyond the rank),
-    and 0 otherwise.
+    and 0 otherwise.  `half` is the grid that keeps the positive half of
+    every axis with a parity, and `half_holds_class` says that the half
+    alone holds the class: every axis is folded and every element is
+    diagonal, so every field on the half is in the class.
     """
 
     def __init__(self, group: CoxeterGroup, grid: GridSpec):
@@ -281,11 +284,14 @@ class GroupAction:
                     f"group {group.tag or 'custom'} has an element with no "
                     f"exact action on the grid: {g.tolist()}"
                 )
-        self.parity = self._parity()
+        mats = [self.embed(g) for g in group.element_matrices()]
+        self.parity = self._parity(mats)
+        self.half = replace(grid, parity=self.parity)
+        self.half_holds_class = all(self.parity) and all(  # diagonal elements
+            np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in mats)
 
-    def _parity(self) -> tuple:
+    def _parity(self, mats) -> tuple:
         n = self.grid.dim
-        mats = [self.embed(g) for g in self.group.element_matrices()]
         signs = self.group.element_signs()
         parity = []
         for axis in range(n):

@@ -43,12 +43,16 @@ class PowerTerm:
 
 
 class Nonlinearity:
-    """F and f = F' for power sums or a tabulated monotone-cubic profile."""
+    """Even F and f = F' for power sums or a tabulated monotone-cubic profile.
 
-    def __init__(self, kind, terms=(), table=None, even=True, config=None):
+    F is even, so the energy is invariant under u -> psi(g) u o g^-1 and the
+    sign-equivariant classes are natural constraints (Palais, Comm. Math.
+    Phys. 69, 1979); a table gives F on s >= 0 and is read at |s|.
+    """
+
+    def __init__(self, kind, terms=(), table=None, config=None):
         self.kind = kind
         self.terms = tuple(terms)
-        self.even = even
         self._config = config
         if not np.all(np.isfinite([(t.coeff, t.exponent) for t in self.terms])):
             raise ParseError("nonlinearity coefficients and exponents must be finite")
@@ -62,8 +66,8 @@ class Nonlinearity:
                 raise ParseError("tabulated samples must be finite")
             if np.any(np.diff(s_vals) <= 0):
                 raise ParseError("tabulated s values must be increasing")
-            if even and s_vals[0] != 0.0:
-                raise ParseError("even tabulated profile must start at s = 0")
+            if s_vals[0] != 0.0:
+                raise ParseError("tabulated profile must start at s = 0")
             self._interp = PchipInterpolator(s_vals, f_vals, extrapolate=True)
             self._dinterp = self._interp.derivative()
         elif kind not in ("power", "sum"):
@@ -72,9 +76,7 @@ class Nonlinearity:
     def F(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if self.kind == "tabulated":
-            if self.even:
-                return self._interp(np.abs(s))
-            return self._interp(s)
+            return self._interp(np.abs(s))
         out = np.zeros_like(s)
         for t in self.terms:
             out += t.coeff * np.abs(s) ** t.exponent
@@ -83,9 +85,7 @@ class Nonlinearity:
     def f(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if self.kind == "tabulated":
-            if self.even:
-                return self._dinterp(np.abs(s)) * np.sign(s)
-            return self._dinterp(s)
+            return self._dinterp(np.abs(s)) * np.sign(s)
         out = np.zeros_like(s)
         for t in self.terms:
             out += t.coeff * t.exponent * np.abs(s) ** (t.exponent - 2.0) * s
@@ -154,10 +154,11 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
         return Nonlinearity("sum", terms, config=text)
     if kind == "tabulated":
         kv = pairs(body)
-        path = kv.get("file")
+        path = kv.pop("file", None)
         if path is None:
             raise ParseError("tabulated nonlinearity needs file=<csv path>")
-        even = kv.get("even", "true").lower() != "false"
+        if kv:
+            raise ParseError(f"unexpected keys {sorted(kv)} in {text!r}")
         s_vals, f_vals = [], []
         with open(path) as fh:
             for row in csv.reader(fh):
@@ -165,8 +166,7 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
                     continue
                 s_vals.append(float(row[0]))
                 f_vals.append(float(row[1]))
-        return Nonlinearity("tabulated", table=(s_vals, f_vals), even=even,
-                            config=text)
+        return Nonlinearity("tabulated", table=(s_vals, f_vals), config=text)
     raise ParseError(f"unknown nonlinearity kind {kind!r}")
 
 
@@ -277,8 +277,8 @@ def evaluate_with_gradient(nl, kernel, u):
 
 
 def _q_parts(nl, kernel, a, grid=None):
-    """Q = int (I_alpha * F(u)) F(u) and the convolution behind it; F(u)
-    must be even along the folded axes of grid."""
+    """Q = int (I_alpha * F(u)) F(u) and the convolution behind it, folded
+    on the folded axes of grid, along which the even F makes F(u) even."""
     grid = grid or kernel.grid
     f_of_u = nl.F(a)
     conv = kernel.convolve_array(f_of_u, grid.folded or None)

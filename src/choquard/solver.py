@@ -5,15 +5,18 @@ saddles minimize E over the equivariant class H_G intersected with the
 manifold.  The iteration descends E with a backtracked step along the
 Sobolev gradient (1 - Delta)^{-1} gradE, dilating every trial back onto
 the manifold (near convergence, onto the zero of the discrete ray
-derivative of E_h) and projecting it into the solve class.  That class
-carries a mirror parity per axis (`GroupAction.parity`), and every descent
-stores and iterates only the positive half of each axis with a parity (the
-solve grid, `_solve_grid`), where transforms, dilation and convolution run
-at length M/2.  The start field and each restart's noise are folded onto
-it once, so restarts explore only the parity class, and the report's field
-is unfolded from it.  On the half, the ground projector is |u|, a group of
-axis flips (A1, I2:2, A1xA1xA1) needs none, and any other group unfolds,
-averages and folds back.  Stopping is measured on the L^2 gradient and the
+derivative of E_h) and projecting it into the solve class.  The group
+action alone describes that class: every descent stores and iterates only
+its half grid (`GroupAction.half`, the positive half of each axis with a
+mirror parity), where transforms, dilation and convolution run at length
+M/2.  F is even, so F(u) is mirror-even along every axis with a parity
+and the convolution folds them all.  The start field and each restart's
+noise are folded onto the half once, so restarts explore only the parity
+class, and the report's field is unfolded from it.  `_projector` picks the
+map into the class once per solve: |u| for the ground state, none where
+the half grid holds the class (A1, I2:2, A1xA1xA1), and otherwise unfold,
+group average, fold; only that averaging projector needs the symmetry
+drift watched.  Stopping is measured on the L^2 gradient and the
 continuum Pohozaev residual.  All functional values come from
 `functionals`; one driver, `_solve`, serves every group alike, the ground
 state's trivial group included, and `pohozaev_root` alone decides whether
@@ -32,15 +35,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .coxeter import CoxeterGroup, from_name
-from .errors import (
-    BumpLeavesDomain,
-    GridMismatch,
-    NoDescent,
-    NonpositiveQ,
-    ParseError,
-    SeparationViolation,
-    SymmetryDrift,
-)
+from .errors import GridMismatch, NoDescent, NonpositiveQ, ParseError, SymmetryDrift
 from .field import (
     Field,
     GridSpec,
@@ -125,14 +120,16 @@ class SolveReport:
 
 
 class _Descent:
-    """One descent run from a fixed initial iterate, on the solve grid."""
+    """One descent run from a fixed initial iterate, on the action's half
+    grid; project maps arrays into the class there (None: every array on
+    the half is in the class already)."""
 
     def __init__(self, nl, kernel, cfg, project, action):
         self.nl = nl
         self.kernel = kernel
-        self.grid = _solve_grid(nl, kernel.grid, action)
+        self.grid = action.half
         self.cfg = cfg
-        self.project = project
+        self.project = project or (lambda a: a)
         self.action = action
 
     # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
@@ -184,7 +181,7 @@ class _Descent:
             grad_res, p_res = residuals(grid, state, grad, a)
             if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
                 return a, state, grad_res, p_res, it
-            if it % 20 == 0:
+            if not self.action.half_holds_class and it % 20 == 0:
                 drift = symmetry_residual(self.action,
                                           Field(self.action.grid, grid.unfold(a)))
                 if drift > SYMMETRY_DRIFT_LIMIT:
@@ -222,13 +219,6 @@ class _Descent:
         )
 
 
-def _solve_grid(nl, grid, action):
-    """The parity-reduced grid a solve runs on.  An odd axis stays full for
-    a non-even F, since F(u) has no parity along it to fold."""
-    return replace(grid, parity=tuple(s if nl.even else max(s, 0)
-                                      for s in action.parity))
-
-
 def _smooth_noise(grid, rng, scale):
     raw = rng.standard_normal(grid.shape)
     smooth = helmholtz_inverse_array(grid, helmholtz_inverse_array(grid, raw))
@@ -241,20 +231,32 @@ def _gaussian_seed(grid: GridSpec) -> np.ndarray:
     return np.exp(-grid.radius_sq() / (2.0 * sigma ** 2))
 
 
-def _solve(nl, kernel, grid, cfg, project, a0, action):
+def _projector(action):
+    """The map into the class of the action on its half grid: |.| for the
+    trivial group, None where the half grid holds the class, and otherwise
+    unfold, group average, fold."""
+    if action.group.rank == 0:
+        return np.abs
+    if action.half_holds_class:
+        return None
+    half = action.half
+    return lambda a: half.fold(symmetrize_array(action, half.unfold(a)))
+
+
+def _solve(nl, kernel, grid, cfg, a0, action):
     """Best of cfg.restarts descents from a0 and its noisy copies.
 
-    a0 and each restart's noise are folded once onto the solve grid, where
-    project maps arrays into the admissible class of the group action; the
-    report's field is unfolded from it.  The descent watches the action's
-    symmetry drift and the report measures it.
+    a0 and each restart's noise are folded once onto the action's half
+    grid, and the report's field is unfolded from it.  The report measures
+    the symmetry residual of every solve.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
     if not np.all(np.isfinite(a0)):
         raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
-    half = _solve_grid(nl, grid, action)
+    half = action.half
+    project = _projector(action)
     best = None
     energies = []
     failure = None
@@ -267,8 +269,9 @@ def _solve(nl, kernel, grid, cfg, project, a0, action):
         try:
             # run() projects once more; the shear group average is not
             # bit-idempotent, so dropping either projection moves the result
-            a_init = _ensure_positive_q(nl, kernel, project(a_init), half)
-            result = _Descent(nl, kernel, cfg, project, action).run(a_init)
+            descent = _Descent(nl, kernel, cfg, project, action)
+            a_init = _ensure_positive_q(nl, kernel, descent.project(a_init), half)
+            result = descent.run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
             failure = exc
             energies.append(float("nan"))
@@ -306,9 +309,7 @@ def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
                  ) -> SolveReport:
     """Positive ground state on the trivial symmetry class."""
     a0 = init.data if init is not None else _gaussian_seed(grid)
-    action = GroupAction(from_name("trivial"), grid)
-    # the trivial group's parity is even in every axis: |.| of the half
-    return _solve(nl, kernel, grid, cfg, np.abs, a0, action)
+    return _solve(nl, kernel, grid, cfg, a0, GroupAction(from_name("trivial"), grid))
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -318,13 +319,15 @@ def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
     return 1.0 - (6.0 * s ** 5 - 15.0 * s ** 4 + 10.0 * s ** 3)
 
 
-def build_initializer(action: GroupAction, base: Field, radius: float = None,
-                      separation: float = None) -> Field:
+def build_initializer(action: GroupAction, base: Field) -> Field:
     """Signed orbit-bump seed: Pi_G of a cut-off base translated to l R q.
 
     q is the chamber-interior direction, so the orbit is free and the bumps
-    are disjoint copies signed by the character.  The output is scaled by
-    the group order so each bump keeps the base amplitude.
+    are copies signed by the character.  The separation l = 6 / k1, k1 the
+    least distance between orbit points of the unit q, puts neighbouring
+    centers 6R apart, at least the 4R that keeps the supports of radius 2R
+    disjoint.  The output is scaled by the group order so each bump keeps
+    the base amplitude.
     """
     group = action.group
     grid = action.grid
@@ -333,27 +336,15 @@ def build_initializer(action: GroupAction, base: Field, radius: float = None,
         q = q / np.linalg.norm(q)
     orbit = group.orbit(q) if group.rank else None
     k1 = orbit.min_dist if orbit is not None else np.inf
-    if separation is None:
-        separation = 0.0 if np.isinf(k1) else 6.0 / k1
+    separation = 0.0 if np.isinf(k1) else 6.0 / k1
     # The farthest-out coordinate over the whole embedded orbit governs how
     # large the bumps can be; using q alone would overflow the box whenever
     # a group element rotates q onto a coordinate axis.
     qmax = float(np.max(np.abs(orbit.points))) if orbit is not None else 0.0
-    if radius is None:
-        # Fill at most 80% of the half-width: the descent path stretches the
-        # configuration before settling, and a seed that already touches the
-        # boundary turns those dilations into wall artifacts.
-        radius = 0.80 * grid.L / (separation * qmax + 2.0)
-    if np.isfinite(k1) and separation * k1 < 4.0:
-        raise SeparationViolation(
-            f"separation {separation:g} x orbit distance {k1:g} < 4; "
-            "bump supports overlap"
-        )
-    reach = radius * (separation * qmax + 2.0)
-    if reach > grid.L:
-        raise BumpLeavesDomain(
-            f"bump support reaches {reach:g} beyond half-width {grid.L:g}"
-        )
+    # Fill at most 80% of the half-width: the descent path stretches the
+    # configuration before settling, and a seed that already touches the
+    # boundary turns those dilations into wall artifacts.
+    radius = 0.80 * grid.L / (separation * qmax + 2.0)
     bump = quintic_cutoff(grid, radius) * base.data
     center = action.embed_point(separation * radius * q)
     shifted = translate(Field(grid, bump), center)
@@ -369,12 +360,4 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
         init = build_initializer(action, base)
-    half = _solve_grid(nl, grid, action)
-    # a group of axis flips whose parity the half grid holds leaves no work
-    flips = all(half.parity) and all(np.allclose(g, np.diag(np.diagonal(g)))
-                                     for g in group.element_matrices())
-
-    def project(a):
-        return a if flips else half.fold(symmetrize_array(action, half.unfold(a)))
-
-    return _solve(nl, kernel, grid, cfg, project, init.data, action)
+    return _solve(nl, kernel, grid, cfg, init.data, action)

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquard import analysis, cli, solver
+from choquard import analysis, cli, riesz, solver
 from choquard.cli import main
-from choquard.field import GridSpec, read_field, write_field, zeros
+from choquard.field import Field, GridSpec, read_field, write_field, zeros
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST = ["--dim", "2", "--alpha", "1.0", "--M", "64", "--L", "10.0",
@@ -246,6 +246,9 @@ def test_verify_accepts_converged_field(capsys, solved):
     assert check["energy"] == pytest.approx(report["energy"], rel=1e-12)
     assert check["nodal_count"] == 1
     assert check["grad_residual"] <= 1e-4
+    # without --group the trivial group's chamber is the whole grid
+    assert check["sign_on_chamber"] == 1
+    assert check["symmetry_residual"] == 0.0
 
 
 def test_verify_rejects_at_tight_tolerance(capsys, solved):
@@ -332,6 +335,37 @@ def test_verify_rejects_zero_field_with_64(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "field is identically zero" in captured.err
+
+
+def test_verify_rejects_field_whose_square_underflows_with_64(capsys, tmp_path):
+    """Finite and nonzero, but u^2, and so A + B, underflows to 0."""
+    grid = GridSpec(2, 32, 4.0)
+    path = tmp_path / "tiny.field"
+    write_field(path, Field(grid, 1e-170 * np.exp(-grid.radius_sq())))
+    rc = main(["verify", "--field", str(path), "--alpha", "1",
+               "--nl", "power:p=2"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "underflows to 0" in captured.err
+
+
+def test_non_even_tabulated_key_exits_64_before_any_kernel(
+        capsys, monkeypatch, tmp_path):
+    table = tmp_path / "profile.csv"
+    table.write_text("0.0,0.0\n0.5,0.25\n1.0,1.0\n2.0,4.0\n")
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(riesz, "get_kernel", no_kernel)
+    rc = main(["solve", *FAST, "--group", "A1",
+               "--nl", f"tabulated:file={table},even=false"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert "unexpected keys ['even']" in captured.err
 
 
 @pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])

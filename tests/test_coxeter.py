@@ -187,8 +187,9 @@ def test_affine_matrix_is_rejected():
 
 
 def test_element_cap_is_enforced():
-    with pytest.raises(CapExceeded):
-        from_name("H3", element_cap=50)
+    """I2:600 has 1,200 elements, past the cap of 1,024."""
+    with pytest.raises(CapExceeded, match="1024"):
+        from_name("I2:600")
 
 
 def test_coxeter_matrix_validation():

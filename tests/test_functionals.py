@@ -67,6 +67,10 @@ def test_parse_tabulated(tmp_path):
     "sum:c1=1",           # missing exponent
     "sum:c2=1,p2=2",      # wrong index
     "tabulated:even=true",  # no file
+    # F is always even: any key besides file is refused before the file is read
+    "tabulated:file=absent.csv,evn=",
+    "tabulated:file=absent.csv,even=false",
+    "tabulated:file=absent.csv,even=true",
     "mystery:p=2",        # unknown kind
     "power:p=nan",        # non-finite exponent
     "sum:c1=inf,p1=2",    # non-finite coefficient
@@ -82,6 +86,13 @@ def test_tabulated_rejects_non_finite_samples(tmp_path, row):
     path = tmp_path / "profile.csv"
     path.write_text("0.0,0.0\n0.5,0.25\n1.0,1.0\n" + row + "\n")
     with pytest.raises(ParseError, match="finite"):
+        parse_nonlinearity(f"tabulated:file={path}")
+
+
+def test_tabulated_must_start_at_zero(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
+    with pytest.raises(ParseError, match="start at s = 0"):
         parse_nonlinearity(f"tabulated:file={path}")
 
 

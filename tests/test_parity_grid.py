@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from choquard.coxeter import from_name
+from choquard.coxeter import from_name, parse_tag
 from choquard.field import (
     Field,
     GridSpec,
@@ -25,15 +25,8 @@ from choquard.field import (
     parity_fold,
     x_dot_grad_array,
 )
-from choquard.functionals import (
-    Nonlinearity,
-    _gradient_from_parts,
-    _q_parts,
-    _state_parts,
-    power,
-)
+from choquard.functionals import _state_parts, power
 from choquard.riesz import RieszKernel
-from choquard.solver import _solve_grid
 
 TOL = 1e-13
 GRIDS = {2: GridSpec(2, 32, 6.0), 3: GridSpec(3, 16, 5.0)}
@@ -148,26 +141,19 @@ def test_half_input_convolution_is_the_positive_half(dim, par):
     assert np.array_equal(out, positive_half(grid, par, kernel.convolve_array(v)))
 
 
-def test_non_even_f_on_the_a1_class_convolves_like_the_full_grid():
-    """F(u) of an odd axis has no parity for non-even F: that axis stays full."""
-    grid = GRIDS[2]
-    kernel = kernel_for(grid)
-    action = GroupAction(from_name("A1"), grid)
-    s = np.linspace(-3.0, 3.0, 61)
-    nl = Nonlinearity("tabulated", table=(s, s * s + 0.5 * s ** 3 / 3.0),
-                      even=False)
-    half = _solve_grid(nl, grid, action)
-    assert action.parity == (-1, 1) and half.parity == (0, 1)
-    assert _solve_grid(power(2.0), grid, action).parity == (-1, 1)
-    a = class_field(grid, action.parity)
-    b = half.fold(a)
-    q_full, conv_full = _q_parts(nl, kernel, a)
-    q_half, conv_half = _q_parts(nl, kernel, b, half)
-    assert q_half == pytest.approx(q_full, rel=TOL, abs=0.0)
-    assert rel(conv_half, half.fold(conv_full)) <= TOL
-    state, coeff, conv = _state_parts(nl, kernel, a)
-    g_full = _gradient_from_parts(nl, kernel, a, coeff, conv)
-    state_h, coeff_h, conv_h = _state_parts(nl, kernel, b, half)
-    g_half = _gradient_from_parts(nl, kernel, b, coeff_h, conv_h, half)
-    assert rel(g_half, half.fold(g_full)) <= TOL
-    assert state_h.energy == pytest.approx(state.energy, rel=TOL, abs=0.0)
+HOLDS_CLASS = {"trivial": True, "A1": True, "I2:2": True, "A1xA1": True,
+               "A1xA1xA1": True, "A1xI2:2": True, "I2:3": False,
+               "I2:4": False, "I2:6": False, "A1xI2:4": False, "A3": False,
+               "B3": False}
+
+
+@pytest.mark.parametrize("dim,tag", [
+    (dim, tag) for dim in (2, 3) for tag in HOLDS_CLASS
+    if parse_tag(tag)[1].rank <= dim])
+def test_action_carries_its_half_grid_and_whether_it_holds_the_class(dim, tag):
+    """half keeps the positive half of every parity axis; the half alone
+    holds the class exactly for groups of axis flips that fold every axis."""
+    grid = GRIDS[dim]
+    action = GroupAction(from_name(tag), grid)
+    assert action.half == replace(grid, parity=action.parity)
+    assert action.half_holds_class is HOLDS_CLASS[tag]

@@ -13,13 +13,13 @@ import pytest
 
 from choquard.analysis import nodal_domains
 from choquard.coxeter import from_name
+from choquard import solver
 from choquard.errors import (
-    BumpLeavesDomain,
     GridMismatch,
     NoDescent,
     NonpositiveQ,
     ParseError,
-    SeparationViolation,
+    SymmetryDrift,
 )
 from choquard.field import (
     Field,
@@ -42,6 +42,7 @@ from choquard.solver import (
     SolverConfig,
     _Descent,
     _gaussian_seed,
+    _projector,
     build_initializer,
     quintic_cutoff,
     solve_ground,
@@ -53,7 +54,7 @@ NL = parse_nonlinearity("power:p=2")
 CFG = SolverConfig(seed=0, restarts=2)
 TRIVIAL = GroupAction(from_name("trivial"), GRID)
 # _Descent iterates on the trivial group's parity-reduced grid
-HALF = replace(GRID, parity=TRIVIAL.parity)
+HALF = TRIVIAL.half
 
 
 @pytest.fixture(scope="module")
@@ -260,18 +261,6 @@ def test_orbit_bump_initializer(kernel, ground):
     assert nod.sizes[0] == nod.sizes[1]
 
 
-def test_initializer_rejects_overlapping_bumps(ground):
-    action = GroupAction(from_name("A1"), GRID)
-    with pytest.raises(SeparationViolation):
-        build_initializer(action, ground.field, separation=0.5)
-
-
-def test_initializer_rejects_oversized_bumps(ground):
-    action = GroupAction(from_name("A1"), GRID)
-    with pytest.raises(BumpLeavesDomain):
-        build_initializer(action, ground.field, radius=8.0)
-
-
 def test_saddle_sits_above_ground(ground, saddle):
     assert saddle.group == "A1"
     assert saddle.grad_residual <= 1e-4
@@ -305,3 +294,30 @@ def test_saddle_is_odd_with_two_nodal_domains(saddle):
     assert nod.count == 2
     assert nod.positive_count == 1
     assert nod.negative_count == 1
+
+
+@pytest.mark.parametrize("tag,checks", [("trivial", False), ("A1", False),
+                                        ("I2:3", True)])
+def test_descent_checks_drift_only_when_the_projector_averages(
+        kernel, ground, monkeypatch, tag, checks):
+    """Iterates of trivial and A1 are in the class by construction on the
+    half grid; only the averaging projector of I2:3 can let them drift (on
+    this coarse grid it does, past the limit, at iteration 0)."""
+    calls = []
+    measure = solver.symmetry_residual
+
+    def counted(*args):
+        calls.append(None)
+        return measure(*args)
+
+    monkeypatch.setattr(solver, "symmetry_residual", counted)
+    action = GroupAction(from_name(tag), GRID)
+    project = _projector(action)
+    assert (project is np.abs) == (tag == "trivial")
+    assert (project is None) == (tag == "A1")
+    start = (_gaussian_seed(GRID) if tag == "trivial"
+             else build_initializer(action, ground.field).data)
+    cfg = SolverConfig(max_iters=1, grad_tol=1e-14, pohozaev_tol=1e-14)
+    with pytest.raises(SymmetryDrift if checks else NoDescent):
+        _Descent(NL, kernel, cfg, project, action).run(action.half.fold(start))
+    assert bool(calls) is checks
