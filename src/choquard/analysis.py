@@ -18,13 +18,10 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name
-from .errors import AllBelowFloor, NoNodalCandidates, SupportViolation
-from .field import (
-    Field,
-    GroupAction,
-    radial_shell_stats,
-    symmetrize_array,
-)
+from .errors import AllBelowFloor, NoNodalCandidates
+from .field import Field, GroupAction, radial_shell_stats
+# bench/tracer.py wraps symmetrize_array here by name; nothing in this module calls it.
+from .field import symmetrize_array  # noqa: F401
 from .functionals import Nonlinearity
 from .riesz import RieszKernel
 from .solver import SolveReport, SolverConfig, solve_ground, solve_saddle
@@ -43,9 +40,8 @@ class NodalReport:
     sign_on_chamber: object  # +1, -1, 0 for mixed, None when no chamber given
 
 
-def _chamber_mask(action: GroupAction, strict: bool) -> np.ndarray:
-    """Nodes x with <x, n_i> > tol on every chamber wall i (strict), or
-    >= -tol, where tol = CHAMBER_TOL (1 + |x|)."""
+def open_chamber_mask(action: GroupAction) -> np.ndarray:
+    """Nodes x with <x, n_i> > CHAMBER_TOL (1 + |x|) on every chamber wall i."""
     group, grid = action.group, action.grid
     c = grid.axis_coords()
     tol = CHAMBER_TOL * (1.0 + grid.radius())
@@ -54,16 +50,8 @@ def _chamber_mask(action: GroupAction, strict: bool) -> np.ndarray:
         d = np.zeros(grid.shape)
         for a in range(group.rank):
             d += group.chamber_normals[i, a] * grid.along(a, c)
-        mask &= d > tol if strict else d >= -tol
+        mask &= d > tol
     return mask
-
-
-def open_chamber_mask(action: GroupAction) -> np.ndarray:
-    return _chamber_mask(action, strict=True)
-
-
-def closed_chamber_mask(action: GroupAction) -> np.ndarray:
-    return _chamber_mask(action, strict=False)
 
 
 def nodal_domains(u: Field, threshold: float = 1e-3,
@@ -135,36 +123,18 @@ def decay_fit(u: Field, r_min: float = None, r_max: float = None) -> DecayFit:
 
 def annotate_report(report: SolveReport, threshold: float = 1e-3,
                     group: CoxeterGroup = None) -> SolveReport:
-    """Fill the nodal count and decay rate diagnostics of a solve report."""
-    action = GroupAction(group, report.grid) if group is not None else None
-    nodal = nodal_domains(report.field, threshold, action)
+    """Fill the nodal count and decay rate diagnostics of a solve report.
+
+    The nodal count needs no chamber, so group is not read; it stays in
+    the signature for callers that pass it.
+    """
+    nodal = nodal_domains(report.field, threshold)
     try:
         decay = decay_fit(report.field).rate
     except (ValueError, AllBelowFloor):
         decay = None
     return dataclasses.replace(report, nodal_count=nodal.count,
                                decay_rate=decay)
-
-
-# -- chamber reconstruction ---------------------------------------------------
-
-def chamber_reconstruct(action: GroupAction, v: Field) -> Field:
-    """U(v)(x) = sum_g psi(g) (chi_F v)(g x), the equivariant unfolding.
-
-    Requires supp v inside the closed chamber; for v = chi_F u with u in the
-    equivariant class this inverts the restriction.
-    """
-    restricted = v.data * closed_chamber_mask(action)
-    denom = np.max(np.abs(v.data))
-    if denom > 0:
-        leak = np.max(np.abs(v.data - restricted)) / denom
-        if leak > 1e-9:
-            raise SupportViolation(
-                f"support leaks outside the chamber by {leak:.3e} relative"
-            )
-    return v.with_data(
-        action.group.order * symmetrize_array(action, restricted)
-    )
 
 
 # -- energy hierarchy ---------------------------------------------------------
@@ -284,7 +254,7 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
         else:
             report = solve_saddle(group, nl, kernel, grid, cfg,
                                   base=ground.field if ground else None)
-        report = annotate_report(report, threshold, group)
+        report = annotate_report(report, threshold)
         rows.append(report)
         sig = (group.rank, group.order)
         by_signature.setdefault(sig, report)

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    NonPositiveDefinite,
-    ParseError,
-    PointOutsideChamber,
-)
+from .errors import CapExceeded, NonPositiveDefinite, ParseError
 
 MATRIX_TOL = 1e-9
 ELEMENT_CAP = 1024
@@ -144,9 +139,6 @@ class Orbit:
     min_dist: float
     max_dist: float
 
-    def __len__(self):
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -237,19 +229,6 @@ class CoxeterGroup:
         rows = (mats - np.eye(self.rank)).reshape(-1, self.rank)
         rank = int(np.linalg.matrix_rank(rows, tol=1e-8)) if len(mats) else 0
         return Subgroup(mats, self._signs[fix], int(fix.sum()), rank)
-
-    def chamber_stratum(self, q: np.ndarray) -> int:
-        """Number of chamber walls containing q, for q in the closed chamber."""
-        q = np.asarray(q, dtype=float)
-        if self.rank == 0:
-            return 0
-        scale = max(1.0, float(np.linalg.norm(q)))
-        dots = self.chamber_normals @ q
-        if np.any(dots < -MATRIX_TOL * scale):
-            raise PointOutsideChamber(
-                f"point {q} has negative wall products {dots}"
-            )
-        return int(np.sum(np.abs(dots) <= MATRIX_TOL * scale))
 
     def chamber_interior_point(self) -> np.ndarray:
         """Unit vector with <q, n_i> > 0 for every wall normal."""

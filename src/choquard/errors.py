@@ -21,10 +21,6 @@ class CapExceeded(ChoquardError):
     """Group closure exceeded the element cap."""
 
 
-class PointOutsideChamber(ChoquardError):
-    """Query point lies outside the closed fundamental chamber."""
-
-
 class IncompatibleGrid(ChoquardError):
     """Grid parameters violate their constraints (dim, M, L)."""
 
@@ -55,10 +51,6 @@ class AllBelowFloor(ChoquardError):
 
 class NoNodalCandidates(ChoquardError):
     """No converged sign-changing solutions available for the bound."""
-
-
-class SupportViolation(ChoquardError):
-    """Field support is not contained in the closed fundamental chamber."""
 
 
 class HypothesisViolation(ChoquardError):

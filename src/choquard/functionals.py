@@ -160,12 +160,23 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
         if kv:
             raise ParseError(f"unexpected keys {sorted(kv)} in {text!r}")
         s_vals, f_vals = [], []
-        with open(path) as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                s_vals.append(float(row[0]))
-                f_vals.append(float(row[1]))
+        try:
+            with open(path) as fh:
+                rows = csv.reader(fh)
+                for row in rows:
+                    if not row or row[0].lstrip().startswith("#"):
+                        continue
+                    try:
+                        s_val, f_val = float(row[0]), float(row[1])
+                    except (IndexError, ValueError):
+                        raise ParseError(f"{path}:{rows.line_num}: expected two "
+                                         f"numbers s,F(s), got {row!r}") from None
+                    s_vals.append(s_val)
+                    f_vals.append(f_val)
+        except OSError as exc:
+            raise ParseError(f"cannot read table {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"table {path} is not text") from None
         return Nonlinearity("tabulated", table=(s_vals, f_vals), config=text)
     raise ParseError(f"unknown nonlinearity kind {kind!r}")
 
@@ -324,16 +335,6 @@ def residuals(grid, state, grad, a):
 
 
 # -- dilation path ------------------------------------------------------------
-
-def dilation_energy(t: float, state: FunctionalState, dim: int,
-                    alpha: float) -> float:
-    """a(t) = E(u(./t)) from the exact scaling of A, B, Q."""
-    return (
-        0.5 * t ** (dim - 2) * state.A
-        + 0.5 * t ** dim * state.B
-        - 0.5 * t ** (dim + alpha) * state.Q
-    )
-
 
 def dilation_pohozaev(t: float, state: FunctionalState, dim: int,
                       alpha: float) -> float:

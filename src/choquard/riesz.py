@@ -138,10 +138,6 @@ class RieszKernel:
         self.sampled.setflags(write=False)
         self.spectrum.setflags(write=False)
 
-    def offset_value(self, offset) -> float:
-        """Kernel sample at integer node offset (j - i) per axis."""
-        return float(self.sampled[tuple(abs(int(o)) for o in offset)])
-
     def convolve_array(self, v: np.ndarray, folded: tuple = None) -> np.ndarray:
         """I_alpha * v at the nodes, folded on every axis where v is mirror-even;
         given folded axes, v and the result are the positive halves there."""

@@ -2,25 +2,29 @@
 
 Ground states minimize E on the Pohozaev manifold P = 0; sign-changing
 saddles minimize E over the equivariant class H_G intersected with the
-manifold.  The iteration descends E with a backtracked step along the
-Sobolev gradient (1 - Delta)^{-1} gradE, dilating every trial back onto
-the manifold (near convergence, onto the zero of the discrete ray
-derivative of E_h) and projecting it into the solve class.  The group
-action alone describes that class: every descent stores and iterates only
-its half grid (`GroupAction.half`, the positive half of each axis with a
-mirror parity), where transforms, dilation and convolution run at length
-M/2.  F is even, so F(u) is mirror-even along every axis with a parity
-and the convolution folds them all.  The start field and each restart's
-noise are folded onto the half once, so restarts explore only the parity
-class, and the report's field is unfolded from it.  `_projector` picks the
-map into the class once per solve: |u| for the ground state, none where
-the half grid holds the class (A1, I2:2, A1xA1xA1), and otherwise unfold,
-group average, fold; only that averaging projector needs the symmetry
-drift watched.  Stopping is measured on the L^2 gradient and the
-continuum Pohozaev residual.  All functional values come from
-`functionals`; one driver, `_solve`, serves every group alike, the ground
-state's trivial group included, and `pohozaev_root` alone decides whether
-Q admits a retraction.
+manifold.  The iteration descends E along the Sobolev gradient
+(1 - Delta)^{-1} gradE with a Barzilai-Borwein step in that metric
+(Barzilai & Borwein 1988), dilating every trial back onto the manifold
+(near convergence, onto the zero of the discrete ray derivative of E_h)
+and projecting it into the solve class.  A retracted trial is accepted
+when its energy does not exceed the highest of the last ENERGY_WINDOW
+accepted energies, and the step is halved otherwise: the nonmonotone
+acceptance of Raydan (1997) that makes the BB step globally convergent.
+The group action alone describes the solve class: every descent stores and
+iterates only its half grid (`GroupAction.half`, the positive half of each
+axis with a mirror parity), where transforms, dilation and convolution run
+at length M/2.  F is even, so F(u) is mirror-even along every axis with a
+parity and the convolution folds them all.  The start field and each
+restart's noise are folded onto the half once, so restarts explore only
+the parity class, and the report's field is unfolded from it.
+`_projector` picks the map into the class once per solve: |u| for the
+ground state, none where the half grid holds the class (A1, I2:2,
+A1xA1xA1), and otherwise unfold, group average, fold; only that averaging
+projector needs the symmetry drift watched.  Stopping is measured on the
+L^2 gradient and the continuum Pohozaev residual.  All functional values
+come from `functionals`; one driver, `_solve`, serves every group alike,
+the ground state's trivial group included, and `pohozaev_root` alone
+decides whether Q admits a retraction.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
@@ -30,6 +34,7 @@ signed bump per orbit point.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -64,6 +69,8 @@ SYMMETRY_DRIFT_LIMIT = 1e-2
 ENERGY_SLACK = 1e-12
 MAX_BACKTRACKS = 30
 STEP = 1.0
+STEP_MIN, STEP_MAX = 0.2, 10.0
+ENERGY_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,18 @@ class SolveReport:
         }
 
 
+def _bb_step(s, y, py):
+    """Barzilai-Borwein step <s, y> / <y, Py> in the (1 - Delta)^{-1} metric,
+    clipped to [STEP_MIN, STEP_MAX]; STEP where either product is not
+    positive.  s and y are the changes of the iterate and the L^2 gradient
+    over the last accepted step, Py the change of the Sobolev direction."""
+    sy = float(np.vdot(s, y))
+    ypy = float(np.vdot(y, py))
+    if not (sy > 0.0 and ypy > 0.0):
+        return STEP
+    return min(max(sy / ypy, STEP_MIN), STEP_MAX)
+
+
 class _Descent:
     """One descent run from a fixed initial iterate, on the action's half
     grid; project maps arrays into the class there (None: every array on
@@ -172,7 +191,10 @@ class _Descent:
         nl, kernel = self.nl, self.kernel
         a = self.project(a0)
         a, state, coeff, conv = self._retract(a, *_state_parts(nl, kernel, a, grid))
-        eta = STEP
+        # energies of the last accepted iterates: a trial is accepted when
+        # it does not rise above the highest of them (nonmonotone descent)
+        recent = deque([state.energy], maxlen=ENERGY_WINDOW)
+        prev = None
         grad_res = p_res = float("inf")
         # every pass through the loop accepts a step or raises, so the
         # loop index counts the accepted steps
@@ -189,6 +211,11 @@ class _Descent:
                         f"symmetry residual {drift:.3e} at iteration {it}"
                     )
             direction = helmholtz_inverse_array(grid, grad)
+            eta = STEP if prev is None else _bb_step(
+                a - prev[0], grad - prev[1], direction - prev[2])
+            prev = (a, grad, direction)
+            ceiling = max(recent)
+            ceiling += ENERGY_SLACK * abs(ceiling)
             # The Pohozaev rescaling is applied inside the line search and
             # the comparison uses the energy of the rescaled trial.  Judging
             # the raw trial instead admits two failure modes: descent drains
@@ -203,8 +230,9 @@ class _Descent:
                 except NonpositiveQ:
                     eta *= 0.5
                     continue
-                if t_parts[1].energy <= state.energy + ENERGY_SLACK * abs(state.energy):
+                if t_parts[1].energy <= ceiling:
                     a, state, coeff, conv = t_parts
+                    recent.append(state.energy)
                     break
                 eta *= 0.5
             else:
@@ -212,7 +240,6 @@ class _Descent:
                     f"line search stalled at iteration {it}: "
                     f"E = {state.energy:.6e}, grad residual {grad_res:.3e}"
                 )
-            eta = min(eta * 2.0, STEP)
         raise NoDescent(
             f"no convergence in {cfg.max_iters} iterations: "
             f"grad residual {grad_res:.3e}, Pohozaev residual {p_res:.3e}"

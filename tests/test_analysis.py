@@ -1,4 +1,9 @@
-"""Tests for nodal counting, decay fits, chamber unfolding, and the hierarchy."""
+"""Tests for nodal counting, decay fits, chamber masks, and the hierarchy.
+
+The chamber restriction and unfolding live here: no program code needs
+them, and the round trip checks the open chamber mask and the group
+average together.
+"""
 
 import json
 from types import SimpleNamespace
@@ -7,9 +12,8 @@ import numpy as np
 import pytest
 
 from choquard.analysis import (
+    CHAMBER_TOL,
     annotate_report,
-    chamber_reconstruct,
-    closed_chamber_mask,
     decay_fit,
     facet_ray_representatives,
     hierarchy_report,
@@ -18,14 +22,51 @@ from choquard.analysis import (
     open_chamber_mask,
 )
 from choquard.coxeter import from_name
-from choquard.errors import AllBelowFloor, NoNodalCandidates, SupportViolation
-from choquard.field import Field, GridSpec, GroupAction
+from choquard.errors import AllBelowFloor, ChoquardError, NoNodalCandidates
+from choquard.field import Field, GridSpec, GroupAction, symmetrize_array
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
 from choquard.solver import SolveReport, SolverConfig, solve_ground
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
+
+
+class SupportViolation(ChoquardError):
+    """Field support is not contained in the closed fundamental chamber."""
+
+
+def closed_chamber_mask(action):
+    """Nodes x with <x, n_i> >= -CHAMBER_TOL (1 + |x|) on every chamber wall i."""
+    group, grid = action.group, action.grid
+    c = grid.axis_coords()
+    tol = CHAMBER_TOL * (1.0 + grid.radius())
+    mask = np.ones(grid.shape, dtype=bool)
+    for i in range(group.rank):
+        d = np.zeros(grid.shape)
+        for a in range(group.rank):
+            d += group.chamber_normals[i, a] * grid.along(a, c)
+        mask &= d >= -tol
+    return mask
+
+
+def chamber_reconstruct(action, v):
+    """U(v)(x) = sum_g psi(g) (chi_F v)(g x), the equivariant unfolding.
+
+    Requires supp v inside the closed chamber; for v = chi_F u with u in the
+    equivariant class this inverts the restriction.
+    """
+    restricted = v.data * closed_chamber_mask(action)
+    denom = np.max(np.abs(v.data))
+    if denom > 0:
+        leak = np.max(np.abs(v.data - restricted)) / denom
+        if leak > 1e-9:
+            raise SupportViolation(
+                f"support leaks outside the chamber by {leak:.3e} relative"
+            )
+    return v.with_data(
+        action.group.order * symmetrize_array(action, restricted)
+    )
 
 
 def chamber_restrict(action, u):

@@ -368,6 +368,27 @@ def test_non_even_tabulated_key_exits_64_before_any_kernel(
     assert "unexpected keys ['even']" in captured.err
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read table"),
+    ("0.0,0.0\n0.5,quarter\n1.0,1.0\n", ":2: expected two numbers"),
+    ("0.0,0.0\n0.5\n1.0,1.0\n", ":2: expected two numbers"),
+    (b"0.0,0.0\n\xff\xfe,1.0\n", "is not text"),
+], ids=["missing", "non_numeric", "one_column", "not_text"])
+def test_unreadable_tabulated_file_exits_64(capsys, tmp_path, content, message):
+    table = tmp_path / "profile.csv"
+    if isinstance(content, bytes):
+        table.write_bytes(content)
+    elif content is not None:
+        table.write_text(content)
+    rc = main(["solve", "--dim", "2", "--alpha", "1", "--M", "16", "--L", "4",
+               "--nl", f"tabulated:file={table}"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])
 def test_convert_rejects_damaged_field_with_64(capsys, tmp_path, damaged, kind):
     out = tmp_path / "profile.csv"

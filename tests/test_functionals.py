@@ -9,7 +9,6 @@ from choquard.field import Field, GridSpec, _dst, dilate, x_dot_grad_array
 from choquard.functionals import (
     Nonlinearity,
     _assemble,
-    dilation_energy,
     dilation_pohozaev,
     evaluate,
     evaluate_with_gradient,
@@ -208,6 +207,15 @@ def test_discrete_ray_derivative_matches_dilated_energies(dim, M, L, alpha):
 
 
 # -- dilation path and Pohozaev root ------------------------------------------
+
+def dilation_energy(t, state, dim, alpha):
+    """a(t) = E(u(./t)) from the exact scaling of A, B, Q."""
+    return (
+        0.5 * t ** (dim - 2) * state.A
+        + 0.5 * t ** dim * state.B
+        - 0.5 * t ** (dim + alpha) * state.Q
+    )
+
 
 def test_dilation_pohozaev_is_t_times_derivative():
     st = _assemble(3, 2.0, 1.7, 2.3, 1.1)
