@@ -35,16 +35,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"config {path} is not text") from None
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
-            out[key.strip()] = val.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        out[key.strip()] = val.strip()
     return out
 
 

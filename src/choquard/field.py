@@ -278,13 +278,14 @@ class GroupAction:
             )
         self.group = group
         self.grid = grid
-        for g in group.element_matrices():
-            if not _acts_exactly(self.embed(g).T):
+        elements = group.element_matrices()
+        mats = [self.embed(g) for g in elements]
+        for g, m in zip(elements, mats):
+            if not _acts_exactly(m.T):
                 raise IncompatibleGrid(
                     f"group {group.tag or 'custom'} has an element with no "
                     f"exact action on the grid: {g.tolist()}"
                 )
-        mats = [self.embed(g) for g in group.element_matrices()]
         self.parity = self._parity(mats)
         self.half = replace(grid, parity=self.parity)
         self.half_holds_class = all(self.parity) and all(  # diagonal elements
@@ -593,8 +594,11 @@ def write_field(path, u: Field):
 
 def read_field(path) -> Field:
     """Inverse of write_field; a cut or overlong file or NaN/Inf data is a ParseError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read field file {path}: {exc.strerror}") from None
     if blob[:4] != FORMAT_MAGIC:
         raise ParseError(f"{path}: bad magic, not a field file")
     try:

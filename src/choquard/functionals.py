@@ -97,15 +97,20 @@ class Nonlinearity:
     def config_string(self) -> str:
         if self._config is not None:
             return self._config
-        if self.kind == "power":
-            return f"power:p={self.terms[0].exponent:g}"
-        if self.kind == "sum":
+        if self.kind == "power" and self.terms[0].coeff == 1.0:
+            return f"power:p={_num(self.terms[0].exponent)}"
+        if self.kind in ("power", "sum"):
             parts = [
-                f"c{i+1}={t.coeff:g},p{i+1}={t.exponent:g}"
+                f"c{i+1}={_num(t.coeff)},p{i+1}={_num(t.exponent)}"
                 for i, t in enumerate(self.terms)
             ]
             return "sum:" + ";".join(parts)
         return "tabulated"
+
+
+def _num(x: float) -> str:
+    """Short form of x that parses back to x exactly."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
 
 def power(p: float, coeff: float = 1.0) -> Nonlinearity:

@@ -4,12 +4,13 @@ Ground states minimize E on the Pohozaev manifold P = 0; sign-changing
 saddles minimize E over the equivariant class H_G intersected with the
 manifold.  The iteration descends E along the Sobolev gradient
 (1 - Delta)^{-1} gradE with a Barzilai-Borwein step in that metric
-(Barzilai & Borwein 1988), dilating every trial back onto the manifold
-(near convergence, onto the zero of the discrete ray derivative of E_h)
-and projecting it into the solve class.  A retracted trial is accepted
-when its energy does not exceed the highest of the last ENERGY_WINDOW
-accepted energies, and the step is halved otherwise: the nonmonotone
-acceptance of Raydan (1997) that makes the BB step globally convergent.
+(Barzilai & Borwein 1988).  The retraction is where an iterate enters
+the class: it dilates each trial back onto the manifold (near convergence,
+onto the zero of the discrete ray derivative of E_h), then projects it,
+once.  A retracted trial is accepted when its energy does not exceed the
+highest of the last ENERGY_WINDOW accepted energies, and the step is
+halved otherwise: the nonmonotone acceptance of Raydan (1997) that makes
+the BB step globally convergent.
 The group action alone describes the solve class: every descent stores and
 iterates only its half grid (`GroupAction.half`, the positive half of each
 axis with a mirror parity), where transforms, dilation and convolution run
@@ -180,7 +181,8 @@ class _Descent:
         return pohozaev_root(replace(state, Q=q), dim, alpha)
 
     def _retract(self, a, state, coeff, conv):
-        """Dilate a back onto the ray maximum and evaluate it there."""
+        """Dilate a back onto the ray maximum, project it into the class and
+        evaluate it there: the one place where an iterate enters the class."""
         t = self._retraction_root(a, state, coeff, conv)
         a = self.project(dilate(Field(self.grid, a), t).data)
         return (a, *_state_parts(self.nl, self.kernel, a, self.grid))
@@ -189,8 +191,7 @@ class _Descent:
         cfg = self.cfg
         grid = self.grid
         nl, kernel = self.nl, self.kernel
-        a = self.project(a0)
-        a, state, coeff, conv = self._retract(a, *_state_parts(nl, kernel, a, grid))
+        a, state, coeff, conv = self._retract(a0, *_state_parts(nl, kernel, a0, grid))
         # energies of the last accepted iterates: a trial is accepted when
         # it does not rise above the highest of them (nonmonotone descent)
         recent = deque([state.energy], maxlen=ENERGY_WINDOW)
@@ -224,7 +225,7 @@ class _Descent:
             # component along the dilation ray, whose apparent energy gain
             # the rescaling exactly undoes, freezing the iteration.
             for _ in range(MAX_BACKTRACKS):
-                trial = self.project(a - eta * direction)
+                trial = a - eta * direction
                 try:  # a trial whose Q admits no Pohozaev root is rejected
                     t_parts = self._retract(trial, *_state_parts(nl, kernel, trial, grid))
                 except NonpositiveQ:
@@ -294,11 +295,8 @@ def _solve(nl, kernel, grid, cfg, a0, action):
         if r > 0:
             a_init += half.fold(_smooth_noise(grid, rng, 0.05 * np.max(np.abs(a0))))
         try:
-            # run() projects once more; the shear group average is not
-            # bit-idempotent, so dropping either projection moves the result
-            descent = _Descent(nl, kernel, cfg, project, action)
-            a_init = _ensure_positive_q(nl, kernel, descent.project(a_init), half)
-            result = descent.run(a_init)
+            a_init = _ensure_positive_q(nl, kernel, a_init, half)
+            result = _Descent(nl, kernel, cfg, project, action).run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
             failure = exc
             energies.append(float("nan"))

@@ -162,6 +162,18 @@ def test_unknown_config_key_exits_64(capsys, tmp_path):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_missing_config_file_exits_64(capsys, tmp_path):
+    assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == 64
+    assert "absent.cfg" in capsys.readouterr().err
+
+
+def test_binary_config_file_exits_64(capsys, tmp_path):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"M = 16\n\xff\xfe\x00\x81\n")
+    assert main(["solve", "--config", str(cfg)]) == 64
+    assert "binary.cfg" in capsys.readouterr().err
+
+
 def test_malformed_config_value_exits_64(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("M = twelve\n")
@@ -274,7 +286,8 @@ def test_hierarchy_command(capsys, tmp_path):
 
 @pytest.fixture
 def damaged(tmp_path, solved):
-    """Copies of the solved field file, cut short, overlong or non-finite."""
+    """Copies of the solved field file, cut short, overlong or non-finite,
+    and a path with no file behind it."""
     prefix, _ = solved
     blob = open(f"{prefix}.field", "rb").read()
     poisoned = bytearray(blob)
@@ -287,10 +300,12 @@ def damaged(tmp_path, solved):
                        ("inf", infinite)):
         out[name] = tmp_path / f"{name}.field"
         out[name].write_bytes(bytes(data))
+    out["missing"] = tmp_path / "missing.field"
     return out
 
 
-@pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf",
+                                  "missing"])
 def test_verify_rejects_damaged_field_with_64(capsys, damaged, kind):
     rc = main(["verify", "--field", str(damaged[kind]), "--alpha", "1.0",
                "--nl", "power:p=2"])
@@ -389,7 +404,8 @@ def test_unreadable_tabulated_file_exits_64(capsys, tmp_path, content, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["header", "short", "long", "nan", "inf",
+                                  "missing"])
 def test_convert_rejects_damaged_field_with_64(capsys, tmp_path, damaged, kind):
     out = tmp_path / "profile.csv"
     rc = main(["convert", "--field", str(damaged[kind]), "--out", str(out)])

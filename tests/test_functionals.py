@@ -38,6 +38,17 @@ def test_parse_power():
     np.testing.assert_allclose(nl.f(s), 2.0 * s)
 
 
+@pytest.mark.parametrize("nl,text", [(power(2.0, coeff=0.5), "sum:c1=0.5,p1=2"),
+                                     (power(3.0), "power:p=3"),
+                                     (power(7.0 / 3.0), f"power:p={7.0 / 3.0!r}")])
+def test_config_string_parses_back_to_the_same_f(nl, text):
+    assert nl.config_string() == text
+    back = parse_nonlinearity(nl.config_string())
+    s = np.array([-2.0, -0.3, 0.0, 0.5, 3.0])
+    np.testing.assert_array_equal(back.F(s), nl.F(s))
+    np.testing.assert_array_equal(back.f(s), nl.f(s))
+
+
 def test_parse_sum():
     nl = parse_nonlinearity("sum:c1=1,p1=2;c2=0.5,p2=3")
     s = np.array([-1.5, 0.25, 2.0])

@@ -169,7 +169,8 @@ def test_retraction_returns_continuum_root_when_fold_leaves_q_nonpositive(
 
 
 def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
-    """NonpositiveQ from a trial retraction halves the step like Q <= 0 does."""
+    """NonpositiveQ from a trial retraction halves the step like Q <= 0 does,
+    and the retraction is the one place where the projector runs."""
     root = _Descent._retraction_root
     calls = []
 
@@ -180,23 +181,38 @@ def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
         return root(self, *args)
 
     monkeypatch.setattr(_Descent, "_retraction_root", first_trial_raises)
-    seen = []
+    projected = []
 
-    def even_abs(a):  # the ground projector on the half grid
+    def project(a):  # the ground projector on the half grid
+        projected.append(None)
         return np.abs(a)
 
-    def project(a):
-        seen.append(a)
-        return even_abs(a)
+    retract = _Descent._retract
+    trials, retracted, projections = [], [], []
 
+    def recorded(self, a, *parts):
+        trials.append(a)
+        before = len(projected)
+        try:
+            out = retract(self, a, *parts)
+        finally:
+            projections.append(len(projected) - before)
+        retracted.append(out[0])
+        return out
+
+    monkeypatch.setattr(_Descent, "_retract", recorded)
     cfg = SolverConfig(seed=0, restarts=1)
     a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, project, TRIVIAL).run(
         HALF.fold(_gaussian_seed(GRID)))
     assert grad_res <= cfg.grad_tol and iters >= 1 and len(calls) > 2
-    # project sees: the start field, its retraction, then trials at eta = 1
-    # and, after the forced failure, eta = 1/2 from the same iterate
-    iterate = even_abs(seen[1])
-    full, half = seen[2] - iterate, seen[3] - iterate
+    # one projection per retraction, none where the forced failure cut it
+    # short, and none outside the retraction
+    assert projections == [1, 0] + [1] * (len(trials) - 2)
+    assert len(projected) == len(trials) - 1
+    # _retract sees: the start field, then trials at eta = 1 and, after the
+    # forced failure, eta = 1/2 from the same iterate, the retracted start
+    iterate = retracted[0]
+    full, half = trials[1] - iterate, trials[2] - iterate
     assert np.allclose(half, 0.5 * full, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(full)))
 
@@ -337,11 +353,12 @@ def test_solves_are_exact_mirror_images(ground, saddle):
 
 def test_half_grid_solves_keep_the_full_grid_energies(ground, saddle):
     """Energies and iteration counts of the Barzilai-Borwein step with the
-    nonmonotone acceptance on the half grid; a change to the step rule or
-    to the half-grid arithmetic moves them."""
-    assert ground.energy == pytest.approx(1.9052390531384071, rel=1e-9, abs=0.0)
-    assert saddle.energy == pytest.approx(3.253487662691885, rel=1e-9, abs=0.0)
-    assert (ground.iters, saddle.iters) == (8, 55)
+    nonmonotone acceptance on the half grid, each iterate projected once
+    after its dilation; a change to the step rule, to where the descent
+    projects or to the half-grid arithmetic moves them."""
+    assert ground.energy == pytest.approx(1.905239053117299, rel=1e-9, abs=0.0)
+    assert saddle.energy == pytest.approx(3.2534875363286195, rel=1e-9, abs=0.0)
+    assert (ground.iters, saddle.iters) == (8, 59)
 
 
 def test_saddle_is_odd_with_two_nodal_domains(saddle):
