@@ -133,11 +133,10 @@ def _element_sign(g: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Orbit:
-    """Orbit points of a vector, deduplicated, with extremal pairwise distances."""
+    """Orbit points of a vector, deduplicated, with their least pairwise distance."""
 
     points: np.ndarray
     min_dist: float
-    max_dist: float
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,9 @@ class CoxeterGroup:
         return _element_sign(np.asarray(g, dtype=float))
 
     def orbit(self, q: np.ndarray) -> Orbit:
-        """Deduplicated orbit G q with min and max pairwise distances.
+        """Deduplicated orbit G q with its least pairwise distance.
 
-        A singleton orbit reports infinite distances: no separation
+        A singleton orbit reports an infinite distance: no separation
         constraint binds a single bump.
         """
         q = np.asarray(q, dtype=float)
@@ -212,11 +211,11 @@ class CoxeterGroup:
                 keep.append(p)
         pts = np.array(keep)
         if len(pts) < 2:
-            return Orbit(pts, math.inf, math.inf)
+            return Orbit(pts, math.inf)
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff ** 2).sum(-1))
         iu = np.triu_indices(len(pts), k=1)
-        return Orbit(pts, float(dist[iu].min()), float(dist[iu].max()))
+        return Orbit(pts, float(dist[iu].min()))
 
     def isotropy(self, q: np.ndarray) -> Subgroup:
         """Stabilizer subgroup S_q = {g : g q = q}."""

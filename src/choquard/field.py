@@ -26,7 +26,6 @@ the parity from the grid; there is one set of operators.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -42,12 +41,8 @@ FORMAT_VERSION = 1
 
 
 def thread_count() -> int:
-    """Worker cap for FFT calls, from CHOQUARD_THREADS (default 1)."""
-    try:
-        n = int(os.environ.get("CHOQUARD_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
+    """FFT workers: scipy's default, or what scipy.fft.set_workers sets."""
+    return scipy.fft.get_workers()
 
 
 @dataclass(frozen=True)
@@ -161,6 +156,15 @@ def zeros(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
 
+def exact_half(u: Field) -> GridSpec:
+    """u's grid with parity s on each axis where u equals s times its mirror
+    image bit for bit, s = +1 tried first, and parity 0 on the others."""
+    a = u.data
+    return replace(u.grid, parity=tuple(
+        next((s for s in (1, -1) if np.array_equal(a, s * np.flip(a, ax))), 0)
+        for ax in range(a.ndim)))
+
+
 # -- spectral operators -------------------------------------------------------
 
 def _modes(parity: int) -> slice:
@@ -182,26 +186,25 @@ def _sine_transform(a, parity, axes, inverse=False):
     """Sine transform along axes on the grid of that parity: DST-II (or its
     inverse) on free and odd axes, DCT-IV on even ones, times sqrt 2 per
     folded axis among them (divided by it when inverse)."""
-    workers = thread_count()
     even = [ax for ax in axes if parity[ax] > 0]
     rest = [ax for ax in axes if parity[ax] <= 0]
     if even:
-        a = scipy.fft.dctn(a, type=4, axes=even, norm="ortho", workers=workers)
+        a = scipy.fft.dctn(a, type=4, axes=even, norm="ortho")
     if rest:
         fn = scipy.fft.idstn if inverse else scipy.fft.dstn
-        a = fn(a, type=2, axes=rest, norm="ortho", workers=workers)
+        a = fn(a, type=2, axes=rest, norm="ortho")
     folded = sum(1 for ax in axes if parity[ax])
     return a * 2.0 ** (folded / (-2 if inverse else 2)) if folded else a
 
 
-def _dst(a: np.ndarray, parity: tuple = None) -> np.ndarray:
-    """Sine coefficients of a on the grid of that parity (None: full grid)."""
-    return _sine_transform(a, parity or (0,) * a.ndim, range(a.ndim))
+def _dst(a: np.ndarray, parity: tuple) -> np.ndarray:
+    """Sine coefficients of a on the grid of that parity."""
+    return _sine_transform(a, parity, range(a.ndim))
 
 
-def _idst(c: np.ndarray, parity: tuple = None) -> np.ndarray:
+def _idst(c: np.ndarray, parity: tuple) -> np.ndarray:
     """Inverse of _dst."""
-    return _sine_transform(c, parity or (0,) * c.ndim, range(c.ndim), inverse=True)
+    return _sine_transform(c, parity, range(c.ndim), inverse=True)
 
 
 def helmholtz_inverse_array(grid: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -217,17 +220,16 @@ def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
     cosine vanishes on the nodes.  On an even axis -kappa sin(kappa x) is
     summed by a DST-IV.  The other axes take their inverse transforms.
     """
-    workers = thread_count()
     out = np.zeros(grid.shape)
     for axis, s in enumerate(grid.parity):
         kappa = grid.kappa[_modes(s)] * (0.5 ** 0.5 if s else 1.0)
         d = coeff * grid.along(axis, kappa)
         if s > 0:
-            d = -scipy.fft.dst(d, type=4, axis=axis, norm="ortho", workers=workers)
+            d = -scipy.fft.dst(d, type=4, axis=axis, norm="ortho")
         else:
             d = np.roll(d, 1, axis=axis)
             np.moveaxis(d, axis, 0)[0] = 0.0
-            d = scipy.fft.idct(d, type=2, axis=axis, norm="ortho", workers=workers)
+            d = scipy.fft.idct(d, type=2, axis=axis, norm="ortho")
         others = tuple(b for b in range(grid.dim) if b != axis)
         out += grid.along(axis, grid.axis_coords(axis)) * _sine_transform(
             d, grid.parity, others, inverse=True)
@@ -373,12 +375,10 @@ def _planar_shear(grid: GridSpec, a: np.ndarray, moved: int, coef: float) -> np.
         cos_t, sin_up, inside = cos_t.T, sin_up.T, inside.T
     shape = (grid.M, grid.M) + (1,) * (a.ndim - 2)
     cos_t, sin_up, inside = (t.reshape(shape) for t in (cos_t, sin_up, inside))
-    workers = thread_count()
-    c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho", workers=workers)
-    even = scipy.fft.idst(c * cos_t, type=2, axis=moved, norm="ortho",
-                          workers=workers)
+    c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho")
+    even = scipy.fft.idst(c * cos_t, type=2, axis=moved, norm="ortho")
     odd = scipy.fft.idct(np.roll(c, 1, axis=moved) * sin_up, type=2,
-                         axis=moved, norm="ortho", workers=workers)
+                         axis=moved, norm="ortho")
     return (even + odd) * inside
 
 
@@ -480,7 +480,7 @@ def symmetry_residual(action: GroupAction, u: Field) -> float:
 
 # -- resampling ---------------------------------------------------------------
 
-def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray, parity: int = 0) -> np.ndarray:
+def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray, parity: int) -> np.ndarray:
     """Rows evaluate the sine interpolant at physical points along one axis.
 
     The last axis of the result dotted with one axis of sine coefficients
@@ -581,7 +581,8 @@ def radial_shell_stats(u: Field):
 # -- serialization ------------------------------------------------------------
 
 def write_field(path, u: Field):
-    """Binary field file: magic, version, dim, per-axis M, L, row-major f64."""
+    """Binary field file: magic, version, dim, per-axis M, L, row-major f64
+    of the full grid (a parity-reduced field is unfolded)."""
     grid = u.grid
     with open(path, "wb") as fh:
         fh.write(FORMAT_MAGIC)
@@ -589,7 +590,7 @@ def write_field(path, u: Field):
         fh.write(struct.pack("<B3x", grid.dim))
         fh.write(struct.pack(f"<{grid.dim}I", *(grid.M,) * grid.dim))
         fh.write(struct.pack("<d", grid.L))
-        fh.write(np.ascontiguousarray(u.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(grid.unfold(u.data), "<f8").tobytes())
 
 
 def read_field(path) -> Field:

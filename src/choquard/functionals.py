@@ -17,8 +17,9 @@ closed form (2B / ((2+alpha) Q))^(1/alpha).
 This module is the one evaluation core: the solver, `evaluate` and
 `choquard verify` all take A, B, Q, the gradient and the residuals from
 the array functions `_state_parts`, `_gradient_from_parts`, `_q_parts`
-and `residuals`, on the grid the array lives on: the solver's
-parity-reduced grid, or the full grid for `evaluate` and `verify`.
+and `residuals`, on the grid the caller passes, which names the folded
+axes: the solver's half grid, or the field's `field.exact_half` in
+`evaluate`, which unfolds the gradient from it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import GridMismatch, NonpositiveQ, ParseError
-from .field import Field, _dst, _idst, sine_multipliers
+from .field import Field, _dst, _idst, exact_half, sine_multipliers
 from .riesz import RieszKernel
 
 
@@ -280,30 +281,33 @@ def _check_grid(kernel: RieszKernel, u: Field):
 
 
 def evaluate(nl: Nonlinearity, kernel: RieszKernel, u: Field) -> FunctionalState:
+    """State of u, on the half of its grid that exact_half finds."""
     _check_grid(kernel, u)
-    return _state_parts(nl, kernel, u.data)[0]
+    half = exact_half(u)
+    return _state_parts(nl, kernel, half.fold(u.data), half)[0]
 
 
 def evaluate_with_gradient(nl, kernel, u):
-    """State and gradient sharing one convolution and one sine transform."""
+    """State and gradient sharing one convolution and one sine transform, on
+    the half of u's grid that exact_half finds; the gradient is unfolded."""
     _check_grid(kernel, u)
-    state, coeff, conv = _state_parts(nl, kernel, u.data)
+    half = exact_half(u)
+    a = half.fold(u.data)
+    state, coeff, conv = _state_parts(nl, kernel, a, half)
     return state, u.with_data(
-        _gradient_from_parts(nl, kernel, u.data, coeff, conv))
+        half.unfold(_gradient_from_parts(nl, kernel, a, coeff, conv, half)))
 
 
-def _q_parts(nl, kernel, a, grid=None):
+def _q_parts(nl, kernel, a, grid):
     """Q = int (I_alpha * F(u)) F(u) and the convolution behind it, folded
     on the folded axes of grid, along which the even F makes F(u) even."""
-    grid = grid or kernel.grid
     f_of_u = nl.F(a)
-    conv = kernel.convolve_array(f_of_u, grid.folded or None)
+    conv = kernel.convolve_array(f_of_u, grid.folded)
     return float(grid.weight * np.sum(conv * f_of_u)), conv
 
 
-def _state_parts(nl, kernel, a, grid=None):
-    """FunctionalState of the array a plus its sine coefficients and convolution."""
-    grid = grid or kernel.grid
+def _state_parts(nl, kernel, a, grid):
+    """FunctionalState of a on grid plus its sine coefficients and convolution."""
     coeff = _dst(a, grid.parity)
     a_val = float(grid.cell_volume * np.sum(sine_multipliers(grid) * coeff ** 2))
     b_val = float(grid.weight * np.sum(a ** 2))
@@ -312,14 +316,13 @@ def _state_parts(nl, kernel, a, grid=None):
     return state, coeff, conv
 
 
-def _gradient_from_parts(nl, kernel, a, coeff, conv, grid=None):
+def _gradient_from_parts(nl, kernel, a, coeff, conv, grid):
     """L^2 gradient -Delta u + u - (I_alpha * F(u)) f(u) from _state_parts."""
-    grid = grid or kernel.grid
     lap = _idst(-sine_multipliers(grid) * coeff, grid.parity)
     return -lap + a - conv * nl.f(a)
 
 
-def _ensure_positive_q(nl, kernel, a, grid=None):
+def _ensure_positive_q(nl, kernel, a, grid):
     """Double the amplitude until Q > 0; the zero field never gets there."""
     for _ in range(60):
         if _q_parts(nl, kernel, a, grid)[0] > 0.0:

@@ -11,16 +11,15 @@ of a smooth boundary integrand.
 
 For an even sequence the length-2M real FFT equals the DCT-I of its
 samples 0..M (Martucci, IEEE Trans. Signal Process. 42(5), 1994), so the
-one DCT-I of the samples serves every axis.  Along each axis where the
-input is its own mirror image, bit for bit, the convolution is a symmetric
-one: the positive half of the input, zero-padded to M nodes, goes through a
-DCT-II, is multiplied by DCT-I entries 0..M-1 and comes back through the
-inverse DCT-II; the output is that half mirrored out.  Those axes transform
-at length M instead of 2M.  Every other axis keeps the zero-padded real FFT
-of length 2M, multiplied by the DCT-I entries mirrored to the FFT's
-frequencies.  One core does this on the positive half; `convolve_array`
-picks the folded axes from the data, slices, runs it and mirrors out, or,
-given the folded axes of a half input, runs it alone.
+one DCT-I of the samples serves every axis.  The caller's grid names the
+folded axes, along which it holds a mirror-even input as its positive
+half; there the convolution is a symmetric one: the half, zero-padded to
+M nodes, goes through a DCT-II, is multiplied by DCT-I entries 0..M-1 and
+comes back through the inverse DCT-II, which keeps the positive half.
+Those axes transform at length M instead of 2M.  Every other axis keeps
+the zero-padded real FFT of length 2M, multiplied by the DCT-I entries
+mirrored to the FFT's frequencies.  There is one path, and it reads
+nothing from the input to choose it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import AlphaOutOfRange
-from .field import GridSpec, thread_count
+from .field import GridSpec
 
 _GAUSS_ORDER = 80
 
@@ -134,27 +133,13 @@ class RieszKernel:
             else:
                 k[cell] = singular_cell_average(grid, alpha)
         self.sampled = k
-        self.spectrum = scipy.fft.dctn(k, type=1, workers=thread_count())
+        self.spectrum = scipy.fft.dctn(k, type=1)
         self.sampled.setflags(write=False)
         self.spectrum.setflags(write=False)
 
-    def convolve_array(self, v: np.ndarray, folded: tuple = None) -> np.ndarray:
-        """I_alpha * v at the nodes, folded on every axis where v is mirror-even;
-        given folded axes, v and the result are the positive halves there."""
-        if folded is not None:
-            return self._convolve_half(v, folded)
-        m, n = self.grid.M, self.grid.dim
-        folded = tuple(ax for ax in range(n)
-                       if np.array_equal(v, np.flip(v, ax)))
-        x = self._convolve_half(
-            v[tuple(slice(m // 2, m) if ax in folded else slice(None)
-                    for ax in range(n))], folded)
-        for ax in folded:
-            x = np.concatenate((np.flip(x, ax), x), axis=ax)
-        return x
-
-    def _convolve_half(self, x: np.ndarray, folded: tuple) -> np.ndarray:
-        """Positive half of I_alpha * v along the folded axes, from that of v."""
+    def convolve_array(self, v: np.ndarray, folded: tuple = ()) -> np.ndarray:
+        """I_alpha * v at the nodes; on the axes in folded, named by the caller's
+        grid, v is mirror-even and v and the result are their positive halves."""
         m, n = self.grid.M, self.grid.dim
         rest = tuple(ax for ax in range(n) if ax not in folded)
         # A folded axis reads entries 0..M-1, the rfft axis all M+1 of its
@@ -163,26 +148,23 @@ class RieszKernel:
                                    for ax in range(n))]
         for ax in rest[:-1]:
             khat = khat.take(np.r_[0:m + 1, m - 1:0:-1], axis=ax)
-        workers = thread_count()
         # Each transform zero-pads its own axis (n= and s=), and each
         # inverse DCT keeps only the positive half, so every folded stage
         # runs on the smallest array it can; the largest stages run along
         # the last, contiguous axis.
         for ax in folded:
-            x = scipy.fft.dct(x, type=2, n=m, axis=ax, workers=workers)
+            v = scipy.fft.dct(v, type=2, n=m, axis=ax)
         if rest:
-            x = scipy.fft.rfftn(x, s=(2 * m,) * len(rest), axes=rest,
-                                workers=workers)
-            x = scipy.fft.irfftn(x * khat, s=(2 * m,) * len(rest), axes=rest,
-                                 workers=workers)
-            x = x[tuple(slice(None) if ax in folded else slice(0, m)
+            v = scipy.fft.rfftn(v, s=(2 * m,) * len(rest), axes=rest)
+            v = scipy.fft.irfftn(v * khat, s=(2 * m,) * len(rest), axes=rest)
+            v = v[tuple(slice(None) if ax in folded else slice(0, m)
                         for ax in range(n))]
         else:
-            x = x * khat
+            v = v * khat
         for ax in reversed(folded):
-            x = scipy.fft.idct(x, type=2, axis=ax, workers=workers)
-            x = x[(slice(None),) * ax + (slice(0, m // 2),)]
-        return x * self.grid.cell_volume
+            v = scipy.fft.idct(v, type=2, axis=ax)
+            v = v[(slice(None),) * ax + (slice(0, m // 2),)]
+        return v * self.grid.cell_volume
 
 
 # A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Eight is

@@ -305,7 +305,7 @@ def _solve(nl, kernel, grid, cfg, a0, action):
         if best is None or result[1].energy < best[1].energy:
             best = result
     if best is None:
-        raise failure if failure is not None else NoDescent("all restarts failed")
+        raise failure
     a, state, grad_res, p_res, iters = best
     wall = time.perf_counter() - start
     u = Field(grid, half.unfold(a))

@@ -27,6 +27,7 @@ from choquard.field import (
     sine_multipliers,
     symmetrize_array,
     symmetry_residual,
+    thread_count,
     translate,
     write_field,
     write_radial_csv,
@@ -145,7 +146,7 @@ def test_x_dot_grad_matches_analytic_sine_product(dim, M):
     for i, (x, k) in enumerate(zip(xs, kap)):
         d = x * k * np.cos(k * (x + grid.L))
         expected += d * np.prod(sines[:i] + sines[i + 1:], axis=0)
-    np.testing.assert_allclose(x_dot_grad_array(grid, _dst(u)), expected,
+    np.testing.assert_allclose(x_dot_grad_array(grid, _dst(u, grid.parity)), expected,
                                atol=1e-12 * np.max(np.abs(expected)))
 
 
@@ -156,7 +157,7 @@ def test_x_dot_grad_allocates_no_coordinate_mesh():
     arrays, as a mesh does, peaks at seven.
     """
     grid = GridSpec(3, 32, 6.0)
-    coeff = _dst(np.exp(-grid.radius() ** 2))
+    coeff = _dst(np.exp(-grid.radius() ** 2), grid.parity)
     x_dot_grad_array(grid, coeff)
     tracemalloc.start()
     try:
@@ -240,9 +241,9 @@ def _direct_shear(grid, a, moved, coef):
     ax = grid.axis_coords()
     c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho")
     if moved == 0:   # out[i, j] reads the moved axis 0 at x_i + coef * x_j
-        mat = _sine_eval_matrix(grid, ax[:, None] + coef * ax[None, :])
+        mat = _sine_eval_matrix(grid, ax[:, None] + coef * ax[None, :], 0)
         return np.einsum("ijk,kj...->ij...", mat, c)
-    mat = _sine_eval_matrix(grid, ax[None, :] + coef * ax[:, None])
+    mat = _sine_eval_matrix(grid, ax[None, :] + coef * ax[:, None], 0)
     return np.einsum("ijk,ik...->ij...", mat, c)
 
 
@@ -481,6 +482,18 @@ def test_field_roundtrip(tmp_path):
     np.testing.assert_array_equal(v.data, u.data)
 
 
+def test_reduced_field_reads_back_unfolded(tmp_path):
+    """A parity-reduced field is written, and read back, as its full grid."""
+    half = GridSpec(2, 16, 4.0, parity=(1, -1))
+    rng = np.random.default_rng(6)
+    u = Field(half, rng.standard_normal(half.shape))
+    path = tmp_path / "u.field"
+    write_field(path, u)
+    v = read_field(path)
+    assert v.grid == GridSpec(2, 16, 4.0)
+    np.testing.assert_array_equal(v.data, half.unfold(u.data))
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.field"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -498,3 +511,10 @@ def test_radial_csv_format(tmp_path):
     radii = np.array([float(r[0]) for r in rows])
     assert np.all(np.diff(radii) > 0)
     assert all(int(r[2]) in (-1, 0, 1) for r in rows)
+
+
+def test_thread_count_is_scipy_fft_workers():
+    assert thread_count() == 1
+    with scipy.fft.set_workers(2):
+        assert thread_count() == 2
+    assert thread_count() == 1

@@ -209,7 +209,7 @@ def test_discrete_ray_derivative_matches_dilated_energies(dim, M, L, alpha):
     xs = grid.mesh()
     u = Field(grid, 1.5 * np.exp(-grid.radius() ** 2 / 2.0) * (1.0 + 0.2 * xs[0]))
     _, grad = evaluate_with_gradient(nl, kern, u)
-    xgu = x_dot_grad_array(grid, _dst(u.data))
+    xgu = x_dot_grad_array(grid, _dst(u.data, grid.parity))
     p_h = -grid.cell_volume * np.sum(grad.data * xgu)
     eps = 1e-4
     ep = evaluate(nl, kern, dilate(u, 1.0 + eps)).energy

@@ -21,11 +21,17 @@ from choquard.field import (
     _dst,
     _idst,
     dilate,
+    exact_half,
     helmholtz_inverse_array,
     parity_fold,
     x_dot_grad_array,
 )
-from choquard.functionals import _state_parts, power
+from choquard.functionals import (
+    _gradient_from_parts,
+    _state_parts,
+    evaluate_with_gradient,
+    power,
+)
 from choquard.riesz import RieszKernel
 
 TOL = 1e-13
@@ -83,20 +89,29 @@ def test_transform_round_trip_and_class_modes(dim, par):
     # of the same mode: kappa_{2j} on an even axis, kappa_{2j+1} on an odd one
     modes = tuple(slice(None) if not s else slice(0 if s > 0 else 1, None, 2)
                   for s in par)
-    assert rel(np.abs(c), np.abs(_dst(a)[modes])) <= TOL
+    assert rel(np.abs(c), np.abs(_dst(a, grid.parity)[modes])) <= TOL
 
 
 @pytest.mark.parametrize("dim,par", CASES)
 def test_reduced_a_and_b_match_the_full_grid(dim, par):
+    """The core on the half, directly and through evaluate_with_gradient,
+    which finds the half itself, against the core on the full grid."""
     grid = GRIDS[dim]
     half = replace(grid, parity=par)
     kernel = kernel_for(grid)
+    nl = power(2.0)
     a = class_field(grid, par)
-    full = _state_parts(power(2.0), kernel, a)[0]
-    reduced = _state_parts(power(2.0), kernel, half.fold(a), half)[0]
-    assert reduced.A == pytest.approx(full.A, rel=TOL, abs=0.0)
-    assert reduced.B == pytest.approx(full.B, rel=TOL, abs=0.0)
-    assert reduced.Q == pytest.approx(full.Q, rel=TOL, abs=0.0)
+    full, coeff, conv = _state_parts(nl, kernel, a, grid)
+    reduced = _state_parts(nl, kernel, half.fold(a), half)[0]
+    assert exact_half(Field(grid, a)) == half
+    evaluated, grad = evaluate_with_gradient(nl, kernel, Field(grid, a))
+    for state in (reduced, evaluated):
+        for name in ("A", "B", "Q", "energy"):
+            assert getattr(state, name) == pytest.approx(
+                getattr(full, name), rel=TOL, abs=0.0)
+    assert grad.grid == grid
+    want = _gradient_from_parts(nl, kernel, a, coeff, conv, grid)
+    assert rel(grad.data, want) <= TOL
 
 
 @pytest.mark.parametrize("dim,par", CASES)
@@ -114,7 +129,8 @@ def test_reduced_x_dot_grad(dim, par):
     half = replace(grid, parity=par)
     a = class_field(grid, par)
     out = x_dot_grad_array(half, _dst(half.fold(a), par))
-    assert rel(out, positive_half(grid, par, x_dot_grad_array(grid, _dst(a)))) <= TOL
+    full = x_dot_grad_array(grid, _dst(a, grid.parity))
+    assert rel(out, positive_half(grid, par, full)) <= TOL
 
 
 @pytest.mark.parametrize("t", [0.9, 1.1])
@@ -131,14 +147,14 @@ def test_reduced_dilation(dim, par, t):
 
 @pytest.mark.parametrize("dim,par", CASES)
 def test_half_input_convolution_is_the_positive_half(dim, par):
-    """The core on the half input is bit for bit what convolve_array keeps."""
+    """The half input, folded on every axis with a parity, unfolds to the
+    doubled-grid convolution, which folds no axis."""
     grid = GRIDS[dim]
     kernel = kernel_for(grid)
-    even = tuple(abs(s) for s in par)
-    folded = tuple(ax for ax, s in enumerate(par) if s)
-    v = class_field(grid, even) ** 2
-    out = kernel.convolve_array(positive_half(grid, par, v), folded)
-    assert np.array_equal(out, positive_half(grid, par, kernel.convolve_array(v)))
+    even = replace(grid, parity=tuple(abs(s) for s in par))
+    v = class_field(grid, even.parity) ** 2
+    out = kernel.convolve_array(positive_half(grid, par, v), even.folded)
+    assert rel(even.unfold(out), kernel.convolve_array(v)) <= TOL
 
 
 HOLDS_CLASS = {"trivial": True, "A1": True, "I2:2": True, "A1xA1": True,

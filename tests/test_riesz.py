@@ -15,7 +15,13 @@ import pytest
 import scipy.fft
 
 from choquard.errors import AlphaOutOfRange
-from choquard.field import Field, GridSpec, parity_fold
+from choquard.field import Field, GridSpec, exact_half, parity_fold
+from choquard.functionals import (
+    _gradient_from_parts,
+    _state_parts,
+    evaluate_with_gradient,
+    power,
+)
 from choquard.riesz import RieszKernel, get_kernel, riesz_constant
 
 
@@ -233,21 +239,22 @@ def parity_id(parity):
     for parity in itertools.product((1, -1, 0), repeat=dim)
 ])
 def test_folded_convolution_matches_doubled_grid(dim, M, alpha, parity):
-    """Every parity class: folded on the even axes, FFT on the others."""
+    """Every parity class: the positive half on the even axes, folded
+    there, FFT on the others; unfolded, it is the doubled-grid result."""
     grid = GridSpec(dim, M, 4.0)
+    even = GridSpec(dim, M, 4.0, parity=tuple(int(s == 1) for s in parity))
     kern = RieszKernel(grid, alpha)
     rng = np.random.default_rng(13)
     v = parity_fold(rng.standard_normal(grid.shape), list(parity))
-    conv = kern.convolve_array(v)
+    conv = even.unfold(kern.convolve_array(even.fold(v), even.folded))
     want = doubled_grid_convolution(kern, v)
     assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
-    for ax in range(dim):
-        if parity[ax] == 1:
-            assert np.array_equal(conv, np.flip(conv, ax))
 
 
 @pytest.mark.parametrize("dim,M", [(2, 32), (3, 16)])
 def test_one_asymmetric_sample_is_not_folded(dim, M):
+    """One sample off its mirrors leaves every axis unfolded, so the field
+    is evaluated on the full grid; one slice off leaves only its axis."""
     grid = GridSpec(dim, M, 4.0)
     kern = RieszKernel(grid, 1.0)
     v = parity_fold(np.exp(-grid.radius() ** 2), (1,) * dim)
@@ -255,3 +262,14 @@ def test_one_asymmetric_sample_is_not_folded(dim, M):
     want = doubled_grid_convolution(kern, v)
     conv = kern.convolve_array(v)
     assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
+    u = Field(grid, v)
+    assert exact_half(u) == grid
+    nl = power(2.0)
+    state, grad = evaluate_with_gradient(nl, kern, u)
+    full, coeff, conv = _state_parts(nl, kern, v, grid)
+    assert state == full
+    assert np.array_equal(grad.data,
+                          _gradient_from_parts(nl, kern, v, coeff, conv, grid))
+    w = parity_fold(np.exp(-grid.radius() ** 2), (1,) * dim)
+    w[1] += 1e-9
+    assert exact_half(Field(grid, w)).parity == (0,) + (1,) * (dim - 1)

@@ -136,7 +136,7 @@ def test_report_json_round_trip(ground):
 def discrete_pohozaev(kernel, a):
     """P_h = d/dt E_h(u(./t)) at t = 1 = -<grad E_h(u), x . grad u>_h."""
     _, grad = evaluate_with_gradient(NL, kernel, Field(GRID, a))
-    xgu = x_dot_grad_array(GRID, _dst(a))
+    xgu = x_dot_grad_array(GRID, _dst(a, GRID.parity))
     return -GRID.cell_volume * float(np.sum(grad.data * xgu))
 
 
@@ -144,7 +144,7 @@ def discrete_pohozaev(kernel, a):
 def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
     """One retraction of a dilated ground state shrinks |P_h| at least 100x."""
     a = dilate(ground.field, t).data
-    state, coeff, conv = _state_parts(NL, kernel, a)
+    state, coeff, conv = _state_parts(NL, kernel, a, GRID)
     assert abs(pohozaev_root(state, GRID.dim, kernel.alpha) - 1.0) <= 0.05
     half = HALF.fold(a)
     retracted = HALF.unfold(_Descent(NL, kernel, CFG, np.abs, TRIVIAL)._retract(
