@@ -29,6 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import scipy.fft
@@ -237,11 +238,21 @@ def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
 
 
 def l2_sq_integral(u: Field) -> float:
-    """B(u) = integral of u^2 as the plain cell sum."""
-    return float(u.grid.cell_volume * np.sum(u.data ** 2))
+    """B(u) = integral of u^2 over the full cube: the node sum weighted by
+    `grid.weight`, so a parity-reduced field counts each mirror image."""
+    return float(u.grid.weight * np.sum(u.data ** 2))
 
 
 # -- group action -------------------------------------------------------------
+
+def _matrix_keys(mats) -> list:
+    """Hashable keys of matrices stacked along the leading axes: the
+    entries of each rounded to 1e-9, so equal elements share a key."""
+    mats = np.asarray(mats)
+    n = mats.shape[-1]
+    a = np.rint(mats.reshape(-1, n * n) * 1e9).astype(np.int64)
+    return [tuple(row) for row in a.tolist()]
+
 
 def parity_fold(a: np.ndarray, parity) -> np.ndarray:
     """a -> (a + s flip(a, axis)) / 2 along every axis whose parity s is +-1.
@@ -264,13 +275,17 @@ class GroupAction:
     a signed permutation, or an orthogonal map of the first two axes.  Any
     other group raises IncompatibleGrid here, before any solve.
 
-    parity[i] is the mirror parity the class imposes along axis i: the
-    character value psi(g) when the single flip g of axis i is in G, +1 when
-    every element fixes axis i (for named groups, the axes beyond the rank),
-    and 0 otherwise.  `half` is the grid that keeps the positive half of
-    every axis with a parity, and `half_holds_class` says that the half
-    alone holds the class: every axis is folded and every element is
-    diagonal, so every field on the half is in the class.
+    flips[i] is the character value psi(g) when the single flip g of axis i
+    is in G, and 0 otherwise; these flips generate D, the subgroup that
+    `parity_fold(a, flips)` averages over exactly.  parity[i] is the mirror
+    parity the class imposes along axis i: flips[i], or +1 when every
+    element fixes axis i (for named groups, the axes beyond the rank).
+    `half` is the grid that keeps the positive half of every axis with a
+    parity, and `half_holds_class` says that the half alone holds the
+    class: every axis is folded and every element is diagonal, so every
+    field on the half is in the class.  `cosets` holds one element r of
+    each double coset D r D with its weight psi(r) |D r D| / |G|, identity
+    first: the terms `symmetrize_array` sums.
     """
 
     def __init__(self, group: CoxeterGroup, grid: GridSpec):
@@ -281,33 +296,41 @@ class GroupAction:
         self.group = group
         self.grid = grid
         elements = group.element_matrices()
-        mats = [self.embed(g) for g in elements]
+        mats = np.array([self.embed(g) for g in elements])
         for g, m in zip(elements, mats):
             if not _acts_exactly(m.T):
                 raise IncompatibleGrid(
                     f"group {group.tag or 'custom'} has an element with no "
                     f"exact action on the grid: {g.tolist()}"
                 )
-        self.parity = self._parity(mats)
+        signs = group.element_signs()
+        keys = _matrix_keys(mats)
+        sign_of = dict(zip(keys, signs))
+        eye = np.eye(grid.dim)
+        self.flips = tuple(int(sign_of.get(k, 0)) for k in _matrix_keys(
+            [eye - 2.0 * np.outer(e, e) for e in eye]))
+        fixed = [np.allclose(mats[:, ax], e) and np.allclose(mats[:, :, ax], e)
+                 for ax, e in enumerate(eye)]
+        self.parity = tuple(1 if f else s for f, s in zip(fixed, self.flips))
         self.half = replace(grid, parity=self.parity)
         self.half_holds_class = all(self.parity) and all(  # diagonal elements
             np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in mats)
+        self.cosets = self._double_cosets(mats, signs, keys)
 
-    def _parity(self, mats) -> tuple:
-        n = self.grid.dim
-        signs = self.group.element_signs()
-        parity = []
-        for axis in range(n):
-            flip = np.eye(n)
-            flip[axis, axis] = -1.0
-            unit = np.eye(n)[axis]
-            if all(np.allclose(g[axis], unit) and np.allclose(g[:, axis], unit)
-                   for g in mats):
-                parity.append(1)
+    def _double_cosets(self, mats, signs, keys) -> tuple:
+        """(r, psi(r) |DrD| / |G|) for one r in each double coset D r D of
+        the flip subgroup D, identity first; keyed on rounded entries."""
+        d = np.array(list(product(
+            *((1.0, -1.0) if s else (1.0,) for s in self.flips))))
+        seen = set()
+        cosets = []
+        for g, s, key in zip(mats, signs, keys):  # the identity comes first
+            if key in seen:
                 continue
-            parity.append(next((int(s) for g, s in zip(mats, signs)
-                                if np.allclose(g, flip)), 0))
-        return tuple(parity)
+            coset = set(_matrix_keys(d[:, None, :, None] * g * d[None, :, None, :]))
+            seen |= coset
+            cosets.append((g, s * len(coset) / len(mats)))
+        return tuple(cosets)
 
     def embed(self, g: np.ndarray) -> np.ndarray:
         n = self.grid.dim
@@ -455,14 +478,21 @@ def act(action: GroupAction, g: np.ndarray, u: Field) -> Field:
 
 
 def symmetrize_array(action: GroupAction, a: np.ndarray) -> np.ndarray:
-    """Projector onto the sign-equivariant class: (1/|G|) sum_g psi(g) g . a."""
-    mats = action.group.element_matrices()
-    signs = action.group.element_signs()
-    acc = np.zeros_like(a)
-    for g, s in zip(mats, signs):
-        p = action.embed(g).T
-        acc += s * apply_matrix_array(action.grid, p, a)
-    return acc / len(mats)
+    """Projector onto the sign-equivariant class, (1/|G|) sum_g psi(g) g . a,
+    summed over the double cosets of the flip subgroup D (Bossavit 1986).
+
+    The fold over D, P_D = parity_fold(., flips), is exact and absorbs the
+    character: P_D d = psi(d) P_D for d in D, so every g in D r D gives
+    the same P_D g P_D up to psi, and the average is
+    P_D (sum_r psi(r) |D r D| / |G| r .) P_D.  Each non-identity
+    representative costs one group action; the identity is a scaled copy.
+    """
+    a = parity_fold(a, action.flips)
+    (_, weight), *rest = action.cosets
+    acc = weight * a
+    for g, w in rest:
+        acc += w * apply_matrix_array(action.grid, g.T, a)
+    return parity_fold(acc, action.flips)
 
 
 def symmetry_residual(action: GroupAction, u: Field) -> float:

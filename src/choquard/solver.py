@@ -20,12 +20,14 @@ restart's noise are folded onto the half once, so restarts explore only
 the parity class, and the report's field is unfolded from it.
 `_projector` picks the map into the class once per solve: |u| for the
 ground state, none where the half grid holds the class (A1, I2:2,
-A1xA1xA1), and otherwise unfold, group average, fold; only that averaging
-projector needs the symmetry drift watched.  Stopping is measured on the
-L^2 gradient and the continuum Pohozaev residual.  All functional values
-come from `functionals`; one driver, `_solve`, serves every group alike,
-the ground state's trivial group included, and `pohozaev_root` alone
-decides whether Q admits a retraction.
+A1xA1xA1), and otherwise unfold, `symmetrize_array`, fold, where the group
+average runs over the double cosets of the axis flips in G, one group
+action per non-trivial double coset (one three-shear rotation for I2:3);
+only that averaging projector needs the symmetry drift watched.  Stopping
+is measured on the L^2 gradient and the continuum Pohozaev residual.  All
+functional values come from `functionals`; one driver, `_solve`, serves
+every group alike, the ground state's trivial group included, and
+`pohozaev_root` alone decides whether Q admits a retraction.
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one

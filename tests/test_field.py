@@ -1,12 +1,15 @@
 """Grid, spectral operator, group action and serialization tests."""
 
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from choquard.coxeter import from_name
+from choquard import field as field_mod
+from choquard.coxeter import from_name, is_signed_permutation
 from choquard.errors import GridMismatch, IncompatibleGrid, ParseError
 from choquard.field import (
     Field,
@@ -309,6 +312,81 @@ def test_symmetrize_is_self_adjoint():
     assert inner(pu, v) == pytest.approx(inner(u, pv), rel=1e-12)
 
 
+# every named group with an exact action, on the grid dims it fits
+EXACT_2D = ["trivial", "A1", "A1xA1", *(f"I2:{m}" for m in range(2, 9))]
+EXACT_3D = EXACT_2D + ["A1xA1xA1", "A1xI2:2", "A1xI2:4", "A3", "B3"]
+
+
+def _off_class_field(action):
+    """Two smooth bumps, one in the open chamber 4 units out, neither on a
+    mirror: far from the class, and its average does not cancel away."""
+    grid = action.grid
+    center = np.array([0.9, -0.6, 1.3][:grid.dim])
+    q = action.group.chamber_interior_point()
+    if q.size:
+        center[:q.size] = 4.0 * q / np.linalg.norm(q)
+    other = np.array([-1.7, 0.8, -0.4][:grid.dim])
+    return gaussian(grid, center).data + 0.5 * gaussian(grid, other, 1.5).data
+
+
+@pytest.mark.parametrize("dim,M,tag", [
+    *((2, 64, tag) for tag in EXACT_2D), *((3, 24, tag) for tag in EXACT_3D)])
+def test_symmetrize_is_the_group_average(dim, M, tag):
+    """The double-coset sum equals (1/|G|) sum_g psi(g) g . a term by term."""
+    group = from_name(tag)
+    grid = GridSpec(dim, M, 8.0)
+    action = GroupAction(group, grid)
+    a = _off_class_field(action)
+    want = sum(s * apply_matrix_array(grid, action.embed(g).T, a)
+               for g, s in group.elements) / group.order
+    got = symmetrize_array(action, a)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    if tag != "trivial":
+        assert np.max(np.abs(a - want)) > 0.5 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("tag,dim,reps", [
+    ("trivial", 2, 0), ("A1", 2, 0), ("I2:2", 2, 0), ("I2:3", 2, 1),
+    ("I2:4", 2, 1), ("I2:5", 2, 2), ("I2:6", 2, 1), ("I2:8", 2, 2),
+    ("I2:3", 3, 1), ("A1xA1xA1", 3, 0), ("A1xI2:4", 3, 1),
+    ("A3", 3, 23), ("B3", 3, 5),
+])
+def test_double_coset_representatives(tag, dim, reps):
+    """One term per double coset of the flips in G, identity first, each
+    weighted psi(r) |DrD| / |G|: the weights' magnitudes sum to 1."""
+    action = GroupAction(from_name(tag), GridSpec(dim, 16, 4.0))
+    (first, _), *rest = action.cosets
+    np.testing.assert_array_equal(first, np.eye(dim))
+    assert len(rest) == reps
+    weights = np.array([w for _, w in action.cosets])
+    assert np.sum(np.abs(weights)) == pytest.approx(1.0, abs=1e-15)
+    for r, w in action.cosets:
+        assert np.sign(w) == round(np.linalg.det(r))
+    assert action.flips == tuple(s if s < 0 else 0 for s in action.parity)
+
+
+def test_i23_projection_runs_one_group_action(monkeypatch):
+    """The identity is a scaled copy and parity_fold averages the one axis
+    flip, so an I2:3 projection runs a single (three-shear) group action."""
+    grid = GridSpec(2, 64, 8.0)
+    action = GroupAction(from_name("I2:3"), grid)
+    moved = []
+    original = field_mod.apply_matrix_array
+
+    def counted(grid, p, a):
+        if not np.array_equal(p, np.eye(grid.dim)):
+            moved.append(p)
+        return original(grid, p, a)
+
+    monkeypatch.setattr(field_mod, "apply_matrix_array", counted)
+    a = _off_class_field(action)
+    for n in (1, 2):
+        symmetrize_array(action, a)
+        assert len(moved) == n
+    assert not is_signed_permutation(moved[0])
+
+
 def test_action_rank_cannot_exceed_dim():
     with pytest.raises(IncompatibleGrid):
         GroupAction(from_name("B3"), GridSpec(2, 16, 4.0))
@@ -415,6 +493,18 @@ def test_dilate_matches_analytic_gaussian(t):
     expected = gaussian(grid, width=t)
     err = np.max(np.abs(dilate(u, t).data - expected.data))
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("parity", list(itertools.product((-1, 0, 1), repeat=2)),
+                         ids=lambda p: ",".join(map(str, p)))
+def test_l2_sq_integral_is_the_full_grid_b_on_every_half(parity):
+    """A parity-reduced field gives the B of its unfolded full-grid field."""
+    grid = GridSpec(2, 16, 4.0)
+    a = parity_fold(gaussian(grid, [1.2, -0.9]).data, parity)
+    half = replace(grid, parity=parity)
+    full_b = l2_sq_integral(Field(grid, a))
+    assert full_b > 0.1
+    assert l2_sq_integral(Field(half, half.fold(a))) == pytest.approx(full_b, rel=1e-13)
 
 
 def test_dilate_l2_scaling():
