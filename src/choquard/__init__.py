@@ -5,7 +5,7 @@ truncated cube with homogeneous Dirichlet conditions.  Submodules:
 
 coxeter      finite reflection groups of rank <= 3 as matrix groups
 field        cell-centered grids, group actions on fields, spectral operators
-riesz        Riesz potential convolution on the doubled grid
+riesz        Riesz potential convolution, folded on the axes the caller's grid names
 functionals  energy, Pohozaev functional, gradients, dilation scaling
 solver       symmetrized gradient descent with Pohozaev rescaling
 analysis     nodal domains, decay fits, energy hierarchy reports

@@ -10,8 +10,10 @@ cube group) are built from hand-picked signed-permutation generators
 instead, so that their action on a symmetric grid is exact.
 
 Elements are enumerated by breadth-first closure under generator
-multiplication.  The sign character is the determinant, which equals -1 on
-every reflection and is multiplicative, i.e. the parity of word length.
+multiplication.  `element_keys`, the entries rounded at MATRIX_TOL, is the
+one test of whether two elements, or two orbit points, are the same.  The
+sign character is the determinant, which equals -1 on every reflection and
+is multiplicative, i.e. the parity of word length.
 """
 
 from __future__ import annotations
@@ -93,34 +95,39 @@ def is_signed_permutation(g: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(a.sum(axis=0) == 1) and np.all(a.sum(axis=1) == 1))
 
 
+def element_keys(arrays) -> list:
+    """Hashable keys of the arrays stacked along the first axis: the entries
+    of each rounded at MATRIX_TOL, so equal elements share a key."""
+    a = np.asarray(arrays)
+    a = np.rint(a.reshape(len(a), -1) / MATRIX_TOL).astype(np.int64)
+    return [tuple(row) for row in a.tolist()]
+
+
 def _close_under_products(generators):
     """Breadth-first closure of the generator set under multiplication.
 
-    Matrices are deduplicated in max-norm with tolerance MATRIX_TOL; candidates
-    close to a signed permutation are snapped first so exact subgroups do not
-    accumulate rounding drift.  More than ELEMENT_CAP elements raise
-    CapExceeded.
+    Matrices are deduplicated by `element_keys`; candidates close to a signed
+    permutation are snapped first so exact subgroups do not accumulate
+    rounding drift.  More than ELEMENT_CAP elements raise CapExceeded.
     """
     k = generators[0].shape[0] if generators else 0
-    mats = [np.eye(k)]
-    stack = np.eye(k)[None]
+    found = {element_keys(np.eye(k)[None])[0]: np.eye(k)}
     frontier = [np.eye(k)]
     while frontier:
         new = []
         for m in frontier:
             for s in generators:
                 c = _snap_signed_perm(m @ s)
-                dist = np.abs(stack - c).reshape(len(mats), -1).max(axis=1)
-                if dist.min() > MATRIX_TOL:
-                    mats.append(c)
-                    stack = np.concatenate([stack, c[None]])
+                key = element_keys(c[None])[0]
+                if key not in found:
+                    found[key] = c
                     new.append(c)
-                    if len(mats) > ELEMENT_CAP:
+                    if len(found) > ELEMENT_CAP:
                         raise CapExceeded(
                             f"group closure exceeded {ELEMENT_CAP} elements"
                         )
         frontier = new
-    return mats
+    return list(found.values())
 
 
 def _element_sign(g: np.ndarray) -> int:
@@ -141,10 +148,8 @@ class Orbit:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Element list of a stabilizer, with its order and reflection rank."""
+    """Order and reflection rank of a stabilizer."""
 
-    matrices: np.ndarray
-    signs: np.ndarray
     order: int
     rank: int
 
@@ -171,7 +176,7 @@ class CoxeterGroup:
         self.chamber_normals = np.array(chamber_normals, dtype=float)
         self.tag = tag
         mats = _close_under_products(self.generators)
-        self._mats = np.array(mats) if mats else np.eye(0)[None]
+        self._mats = np.array(mats)
         self._signs = np.array([_element_sign(g) for g in mats], dtype=int)
         self.grid_exact = all(is_signed_permutation(g) for g in self.generators)
 
@@ -205,11 +210,10 @@ class CoxeterGroup:
         """
         q = np.asarray(q, dtype=float)
         pts = self._mats @ q if self.rank else np.zeros((1, 0))
-        keep = []
-        for p in pts:
-            if not keep or min(np.linalg.norm(p - b) for b in keep) > MATRIX_TOL:
-                keep.append(p)
-        pts = np.array(keep)
+        first = {}
+        for i, key in enumerate(element_keys(pts)):
+            first.setdefault(key, i)
+        pts = pts[list(first.values())]
         if len(pts) < 2:
             return Orbit(pts, math.inf)
         diff = pts[:, None, :] - pts[None, :, :]
@@ -222,12 +226,12 @@ class CoxeterGroup:
         q = np.asarray(q, dtype=float)
         scale = max(1.0, float(np.linalg.norm(q)))
         if self.rank == 0:
-            return Subgroup(self._mats, self._signs, 1, 0)
+            return Subgroup(1, 0)
         fix = np.linalg.norm(self._mats @ q - q, axis=1) <= MATRIX_TOL * scale
         mats = self._mats[fix]
         rows = (mats - np.eye(self.rank)).reshape(-1, self.rank)
         rank = int(np.linalg.matrix_rank(rows, tol=1e-8)) if len(mats) else 0
-        return Subgroup(mats, self._signs[fix], int(fix.sum()), rank)
+        return Subgroup(int(fix.sum()), rank)
 
     def chamber_interior_point(self) -> np.ndarray:
         """Unit vector with <q, n_i> > 0 for every wall normal."""

@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 import scipy.fft
 
-from .coxeter import CoxeterGroup, is_signed_permutation
+from .coxeter import CoxeterGroup, _embed_block, element_keys, is_signed_permutation
 from .errors import GridMismatch, IncompatibleGrid, ParseError
 
 FORMAT_MAGIC = b"CHQF"
@@ -245,15 +245,6 @@ def l2_sq_integral(u: Field) -> float:
 
 # -- group action -------------------------------------------------------------
 
-def _matrix_keys(mats) -> list:
-    """Hashable keys of matrices stacked along the leading axes: the
-    entries of each rounded to 1e-9, so equal elements share a key."""
-    mats = np.asarray(mats)
-    n = mats.shape[-1]
-    a = np.rint(mats.reshape(-1, n * n) * 1e9).astype(np.int64)
-    return [tuple(row) for row in a.tolist()]
-
-
 def parity_fold(a: np.ndarray, parity) -> np.ndarray:
     """a -> (a + s flip(a, axis)) / 2 along every axis whose parity s is +-1.
 
@@ -275,17 +266,17 @@ class GroupAction:
     a signed permutation, or an orthogonal map of the first two axes.  Any
     other group raises IncompatibleGrid here, before any solve.
 
-    flips[i] is the character value psi(g) when the single flip g of axis i
-    is in G, and 0 otherwise; these flips generate D, the subgroup that
+    flips[i] is -1 when the single flip of axis i is in G (psi = det is -1
+    on it), and 0 otherwise; these flips generate D, the subgroup that
     `parity_fold(a, flips)` averages over exactly.  parity[i] is the mirror
     parity the class imposes along axis i: flips[i], or +1 when every
     element fixes axis i (for named groups, the axes beyond the rank).
     `half` is the grid that keeps the positive half of every axis with a
     parity, and `half_holds_class` says that the half alone holds the
-    class: every axis is folded and every element is diagonal, so every
-    field on the half is in the class.  `cosets` holds one element r of
-    each double coset D r D with its weight psi(r) |D r D| / |G|, identity
-    first: the terms `symmetrize_array` sums.
+    class: G has one double coset, so G = D and every field on the half is
+    in the class.  `cosets` holds one element r of each double coset D r D
+    with its weight psi(r) |D r D| / |G|, identity first: the terms
+    `symmetrize_array` sums.
     """
 
     def __init__(self, group: CoxeterGroup, grid: GridSpec):
@@ -303,41 +294,37 @@ class GroupAction:
                     f"group {group.tag or 'custom'} has an element with no "
                     f"exact action on the grid: {g.tolist()}"
                 )
-        signs = group.element_signs()
-        keys = _matrix_keys(mats)
-        sign_of = dict(zip(keys, signs))
+        keys = element_keys(mats)
+        members = set(keys)
         eye = np.eye(grid.dim)
-        self.flips = tuple(int(sign_of.get(k, 0)) for k in _matrix_keys(
+        self.flips = tuple(-1 if k in members else 0 for k in element_keys(
             [eye - 2.0 * np.outer(e, e) for e in eye]))
         fixed = [np.allclose(mats[:, ax], e) and np.allclose(mats[:, :, ax], e)
                  for ax, e in enumerate(eye)]
         self.parity = tuple(1 if f else s for f, s in zip(fixed, self.flips))
         self.half = replace(grid, parity=self.parity)
-        self.half_holds_class = all(self.parity) and all(  # diagonal elements
-            np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in mats)
-        self.cosets = self._double_cosets(mats, signs, keys)
+        self.cosets = self._double_cosets(mats, group.element_signs(), keys)
+        self.half_holds_class = len(self.cosets) == 1
 
     def _double_cosets(self, mats, signs, keys) -> tuple:
         """(r, psi(r) |DrD| / |G|) for one r in each double coset D r D of
-        the flip subgroup D, identity first; keyed on rounded entries."""
+        the flip subgroup D, identity first; keyed by `element_keys`."""
         d = np.array(list(product(
             *((1.0, -1.0) if s else (1.0,) for s in self.flips))))
+        both_sides = (d[:, None, :, None] * d[None, :, None, :]).reshape(
+            -1, *mats.shape[1:])
         seen = set()
         cosets = []
         for g, s, key in zip(mats, signs, keys):  # the identity comes first
             if key in seen:
                 continue
-            coset = set(_matrix_keys(d[:, None, :, None] * g * d[None, :, None, :]))
+            coset = set(element_keys(both_sides * g))
             seen |= coset
             cosets.append((g, s * len(coset) / len(mats)))
         return tuple(cosets)
 
     def embed(self, g: np.ndarray) -> np.ndarray:
-        n = self.grid.dim
-        out = np.eye(n)
-        k = g.shape[0]
-        out[:k, :k] = g
-        return out
+        return _embed_block(g, self.grid.dim, 0)
 
     def embed_point(self, q: np.ndarray) -> np.ndarray:
         out = np.zeros(self.grid.dim)

@@ -89,7 +89,7 @@ class Nonlinearity:
             return self._dinterp(np.abs(s)) * np.sign(s)
         out = np.zeros_like(s)
         for t in self.terms:
-            out += t.coeff * t.exponent * np.abs(s) ** (t.exponent - 2.0) * s
+            out += t.coeff * t.exponent * np.copysign(np.abs(s) ** (t.exponent - 1.0), s)
         return out
 
     def exponents(self):
@@ -128,10 +128,12 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
     def pairs(chunk):
         out = {}
         for item in chunk.split(","):
-            key, eq, val = item.partition("=")
+            key, eq, val = (part.strip() for part in item.partition("="))
             if not eq:
                 raise ParseError(f"bad nonlinearity entry {item!r}")
-            out[key.strip()] = val.strip()
+            if key in out:
+                raise ParseError(f"repeated key {key!r} in {text!r}")
+            out[key] = val
         return out
 
     if kind == "power":
@@ -149,12 +151,11 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
         terms = []
         for i, chunk in enumerate(body.split(";"), start=1):
             kv = pairs(chunk)
+            if set(kv) != {f"c{i}", f"p{i}"}:
+                raise ParseError(f"sum term {i} must provide c{i} and p{i} "
+                                 f"and nothing else, got {chunk!r}")
             try:
                 terms.append(PowerTerm(float(kv[f"c{i}"]), float(kv[f"p{i}"])))
-            except KeyError:
-                raise ParseError(
-                    f"sum term {i} must provide c{i} and p{i}"
-                ) from None
             except ValueError:
                 raise ParseError(f"bad number in sum term {chunk!r}") from None
         return Nonlinearity("sum", terms, config=text)

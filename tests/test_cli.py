@@ -102,6 +102,8 @@ def test_saddle_via_cli(capsys):
     ["solve", "--dim", "2", "--alpha", "1.0", "--M", "16", "--L", "4.0",
      "--nl", "mystery:p=2"],
     ["solve", "--dim", "2", "--alpha", "1.0", "--M", "16", "--L", "4.0",
+     "--nl", "power:p=2,p=3"],
+    ["solve", "--dim", "2", "--alpha", "1.0", "--M", "16", "--L", "4.0",
      "--group", "Z9"],
     ["solve", "--dim", "3", "--M", "15", "--L", "4.0"],
     ["solve", "--dim", "2", "--alpha", "3.5", "--M", "16", "--L", "4.0"],

@@ -23,7 +23,7 @@ KNOWN_ORDERS = {
     "A3": 24,
     "B3": 48,
     "H3": 120,
-    **{f"I2:{m}": 2 * m for m in range(2, 9)},
+    **{f"I2:{m}": 2 * m for m in [*range(2, 25), 60]},
 }
 
 

@@ -364,6 +364,7 @@ def test_double_coset_representatives(tag, dim, reps):
     for r, w in action.cosets:
         assert np.sign(w) == round(np.linalg.det(r))
     assert action.flips == tuple(s if s < 0 else 0 for s in action.parity)
+    assert action.half_holds_class is (len(action.cosets) == 1)
 
 
 def test_i23_projection_runs_one_group_action(monkeypatch):

@@ -85,6 +85,10 @@ def test_parse_tabulated(tmp_path):
     "power:p=nan",        # non-finite exponent
     "sum:c1=inf,p1=2",    # non-finite coefficient
     "sum:c1=nan,p1=2",    # NaN coefficient, which no hypothesis branch trips
+    "power:p=2,p=3",      # repeated key
+    "sum:c1=1,p1=2,c1=3",
+    "sum:c1=1,p1=2,x=5",  # extra key in a sum term
+    "tabulated:file=a,file=b",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
@@ -117,6 +121,15 @@ def test_f_is_derivative_of_big_f():
     eps = 1e-6
     fd = (nl.F(s + eps) - nl.F(s - eps)) / (2 * eps)
     np.testing.assert_allclose(nl.f(s), fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("nl", [power(1.5), power(1.8),
+                                parse_nonlinearity("sum:c1=1,p1=2;c2=0.5,p2=1.5")])
+def test_f_vanishes_at_zero_below_exponent_two(nl):
+    s = np.array([0.0, -0.0, 1e-300, -0.3, 2.0])
+    out = nl.f(s)
+    assert out[0] == 0.0 and out[1] == 0.0
+    assert np.all(np.isfinite(out))
 
 
 # -- hypothesis validation ----------------------------------------------------
