@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name
-from .errors import AllBelowFloor, NoNodalCandidates
+from .errors import AllBelowFloor
 from .field import Field, GroupAction, radial_shell_stats
 # bench/tracer.py wraps symmetrize_array here by name; nothing in this module calls it.
 from .field import symmetrize_array  # noqa: F401
@@ -300,19 +300,3 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
                 rhs=group.order * ground.energy,
             ))
     return HierarchyReport(rows, inequalities, notes)
-
-
-def nodal_min_bound(reports) -> float:
-    """Minimum energy among converged sign-changing reports.
-
-    The structural prediction places this strictly below twice the ground
-    level.  Reports must carry a nodal count (see annotate_report).
-    """
-    candidates = [
-        r.energy
-        for r in reports
-        if r.nodal_count is not None and r.nodal_count >= 2
-    ]
-    if not candidates:
-        raise NoNodalCandidates("no converged sign-changing reports")
-    return float(min(candidates))

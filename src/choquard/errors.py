@@ -49,9 +49,5 @@ class AllBelowFloor(ChoquardError):
     """Every radial shell statistic sits below the floating point floor."""
 
 
-class NoNodalCandidates(ChoquardError):
-    """No converged sign-changing solutions available for the bound."""
-
-
 class HypothesisViolation(ChoquardError):
     """Nonlinearity fails a structural hypothesis and no override was given."""

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .errors import GridMismatch, NonpositiveQ, ParseError
+from .errors import GridMismatch, NoDescent, NonpositiveQ, ParseError
 from .field import Field, _dst, _idst, exact_half, sine_multipliers
 from .riesz import RieszKernel
 
@@ -80,7 +80,7 @@ class Nonlinearity:
             return self._interp(np.abs(s))
         out = np.zeros_like(s)
         for t in self.terms:
-            out += t.coeff * np.abs(s) ** t.exponent
+            out += t.coeff * _abs_power(s, t.exponent)
         return out
 
     def f(self, s: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ class Nonlinearity:
             return self._dinterp(np.abs(s)) * np.sign(s)
         out = np.zeros_like(s)
         for t in self.terms:
-            out += t.coeff * t.exponent * np.copysign(np.abs(s) ** (t.exponent - 1.0), s)
+            out += t.coeff * t.exponent * np.copysign(_abs_power(s, t.exponent - 1.0), s)
         return out
 
     def exponents(self):
@@ -107,6 +107,15 @@ class Nonlinearity:
             ]
             return "sum:" + ";".join(parts)
         return "tabulated"
+
+
+def _abs_power(s, p):
+    """|s|^p; for p = 1 and 2 without the per-element pow call of **."""
+    if p == 2.0:
+        return np.square(s)
+    if p == 1.0:
+        return np.abs(s)
+    return np.abs(s) ** p
 
 
 def _num(x: float) -> str:
@@ -338,9 +347,12 @@ def _l2_norm(grid, a):
 
 def residuals(grid, state, grad, a):
     """Gradient residual ||grad||/||u|| and Pohozaev residual |P|/(A + B)."""
+    scale = state.A + state.B
+    if not (0.0 < scale < np.inf):
+        raise NoDescent(f"iterate drained: A + B = {scale:g}")
     denom = _l2_norm(grid, a)
     grad_res = _l2_norm(grid, grad) / denom if denom else np.inf
-    return grad_res, abs(state.pohozaev) / (state.A + state.B)
+    return grad_res, abs(state.pohozaev) / scale
 
 
 # -- dilation path ------------------------------------------------------------
@@ -356,11 +368,18 @@ def dilation_pohozaev(t: float, state: FunctionalState, dim: int,
 
 
 def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
-    """Unique t with b(t) = 0, requiring Q > 0."""
+    """Unique t with b(t) = 0, requiring Q > 0 and the root finite."""
     if not (state.Q > 0.0):
         raise NonpositiveQ(f"Q = {state.Q:g} is not positive")
     if dim == 2:
-        return (2.0 * state.B / ((2.0 + alpha) * state.Q)) ** (1.0 / alpha)
+        try:
+            t = (2.0 * state.B / ((2.0 + alpha) * state.Q)) ** (1.0 / alpha)
+        except OverflowError:
+            t = np.inf
+        if not t < np.inf:
+            raise NonpositiveQ(f"no finite Pohozaev root: B = {state.B:g}, "
+                               f"Q = {state.Q:g}")
+        return t
     lo = 1e-3
     hi = 1.0
     while dilation_pohozaev(hi, state, dim, alpha) > 0.0:
@@ -379,3 +398,10 @@ def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
         )
     )
 
+
+def ray_maximum(state: FunctionalState, dim: int, alpha: float) -> float:
+    """a(t_u), the energy at the Pohozaev root of u's dilation ray and the
+    maximum of a(t) over t > 0, from A, B and Q alone: no dilation."""
+    t = pohozaev_root(state, dim, alpha)
+    return 0.5 * (t ** (dim - 2) * state.A + t ** dim * state.B
+                  - t ** (dim + alpha) * state.Q)

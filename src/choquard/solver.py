@@ -31,7 +31,9 @@ every group alike, the ground state's trivial group included, and
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
-signed bump per orbit point.
+signed bump per orbit point.  `solve_saddle` builds one start for each
+orbit spacing in SPACINGS and keeps the one of least ray maximum, the
+energy at its Pohozaev root, read off one evaluation of each.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .functionals import (
     _gradient_from_parts,
     _state_parts,
     pohozaev_root,
+    ray_maximum,
     residuals,
 )
 from .riesz import RieszKernel
@@ -74,6 +77,9 @@ MAX_BACKTRACKS = 30
 STEP = 1.0
 STEP_MIN, STEP_MAX = 0.2, 10.0
 ENERGY_WINDOW = 5
+# Orbit spacings, in bump radii, of the candidate saddle starts; 6 keeps
+# the supports disjoint and is the start when no other candidate serves.
+SPACINGS = (1.0, 1.5, 2.0, 3.0, 6.0)
 
 
 @dataclass(frozen=True)
@@ -343,18 +349,22 @@ def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
     """C^2 radial cutoff: 1 on |x| <= R, 0 on |x| >= 2R, quintic blend between."""
     r = grid.radius()
     s = np.clip((r - radius) / radius, 0.0, 1.0)
-    return 1.0 - (6.0 * s ** 5 - 15.0 * s ** 4 + 10.0 * s ** 3)
+    # 6s^5 - 15s^4 + 10s^3 by products: an array ** runs pow per element
+    return 1.0 - s * s * s * (10.0 + s * (6.0 * s - 15.0))
 
 
-def build_initializer(action: GroupAction, base: Field) -> Field:
+def build_initializer(action: GroupAction, base: Field,
+                      spacing: float = 6.0) -> Field:
     """Signed orbit-bump seed: Pi_G of a cut-off base translated to l R q.
 
     q is the chamber-interior direction, so the orbit is free and the bumps
-    are copies signed by the character.  The separation l = 6 / k1, k1 the
-    least distance between orbit points of the unit q, puts neighbouring
-    centers 6R apart, at least the 4R that keeps the supports of radius 2R
-    disjoint.  The output is scaled by the group order so each bump keeps
-    the base amplitude.
+    are copies signed by the character.  The separation l = spacing / k1,
+    k1 the least distance between orbit points of the unit q, puts
+    neighbouring centers spacing * R apart.  The supports, of radius 2R,
+    are disjoint for a spacing of at least 4; below that neighbouring
+    copies overlap and partly cancel, since they carry opposite signs
+    across each wall.  The output is scaled by the group order so that
+    each bump, where it stands alone, keeps the base amplitude.
     """
     group = action.group
     grid = action.grid
@@ -363,7 +373,7 @@ def build_initializer(action: GroupAction, base: Field) -> Field:
         q = q / np.linalg.norm(q)
     orbit = group.orbit(q) if group.rank else None
     k1 = orbit.min_dist if orbit is not None else np.inf
-    separation = 0.0 if np.isinf(k1) else 6.0 / k1
+    separation = 0.0 if np.isinf(k1) else spacing / k1
     # The farthest-out coordinate over the whole embedded orbit governs how
     # large the bumps can be; using q alone would overflow the box whenever
     # a group element rotates q onto a coordinate axis.
@@ -378,13 +388,36 @@ def build_initializer(action: GroupAction, base: Field) -> Field:
     return Field(grid, group.order * symmetrize_array(action, shifted.data))
 
 
+def _least_ray_start(nl, kernel, action, base):
+    """The orbit-bump start over SPACINGS of least ray maximum a(t_u), from
+    one half-grid evaluation of each: the peak selection of the local
+    minimax method (Li & Zhou, SIAM J. Sci. Comput. 23, 2001) applied to
+    the start.  Candidates with no Pohozaev root are skipped; the start is
+    spaced 6R when none has one or the orbit is a single point."""
+    if action.group.rank == 0:
+        return build_initializer(action, base)
+    half = action.half
+    best, least = None, np.inf
+    for spacing in SPACINGS:
+        start = build_initializer(action, base, spacing)
+        state = _state_parts(nl, kernel, half.fold(start.data), half)[0]
+        try:
+            level = ray_maximum(state, half.dim, kernel.alpha)
+        except NonpositiveQ:
+            continue
+        if level < least:
+            best, least = start, level
+    return best if best is not None else build_initializer(action, base)
+
+
 def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
                  grid: GridSpec, cfg: SolverConfig = SolverConfig(),
                  base: Field = None, init: Field = None) -> SolveReport:
-    """Least-energy solution in the sign-equivariant class of the group."""
+    """Least-energy solution in the sign-equivariant class of the group,
+    from init or else from the least-ray-maximum orbit-bump start."""
     action = GroupAction(group, grid)
     if init is None:
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
-        init = build_initializer(action, base)
+        init = _least_ray_start(nl, kernel, action, base)
     return _solve(nl, kernel, grid, cfg, init.data, action)

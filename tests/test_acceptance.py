@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from choquard.analysis import annotate_report, decay_fit, nodal_domains, nodal_min_bound
+from choquard.analysis import annotate_report, decay_fit, nodal_domains
 from choquard.coxeter import from_name
 from choquard.field import Field, GridSpec, GroupAction, act, dilate
 from choquard.functionals import (
@@ -27,6 +27,7 @@ from choquard.functionals import (
 )
 from choquard.riesz import RieszKernel, get_kernel
 from choquard.solver import SolverConfig, solve_ground, solve_saddle
+from test_analysis import nodal_min_bound
 
 NL = power(2.0)
 

@@ -2,7 +2,8 @@
 
 The chamber restriction and unfolding live here: no program code needs
 them, and the round trip checks the open chamber mask and the group
-average together.
+average together.  So does the nodal minimizer bound, which criterion 10
+of test_acceptance.py imports from here.
 """
 
 import json
@@ -18,11 +19,10 @@ from choquard.analysis import (
     facet_ray_representatives,
     hierarchy_report,
     nodal_domains,
-    nodal_min_bound,
     open_chamber_mask,
 )
 from choquard.coxeter import from_name
-from choquard.errors import AllBelowFloor, ChoquardError, NoNodalCandidates
+from choquard.errors import AllBelowFloor, ChoquardError
 from choquard.field import Field, GridSpec, GroupAction, symmetrize_array
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
@@ -30,6 +30,26 @@ from choquard.solver import SolveReport, SolverConfig, solve_ground
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
+
+
+class NoNodalCandidates(ChoquardError):
+    """No converged sign-changing solutions available for the bound."""
+
+
+def nodal_min_bound(reports) -> float:
+    """Minimum energy among converged sign-changing reports.
+
+    The structural prediction places this strictly below twice the ground
+    level.  Reports must carry a nodal count (see annotate_report).
+    """
+    candidates = [
+        r.energy
+        for r in reports
+        if r.nodal_count is not None and r.nodal_count >= 2
+    ]
+    if not candidates:
+        raise NoNodalCandidates("no converged sign-changing reports")
+    return float(min(candidates))
 
 
 class SupportViolation(ChoquardError):

@@ -224,6 +224,20 @@ def test_solver_failure_exits_2(capsys):
     assert "choquard:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # drains towards u = 0
+    ["--M", "16", "--L", "4.0", "--alpha", "1.0", "--nl", "power:p=3"],
+    # the planar root (2B / ((2 + alpha) Q))^(1/alpha) overflows
+    ["--M", "64", "--L", "16", "--alpha", "0.5", "--nl", "power:p=2"],
+])
+def test_accepted_input_that_cannot_solve_exits_2(capsys, tmp_path, argv):
+    rc = main(["solve", "--dim", "2", *argv, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("choquard:")
+    assert "Traceback" not in err
+
+
 def test_config_file_with_flag_override(capsys, tmp_path, solved):
     _, reference = solved
     cfg = tmp_path / "run.cfg"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from choquard.errors import NonpositiveQ, ParseError
+from choquard.errors import NoDescent, NonpositiveQ, ParseError
 from choquard.field import Field, GridSpec, _dst, dilate, x_dot_grad_array
 from choquard.functionals import (
     Nonlinearity,
@@ -15,6 +15,8 @@ from choquard.functionals import (
     parse_nonlinearity,
     pohozaev_root,
     power,
+    ray_maximum,
+    residuals,
     validate_hypotheses,
 )
 from choquard.riesz import RieszKernel
@@ -27,6 +29,20 @@ def smooth_random_field(grid, rng, width=2.0):
 
 
 # -- nonlinearity parsing -----------------------------------------------------
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_power_without_pow_matches_the_pow_form_bit_for_bit(p):
+    """F and f skip pow for |s|^2 and |s|^1 and still equal the ** form,
+    over 17 decades and at +0 and -0."""
+    rng = np.random.default_rng(17)
+    s = np.sign(rng.standard_normal(10 ** 6)) * 10.0 ** rng.uniform(-8.5, 8.5, 10 ** 6)
+    s[:2] = [0.0, -0.0]
+    nl = power(p)
+    F_pow = np.zeros_like(s) + np.abs(s) ** p
+    f_pow = np.zeros_like(s) + p * np.copysign(np.abs(s) ** (p - 1.0), s)
+    assert np.array_equal(nl.F(s).view(np.int64), F_pow.view(np.int64))
+    assert np.array_equal(nl.f(s).view(np.int64), f_pow.view(np.int64))
+
 
 def test_parse_power():
     nl = parse_nonlinearity("power:p=2")
@@ -298,6 +314,47 @@ def test_root_requires_positive_q():
     st = _assemble(3, 2.0, 1.0, 1.0, -0.5)
     with pytest.raises(NonpositiveQ):
         pohozaev_root(st, 3, 2.0)
+
+
+@pytest.mark.parametrize("B,Q", [(1e200, 1.0), (1e300, 1e-300)])
+def test_planar_root_that_overflows_is_rejected(B, Q):
+    """(2B / ((2 + alpha) Q))^(1/alpha) past the float range, as an
+    OverflowError of ** or as inf, is no Pohozaev root."""
+    st = _assemble(2, 0.5, 1.0, B, Q)
+    with pytest.raises(NonpositiveQ, match="no finite Pohozaev root"):
+        pohozaev_root(st, 2, 0.5)
+
+
+@pytest.mark.parametrize("dim,alpha,abq,t_root,level", [
+    # 2D: t = (2 * 6 / (3 * 1))^1 = 4, a(4) = (2 + 16 * 6 - 64 * 1) / 2 = 17
+    (2, 1.0, (2.0, 6.0, 1.0), 4.0, 17.0),
+    # 3D: A/2 + (3/2) t^2 B - (5/2) t^4 Q = 4 + 6 - 10 = 0 at t = 2,
+    # a(2) = (2 * 8 + 8 * 1 - 32 * 0.25) / 2 = 8
+    (3, 2.0, (8.0, 1.0, 0.25), 2.0, 8.0),
+])
+def test_ray_maximum_is_the_energy_at_the_root(dim, alpha, abq, t_root, level):
+    st = _assemble(dim, alpha, *abq)
+    assert pohozaev_root(st, dim, alpha) == pytest.approx(t_root, rel=1e-12)
+    assert ray_maximum(st, dim, alpha) == pytest.approx(level, rel=1e-12)
+    t = pohozaev_root(st, dim, alpha)
+    assert ray_maximum(st, dim, alpha) == dilation_energy(t, st, dim, alpha)
+    ts = np.linspace(0.05, 3.0, 600) * t_root
+    assert max(dilation_energy(x, st, dim, alpha) for x in ts) <= level
+
+
+def test_ray_maximum_needs_a_root():
+    with pytest.raises(NonpositiveQ):
+        ray_maximum(_assemble(3, 2.0, 1.0, 1.0, 0.0), 3, 2.0)
+
+
+@pytest.mark.parametrize("a_val,b_val", [(0.0, 0.0), (np.inf, 1.0),
+                                         (np.nan, 1.0)])
+def test_residuals_name_a_drained_iterate(a_val, b_val):
+    grid = GridSpec(2, 8, 2.0)
+    st = _assemble(2, 1.0, a_val, b_val, 1.0)
+    zero = np.zeros(grid.shape)
+    with pytest.raises(NoDescent, match="drained"):
+        residuals(grid, st, zero, zero)
 
 
 def test_dilation_ray_energy_has_interior_maximum():

@@ -36,12 +36,14 @@ from choquard.functionals import (
     evaluate_with_gradient,
     parse_nonlinearity,
     pohozaev_root,
+    ray_maximum,
 )
 from choquard.riesz import RieszKernel
 from choquard.solver import (
     SolverConfig,
     _Descent,
     _gaussian_seed,
+    _least_ray_start,
     _projector,
     build_initializer,
     quintic_cutoff,
@@ -317,6 +319,10 @@ def test_quintic_cutoff_plateau_and_support(radius):
     assert np.all(c[r <= radius] == 1.0)
     assert np.all(c[r >= 2.0 * radius] == 0.0)
     assert np.all((c >= 0.0) & (c <= 1.0))
+    # the power form of the blend, to within rounding
+    s = np.clip((r - radius) / radius, 0.0, 1.0)
+    blend = 1.0 - (6.0 * s ** 5 - 15.0 * s ** 4 + 10.0 * s ** 3)
+    np.testing.assert_allclose(c, blend, rtol=0.0, atol=1e-14)
     # radially non-increasing along the positive first axis
     row = c[GRID.M // 2 :, GRID.M // 2]
     assert np.all(np.diff(row) <= 1e-12)
@@ -354,11 +360,79 @@ def test_solves_are_exact_mirror_images(ground, saddle):
 def test_half_grid_solves_keep_the_full_grid_energies(ground, saddle):
     """Energies and iteration counts of the Barzilai-Borwein step with the
     nonmonotone acceptance on the half grid, each iterate projected once
-    after its dilation; a change to the step rule, to where the descent
-    projects or to the half-grid arithmetic moves them."""
+    after its dilation, the saddle started at the least ray maximum over
+    SPACINGS; a change to the step rule, to the start, to where the
+    descent projects or to the half-grid arithmetic moves them."""
     assert ground.energy == pytest.approx(1.905239053117299, rel=1e-9, abs=0.0)
-    assert saddle.energy == pytest.approx(3.2534875363286195, rel=1e-9, abs=0.0)
-    assert (ground.iters, saddle.iters) == (8, 59)
+    assert saddle.energy == pytest.approx(3.2534875445509903, rel=1e-9, abs=0.0)
+    assert (ground.iters, saddle.iters) == (8, 32)
+
+
+def test_scanned_and_widest_starts_reach_the_same_saddle(kernel, ground):
+    """At a tight gradient tolerance the scanned start and the 6R start
+    converge to one discrete critical energy: the scan changes the path,
+    not the critical point the pin above approximates."""
+    group = from_name("A1")
+    action = GroupAction(group, GRID)
+    cfg = SolverConfig(seed=0, restarts=1, grad_tol=1e-9)
+    widest = solve_saddle(group, NL, kernel, GRID, cfg,
+                          init=build_initializer(action, ground.field, 6.0))
+    scanned = solve_saddle(group, NL, kernel, GRID, cfg, base=ground.field)
+    assert scanned.energy == pytest.approx(widest.energy, rel=1e-12, abs=0.0)
+    assert scanned.iters < widest.iters
+
+
+def _ray_level(kernel, action, start):
+    half = action.half
+    state = _state_parts(NL, kernel, half.fold(start.data), half)[0]
+    return ray_maximum(state, GRID.dim, kernel.alpha)
+
+
+@pytest.mark.parametrize("tag", ["A1", "I2:3"])
+def test_scanned_start_has_the_least_ray_maximum(kernel, ground, tag):
+    action = GroupAction(from_name(tag), GRID)
+    chosen = _least_ray_start(NL, kernel, action, ground.field)
+    levels = [_ray_level(kernel, action,
+                         build_initializer(action, ground.field, c))
+              for c in solver.SPACINGS]
+    assert 6.0 in solver.SPACINGS
+    assert _ray_level(kernel, action, chosen) == min(levels)
+    assert min(levels) <= levels[solver.SPACINGS.index(6.0)]
+
+
+@pytest.mark.parametrize("tag,builds", [("trivial", 1), ("A1", len(solver.SPACINGS))])
+def test_scan_builds_one_start_per_spacing_unless_the_orbit_is_a_point(
+        kernel, ground, monkeypatch, tag, builds):
+    calls = []
+    build = solver.build_initializer
+    monkeypatch.setattr(solver, "build_initializer",
+                        lambda *args: calls.append(args) or build(*args))
+    _least_ray_start(NL, kernel, GroupAction(from_name(tag), GRID), ground.field)
+    assert len(calls) == builds
+
+
+def test_start_falls_back_to_the_widest_spacing(kernel, ground, monkeypatch):
+    """With no candidate admitting a Pohozaev root, the start is 6R."""
+    def no_root(*args):
+        raise NonpositiveQ("scripted: no root")
+
+    monkeypatch.setattr(solver, "ray_maximum", no_root)
+    action = GroupAction(from_name("A1"), GRID)
+    chosen = _least_ray_start(NL, kernel, action, ground.field)
+    widest = build_initializer(action, ground.field, 6.0)
+    assert np.array_equal(chosen.data, widest.data)
+
+
+def test_given_start_bypasses_the_scan(kernel, ground, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the spacing scan ran")
+
+    monkeypatch.setattr(solver, "_least_ray_start", no_scan)
+    action = GroupAction(from_name("A1"), GRID)
+    init = build_initializer(action, ground.field)
+    rep = solve_saddle(from_name("A1"), NL, kernel, GRID,
+                       SolverConfig(seed=0, restarts=1), init=init)
+    assert rep.grad_residual <= 1e-4
 
 
 def test_saddle_is_odd_with_two_nodal_domains(saddle):
