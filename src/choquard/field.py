@@ -208,9 +208,14 @@ def _idst(c: np.ndarray, parity: tuple) -> np.ndarray:
     return _sine_transform(c, parity, range(c.ndim), inverse=True)
 
 
+def helmholtz_inverse_coeff(grid: GridSpec, a: np.ndarray, power: int = 1) -> np.ndarray:
+    """Sine coefficients of (1 - Delta)^{-power} a."""
+    return _dst(a, grid.parity) / (1.0 + sine_multipliers(grid)) ** power
+
+
 def helmholtz_inverse_array(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """(1 - Delta)^{-1} a in the sine basis."""
-    return _idst(_dst(a, grid.parity) / (1.0 + sine_multipliers(grid)), grid.parity)
+    return _idst(helmholtz_inverse_coeff(grid, a), grid.parity)
 
 
 def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
@@ -517,43 +522,59 @@ def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray, parity: int) -> np.ndarra
     return mat
 
 
-def _spectral_resample(u: Field, pts) -> np.ndarray:
-    """Sample the sine interpolant of u on the tensor grid pts[0] x pts[1] x ...
-
-    pts holds one array of physical coordinates per axis; coordinates
-    outside the cube read zero.  u may live on a parity-reduced grid.
-    """
-    grid = u.grid
-    out = _dst(u.data, grid.parity)
-    for axis, p in enumerate(pts):
-        mat = _sine_eval_matrix(grid, p, grid.parity[axis])
+def _spectral_resample(u: Field, rows, coeff=None) -> np.ndarray:
+    """Apply rows[axis], an evaluation matrix from `_sine_eval_matrix`, along
+    each axis to the sine coefficients of u: coeff when the caller holds
+    them, else computed here.  u may live on a parity-reduced grid."""
+    out = _dst(u.data, u.grid.parity) if coeff is None else coeff
+    for axis, mat in enumerate(rows):
         out = np.moveaxis(
             np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis
         )
     return out
 
 
-def dilate(u: Field, t: float) -> Field:
+def dilate(u: Field, t: float, coeff: np.ndarray = None) -> Field:
     """u(x / t) from the sine interpolant, zero outside the cube.
 
     Exact for band-limited data at every t > 0, so the rescaling inside the
     solver, which runs on every trial step, adds no interpolation noise to
     the gradient residual.  On a parity-reduced grid it evaluates the
-    class's modes at the positive-half points.
+    class's modes at the positive-half points.  coeff, when given, must be
+    the sine coefficients of u (`_dst(u.data, u.grid.parity)`): a caller
+    that already holds them spares the transform, bit for bit.
     """
     if not (t > 0):
         raise ValueError(f"dilation factor must be positive, got {t}")
-    pts = [u.grid.axis_coords(ax) / t for ax in range(u.grid.dim)]
-    return u.with_data(_spectral_resample(u, pts))
+    grid = u.grid
+    rows = [_sine_eval_matrix(grid, grid.axis_coords(ax) / t, grid.parity[ax])
+            for ax in range(grid.dim)]
+    return u.with_data(_spectral_resample(u, rows, coeff))
 
 
-def translate(u: Field, shift: np.ndarray) -> Field:
-    """u(x - shift) from the sine interpolant, zero outside the cube."""
-    x = u.grid.axis_coords()
+def translate(u: Field, shift: np.ndarray, target: GridSpec = None) -> Field:
+    """u(x - shift) from the sine interpolant, zero outside the cube, on the
+    target grid (default u's own), which may differ from u's in parity only.
+
+    Along an axis the target keeps whole, the nodes x read u(x - s); along
+    an axis it folds with parity p, its positive-half nodes read
+    1/2 [u(x - s) + p u(-x - s)], the target's fold of the translate, so
+    one evaluation both moves u and folds it without building the full
+    grid.  u may itself live on a parity-reduced grid.
+    """
+    grid = u.grid
+    target = grid if target is None else target
+    if replace(target, parity=None) != replace(grid, parity=None):
+        raise GridMismatch("translate target differs from the field's grid")
     shift = np.asarray(shift, dtype=float)
-    return u.with_data(
-        _spectral_resample(u, [x - shift[a] for a in range(u.grid.dim)])
-    )
+    rows = []
+    for ax, p in enumerate(target.parity):
+        x, s = target.axis_coords(ax), shift[ax]
+        mat = _sine_eval_matrix(grid, x - s, grid.parity[ax])
+        if p:
+            mat = 0.5 * (mat + p * _sine_eval_matrix(grid, -x - s, grid.parity[ax]))
+        rows.append(mat)
+    return Field(target, _spectral_resample(u, rows))
 
 
 def boundary_amplitude(u: Field) -> float:

@@ -16,8 +16,8 @@ closed form (2B / ((2+alpha) Q))^(1/alpha).
 
 This module is the one evaluation core: the solver, `evaluate` and
 `choquard verify` all take A, B, Q, the gradient and the residuals from
-the array functions `_state_parts`, `_gradient_from_parts`, `_q_parts`
-and `residuals`, on the grid the caller passes, which names the folded
+the array functions `_state_parts`, `_gradient_from_parts` and
+`residuals`, on the grid the caller passes, which names the folded
 axes: the solver's half grid, or the field's `field.exact_half` in
 `evaluate`, which unfolds the gradient from it.
 """
@@ -308,20 +308,18 @@ def evaluate_with_gradient(nl, kernel, u):
         half.unfold(_gradient_from_parts(nl, kernel, a, coeff, conv, half)))
 
 
-def _q_parts(nl, kernel, a, grid):
-    """Q = int (I_alpha * F(u)) F(u) and the convolution behind it, folded
-    on the folded axes of grid, along which the even F makes F(u) even."""
-    f_of_u = nl.F(a)
-    conv = kernel.convolve_array(f_of_u, grid.folded)
-    return float(grid.weight * np.sum(conv * f_of_u)), conv
-
-
-def _state_parts(nl, kernel, a, grid):
-    """FunctionalState of a on grid plus its sine coefficients and convolution."""
-    coeff = _dst(a, grid.parity)
+def _state_parts(nl, kernel, a, grid, coeff=None):
+    """FunctionalState of a on grid plus its sine coefficients and the
+    convolution I_alpha * F(u), folded on the folded axes of grid, along
+    which the even F makes F(u) even; coeff, when given, stands for the
+    sine coefficients of a."""
+    if coeff is None:
+        coeff = _dst(a, grid.parity)
     a_val = float(grid.cell_volume * np.sum(sine_multipliers(grid) * coeff ** 2))
     b_val = float(grid.weight * np.sum(a ** 2))
-    q_val, conv = _q_parts(nl, kernel, a, grid)
+    f_of_u = nl.F(a)
+    conv = kernel.convolve_array(f_of_u, grid.folded)
+    q_val = float(grid.weight * np.sum(conv * f_of_u))
     state = _assemble(grid.dim, kernel.alpha, a_val, b_val, q_val)
     return state, coeff, conv
 
@@ -332,12 +330,16 @@ def _gradient_from_parts(nl, kernel, a, coeff, conv, grid):
     return -lap + a - conv * nl.f(a)
 
 
-def _ensure_positive_q(nl, kernel, a, grid):
-    """Double the amplitude until Q > 0; the zero field never gets there."""
-    for _ in range(60):
-        if _q_parts(nl, kernel, a, grid)[0] > 0.0:
-            return a
-        a = 2.0 * a
+def _ensure_positive_q(nl, kernel, a, grid, parts):
+    """Double the amplitude of a until Q > 0, from parts = _state_parts(a),
+    evaluating again only after a doubling; returns the amplitude reached
+    and its parts.  The zero field never gets there."""
+    for doubling in range(60):
+        if doubling:
+            a = 2.0 * a
+            parts = _state_parts(nl, kernel, a, grid)
+        if parts[0].Q > 0.0:
+            return a, parts
     raise NonpositiveQ("could not reach Q > 0 by amplitude doubling")
 
 

@@ -15,9 +15,11 @@ The group action alone describes the solve class: every descent stores and
 iterates only its half grid (`GroupAction.half`, the positive half of each
 axis with a mirror parity), where transforms, dilation and convolution run
 at length M/2.  F is even, so F(u) is mirror-even along every axis with a
-parity and the convolution folds them all.  The start field and each
-restart's noise are folded onto the half once, so restarts explore only
-the parity class, and the report's field is unfolded from it.
+parity and the convolution folds them all.  A full-grid start field and
+each restart's noise are folded onto the half once, so restarts explore
+only the parity class, and the report's field is unfolded from it.  Each
+descent evaluates its start once, and neither a trial nor a dilation
+transforms again what an evaluation already holds.
 `_projector` picks the map into the class once per solve: |u| for the
 ground state, none where the half grid holds the class (A1, I2:2,
 A1xA1xA1), and otherwise unfold, `symmetrize_array`, fold, where the group
@@ -31,9 +33,11 @@ every group alike, the ground state's trivial group included, and
 
 Saddle initializers translate a cut-off copy of a base profile to the
 orbit of a chamber-interior direction and antisymmetrize, producing one
-signed bump per orbit point.  `solve_saddle` builds one start for each
-orbit spacing in SPACINGS and keeps the one of least ray maximum, the
-energy at its Pohozaev root, read off one evaluation of each.
+signed bump per orbit point.  They build it on the half grid from the
+base's own half; only the averaging class map of I2:m unfolds it.
+`solve_saddle` builds one start for each orbit spacing in SPACINGS and
+keeps the one of least ray maximum, the energy at its Pohozaev root, read
+off one evaluation of each.
 """
 
 from __future__ import annotations
@@ -50,16 +54,19 @@ from .field import (
     Field,
     GridSpec,
     GroupAction,
+    _idst,
     boundary_amplitude,
     dilate,
-    helmholtz_inverse_array,
+    exact_half,
+    helmholtz_inverse_coeff,
     symmetrize_array,
     symmetry_residual,
     translate,
     x_dot_grad_array,
 )
-# bench/tracer.py wraps _idst here by name; nothing in this module calls it.
-from .field import _idst  # noqa: F401
+# bench/tracer.py wraps helmholtz_inverse_array here by name; nothing in
+# this module calls it.
+from .field import helmholtz_inverse_array  # noqa: F401
 from .functionals import (
     Nonlinearity,
     _ensure_positive_q,
@@ -190,16 +197,21 @@ class _Descent:
 
     def _retract(self, a, state, coeff, conv):
         """Dilate a back onto the ray maximum, project it into the class and
-        evaluate it there: the one place where an iterate enters the class."""
+        evaluate it there: the one place where an iterate enters the class.
+        The dilation reads a's sine coefficients coeff from its evaluation."""
         t = self._retraction_root(a, state, coeff, conv)
-        a = self.project(dilate(Field(self.grid, a), t).data)
+        a = self.project(dilate(Field(self.grid, a), t, coeff).data)
         return (a, *_state_parts(self.nl, self.kernel, a, self.grid))
 
     def run(self, a0: np.ndarray):
+        """Descend from a0, evaluated once here; its amplitude is doubled
+        first where its Q is not positive."""
         cfg = self.cfg
         grid = self.grid
         nl, kernel = self.nl, self.kernel
-        a, state, coeff, conv = self._retract(a0, *_state_parts(nl, kernel, a0, grid))
+        a0, parts = _ensure_positive_q(nl, kernel, a0, grid,
+                                       _state_parts(nl, kernel, a0, grid))
+        a, state, coeff, conv = self._retract(a0, *parts)
         # energies of the last accepted iterates: a trial is accepted when
         # it does not rise above the highest of them (nonmonotone descent)
         recent = deque([state.energy], maxlen=ENERGY_WINDOW)
@@ -219,7 +231,10 @@ class _Descent:
                     raise SymmetryDrift(
                         f"symmetry residual {drift:.3e} at iteration {it}"
                     )
-            direction = helmholtz_inverse_array(grid, grad)
+            # a trial's sine coefficients are coeff - eta * dcoeff, so it
+            # is evaluated without a transform of its own
+            dcoeff = helmholtz_inverse_coeff(grid, grad)
+            direction = _idst(dcoeff, grid.parity)
             eta = STEP if prev is None else _bb_step(
                 a - prev[0], grad - prev[1], direction - prev[2])
             prev = (a, grad, direction)
@@ -234,8 +249,9 @@ class _Descent:
             # the rescaling exactly undoes, freezing the iteration.
             for _ in range(MAX_BACKTRACKS):
                 trial = a - eta * direction
+                parts = _state_parts(nl, kernel, trial, grid, coeff - eta * dcoeff)
                 try:  # a trial whose Q admits no Pohozaev root is rejected
-                    t_parts = self._retract(trial, *_state_parts(nl, kernel, trial, grid))
+                    t_parts = self._retract(trial, *parts)
                 except NonpositiveQ:
                     eta *= 0.5
                     continue
@@ -256,8 +272,9 @@ class _Descent:
 
 
 def _smooth_noise(grid, rng, scale):
+    """(1 - Delta)^{-2} of white noise on the full grid, peak scaled to scale."""
     raw = rng.standard_normal(grid.shape)
-    smooth = helmholtz_inverse_array(grid, helmholtz_inverse_array(grid, raw))
+    smooth = _idst(helmholtz_inverse_coeff(grid, raw, power=2), grid.parity)
     peak = np.max(np.abs(smooth))
     return scale * smooth / peak if peak > 0 else smooth
 
@@ -279,31 +296,34 @@ def _projector(action):
     return lambda a: half.fold(symmetrize_array(action, half.unfold(a)))
 
 
-def _solve(nl, kernel, grid, cfg, a0, action):
-    """Best of cfg.restarts descents from a0 and its noisy copies.
+def _solve(nl, kernel, grid, cfg, init, action):
+    """Best of cfg.restarts descents from the start field init and its noisy
+    copies.
 
-    a0 and each restart's noise are folded once onto the action's half
-    grid, and the report's field is unfolded from it.  The report measures
-    the symmetry residual of every solve.
+    init on the action's half grid is used as it is, and init on the full
+    grid and each restart's noise are folded once onto the half; the
+    report's field is unfolded from it, and its symmetry residual measured.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
-    if not np.all(np.isfinite(a0)):
+    half = action.half
+    if init.grid not in (grid, half):
+        raise GridMismatch("start field grid does not match the solver grid")
+    if not np.all(np.isfinite(init.data)):
         raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
-    half = action.half
     project = _projector(action)
     best = None
     energies = []
     failure = None
-    a0_half = half.fold(a0)
+    a0 = init.data if init.grid == half else half.fold(init.data)
+    noise_scale = 0.05 * np.max(np.abs(init.data))
     for r in range(max(1, cfg.restarts)):
         rng = np.random.default_rng(cfg.seed + r)
-        a_init = a0_half.copy()
+        a_init = a0.copy()
         if r > 0:
-            a_init += half.fold(_smooth_noise(grid, rng, 0.05 * np.max(np.abs(a0))))
+            a_init += half.fold(_smooth_noise(grid, rng, noise_scale))
         try:
-            a_init = _ensure_positive_q(nl, kernel, a_init, half)
             result = _Descent(nl, kernel, cfg, project, action).run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
             failure = exc
@@ -341,8 +361,9 @@ def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
                  cfg: SolverConfig = SolverConfig(), init: Field = None
                  ) -> SolveReport:
     """Positive ground state on the trivial symmetry class."""
-    a0 = init.data if init is not None else _gaussian_seed(grid)
-    return _solve(nl, kernel, grid, cfg, a0, GroupAction(from_name("trivial"), grid))
+    if init is None:
+        init = Field(grid, _gaussian_seed(grid))
+    return _solve(nl, kernel, grid, cfg, init, GroupAction(from_name("trivial"), grid))
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -355,7 +376,8 @@ def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
 
 def build_initializer(action: GroupAction, base: Field,
                       spacing: float = 6.0) -> Field:
-    """Signed orbit-bump seed: Pi_G of a cut-off base translated to l R q.
+    """Signed orbit-bump seed on the action's half grid: the fold of
+    |G| Pi_G of a cut-off base translated to l R q.
 
     q is the chamber-interior direction, so the orbit is free and the bumps
     are copies signed by the character.  The separation l = spacing / k1,
@@ -365,6 +387,12 @@ def build_initializer(action: GroupAction, base: Field,
     copies overlap and partly cancel, since they carry opposite signs
     across each wall.  The output is scaled by the group order so that
     each bump, where it stands alone, keeps the base amplitude.
+
+    The bump is cut on the base's own half (`exact_half`, all-even for a
+    ground state); one sine-interpolant evaluation translates it and folds
+    it onto the action's half.  A non-trivial group's class map is then
+    `_projector`'s: none where the half holds the class, else unfold, group
+    average and fold, whose unfold is the only full-grid array built.
     """
     group = action.group
     grid = action.grid
@@ -382,10 +410,12 @@ def build_initializer(action: GroupAction, base: Field,
     # configuration before settling, and a seed that already touches the
     # boundary turns those dilations into wall artifacts.
     radius = 0.80 * grid.L / (separation * qmax + 2.0)
-    bump = quintic_cutoff(grid, radius) * base.data
+    source = exact_half(base)
+    bump = quintic_cutoff(source, radius) * source.fold(base.data)
     center = action.embed_point(separation * radius * q)
-    shifted = translate(Field(grid, bump), center)
-    return Field(grid, group.order * symmetrize_array(action, shifted.data))
+    a = translate(Field(source, bump), center, action.half).data
+    project = _projector(action) if group.rank else None
+    return Field(action.half, group.order * (project(a) if project else a))
 
 
 def _least_ray_start(nl, kernel, action, base):
@@ -396,13 +426,12 @@ def _least_ray_start(nl, kernel, action, base):
     spaced 6R when none has one or the orbit is a single point."""
     if action.group.rank == 0:
         return build_initializer(action, base)
-    half = action.half
     best, least = None, np.inf
     for spacing in SPACINGS:
         start = build_initializer(action, base, spacing)
-        state = _state_parts(nl, kernel, half.fold(start.data), half)[0]
+        state = _state_parts(nl, kernel, start.data, start.grid)[0]
         try:
-            level = ray_maximum(state, half.dim, kernel.alpha)
+            level = ray_maximum(state, start.grid.dim, kernel.alpha)
         except NonpositiveQ:
             continue
         if level < least:
@@ -420,4 +449,4 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
         init = _least_ray_start(nl, kernel, action, base)
-    return _solve(nl, kernel, grid, cfg, init.data, action)
+    return _solve(nl, kernel, grid, cfg, init, action)

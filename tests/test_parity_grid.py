@@ -2,9 +2,9 @@
 
 A field of fixed mirror parity along an axis is stored as its positive
 half there.  Every operator the solver runs on that half (sine transforms,
-A and B, the Helmholtz inverse, x.grad u, the dilation and the Riesz
-convolution) must give the positive half of what the full grid gives, for
-every parity vector in {+1, -1, 0}^N.
+A and B, the Helmholtz inverse, x.grad u, the dilation, the translation
+and the Riesz convolution) must give the positive half of what the full
+grid gives, for every parity vector in {+1, -1, 0}^N.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from choquard.coxeter import from_name, parse_tag
+from choquard.errors import GridMismatch
 from choquard.field import (
     Field,
     GridSpec,
@@ -24,6 +25,7 @@ from choquard.field import (
     exact_half,
     helmholtz_inverse_array,
     parity_fold,
+    translate,
     x_dot_grad_array,
 )
 from choquard.functionals import (
@@ -143,6 +145,49 @@ def test_reduced_dilation(dim, par, t):
     assert out.grid == half
     full = dilate(Field(grid, a), t).data
     assert rel(out.data, positive_half(grid, par, full)) <= TOL
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_dilation_from_held_coefficients_is_bit_identical(dim, par):
+    half = replace(GRIDS[dim], parity=par)
+    u = Field(half, half.fold(class_field(GRIDS[dim], par)))
+    held = dilate(u, 1.1, _dst(u.data, par))
+    assert np.array_equal(held.data, dilate(u, 1.1).data)
+
+
+SHIFT = np.array([0.7, -0.4, 0.3])
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_translation_folds_onto_the_target_half(dim, par):
+    """An even source translated onto the half of parity par is that
+    half's fold of the full-grid translate."""
+    grid = GRIDS[dim]
+    even = replace(grid, parity=(1,) * dim)
+    a = class_field(grid, even.parity)
+    target = replace(grid, parity=par)
+    out = translate(Field(even, even.fold(a)), SHIFT[:dim], target)
+    assert out.grid == target
+    full = translate(Field(grid, a), SHIFT[:dim]).data
+    assert rel(out.data, target.fold(full)) <= TOL
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_translation_from_a_half_source_reads_its_mirror_images(dim, par):
+    """A source stored on the half of parity par, translated onto the full
+    grid, is the full-grid translate of the whole field."""
+    grid = GRIDS[dim]
+    half = replace(grid, parity=par)
+    a = class_field(grid, par)
+    out = translate(Field(half, half.fold(a)), SHIFT[:dim], grid)
+    assert rel(out.data, translate(Field(grid, a), SHIFT[:dim]).data) <= TOL
+
+
+def test_translation_target_must_share_the_cube():
+    grid = GRIDS[2]
+    with pytest.raises(GridMismatch):
+        translate(Field(grid, class_field(grid, (0, 0))), SHIFT[:2],
+                  GridSpec(2, grid.M, 2.0 * grid.L, (1, 1)))
 
 
 @pytest.mark.parametrize("dim,par", CASES)

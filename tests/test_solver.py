@@ -27,7 +27,10 @@ from choquard.field import (
     GroupAction,
     _dst,
     dilate,
+    exact_half,
+    symmetrize_array,
     symmetry_residual,
+    translate,
     x_dot_grad_array,
 )
 from choquard.functionals import (
@@ -330,7 +333,7 @@ def test_quintic_cutoff_plateau_and_support(radius):
 
 def test_orbit_bump_initializer(kernel, ground):
     action = GroupAction(from_name("A1"), GRID)
-    init = build_initializer(action, ground.field)
+    init = Field(GRID, action.half.unfold(build_initializer(action, ground.field).data))
     assert init.data.min() < 0.0 < init.data.max()
     assert init.data.max() == pytest.approx(-init.data.min(), rel=1e-12)
     assert symmetry_residual(action, init) <= 1e-12
@@ -338,6 +341,71 @@ def test_orbit_bump_initializer(kernel, ground):
     nod = nodal_domains(init)
     assert nod.count == 2
     assert nod.sizes[0] == nod.sizes[1]
+
+
+def _full_grid_start(action, base, spacing):
+    """The orbit-bump start as the full grid builds it: the cut-off base
+    translated to l R q, |G| Pi_G of that, folded onto the action's half."""
+    group, grid = action.group, action.grid
+    q = group.chamber_interior_point()
+    q = q / np.linalg.norm(q)
+    orbit = group.orbit(q)
+    separation = spacing / orbit.min_dist
+    radius = 0.80 * grid.L / (separation * np.max(np.abs(orbit.points)) + 2.0)
+    bump = quintic_cutoff(grid, radius) * base.data
+    moved = translate(Field(grid, bump), action.embed_point(separation * radius * q))
+    return action.half.fold(group.order * symmetrize_array(action, moved.data))
+
+
+GRID3 = GridSpec(dim=3, M=16, L=6.0)
+
+
+def _even_base(grid):
+    return Field(grid, np.exp(-grid.radius_sq() / 2.0))
+
+
+def _off_centre_base(grid):
+    x, y = grid.mesh()
+    return Field(grid, np.exp(-((x - 0.7) ** 2 + (y + 0.4) ** 2) / 2.0))
+
+
+@pytest.mark.parametrize("spacing", [1.5, 6.0])
+@pytest.mark.parametrize("tag,grid,make_base,source_parity", [
+    ("A1", GRID, None, (1, 1)),
+    ("I2:2", GRID, None, (1, 1)),
+    ("I2:3", GRID, None, (1, 1)),
+    ("A1", GRID3, _even_base, (1, 1, 1)),
+    ("A1xA1xA1", GRID3, _even_base, (1, 1, 1)),
+    ("A1", GRID, _off_centre_base, (0, 0)),
+    ("I2:3", GRID, _off_centre_base, (0, 0)),
+])
+def test_half_grid_start_is_the_folded_full_grid_start(
+        ground, tag, grid, make_base, source_parity, spacing):
+    """The start built on the half equals, to rounding, the full-grid
+    construction folded once: from the ground state's all-even half, and
+    from an off-centre base whose source half is the full grid."""
+    base = ground.field if make_base is None else make_base(grid)
+    assert exact_half(base).parity == source_parity
+    action = GroupAction(from_name(tag), grid)
+    start = build_initializer(action, base, spacing)
+    assert start.grid == action.half
+    expected = _full_grid_start(action, base, spacing)
+    assert np.max(np.abs(start.data - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_each_restart_start_is_convolved_once(kernel, monkeypatch):
+    """run evaluates its start once and hands that to the Q > 0 check: no
+    array reaches the convolution twice in a solve with a noisy restart."""
+    convolve = RieszKernel.convolve_array
+    seen = []
+
+    def recorded(self, v, *args):
+        seen.append(hash(v.tobytes()))
+        return convolve(self, v, *args)
+
+    monkeypatch.setattr(RieszKernel, "convolve_array", recorded)
+    solve_ground(NL, kernel, GRID, SolverConfig(restarts=2))
+    assert len(seen) == len(set(seen))
 
 
 def test_saddle_sits_above_ground(ground, saddle):
@@ -383,8 +451,7 @@ def test_scanned_and_widest_starts_reach_the_same_saddle(kernel, ground):
 
 
 def _ray_level(kernel, action, start):
-    half = action.half
-    state = _state_parts(NL, kernel, half.fold(start.data), half)[0]
+    state = _state_parts(NL, kernel, start.data, start.grid)[0]
     return ray_maximum(state, GRID.dim, kernel.alpha)
 
 
@@ -421,6 +488,15 @@ def test_start_falls_back_to_the_widest_spacing(kernel, ground, monkeypatch):
     chosen = _least_ray_start(NL, kernel, action, ground.field)
     widest = build_initializer(action, ground.field, 6.0)
     assert np.array_equal(chosen.data, widest.data)
+
+
+def test_start_on_another_half_is_refused(kernel, ground):
+    """An A1 start has the shape of an I2:2 half but not its parity."""
+    start = build_initializer(GroupAction(from_name("A1"), GRID), ground.field)
+    assert start.data.shape == GroupAction(from_name("I2:2"), GRID).half.shape
+    with pytest.raises(GridMismatch, match="start field grid"):
+        solve_saddle(from_name("I2:2"), NL, kernel, GRID,
+                     SolverConfig(seed=0, restarts=1), init=start)
 
 
 def test_given_start_bypasses_the_scan(kernel, ground, monkeypatch):
@@ -465,9 +541,9 @@ def test_descent_checks_drift_only_when_the_projector_averages(
     project = _projector(action)
     assert (project is np.abs) == (tag == "trivial")
     assert (project is None) == (tag == "A1")
-    start = (_gaussian_seed(GRID) if tag == "trivial"
+    start = (action.half.fold(_gaussian_seed(GRID)) if tag == "trivial"
              else build_initializer(action, ground.field).data)
     cfg = SolverConfig(max_iters=1, grad_tol=1e-14, pohozaev_tol=1e-14)
     with pytest.raises(SymmetryDrift if checks else NoDescent):
-        _Descent(NL, kernel, cfg, project, action).run(action.half.fold(start))
+        _Descent(NL, kernel, cfg, project, action).run(start)
     assert bool(calls) is checks
