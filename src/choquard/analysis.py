@@ -24,7 +24,7 @@ from .field import Field, GroupAction, radial_shell_stats
 from .field import symmetrize_array  # noqa: F401
 from .functionals import Nonlinearity
 from .riesz import RieszKernel
-from .solver import SolveReport, SolverConfig, solve_ground, solve_saddle
+from .solver import SolveReport, SolverConfig, solve_saddle
 
 AMPLITUDE_FLOOR = 1e-300
 CHAMBER_TOL = 1e-9  # wall distance, relative to 1 + |x|, that counts as on the wall
@@ -142,12 +142,11 @@ def annotate_report(report: SolveReport, threshold: float = 1e-3,
 def facet_ray_representatives(group: CoxeterGroup):
     """One representative q per stratum of codimension rank-1 in the chamber.
 
-    Rank 1 returns the interior direction; rank k >= 2 returns a unit vector
-    on each extreme ray (intersection of k-1 walls) of the chamber cone.
+    Rank 0 returns none, rank 1 the interior direction; rank k >= 2 returns
+    a unit vector on each extreme ray (intersection of k-1 walls) of the
+    chamber cone.
     """
     k = group.rank
-    if k == 0:
-        return []
     if k == 1:
         return [group.chamber_interior_point()]
     reps = []
@@ -248,22 +247,17 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
     by_signature = {}
     ground = None
     for group in groups:
+        report = solve_saddle(group, nl, kernel, grid, cfg,
+                              base=ground.field if ground else None)
         if group.rank == 0:
-            report = solve_ground(nl, kernel, grid, cfg)
             ground = report
-        else:
-            report = solve_saddle(group, nl, kernel, grid, cfg,
-                                  base=ground.field if ground else None)
         report = annotate_report(report, threshold)
         rows.append(report)
         sig = (group.rank, group.order)
         by_signature.setdefault(sig, report)
 
     inequalities = []
-    for report in rows:
-        group = from_name(report.group)
-        if group.rank == 0:
-            continue
+    for group, report in zip(groups, rows):
         best_rhs = None
         best_nontrivial = None
         for q in facet_ray_representatives(group):

@@ -123,12 +123,8 @@ def _write_solution(prefix, report):
 def cmd_solve(args) -> int:
     opts = _merge_options(args, _SOLVE_DEFAULTS)
     nl, grid, kernel, cfg = _problem(opts, args.force)
-    group = from_name(opts["group"])
-    if group.rank == 0:
-        report = solver.solve_ground(nl, kernel, grid, cfg)
-    else:
-        report = solver.solve_saddle(group, nl, kernel, grid, cfg)
-    annotated = analysis.annotate_report(report, opts["threshold"], group)
+    report = solver.solve_saddle(from_name(opts["group"]), nl, kernel, grid, cfg)
+    annotated = analysis.annotate_report(report, opts["threshold"])
     _dump(annotated.to_json_dict())
     if args.out:
         _write_solution(args.out, annotated)

@@ -43,14 +43,13 @@ class CoxeterMatrix:
         k = m.shape[0]
         if k > RANK_CAP:
             raise ParseError(f"rank {k} exceeds the cap {RANK_CAP}")
-        if k > 0:
-            if not np.array_equal(m, m.T):
-                raise ParseError("Coxeter matrix must be symmetric")
-            if not np.all(np.diag(m) == 1):
-                raise ParseError("Coxeter matrix diagonal must be 1")
-            off = m[~np.eye(k, dtype=bool)]
-            if off.size and off.min() < 2:
-                raise ParseError("off-diagonal Coxeter entries must be >= 2")
+        if not np.array_equal(m, m.T):
+            raise ParseError("Coxeter matrix must be symmetric")
+        if not np.all(np.diag(m) == 1):
+            raise ParseError("Coxeter matrix diagonal must be 1")
+        off = m[~np.eye(k, dtype=bool)]
+        if off.size and off.min() < 2:
+            raise ParseError("off-diagonal Coxeter entries must be >= 2")
         object.__setattr__(self, "entries", m)
 
     @property
@@ -131,7 +130,7 @@ def _close_under_products(generators):
 
 
 def _element_sign(g: np.ndarray) -> int:
-    d = np.linalg.det(g) if g.shape[0] else 1.0
+    d = np.linalg.det(g)
     s = int(round(d))
     if s not in (-1, 1) or abs(d - s) > 1e-6:
         raise ValueError(f"element determinant {d} is not +-1")
@@ -209,7 +208,7 @@ class CoxeterGroup:
         constraint binds a single bump.
         """
         q = np.asarray(q, dtype=float)
-        pts = self._mats @ q if self.rank else np.zeros((1, 0))
+        pts = self._mats @ q
         first = {}
         for i, key in enumerate(element_keys(pts)):
             first.setdefault(key, i)
@@ -225,18 +224,15 @@ class CoxeterGroup:
         """Stabilizer subgroup S_q = {g : g q = q}."""
         q = np.asarray(q, dtype=float)
         scale = max(1.0, float(np.linalg.norm(q)))
-        if self.rank == 0:
-            return Subgroup(1, 0)
         fix = np.linalg.norm(self._mats @ q - q, axis=1) <= MATRIX_TOL * scale
         mats = self._mats[fix]
-        rows = (mats - np.eye(self.rank)).reshape(-1, self.rank)
+        k = self.rank
+        rows = (mats - np.eye(k)).reshape(len(mats) * k, k)
         rank = int(np.linalg.matrix_rank(rows, tol=1e-8)) if len(mats) else 0
         return Subgroup(int(fix.sum()), rank)
 
     def chamber_interior_point(self) -> np.ndarray:
         """Unit vector with <q, n_i> > 0 for every wall normal."""
-        if self.rank == 0:
-            return np.zeros(0)
         q = np.linalg.solve(self.chamber_normals, np.ones(self.rank))
         return q / np.linalg.norm(q)
 
@@ -260,8 +256,6 @@ def build_group(matrix: CoxeterMatrix, tag: str | None = None) -> CoxeterGroup:
     conjugated reflection and serves as the chamber normal.
     """
     k = matrix.rank
-    if k == 0:
-        return CoxeterGroup(matrix, [], np.zeros((0, 0)), tag=tag)
     b = matrix.bilinear_form()
     c = _cholesky(b).T
     cinv = np.linalg.inv(c)

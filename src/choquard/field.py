@@ -274,8 +274,8 @@ class GroupAction:
     flips[i] is -1 when the single flip of axis i is in G (psi = det is -1
     on it), and 0 otherwise; these flips generate D, the subgroup that
     `parity_fold(a, flips)` averages over exactly.  parity[i] is the mirror
-    parity the class imposes along axis i: flips[i], or +1 when every
-    element fixes axis i (for named groups, the axes beyond the rank).
+    parity the class imposes along axis i: +1 on the axes at or beyond the
+    rank, which every element fixes, and flips[i] on the others.
     `half` is the grid that keeps the positive half of every axis with a
     parity, and `half_holds_class` says that the half alone holds the
     class: G has one double coset, so G = D and every field on the half is
@@ -304,9 +304,8 @@ class GroupAction:
         eye = np.eye(grid.dim)
         self.flips = tuple(-1 if k in members else 0 for k in element_keys(
             [eye - 2.0 * np.outer(e, e) for e in eye]))
-        fixed = [np.allclose(mats[:, ax], e) and np.allclose(mats[:, :, ax], e)
-                 for ax, e in enumerate(eye)]
-        self.parity = tuple(1 if f else s for f, s in zip(fixed, self.flips))
+        self.parity = tuple(1 if ax >= group.rank else s
+                            for ax, s in enumerate(self.flips))
         self.half = replace(grid, parity=self.parity)
         self.cosets = self._double_cosets(mats, group.element_signs(), keys)
         self.half_holds_class = len(self.cosets) == 1

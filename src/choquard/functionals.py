@@ -201,13 +201,10 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Status of (F0)-(F2) and the stronger monotonicity pair (F'1)/(F'2)."""
+    """Status of (F0)-(F2); a violation of (F0) shows in violations."""
 
-    f0: bool
     f1: bool
     f2: bool
-    fprime1: bool
-    fprime2: bool
     mu: float
     critical_exponent: float
     status: str
@@ -224,22 +221,19 @@ def validate_hypotheses(nl: Nonlinearity, dim: int, alpha: float) -> HypothesisR
     Tabulated profiles carry no symbolic data; they are passed through with
     status 'unverified' and a warning.
     """
+    crit = (dim + alpha) / (dim - 2) if dim > 2 else float("inf")
     if nl.kind == "tabulated":
         warnings.warn(
             "tabulated nonlinearity: growth hypotheses not verifiable",
             stacklevel=2,
         )
-        crit = (dim + alpha) / (dim - 2) if dim > 2 else float("inf")
-        return HypothesisReport(True, True, True, False, False, 0.0, crit,
-                                "unverified")
+        return HypothesisReport(True, True, 0.0, crit, "unverified")
 
-    crit = (dim + alpha) / (dim - 2) if dim > 2 else float("inf")
     violations = []
     coeffs = np.array([t.coeff for t in nl.terms])
     exps = np.array([t.exponent for t in nl.terms])
 
-    f0 = bool(np.any(coeffs != 0.0))
-    if not f0:
+    if not np.any(coeffs != 0.0):
         violations.append("(F0): F vanishes identically")
 
     mu = float(2.0 * coeffs[exps == 2.0].sum())
@@ -257,13 +251,7 @@ def validate_hypotheses(nl: Nonlinearity, dim: int, alpha: float) -> HypothesisR
         violations.append(
             f"(F2): exponent {max_exp:g} >= critical {crit:g}"
         )
-
-    fprime1 = bool(exps.size) and bool(exps.min() > 2.0) and bool(
-        np.all(coeffs > 0.0)
-    )
-    fprime2 = max_exp < crit
-    return HypothesisReport(f0, f1, f2, fprime1, fprime2, mu, crit,
-                            "verified", tuple(violations))
+    return HypothesisReport(f1, f2, mu, crit, "verified", tuple(violations))
 
 
 # -- functionals --------------------------------------------------------------

@@ -27,17 +27,18 @@ average runs over the double cosets of the axis flips in G, one group
 action per non-trivial double coset (one three-shear rotation for I2:3);
 only that averaging projector needs the symmetry drift watched.  Stopping
 is measured on the L^2 gradient and the continuum Pohozaev residual.  All
-functional values come from `functionals`; one driver, `_solve`, serves
-every group alike, the ground state's trivial group included, and
-`pohozaev_root` alone decides whether Q admits a retraction.
+functional values come from `functionals`; `solve_saddle` is the one entry
+and `_solve` the one driver for every group, and `pohozaev_root` alone
+decides whether Q admits a retraction.
 
-Saddle initializers translate a cut-off copy of a base profile to the
-orbit of a chamber-interior direction and antisymmetrize, producing one
-signed bump per orbit point.  They build it on the half grid from the
-base's own half; only the averaging class map of I2:m unfolds it.
-`solve_saddle` builds one start for each orbit spacing in SPACINGS and
-keeps the one of least ray maximum, the energy at its Pohozaev root, read
-off one evaluation of each.
+`solve_saddle` is also the one place that chooses a start: the caller's,
+else a Gaussian built on the half grid for the trivial group, else the
+orbit-bump start of least ray maximum, the energy at its Pohozaev root,
+over one start for each orbit spacing in SPACINGS, read off one evaluation
+of each.  An orbit-bump start translates a cut-off copy of a base profile
+to the orbit of a chamber-interior direction and antisymmetrizes, giving
+one signed bump per orbit point, built on the half grid from the base's
+own half; only the averaging class map of I2:m unfolds it.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ MAX_BACKTRACKS = 30
 STEP = 1.0
 STEP_MIN, STEP_MAX = 0.2, 10.0
 ENERGY_WINDOW = 5
-# Orbit spacings, in bump radii, of the candidate saddle starts; 6 keeps
-# the supports disjoint and is the start when no other candidate serves.
+# Orbit spacings, in bump radii, of the candidate saddle starts; the last,
+# 6, keeps the supports disjoint and is the start when no candidate serves.
 SPACINGS = (1.0, 1.5, 2.0, 3.0, 6.0)
 
 
@@ -360,10 +361,8 @@ def _solve(nl, kernel, grid, cfg, init, action):
 def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
                  cfg: SolverConfig = SolverConfig(), init: Field = None
                  ) -> SolveReport:
-    """Positive ground state on the trivial symmetry class."""
-    if init is None:
-        init = Field(grid, _gaussian_seed(grid))
-    return _solve(nl, kernel, grid, cfg, init, GroupAction(from_name("trivial"), grid))
+    """Positive ground state: `solve_saddle` of the trivial group."""
+    return solve_saddle(from_name("trivial"), nl, kernel, grid, cfg, init=init)
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -390,22 +389,22 @@ def build_initializer(action: GroupAction, base: Field,
 
     The bump is cut on the base's own half (`exact_half`, all-even for a
     ground state); one sine-interpolant evaluation translates it and folds
-    it onto the action's half.  A non-trivial group's class map is then
-    `_projector`'s: none where the half holds the class, else unfold, group
-    average and fold, whose unfold is the only full-grid array built.
+    it onto the action's half.  The class map is then `_projector`'s: none
+    where the half holds the class, else unfold, group average and fold,
+    whose unfold is the only full-grid array built.  For the trivial group
+    this is |base| cut off at the origin; `solve_saddle` starts that group
+    from a Gaussian instead.
     """
     group = action.group
     grid = action.grid
     q = group.chamber_interior_point()
-    if q.size:
-        q = q / np.linalg.norm(q)
-    orbit = group.orbit(q) if group.rank else None
-    k1 = orbit.min_dist if orbit is not None else np.inf
-    separation = 0.0 if np.isinf(k1) else spacing / k1
+    q = q / np.linalg.norm(q)
+    orbit = group.orbit(q)
+    separation = spacing / orbit.min_dist
     # The farthest-out coordinate over the whole embedded orbit governs how
     # large the bumps can be; using q alone would overflow the box whenever
     # a group element rotates q onto a coordinate axis.
-    qmax = float(np.max(np.abs(orbit.points))) if orbit is not None else 0.0
+    qmax = float(np.max(np.abs(orbit.points), initial=0.0))
     # Fill at most 80% of the half-width: the descent path stretches the
     # configuration before settling, and a seed that already touches the
     # boundary turns those dilations into wall artifacts.
@@ -414,7 +413,7 @@ def build_initializer(action: GroupAction, base: Field,
     bump = quintic_cutoff(source, radius) * source.fold(base.data)
     center = action.embed_point(separation * radius * q)
     a = translate(Field(source, bump), center, action.half).data
-    project = _projector(action) if group.rank else None
+    project = _projector(action)
     return Field(action.half, group.order * (project(a) if project else a))
 
 
@@ -423,9 +422,7 @@ def _least_ray_start(nl, kernel, action, base):
     one half-grid evaluation of each: the peak selection of the local
     minimax method (Li & Zhou, SIAM J. Sci. Comput. 23, 2001) applied to
     the start.  Candidates with no Pohozaev root are skipped; the start is
-    spaced 6R when none has one or the orbit is a single point."""
-    if action.group.rank == 0:
-        return build_initializer(action, base)
+    the last one built, spaced 6R, when none has one."""
     best, least = None, np.inf
     for spacing in SPACINGS:
         start = build_initializer(action, base, spacing)
@@ -436,16 +433,23 @@ def _least_ray_start(nl, kernel, action, base):
             continue
         if level < least:
             best, least = start, level
-    return best if best is not None else build_initializer(action, base)
+    return best if best is not None else start
 
 
 def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
                  grid: GridSpec, cfg: SolverConfig = SolverConfig(),
                  base: Field = None, init: Field = None) -> SolveReport:
-    """Least-energy solution in the sign-equivariant class of the group,
-    from init or else from the least-ray-maximum orbit-bump start."""
+    """Least-energy solution in the sign-equivariant class of the group:
+    the one solve entry, the trivial group's ground state included.
+
+    The start is init when given; else, for the trivial group, a Gaussian
+    built on the half grid; else the least-ray-maximum orbit-bump start
+    from base, which defaults to the ground state.
+    """
     action = GroupAction(group, grid)
-    if init is None:
+    if init is None and group.rank == 0:
+        init = Field(action.half, _gaussian_seed(action.half))
+    elif init is None:
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
         init = _least_ray_start(nl, kernel, action, base)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquard import analysis, cli, riesz, solver
+from choquard import cli, riesz, solver
 from choquard.cli import main
 from choquard.field import Field, GridSpec, read_field, write_field, zeros
 
@@ -208,10 +208,9 @@ def test_force_bypasses_hypothesis_gate(capsys):
 def test_group_without_exact_action_exits_64_before_solving(
         capsys, monkeypatch, argv):
     def no_solve(*args, **kwargs):
-        raise AssertionError("the ground solve ran")
+        raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(solver, "solve_ground", no_solve)
-    monkeypatch.setattr(analysis, "solve_ground", no_solve)
+    monkeypatch.setattr(solver, "_solve", no_solve)
     rc = main([*argv, "--dim", "3", "--M", "16", "--L", "4.0",
                "--restarts", "1"])
     assert rc == 64

@@ -7,9 +7,11 @@ rounded matrix keys; it shares no code with the production closure.
 import numpy as np
 import pytest
 
+from choquard.analysis import facet_ray_representatives
 from choquard.coxeter import (
     MATRIX_TOL,
     CoxeterMatrix,
+    Subgroup,
     build_group,
     from_name,
     parse_tag,
@@ -86,6 +88,14 @@ def test_trivial_group_is_rank_zero():
     assert group.order == 1
     assert group.grid_exact
     assert group.chamber_interior_point().shape == (0,)
+    orbit = group.orbit(np.zeros(0))
+    assert orbit.points.shape == (1, 0)
+    assert orbit.min_dist == np.inf
+    assert group.isotropy(np.zeros(0)) == Subgroup(1, 0)
+    assert facet_ray_representatives(group) == []
+    built = build_group(CoxeterMatrix(np.zeros((0, 0), int)))
+    assert np.array_equal(built.element_matrices(), group.element_matrices())
+    assert np.array_equal(built.element_signs(), group.element_signs())
 
 
 @pytest.mark.parametrize(

@@ -444,6 +444,34 @@ def test_group_parity(tag, parity2, parity3):
                 assert np.allclose(pu, s * np.flip(pu, ax), atol=1e-12)
 
 
+def _acting_cases():
+    """(tag, dim) for each named tag, I2:2-24 and A1xI2:2-12 that acts
+    exactly on a 2D or a 3D grid."""
+    tags = ["trivial", "A1", "A1xA1", "A1xA1xA1", "A3", "B3", "H3",
+            *(f"I2:{m}" for m in range(2, 25)),
+            *(f"A1xI2:{m}" for m in range(2, 13))]
+    cases = []
+    for tag in tags:
+        for dim in (2, 3):
+            try:
+                GroupAction(from_name(tag), GridSpec(dim, 16, 4.0))
+            except IncompatibleGrid:
+                continue
+            cases.append(pytest.param(tag, dim, id=f"{tag}-{dim}d"))
+    return cases
+
+
+@pytest.mark.parametrize("tag,dim", _acting_cases())
+def test_parity_is_even_beyond_the_rank_and_the_flips_within(tag, dim):
+    """The rank rule agrees with a scan of every embedded element: +1 on
+    each axis that all of them fix, the flip of the axis elsewhere."""
+    action = GroupAction(from_name(tag), GridSpec(dim, 16, 4.0))
+    mats = np.array([action.embed(g) for g in action.group.element_matrices()])
+    fixed = [np.allclose(mats[:, ax], e) and np.allclose(mats[:, :, ax], e)
+             for ax, e in enumerate(np.eye(dim))]
+    assert action.parity == tuple(1 if f else s for f, s in zip(fixed, action.flips))
+
+
 @pytest.mark.parametrize("parity", [(1, 1), (-1, 1), (0, -1), (1, -1, 0),
                                     (-1, -1, -1), (0, 1, -1)],
                          ids=lambda p: ",".join(map(str, p)))

@@ -408,6 +408,44 @@ def test_each_restart_start_is_convolved_once(kernel, monkeypatch):
     assert len(seen) == len(set(seen))
 
 
+def test_trivial_group_solve_is_the_ground_solve(kernel, ground, monkeypatch):
+    """solve_saddle of the trivial group is solve_ground bit for bit: one
+    descent per restart (one Q > 0 check each) and no spacing scan."""
+    def no_scan(*args):
+        raise AssertionError("the spacing scan ran")
+
+    checks = []
+    ensure = solver._ensure_positive_q
+    monkeypatch.setattr(solver, "_least_ray_start", no_scan)
+    monkeypatch.setattr(solver, "_ensure_positive_q",
+                        lambda *args: checks.append(None) or ensure(*args))
+    rep = solve_saddle(from_name("trivial"), NL, kernel, GRID, CFG)
+    assert len(checks) == CFG.restarts
+    assert (rep.energy, rep.iters) == (ground.energy, ground.iters)
+    assert rep.restart_energies == ground.restart_energies
+    assert rep.field.data.tobytes() == ground.field.data.tobytes()
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(3, 64, 12.0),
+                                  GridSpec(2, 256, 16.0), GridSpec(2, 256, 24.0)],
+                         ids=["test", "ref3d", "plane2d", "wide_i23"])
+def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
+    """The trivial group's start is the Gaussian built on its half grid,
+    equal bit for bit to the full-grid Gaussian folded; no solve runs."""
+    starts = []
+
+    def capture(nl, kernel, solve_grid, cfg, init, action):
+        starts.append((init, action))
+        raise NoDescent("scripted: start captured")
+
+    monkeypatch.setattr(solver, "_solve", capture)
+    with pytest.raises(NoDescent, match="start captured"):
+        solve_ground(NL, None, grid, SolverConfig(restarts=1))
+    (init, action), = starts
+    assert init.grid == action.half
+    assert np.array_equal(init.data, action.half.fold(_gaussian_seed(grid)))
+
+
 def test_saddle_sits_above_ground(ground, saddle):
     assert saddle.group == "A1"
     assert saddle.grad_residual <= 1e-4
@@ -467,15 +505,13 @@ def test_scanned_start_has_the_least_ray_maximum(kernel, ground, tag):
     assert min(levels) <= levels[solver.SPACINGS.index(6.0)]
 
 
-@pytest.mark.parametrize("tag,builds", [("trivial", 1), ("A1", len(solver.SPACINGS))])
-def test_scan_builds_one_start_per_spacing_unless_the_orbit_is_a_point(
-        kernel, ground, monkeypatch, tag, builds):
+def test_scan_builds_one_start_per_spacing(kernel, ground, monkeypatch):
     calls = []
     build = solver.build_initializer
     monkeypatch.setattr(solver, "build_initializer",
                         lambda *args: calls.append(args) or build(*args))
-    _least_ray_start(NL, kernel, GroupAction(from_name(tag), GRID), ground.field)
-    assert len(calls) == builds
+    _least_ray_start(NL, kernel, GroupAction(from_name("A1"), GRID), ground.field)
+    assert len(calls) == len(solver.SPACINGS)
 
 
 def test_start_falls_back_to_the_widest_spacing(kernel, ground, monkeypatch):
