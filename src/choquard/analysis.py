@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+# eager: imported lazily, it would add ~0.4 s to the first nodal_domains call
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name

@@ -12,7 +12,9 @@ Along the dilation path t -> u(./t) these become polynomials in t,
 
 and for Q > 0 the equation b(t) = 0 has a unique positive root t_u, the
 projection of u onto the Pohozaev manifold.  For N = 2 the root is the
-closed form (2B / ((2+alpha) Q))^(1/alpha).
+closed form (2B / ((2+alpha) Q))^(1/alpha); for N = 3 it is a safeguarded
+Newton iteration on b inside a bracket (`pohozaev_root`), so solving
+imports no scipy.optimize.
 
 This module is the one evaluation core: the solver, `evaluate` and
 `choquard verify` all take A, B, Q, the gradient and the residuals from
@@ -25,12 +27,11 @@ axes: the solver's half grid, or the field's `field.exact_half` in
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import GridMismatch, NoDescent, NonpositiveQ, ParseError
 from .field import Field, _dst, _idst, exact_half, sine_multipliers
@@ -69,6 +70,9 @@ class Nonlinearity:
                 raise ParseError("tabulated s values must be increasing")
             if s_vals[0] != 0.0:
                 raise ParseError("tabulated profile must start at s = 0")
+            # lazy: scipy.interpolate loads scipy's linalg and sparse stacks
+            from scipy.interpolate import PchipInterpolator
+
             self._interp = PchipInterpolator(s_vals, f_vals, extrapolate=True)
             self._dinterp = self._interp.derivative()
         elif kind not in ("power", "sum"):
@@ -358,7 +362,15 @@ def dilation_pohozaev(t: float, state: FunctionalState, dim: int,
 
 
 def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
-    """Unique t with b(t) = 0, requiring Q > 0 and the root finite."""
+    """Unique t with b(t) = 0, requiring Q > 0 and the root finite.
+
+    2D takes the closed form.  3D brackets the root, b(lo) > 0 >= b(hi), by
+    doubling hi from 1 (a state with no bracket, a non-finite A, B or Q
+    among them, has no root), then runs Newton's method on b from t = 1
+    inside it, with b'(t) in closed form: each iterate moves lo or hi, a
+    step that leaves the bracket bisects it instead, and a step or a
+    bracket of a few ulps ends it.
+    """
     if not (state.Q > 0.0):
         raise NonpositiveQ(f"Q = {state.Q:g} is not positive")
     if dim == 2:
@@ -372,21 +384,25 @@ def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
         return t
     lo = 1e-3
     hi = 1.0
-    while dilation_pohozaev(hi, state, dim, alpha) > 0.0:
+    while not dilation_pohozaev(hi, state, dim, alpha) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise NonpositiveQ("Pohozaev root bracket did not close")
     if dilation_pohozaev(lo, state, dim, alpha) <= 0.0:
         lo = 1e-12
-    return float(
-        brentq(
-            lambda t: dilation_pohozaev(t, state, dim, alpha),
-            lo,
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
-    )
+    if not dilation_pohozaev(lo, state, dim, alpha) > 0.0:
+        raise NonpositiveQ("Pohozaev root bracket did not close")
+    t = 1.0
+    while True:
+        b = dilation_pohozaev(t, state, dim, alpha)
+        slope = 0.5 * ((dim - 2) ** 2 * t ** (dim - 3) * state.A
+                       + dim ** 2 * t ** (dim - 1) * state.B
+                       - (dim + alpha) ** 2 * t ** (dim + alpha - 1) * state.Q)
+        lo, hi = (t, hi) if b > 0.0 else (lo, t)
+        nxt = t - b / slope if slope else math.nan
+        if abs(nxt - t) <= 4.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(t):
+            return t
+        t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
 
 
 def ray_maximum(state: FunctionalState, dim: int, alpha: float) -> float:

@@ -1,5 +1,11 @@
 """Energy, gradient and Pohozaev machinery tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -20,6 +26,8 @@ from choquard.functionals import (
     validate_hypotheses,
 )
 from choquard.riesz import RieszKernel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def smooth_random_field(grid, rng, width=2.0):
@@ -314,6 +322,66 @@ def test_root_requires_positive_q():
     st = _assemble(3, 2.0, 1.0, 1.0, -0.5)
     with pytest.raises(NonpositiveQ):
         pohozaev_root(st, 3, 2.0)
+
+
+@pytest.mark.parametrize("abq", [(0.0, 0.0, 1.0), (1.0, 1.0, np.inf),
+                                 (np.nan, 1.0, 1.0)])
+def test_3d_root_of_a_state_without_a_bracket_is_rejected(abq):
+    """No sign change of b, an infinite Q or a NaN is no Pohozaev root:
+    NonpositiveQ, which the line search and the start scan reject."""
+    st = _assemble(3, 2.0, *abq)
+    with pytest.raises(NonpositiveQ, match="bracket did not close"):
+        pohozaev_root(st, 3, 2.0)
+
+
+def test_3d_root_matches_brentq():
+    """The 3D Newton root agrees with scipy's bracketed solve, run to its
+    tightest tolerance, on A, B, Q in e^[-6, 6] and alpha in (0, 3); a state
+    whose root lies beyond the bracket the doubling reaches (hi <= 2^39)
+    raises NonpositiveQ."""
+    rng = np.random.default_rng(20)
+    closed = rejected = 0
+    for _ in range(2000):
+        a, b, q = (float(x) for x in np.exp(rng.uniform(-6.0, 6.0, size=3)))
+        alpha = float(rng.uniform(0.0, 3.0))
+        st = _assemble(3, alpha, a, b, q)
+        beta = lambda t: dilation_pohozaev(t, st, 3, alpha)  # noqa: E731
+        if beta(2.0 ** 39) > 0.0:
+            with pytest.raises(NonpositiveQ):
+                pohozaev_root(st, 3, alpha)
+            rejected += 1
+            continue
+        t_ref = brentq(beta, 1e-12, 2.0 ** 39, xtol=1e-300, rtol=8.9e-16,
+                       maxiter=500)
+        assert pohozaev_root(st, 3, alpha) == pytest.approx(t_ref, rel=1e-12)
+        closed += 1
+    assert closed > 1500 and rejected > 0
+
+
+def test_import_loads_neither_optimize_nor_interpolate(tmp_path):
+    """`import choquard` keeps scipy.optimize and scipy.interpolate, with
+    the linalg and sparse stacks they load, out of the process; a tabulated
+    F still parses and evaluates, importing its interpolator when built."""
+    table = tmp_path / "profile.csv"
+    table.write_text("\n".join(f"{x},{x * x}" for x in np.linspace(0, 4, 41)))
+    script = "\n".join([
+        "import json, sys",
+        "import choquard",
+        "loaded = [m for m in ('scipy.optimize', 'scipy.interpolate')",
+        "          if m in sys.modules]",
+        "nl = choquard.functionals.parse_nonlinearity("
+        f"{'tabulated:file=' + str(table)!r})",
+        "print(json.dumps([loaded, float(nl.F(1.5)), float(nl.f(-1.5))]))",
+    ])
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    loaded, big_f, small_f = json.loads(proc.stdout)
+    assert loaded == []
+    assert big_f == pytest.approx(2.25, abs=1e-10)
+    assert small_f == pytest.approx(-3.0, abs=2e-2)
 
 
 @pytest.mark.parametrize("B,Q", [(1e200, 1.0), (1e300, 1e-300)])
