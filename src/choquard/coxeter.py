@@ -329,6 +329,8 @@ def parse_tag(tag: str):
             raise ParseError(f"bad dihedral order in tag {tag!r}") from None
         if m < 2:
             raise ParseError(f"dihedral order must be >= 2, got {m}")
+        if m > ELEMENT_CAP:  # 2m elements, and past int64 np.array fails
+            raise CapExceeded(f"dihedral order {m} exceeds the element cap of {ELEMENT_CAP}")
         if head == "I2":
             mat = [[1, m], [m, 1]]
         else:

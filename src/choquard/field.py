@@ -63,6 +63,12 @@ class GridSpec:
             raise IncompatibleGrid(f"M must be an even integer >= 8, got {self.M}")
         if not (0 < self.L < np.inf):
             raise IncompatibleGrid(f"L must be positive and finite, got {self.L}")
+        # the box volume (2L)^N and the cell volume h^N are normal floats, and
+        # so is every kernel scale h^(alpha-N) with 0 < alpha < N
+        if not (self.dim * np.log(2.0 * self.L) < np.log(np.finfo(float).max)
+                and self.h ** self.dim >= np.finfo(float).tiny):
+            raise IncompatibleGrid(f"L = {self.L} puts the box volume (2L)^{self.dim} "
+                                   f"or the cell volume h^{self.dim} out of float range")
         parity = tuple(int(s) for s in self.parity or (0,) * self.dim)
         if len(parity) != self.dim or not set(parity) <= {-1, 0, 1}:
             raise IncompatibleGrid(f"parity must be dim entries in -1, 0, 1, got {parity}")

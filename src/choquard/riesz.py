@@ -2,12 +2,13 @@
 
 The kernel I_alpha(x) = A_alpha |x|^(alpha - N) is even in every axis, so
 its samples at node offsets 0..M per axis determine it on the doubled grid;
-convolution is an exact linear (zero-padded) circular convolution.  The
-singular zero-offset sample is replaced by the exact mean of the kernel over
-one grid cell: by radial integration the cell integral equals the integral
-over the inscribed-half-width ball times a dimensionless cube correction
-factor, which is computed once per (N, alpha) by Gauss-Legendre quadrature
-of a smooth boundary integrand.
+convolution is an exact linear (zero-padded) circular convolution.  Near
+the singularity a midpoint sample misrepresents its cell, so the cells
+within _NEAR_RADIUS of the origin, the singular one included, carry the
+exact mean of the kernel over the cell instead.  One rule gives them all:
+by the divergence theorem each box integral of |x|^(alpha - N) is a sum of
+smooth face integrals, computed once per (N, alpha) by Gauss-Legendre on
+the unit grid and scaled by h^(alpha - N).
 
 For an even sequence the length-2M real FFT equals the DCT-I of its
 samples 0..M (Martucci, IEEE Trans. Signal Process. 42(5), 1994), so the
@@ -33,8 +34,6 @@ import scipy.fft
 from .errors import AlphaOutOfRange
 from .field import GridSpec
 
-_GAUSS_ORDER = 80
-
 
 def riesz_constant(dim: int, alpha: float) -> float:
     """A_alpha = Gamma((N - alpha)/2) / (2^alpha pi^(N/2) Gamma(alpha/2))."""
@@ -49,74 +48,51 @@ def riesz_constant(dim: int, alpha: float) -> float:
     return math.exp(log_a)
 
 
-@lru_cache(maxsize=16)
-def cube_correction(dim: int, alpha: float) -> float:
-    """Ratio of the |x|^(alpha-N) integral over [-1,1]^N to that over B_1.
-
-    Writing the cube integral radially gives (1/alpha) int_S R(w)^alpha dw;
-    parametrized over the cube faces the solid-angle element cancels the
-    singularity, leaving a smooth integrand:
-
-        N=2:  (4/alpha) int_{-1}^{1} (1 + u^2)^((alpha-2)/2) du
-        N=3:  (6/alpha) int_{[-1,1]^2} (1 + u^2 + v^2)^((alpha-3)/2) du dv
-
-    The ball integral is S_{N-1}/alpha.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    if dim == 2:
-        cube = 4.0 / alpha * float(
-            np.sum(weights * (1.0 + nodes ** 2) ** ((alpha - 2.0) / 2.0))
-        )
-        ball = 2.0 * math.pi / alpha
-    else:
-        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-        ww = np.outer(weights, weights)
-        cube = 6.0 / alpha * float(
-            np.sum(ww * (1.0 + uu ** 2 + vv ** 2) ** ((alpha - 3.0) / 2.0))
-        )
-        ball = 4.0 * math.pi / alpha
-    return cube / ball
-
-
-def singular_cell_average(grid: GridSpec, alpha: float) -> float:
-    """Mean of A_alpha |x|^(alpha-N) over one grid cell centered at 0."""
-    n, h = grid.dim, grid.h
-    a = h / 2.0
-    surface = 2.0 * math.pi if n == 2 else 4.0 * math.pi
-    ball = surface * a ** alpha / alpha
-    return riesz_constant(n, alpha) * cube_correction(n, alpha) * ball / h ** n
-
-
 _NEAR_RADIUS = 2
-_NEAR_GAUSS = 16
+_FACE_GAUSS = 32
 
 
-def _near_cell_average(dim: int, alpha: float, offset, h: float) -> float:
-    """Mean of A_alpha |z|^(alpha-N) over the cell centered at offset * h.
+@lru_cache(maxsize=16)
+def _near_cell_integrals(dim: int, alpha: float) -> np.ndarray:
+    """Integrals of |x|^(alpha-N) over the unit cells centered at the offsets
+    0.._NEAR_RADIUS per axis, the singular cell included; read-only.
 
-    Used for the cells adjacent to the singularity, where the kernel bends
-    too sharply for the midpoint sample to represent the cell.  The origin
-    is outside these cells, so plain tensor Gauss-Legendre converges fast.
+    The field x |x|^(alpha-N) / alpha has divergence |x|^(alpha-N), so the
+    integral over a box [0, c_1] x ... x [0, c_N] is
+    (1/alpha) sum_i c_i int_{x_i = c_i} |x|^(alpha-N) dS: the faces through
+    the origin carry no flux, and the others keep away from the singularity,
+    where Gauss-Legendre converges fast.  The integrand is symmetric in the
+    face coordinates, so one face table serves every axis.  The boxes with
+    corners k + 1/2 difference per axis into the cells: [-1/2, 1/2] is twice
+    [0, 1/2] and the cell at k >= 1 is [0, k + 1/2] less [0, k - 1/2].
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_NEAR_GAUSS)
-    axes = [offset[a] * h + nodes * (h / 2.0) for a in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r2 = sum(c ** 2 for c in mesh)
-    wt = np.ones(())
-    for _ in range(dim):
-        wt = np.multiply.outer(wt, weights / 2.0)
-    val = float(np.sum(wt * r2 ** ((alpha - dim) / 2.0)))
-    return riesz_constant(dim, alpha) * val
+    nodes, weights = np.polynomial.legendre.leggauss(_FACE_GAUSS)
+    c = np.arange(_NEAR_RADIUS + 1) + 0.5
+    # face[a, b_1, ..] = int over [0, c_b1] x .. of (c_a^2 + |y|^2)^((alpha-N)/2)
+    r2, wt = c ** 2, np.ones(())
+    for _ in range(dim - 1):
+        r2 = np.add.outer(r2, np.multiply.outer(c, nodes + 1.0) ** 2 / 4.0)
+        wt = np.multiply.outer(wt, np.multiply.outer(c, weights) / 2.0)
+    face = np.sum(wt * r2 ** ((alpha - dim) / 2.0),
+                  axis=tuple(range(2, 2 * dim - 1, 2)))
+    flux = c.reshape((-1,) + (1,) * (dim - 1)) * face
+    table = sum(np.moveaxis(flux, 0, ax) for ax in range(dim)) / alpha
+    for ax in range(dim):
+        table = np.diff(table, axis=ax, prepend=-table.take([0], axis=ax))
+    table.setflags(write=False)
+    return table
 
 
 class RieszKernel:
     """Kernel samples at node offsets 0..M per axis plus their DCT-I.
 
-    Cells within _NEAR_RADIUS of the singularity carry exact cell averages
-    instead of midpoint samples; without this the quadrature error of the
-    convolution is concentrated at the singularity and shows up as an O(h^2)
-    defect in the scaling identities at critical points.  Both arrays,
-    `sampled` and `spectrum`, are (M+1)^N and read-only.
+    The offsets within _NEAR_RADIUS of the singularity carry the cell means
+    A_alpha h^(alpha-N) _near_cell_integrals(N, alpha), every other offset
+    its midpoint sample; with midpoint samples near the origin the
+    quadrature error of the convolution concentrates at the singularity and
+    shows up as an O(h^2) defect in the scaling identities at critical
+    points.  Both arrays, `sampled` and `spectrum`, are (M+1)^N and
+    read-only.
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
@@ -127,11 +103,9 @@ class RieszKernel:
         r2 = sum(np.ix_(*(d ** 2,) * grid.dim))
         with np.errstate(divide="ignore"):
             k = self.constant * np.sqrt(r2) ** (alpha - grid.dim)
-        for cell in np.ndindex(*(_NEAR_RADIUS + 1,) * grid.dim):
-            if any(cell):
-                k[cell] = _near_cell_average(grid.dim, alpha, cell, grid.h)
-            else:
-                k[cell] = singular_cell_average(grid, alpha)
+        k[(slice(0, _NEAR_RADIUS + 1),) * grid.dim] = (
+            self.constant * grid.h ** (alpha - grid.dim)
+            * _near_cell_integrals(grid.dim, self.alpha))
         self.sampled = k
         self.spectrum = scipy.fft.dctn(k, type=1)
         self.sampled.setflags(write=False)

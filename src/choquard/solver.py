@@ -98,6 +98,10 @@ class SolverConfig:
     restarts: int = 3
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParseError(f"seed must be a non-negative integer, got {self.seed}")
+
 
 @dataclass
 class SolveReport:

@@ -107,6 +107,10 @@ def test_saddle_via_cli(capsys):
      "--group", "Z9"],
     ["solve", "--dim", "3", "--M", "15", "--L", "4.0"],
     ["solve", "--dim", "2", "--alpha", "3.5", "--M", "16", "--L", "4.0"],
+    ["solve", "--dim", "2", "--M", "16", "--alpha", "1", "--L", "1e-300"],
+    ["solve", "--dim", "2", "--M", "16", "--alpha", "1", "--L", "1e300"],
+    ["solve", "--dim", "2", "--alpha", "1.0", "--M", "16", "--L", "4.0",
+     "--seed", "-1"],
 ])
 def test_usage_errors_exit_64(capsys, argv):
     assert main(argv) == 64
@@ -155,6 +159,29 @@ def test_infinite_half_width_exits_64_naming_l(capsys):
     assert rc == 64
     assert captured.out == ""
     assert "L must be positive and finite" in captured.err
+
+
+def test_negative_seed_in_config_exits_64(capsys, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    assert main(["solve", "--config", str(cfg)]) == 64
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("big_l", [1e-300, 1e300])
+def test_verify_rejects_extreme_half_width_with_64(capsys, tmp_path, big_l):
+    path = tmp_path / "extreme.field"
+    grid = GridSpec(2, 16, 4.0)
+    write_field(path, Field(grid, np.exp(-grid.radius() ** 2)))
+    blob = bytearray(path.read_bytes())
+    blob[20:28] = struct.pack("<d", big_l)  # L follows magic, version, dim, 2 M
+    path.write_bytes(bytes(blob))
+    rc = main(["verify", "--field", str(path), "--alpha", "1",
+               "--nl", "power:p=2"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert f"L = {big_l}" in captured.err
 
 
 def test_unknown_config_key_exits_64(capsys, tmp_path):

@@ -214,9 +214,13 @@ def test_affine_matrix_is_rejected():
 
 
 def test_element_cap_is_enforced():
-    """I2:600 has 1,200 elements, past the cap of 1,024."""
-    with pytest.raises(CapExceeded, match="1024"):
-        from_name("I2:600")
+    """I2:600 has 1,200 elements, past the cap of 1,024; a dihedral order
+    past the cap is refused before its Coxeter matrix is built, so one
+    past int64 is refused alike."""
+    for tag in ["I2:600", "I2:1025", "I2:99999999999999999999",
+                "A1xI2:99999999999999999999"]:
+        with pytest.raises(CapExceeded, match="1024"):
+            from_name(tag)
 
 
 def test_coxeter_matrix_validation():

@@ -73,7 +73,9 @@ def gaussian(grid, center=None, width=1.0):
 @pytest.mark.parametrize("dim,M,L", [(1, 32, 8.0), (4, 32, 8.0),
                                      (2, 7, 8.0), (2, 6, 8.0),
                                      (2, 32, 0.0), (2, 32, -1.0),
-                                     (2, 16, np.inf), (2, 16, np.nan)])
+                                     (2, 16, np.inf), (2, 16, np.nan),
+                                     (2, 16, 1e-300), (2, 16, 1e300),
+                                     (3, 8, 1e-104), (3, 8, 1e103)])
 def test_grid_validation(dim, M, L):
     with pytest.raises(IncompatibleGrid):
         GridSpec(dim, M, L)

@@ -1,10 +1,14 @@
 """Riesz kernel tests: constants, singular cells, convolution equivalence.
 
-The cell-average oracles below were computed with scipy.integrate dblquad
-and tplquad at 1e-11 absolute tolerance on the unit-spacing integrand
-1/|x|, which covers both production kernels (N=2 alpha=1 and N=3 alpha=2
-have the same radial profile).  The 2D origin value equals the closed
-form 4 asinh(1).
+The cell-average oracles below were computed offline with scipy.integrate
+dblquad and tplquad at 1e-11 absolute tolerance on the unit-spacing
+integrand |x|^(alpha-N).  UNIT_CELL_AVG holds 1/|x|, which covers both
+production kernels (N=2 alpha=1 and N=3 alpha=2 have the same radial
+profile); its 2D origin value equals the closed form 4 asinh(1).
+UNIT_CELL_AVG_ALPHA holds exponents other than -1, computed the same way
+at 1e-11 absolute and relative tolerance, with each cell split at the
+mirrors it straddles so that the singularity sits at a corner of every
+piece.
 """
 
 import itertools
@@ -14,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from choquard.errors import AlphaOutOfRange
+from choquard.errors import AlphaOutOfRange, IncompatibleGrid
 from choquard.field import Field, GridSpec, exact_half, parity_fold
 from choquard.functionals import (
     _gradient_from_parts,
@@ -22,7 +26,12 @@ from choquard.functionals import (
     evaluate_with_gradient,
     power,
 )
-from choquard.riesz import RieszKernel, get_kernel, riesz_constant
+from choquard.riesz import (
+    RieszKernel,
+    _near_cell_integrals,
+    get_kernel,
+    riesz_constant,
+)
 
 
 def offset_value(kern, offset):
@@ -40,6 +49,16 @@ UNIT_CELL_AVG = {
     (2, (1, 0)): 1.0380497359047562,
     (3, (0, 0, 0)): 2.380077363979553,
     (3, (1, 1, 0)): 0.7075658177425841,
+}
+
+# mean of |x|^(alpha-N) over unit-spacing cells, keyed by (N, alpha, offset)
+UNIT_CELL_AVG_ALPHA = {
+    (2, 0.5, (0, 0)): 9.400517582780541,
+    (2, 0.5, (2, 1)): 0.3049532872569307,
+    (3, 1.0, (0, 0, 0)): 7.674124222443736,
+    (3, 1.0, (2, 1, 1)): 0.16912445706388418,
+    (3, 2.5, (0, 0, 0)): 1.5085612293494572,
+    (3, 2.5, (1, 2, 0)): 0.6673016788501069,
 }
 
 
@@ -84,6 +103,41 @@ def test_singular_and_near_cells_match_quadrature(dim, alpha, M, L):
             continue
         want = const * unit_avg / grid.h  # exponent alpha - N = -1 here
         assert offset_value(kern, offset) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("key", list(UNIT_CELL_AVG_ALPHA),
+                         ids=lambda k: f"{k[0]}D-alpha{k[1]}-{''.join(map(str, k[2]))}")
+def test_near_cells_match_quadrature_for_every_alpha(key):
+    """The one near-field rule holds for exponents other than -1 too."""
+    dim, alpha, offset = key
+    grid = GridSpec(dim, 16, 4.0)  # h = 0.5
+    kern = RieszKernel(grid, alpha)
+    want = (riesz_constant(dim, alpha) * grid.h ** (alpha - dim)
+            * UNIT_CELL_AVG_ALPHA[key])
+    assert offset_value(kern, offset) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("dim,M,L,alpha", [(2, 64, 8.0, 0.5), (3, 32, 6.0, 2.8)])
+def test_near_cells_are_the_scaled_unit_table(dim, M, L, alpha):
+    """Offsets 0..2 hold A_alpha h^(alpha-N) times the cached unit table."""
+    grid = GridSpec(dim, M, L)
+    table = _near_cell_integrals(dim, alpha)
+    assert table is _near_cell_integrals(dim, alpha)
+    assert table.shape == (3,) * dim and not table.flags.writeable
+    near = RieszKernel(grid, alpha).sampled[(slice(0, 3),) * dim]
+    want = riesz_constant(dim, alpha) * grid.h ** (alpha - dim) * table
+    np.testing.assert_allclose(near, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_scale_is_finite_on_the_finest_accepted_grid(dim):
+    """GridSpec keeps h^N a normal float, so h^(alpha-N) stays finite for
+    every alpha in (0, N); a grid just finer is refused."""
+    h = np.finfo(float).tiny ** (1.0 / dim) * (1.0 + 1e-12)
+    grid = GridSpec(dim, 8, 4.0 * h)
+    assert grid.h ** (1e-9 - dim) < np.inf
+    with pytest.raises(IncompatibleGrid, match="out of float range"):
+        GridSpec(dim, 8, 4.0 * h * 0.999)
 
 
 def test_far_cells_are_midpoint_samples():

@@ -583,3 +583,9 @@ def test_descent_checks_drift_only_when_the_projector_averages(
     with pytest.raises(SymmetryDrift if checks else NoDescent):
         _Descent(NL, kernel, cfg, project, action).run(start)
     assert bool(calls) is checks
+
+
+def test_negative_seed_is_refused():
+    """np.random.default_rng takes no negative seed; refuse it up front."""
+    with pytest.raises(ParseError, match="seed"):
+        SolverConfig(seed=-1)
