@@ -11,10 +11,9 @@ Along the dilation path t -> u(./t) these become polynomials in t,
     b(t) = P(u(./t)) = t a'(t),
 
 and for Q > 0 the equation b(t) = 0 has a unique positive root t_u, the
-projection of u onto the Pohozaev manifold.  For N = 2 the root is the
-closed form (2B / ((2+alpha) Q))^(1/alpha); for N = 3 it is a safeguarded
-Newton iteration on b inside a bracket (`pohozaev_root`), so solving
-imports no scipy.optimize.
+projection of u onto the Pohozaev manifold.  For N = 2 and 3 alike it is
+one monotone Newton iteration on the concave polynomial b(t) / t^(N-2) in
+s = t^2 (`pohozaev_root`), so solving imports no scipy.optimize.
 
 This module is the one evaluation core: the solver, `evaluate` and
 `choquard verify` all take A, B, Q, the gradient and the residuals from
@@ -362,47 +361,32 @@ def dilation_pohozaev(t: float, state: FunctionalState, dim: int,
 
 
 def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
-    """Unique t with b(t) = 0, requiring Q > 0 and the root finite.
+    """Unique t > 0 with b(t) = 0, for finite A >= 0, B > 0 and Q > 0.
 
-    2D takes the closed form.  3D brackets the root, b(lo) > 0 >= b(hi), by
-    doubling hi from 1 (a state with no bracket, a non-finite A, B or Q
-    among them, has no root), then runs Newton's method on b from t = 1
-    inside it, with b'(t) in closed form: each iterate moves lo or hi, a
-    step that leaves the bracket bisects it instead, and a step or a
-    bracket of a few ulps ends it.
+    In s = t^2, h(s) = 2 b(t) / t^(N-2) = (N-2) A + N B s - (N+alpha) Q s^p,
+    p = 1 + alpha/2, is strictly concave with h(0) >= 0 and h'(0) = N B > 0,
+    so it has one positive root, and Newton's method started at the first
+    s = 4^k, k = 0..39, where h(s) <= 0 falls monotonically to it: the first
+    iterate that does not decrease ends it.  s^p is s s^(alpha/2), whose
+    exponent is exact.  With no such s, or a non-finite h or h' there, there
+    is no finite root: a planar (2B / ((2+alpha) Q))^(1/alpha) past 2^39 is
+    refused, while a 3D root below t = 1e-12 is found.
     """
-    if not (state.Q > 0.0):
-        raise NonpositiveQ(f"Q = {state.Q:g} is not positive")
-    if dim == 2:
-        try:
-            t = (2.0 * state.B / ((2.0 + alpha) * state.Q)) ** (1.0 / alpha)
-        except OverflowError:
-            t = np.inf
-        if not t < np.inf:
-            raise NonpositiveQ(f"no finite Pohozaev root: B = {state.B:g}, "
-                               f"Q = {state.Q:g}")
-        return t
-    lo = 1e-3
-    hi = 1.0
-    while not dilation_pohozaev(hi, state, dim, alpha) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NonpositiveQ("Pohozaev root bracket did not close")
-    if dilation_pohozaev(lo, state, dim, alpha) <= 0.0:
-        lo = 1e-12
-    if not dilation_pohozaev(lo, state, dim, alpha) > 0.0:
-        raise NonpositiveQ("Pohozaev root bracket did not close")
-    t = 1.0
-    while True:
-        b = dilation_pohozaev(t, state, dim, alpha)
-        slope = 0.5 * ((dim - 2) ** 2 * t ** (dim - 3) * state.A
-                       + dim ** 2 * t ** (dim - 1) * state.B
-                       - (dim + alpha) ** 2 * t ** (dim + alpha - 1) * state.Q)
-        lo, hi = (t, hi) if b > 0.0 else (lo, t)
-        nxt = t - b / slope if slope else math.nan
-        if abs(nxt - t) <= 4.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(t):
-            return t
-        t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    a, b, q = state.A, state.B, state.Q
+    c0, c1, c2, p = (dim - 2) * a, dim * b, (dim + alpha) * q, 1.0 + 0.5 * alpha
+    s = 1.0
+    while (h := c0 + s * (c1 - c2 * s ** (0.5 * alpha))) > 0.0 and s < 4.0 ** 39:
+        s *= 4.0
+    slope = c1 - p * c2 * s ** (0.5 * alpha)
+    if not (0.0 <= a < math.inf and 0.0 < b < math.inf and 0.0 < q < math.inf
+            and -math.inf < h <= 0.0 and -math.inf < slope < 0.0):
+        raise NonpositiveQ(f"no finite Pohozaev root, the bracket did not close: "
+                           f"A = {a:g}, B = {b:g}, Q = {q:g}")
+    while (nxt := s - h / slope) < s:
+        s = nxt
+        w = c2 * s ** (0.5 * alpha)
+        h, slope = c0 + s * (c1 - w), c1 - p * w
+    return math.sqrt(s)
 
 
 def ray_maximum(state: FunctionalState, dim: int, alpha: float) -> float:

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .errors import AlphaOutOfRange
+from .errors import AlphaOutOfRange, IncompatibleGrid
 from .field import GridSpec
 
 
@@ -99,6 +99,10 @@ class RieszKernel:
         self.grid = grid
         self.alpha = float(alpha)
         self.constant = riesz_constant(grid.dim, alpha)
+        # Q of a field of order one on the box scales as (2L)^(N+alpha)
+        if (grid.dim + alpha) * math.log(2.0 * grid.L) >= math.log(np.finfo(float).max):
+            raise IncompatibleGrid(f"L = {grid.L} puts the interaction scale "
+                                   f"(2L)^{grid.dim + alpha:g} out of float range")
         d = np.arange(grid.M + 1) * grid.h
         r2 = sum(np.ix_(*(d ** 2,) * grid.dim))
         with np.errstate(divide="ignore"):

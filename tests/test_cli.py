@@ -111,6 +111,8 @@ def test_saddle_via_cli(capsys):
     ["solve", "--dim", "2", "--M", "16", "--alpha", "1", "--L", "1e300"],
     ["solve", "--dim", "2", "--alpha", "1.0", "--M", "16", "--L", "4.0",
      "--seed", "-1"],
+    ["solve", "--dim", "2", "--M", "16", "--alpha", "1", "--L", "1e150",
+     "--restarts", "1"],
 ])
 def test_usage_errors_exit_64(capsys, argv):
     assert main(argv) == 64

@@ -324,14 +324,16 @@ def test_root_requires_positive_q():
         pohozaev_root(st, 3, 2.0)
 
 
+@pytest.mark.parametrize("dim,alpha", [(3, 2.0), (2, 1.0)])
 @pytest.mark.parametrize("abq", [(0.0, 0.0, 1.0), (1.0, 1.0, np.inf),
                                  (np.nan, 1.0, 1.0)])
-def test_3d_root_of_a_state_without_a_bracket_is_rejected(abq):
+def test_root_of_a_state_without_a_bracket_is_rejected(abq, dim, alpha):
     """No sign change of b, an infinite Q or a NaN is no Pohozaev root:
-    NonpositiveQ, which the line search and the start scan reject."""
-    st = _assemble(3, 2.0, *abq)
+    NonpositiveQ, which the line search and the start scan reject.  In 2D
+    B = 0 and Q = inf give no t = 0, which the dilation would refuse."""
+    st = _assemble(dim, alpha, *abq)
     with pytest.raises(NonpositiveQ, match="bracket did not close"):
-        pohozaev_root(st, 3, 2.0)
+        pohozaev_root(st, dim, alpha)
 
 
 def test_3d_root_matches_brentq():
@@ -354,6 +356,27 @@ def test_3d_root_matches_brentq():
         t_ref = brentq(beta, 1e-12, 2.0 ** 39, xtol=1e-300, rtol=8.9e-16,
                        maxiter=500)
         assert pohozaev_root(st, 3, alpha) == pytest.approx(t_ref, rel=1e-12)
+        closed += 1
+    assert closed > 1500 and rejected > 0
+
+
+def test_root_matches_the_planar_closed_form():
+    """In 2D the Newton root agrees with (2B / ((2 + alpha) Q))^(1/alpha)
+    on A, B, Q in e^[-6, 6] and alpha in [0.05, 2); a root past t = 2^39
+    raises NonpositiveQ."""
+    rng = np.random.default_rng(22)
+    closed = rejected = 0
+    for _ in range(2000):
+        a, b, q = (float(x) for x in np.exp(rng.uniform(-6.0, 6.0, size=3)))
+        alpha = float(rng.uniform(0.05, 2.0))
+        st = _assemble(2, alpha, a, b, q)
+        t_ref = (2.0 * b / ((2.0 + alpha) * q)) ** (1.0 / alpha)
+        if t_ref > 2.0 ** 39:
+            with pytest.raises(NonpositiveQ):
+                pohozaev_root(st, 2, alpha)
+            rejected += 1
+            continue
+        assert pohozaev_root(st, 2, alpha) == pytest.approx(t_ref, rel=1e-12)
         closed += 1
     assert closed > 1500 and rejected > 0
 
@@ -386,8 +409,9 @@ def test_import_loads_neither_optimize_nor_interpolate(tmp_path):
 
 @pytest.mark.parametrize("B,Q", [(1e200, 1.0), (1e300, 1e-300)])
 def test_planar_root_that_overflows_is_rejected(B, Q):
-    """(2B / ((2 + alpha) Q))^(1/alpha) past the float range, as an
-    OverflowError of ** or as inf, is no Pohozaev root."""
+    """A root (2B / ((2 + alpha) Q))^(1/alpha) past the float range lies
+    beyond the t = 2^39 bracket, or makes b overflow there: no Pohozaev
+    root."""
     st = _assemble(2, 0.5, 1.0, B, Q)
     with pytest.raises(NonpositiveQ, match="no finite Pohozaev root"):
         pohozaev_root(st, 2, 0.5)

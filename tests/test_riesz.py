@@ -140,6 +140,17 @@ def test_kernel_scale_is_finite_on_the_finest_accepted_grid(dim):
         GridSpec(dim, 8, 4.0 * h * 0.999)
 
 
+@pytest.mark.parametrize("dim,alpha", [(2, 1.0), (3, 2.0)])
+def test_kernel_refuses_a_box_whose_interaction_scale_overflows(dim, alpha):
+    """Q scales as (2L)^(N+alpha); the widest box that keeps it a float
+    builds a finite kernel, and one just wider is refused, naming L."""
+    half = 0.5 * np.finfo(float).max ** (1.0 / (dim + alpha))
+    kern = RieszKernel(GridSpec(dim, 8, half * (1.0 - 1e-9)), alpha)
+    assert np.all(np.isfinite(kern.sampled))
+    with pytest.raises(IncompatibleGrid, match="L = .* interaction scale"):
+        RieszKernel(GridSpec(dim, 8, half * (1.0 + 1e-9)), alpha)
+
+
 def test_far_cells_are_midpoint_samples():
     grid = GridSpec(2, 32, 8.0)
     kern = RieszKernel(grid, 1.0)
