@@ -6,9 +6,9 @@ coordinate mirror or at the origin.  Homogeneous Dirichlet data at the cube
 boundary is emulated by expanding in the odd sine basis
 sin(k pi (x + L) / (2L)), k >= 1, which the type-II discrete sine transform
 diagonalizes on this node set.  Group elements act exactly or not at all:
-signed permutations by index moves, orthogonal maps of the first two axes by
-three shears of the sine interpolant with zero extension outside the cube.
-Any other element has no exact action and is rejected with IncompatibleGrid.
+`_split` writes each as a signed permutation, an index move, then a rotation
+of the first two axes by at most pi/4, three shears of the sine interpolant
+with zero extension outside the cube; it rejects any other with IncompatibleGrid.
 `parity_fold` makes a field bit-exactly odd or even under the mirror of
 chosen axes, since no node lies on a mirror.  Dilation and translation
 sample the same sine interpolant, which reads zero outside the cube; there
@@ -300,11 +300,13 @@ class GroupAction:
         elements = group.element_matrices()
         mats = np.array([self.embed(g) for g in elements])
         for g, m in zip(elements, mats):
-            if not _acts_exactly(m.T):
+            try:
+                _split(m.T)
+            except IncompatibleGrid:
                 raise IncompatibleGrid(
                     f"group {group.tag or 'custom'} has an element with no "
                     f"exact action on the grid: {g.tolist()}"
-                )
+                ) from None
         keys = element_keys(mats)
         members = set(keys)
         eye = np.eye(grid.dim)
@@ -402,68 +404,50 @@ def _planar_shear(grid: GridSpec, a: np.ndarray, moved: int, coef: float) -> np.
     return (even + odd) * inside
 
 
-def _rotation_apply(grid: GridSpec, phi: float, a: np.ndarray) -> np.ndarray:
-    """Samples of x -> a(R(phi) x), R(phi) rotating the first two axes.
+def _split(p: np.ndarray) -> tuple:
+    """(S, phi) with P = S R(phi), S a signed permutation and R(phi) rotating
+    the first two axes by |phi| <= pi/4; phi = 0 when P is a signed
+    permutation.  Any P but those and the orthogonal maps of the first two
+    axes has no exact action and raises IncompatibleGrid.
 
-    Factors the rotation into three axis-aligned shears (x-shear, y-shear,
-    x-shear), each evaluated through the sine interpolant, so the result is
-    exact for band-limited data.  Piecewise-polynomial resampling here would
-    inject kink noise on every symmetrization, and since the saddle classes
-    of non-axis-aligned groups are enforced by projecting each iterate, that
-    noise accumulates faster than descent can drain it.
+    A planar block B is R(theta) or R(theta) F, F = diag(1, -1), and both
+    send e_1 to the angle theta = atan2(B_10, B_00).  With k pi/2 the quarter
+    turn nearest theta and phi_r = theta - k pi/2, R(theta) F equals
+    R(k pi/2) F R(-phi_r), so phi = det(B) phi_r and S = P R(-phi) rounded.
     """
-    shx = -np.tan(phi / 2.0)
-    shy = float(np.sin(phi))
-    out = _planar_shear(grid, a, 0, shx)
-    out = _planar_shear(grid, out, 1, shy)
-    return _planar_shear(grid, out, 0, shx)
-
-
-def _is_planar(p: np.ndarray) -> bool:
-    """True when p is orthogonal and moves only the first two axes."""
+    if is_signed_permutation(p):
+        return np.rint(p), 0.0
     blk = p[:2, :2]
-    rest = np.eye(p.shape[0])
-    rest[:2, :2] = blk
-    return bool(np.max(np.abs(p - rest)) < 1e-12
-                and np.max(np.abs(blk @ blk.T - np.eye(2))) <= 1e-10)
-
-
-def _acts_exactly(p: np.ndarray) -> bool:
-    """True when apply_matrix_array has an exact algorithm for p."""
-    return is_signed_permutation(p) or _is_planar(p)
-
-
-def _planar_orthogonal_apply(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Samples of x -> a(P x) for P orthogonal on the first two axes.
-
-    P factors as (quarter-turn signed permutation) o (rotation by at most 45
-    degrees) o (optional axis flip); the exact factors cost nothing and keep
-    the shear coefficients small, so no content strays far outside the cube
-    during the intermediate stages.
-    """
-    blk = p[:2, :2].copy()
-    reflect = bool(np.linalg.det(blk) < 0.0)
-    if reflect:
-        blk = blk @ np.diag([1.0, -1.0])
-    phi = float(np.arctan2(blk[1, 0], blk[0, 0]))
-    k = int(np.round(phi / (np.pi / 2.0)))
-    phi_r = phi - k * np.pi / 2.0
-    out = np.rot90(a, -k, axes=(0, 1))   # x -> a(R(k pi/2) x)
-    if abs(phi_r) > 1e-14:
-        out = _rotation_apply(grid, phi_r, out)
-    if reflect:
-        out = np.flip(out, axis=1)
-    return np.ascontiguousarray(out)
+    if not (np.max(np.abs(p - _embed_block(blk, len(p), 0))) < 1e-12
+            and np.max(np.abs(blk @ blk.T - np.eye(2))) <= 1e-10):
+        raise IncompatibleGrid(f"no exact grid action for the matrix {p.tolist()}")
+    theta = np.arctan2(blk[1, 0], blk[0, 0])
+    phi_r = theta - np.round(theta / (np.pi / 2.0)) * np.pi / 2.0
+    phi = float(np.sign(np.linalg.det(blk)) * phi_r)
+    undo = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
+    return np.rint(p @ _embed_block(undo, len(p), 0)), phi
 
 
 def apply_matrix_array(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Samples of x -> a(P x): index moves for a signed permutation, sine
-    interpolant shears for a planar orthogonal P; any other P is rejected."""
-    if is_signed_permutation(p):
-        return _signed_perm_apply(p, a)
-    if _is_planar(p):
-        return _planar_orthogonal_apply(grid, p, a)
-    raise IncompatibleGrid(f"no exact grid action for the matrix {p.tolist()}")
+    """Samples of x -> a(P x), P = S R(phi) by `_split`, which rejects any P
+    with no exact action: an index move for S, then, when phi != 0, three
+    shears (x, y, x) of the sine interpolant for R(phi).
+
+    The shears are exact for band-limited data, and |phi| <= pi/4 keeps
+    their coefficients small, so little content strays outside the cube.
+    Piecewise-polynomial resampling here would inject kink noise on every
+    symmetrization, and since the saddle classes of non-axis-aligned groups
+    are enforced by projecting each iterate, that noise accumulates faster
+    than descent can drain it.
+    """
+    s, phi = _split(p)
+    out = _signed_perm_apply(s, a)
+    if phi:
+        shx = -np.tan(phi / 2.0)
+        out = _planar_shear(grid, out, 0, shx)
+        out = _planar_shear(grid, out, 1, float(np.sin(phi)))
+        out = _planar_shear(grid, out, 0, shx)
+    return out
 
 
 def act(action: GroupAction, g: np.ndarray, u: Field) -> Field:

@@ -103,13 +103,13 @@ class RieszKernel:
         if (grid.dim + alpha) * math.log(2.0 * grid.L) >= math.log(np.finfo(float).max):
             raise IncompatibleGrid(f"L = {grid.L} puts the interaction scale "
                                    f"(2L)^{grid.dim + alpha:g} out of float range")
-        d = np.arange(grid.M + 1) * grid.h
-        r2 = sum(np.ix_(*(d ** 2,) * grid.dim))
+        # offsets in units of h, so no square overflows on the widest box
+        k = sum(np.ix_(*(np.arange(grid.M + 1.0) ** 2,) * grid.dim))
         with np.errstate(divide="ignore"):
-            k = self.constant * np.sqrt(r2) ** (alpha - grid.dim)
-        k[(slice(0, _NEAR_RADIUS + 1),) * grid.dim] = (
-            self.constant * grid.h ** (alpha - grid.dim)
-            * _near_cell_integrals(grid.dim, self.alpha))
+            np.power(k, (alpha - grid.dim) / 2.0, out=k)
+        k[(slice(0, _NEAR_RADIUS + 1),) * grid.dim] = _near_cell_integrals(
+            grid.dim, self.alpha)
+        k *= self.constant * grid.h ** (alpha - grid.dim)
         self.sampled = k
         self.spectrum = scipy.fft.dctn(k, type=1)
         self.sampled.setflags(write=False)

@@ -227,16 +227,17 @@ def test_action_preserves_l2_grid_exact(tag):
             l2_sq_integral(u), rel=1e-12)
 
 
-def test_planar_rotation_matches_analytic():
+@pytest.mark.parametrize("tag,dim", [("I2:3", 2), ("I2:5", 2), ("I2:8", 2), ("I2:3", 3)])
+def test_planar_rotation_matches_analytic(tag, dim):
     """The shear-factored rotation agrees with rotating the function."""
-    grid = GridSpec(2, 64, 6.0)
-    action = GroupAction(from_name("I2:3"), grid)
-    center = np.array([1.1, 0.4])
+    grid = GridSpec(dim, 64, 6.0)
+    action = GroupAction(from_name(tag), grid)
+    center = np.array([1.1, 0.4, -0.3][:dim])
     u = gaussian(grid, center, width=0.8)
-    mats = from_name("I2:3").element_matrices()
+    mats = from_name(tag).element_matrices()
     for mat in mats:
         moved = act(action, mat, u)
-        expected = gaussian(grid, mat @ center, width=0.8)
+        expected = gaussian(grid, action.embed(mat) @ center, width=0.8)
         err = np.max(np.abs(moved.data - expected.data))
         assert err < 1e-6
 
@@ -492,12 +493,47 @@ def test_parity_fold_is_exact_and_idempotent(parity):
     assert abs(np.sum((a - b) * b)) <= 1e-12 * np.sum(a * a)
 
 
-def test_non_exact_matrix_is_rejected():
+_C, _S = np.cos(0.3), np.sin(0.3)
+
+
+@pytest.mark.parametrize("mat", [
+    pytest.param([[1.0, 0, 0], [0, _C, -_S], [0, _S, _C]], id="tilt"),
+    pytest.param([[1.0, 0.3, 0], [0, 1, 0], [0, 0, 1]], id="planar-shear"),
+    pytest.param([[_C, -_S, 0], [_S, _C, 0], [0, 0, -1]], id="rotation-and-flip"),
+])
+def test_non_exact_matrix_is_rejected(mat):
+    """Only signed permutations and orthogonal maps of the first two axes
+    act: a shear or a planar rotation that also flips axis 2 is refused."""
     grid = GridSpec(3, 16, 4.0)
-    c, s = np.cos(0.3), np.sin(0.3)
-    tilt = np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
     with pytest.raises(IncompatibleGrid):
-        apply_matrix_array(grid, tilt, np.zeros(grid.shape))
+        apply_matrix_array(grid, np.array(mat), np.zeros(grid.shape))
+
+
+def _split_cases():
+    """Every element of I2:2-24 (2D), A1xI2:2, A1xI2:4, A3 and B3 (3D),
+    and its transpose, embedded in its grid."""
+    tags = [*((f"I2:{m}", 2) for m in range(2, 25)),
+            ("A1xI2:2", 3), ("A1xI2:4", 3), ("A3", 3), ("B3", 3)]
+    for tag, dim in tags:
+        action = GroupAction(from_name(tag), GridSpec(dim, 16, 4.0))
+        for g in action.group.element_matrices():
+            p = action.embed(g)
+            yield tag, p
+            yield tag, p.T
+
+
+def test_split_is_a_signed_permutation_then_a_small_rotation():
+    """P = S R(phi), S a signed permutation and |phi| <= pi/4, with phi
+    exactly 0 when P is itself a signed permutation."""
+    for tag, p in _split_cases():
+        s, phi = field_mod._split(p)
+        assert is_signed_permutation(s) and np.array_equal(s, np.rint(s)), tag
+        assert abs(phi) <= np.pi / 4 + 1e-12, tag
+        rot = np.eye(len(p))
+        rot[:2, :2] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
+        assert np.max(np.abs(s @ rot - p)) <= 1e-12, tag
+        if is_signed_permutation(p):
+            assert phi == 0.0, tag
 
 
 def test_embed_pads_with_identity():

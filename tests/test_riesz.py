@@ -140,7 +140,7 @@ def test_kernel_scale_is_finite_on_the_finest_accepted_grid(dim):
         GridSpec(dim, 8, 4.0 * h * 0.999)
 
 
-@pytest.mark.parametrize("dim,alpha", [(2, 1.0), (3, 2.0)])
+@pytest.mark.parametrize("dim,alpha", [(2, 1.0), (3, 2.0), (2, 0.001)])
 def test_kernel_refuses_a_box_whose_interaction_scale_overflows(dim, alpha):
     """Q scales as (2L)^(N+alpha); the widest box that keeps it a float
     builds a finite kernel, and one just wider is refused, naming L."""
