@@ -29,6 +29,7 @@ from .solver import SolveReport, SolverConfig, solve_saddle
 
 AMPLITUDE_FLOOR = 1e-300
 CHAMBER_TOL = 1e-9  # wall distance, relative to 1 + |x|, that counts as on the wall
+NODAL_THRESHOLD = 1e-3  # default nodal level, relative to max |u|
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def open_chamber_mask(action: GroupAction) -> np.ndarray:
     return mask
 
 
-def nodal_domains(u: Field, threshold: float = 1e-3,
+def nodal_domains(u: Field, threshold: float = NODAL_THRESHOLD,
                   action: GroupAction = None) -> NodalReport:
     """Count face-connected components of u above/below the threshold."""
     theta = threshold * u.norm_max()
@@ -122,7 +123,7 @@ def decay_fit(u: Field, r_min: float = None, r_max: float = None) -> DecayFit:
     )
 
 
-def annotate_report(report: SolveReport, threshold: float = 1e-3,
+def annotate_report(report: SolveReport, threshold: float = NODAL_THRESHOLD,
                     group: CoxeterGroup = None) -> SolveReport:
     """Fill the nodal count and decay rate diagnostics of a solve report.
 
@@ -143,16 +144,13 @@ def annotate_report(report: SolveReport, threshold: float = 1e-3,
 def facet_ray_representatives(group: CoxeterGroup):
     """One representative q per stratum of codimension rank-1 in the chamber.
 
-    Rank 0 returns none, rank 1 the interior direction; rank k >= 2 returns
-    a unit vector on each extreme ray (intersection of k-1 walls) of the
-    chamber cone.
+    Rank k returns a unit vector on each extreme ray (intersection of k-1
+    walls) of the chamber cone: none for rank 0, and for rank 1 the chamber
+    side of the line, the SVD of the empty 0 x 1 matrix giving vh = [[1.]].
     """
-    k = group.rank
-    if k == 1:
-        return [group.chamber_interior_point()]
     reps = []
     normals = group.chamber_normals
-    for leave_out in range(k):
+    for leave_out in range(group.rank):
         rows = np.delete(normals, leave_out, axis=0)
         _, _, vh = np.linalg.svd(rows)
         d = vh[-1]
@@ -230,7 +228,7 @@ class HierarchyReport:
 
 def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
                      grid, cfg: SolverConfig = SolverConfig(),
-                     threshold: float = 1e-3) -> HierarchyReport:
+                     threshold: float = NODAL_THRESHOLD) -> HierarchyReport:
     """Solve a chain of groups and check c_G < |Gq| c_{S_q} instances.
 
     For every group the facet-ray representatives q give stabilizers S_q;

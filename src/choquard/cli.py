@@ -61,7 +61,7 @@ _SOLVE_DEFAULTS = {
     "group": "trivial",
     "M": 64,
     "L": 12.0,
-    "threshold": 1e-3,
+    "threshold": analysis.NODAL_THRESHOLD,
     **dataclasses.asdict(solver.SolverConfig()),
 }
 
@@ -226,7 +226,8 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--alpha", type=float, required=True)
     p_verify.add_argument("--nl", required=True)
     p_verify.add_argument("--group")
-    p_verify.add_argument("--threshold", type=float, default=1e-3)
+    p_verify.add_argument("--threshold", type=float,
+                          default=analysis.NODAL_THRESHOLD)
     p_verify.add_argument("--grad-tol", dest="grad_tol", type=float,
                           default=solver.SolverConfig.grad_tol)
     p_verify.add_argument("--pohozaev-tol", dest="pohozaev_tol", type=float,

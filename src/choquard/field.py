@@ -582,25 +582,25 @@ def boundary_amplitude(u: Field) -> float:
 def radial_shell_stats(u: Field):
     """Shell-wise radial profile: center radius, max |u|, sign at the max.
 
-    Points are binned to the nearest multiple of h, so shell k is centered
-    at radius k*h and covers [k*h - h/2, k*h + h/2). Shells containing no
-    grid point (always the origin shell on a cell-centered grid) are
-    dropped from the output.
+    u is read on `exact_half(u)`, whose mirror images carry the same |u|, so
+    the shell maxima are the full grid's.  Points are binned to the nearest
+    multiple of h, so shell k is centered at radius k*h and covers
+    [k*h - h/2, k*h + h/2). The sign is +1 if every stored node attaining
+    the shell maximum is positive, -1 if every one is negative, 0 if both
+    signs attain it; on an odd axis the stored half is the positive one.
+    Shells containing no grid point (always the origin shell on a
+    cell-centered grid) are dropped from the output.
     """
-    grid = u.grid
-    r = grid.radius().ravel()
-    vals = u.data.ravel()
-    idx = np.rint(r / grid.h).astype(int)
-    nshell = int(idx.max()) + 1
-    counts = np.zeros(nshell, dtype=int)
-    np.add.at(counts, idx, 1)
-    max_abs = np.zeros(nshell)
+    half = exact_half(u)
+    vals = half.fold(u.data).ravel()
+    idx = np.rint(half.radius().ravel() / half.h).astype(int)
+    counts = np.bincount(idx)
+    max_abs = np.zeros(counts.size)
     np.maximum.at(max_abs, idx, np.abs(vals))
-    # write signs in ascending |u| order so the argmax sign lands last
-    order = np.argsort(np.abs(vals))
-    sign = np.zeros(nshell)
-    sign[idx[order]] = np.sign(vals[order])
-    centers = np.arange(nshell) * grid.h
+    top = np.abs(vals) == max_abs[idx]
+    sign = (np.sign(np.bincount(idx[top & (vals > 0)], minlength=counts.size))
+            - np.sign(np.bincount(idx[top & (vals < 0)], minlength=counts.size)))
+    centers = np.arange(counts.size) * half.h
     keep = counts > 0
     return centers[keep], max_abs[keep], sign[keep]
 

@@ -610,6 +610,56 @@ def test_radial_shells_use_nearest_binning():
     assert abs(centers[k] - r) <= grid.h / 2
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_shells_of_an_odd_field_read_its_positive_half(dim):
+    """x0 times a Gaussian, exactly odd in x0: both signs attain every shell
+    maximum on the full grid, and the stored half x0 > 0 is positive."""
+    grid = GridSpec(dim, 16, 4.0)
+    x = grid.mesh()
+    u = Field(grid, parity_fold(x[0] * gaussian(grid).data, (-1,) + (0,) * (dim - 1)))
+    _, _, sign = radial_shell_stats(u)
+    assert np.all(sign == 1)
+
+
+def test_radial_shell_attained_by_both_signs_has_sign_zero():
+    grid = GridSpec(2, 32, 4.0)
+    data = np.zeros(grid.shape)
+    i, j = 20, 25
+    data[i, j], data[j, i] = 2.5, -2.5
+    _, max_abs, sign = radial_shell_stats(Field(grid, data))
+    k = int(np.argmax(max_abs))
+    assert max_abs[k] == 2.5
+    assert sign[k] == 0
+    assert np.count_nonzero(sign) == 0
+
+
+def _radial_oracle(u):
+    """Shell centers and max |u| by a loop over every node of the full grid."""
+    grid = u.grid
+    c = grid.axis_coords()
+    best = {}
+    for idx in itertools.product(range(grid.M), repeat=grid.dim):
+        r = np.sqrt(sum(c[i] * c[i] for i in idx))
+        k = int(np.rint(r / grid.h))
+        best[k] = max(best.get(k, 0.0), abs(float(u.data[idx])))
+    ks = sorted(best)
+    return np.array(ks) * grid.h, np.array([best[k] for k in ks])
+
+
+@pytest.mark.parametrize("parity", [(1, 1), (-1, 1), (0, -1), (1, 1, 1),
+                                    (-1, -1, -1), (1, -1, 0), (0, 0, 0)])
+def test_radial_shells_match_a_full_grid_oracle(parity):
+    """Even, odd and mixed-parity fields: the half-grid shells are the full
+    grid's, bit for bit."""
+    grid = GridSpec(len(parity), 16, 4.0)
+    rng = np.random.default_rng(11)
+    u = Field(grid, parity_fold(rng.standard_normal(grid.shape), parity))
+    centers, max_abs, _ = radial_shell_stats(u)
+    want_centers, want_max = _radial_oracle(u)
+    np.testing.assert_array_equal(centers, want_centers)
+    np.testing.assert_array_equal(max_abs, want_max)
+
+
 def test_radial_shells_drop_empty_bins():
     grid = GridSpec(3, 16, 4.0)
     u = gaussian(grid)
