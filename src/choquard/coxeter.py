@@ -1,13 +1,15 @@
 """Finite Coxeter groups of rank <= 3 as concrete orthogonal matrix groups.
 
-A group is specified by its Coxeter matrix m, from which the bilinear form
-B_ij = -cos(pi / m_ij) is built.  The form is positive definite exactly when
-the group is finite; in that case the Tits reflection representation
-conjugated by a Cholesky factor of B yields orthogonal generators.  Named
-groups with an axis-aligned realization (products of A1, the dihedral groups
-with mirrors on coordinate planes and diagonals, the tetrahedral and the full
-cube group) are built from hand-picked signed-permutation generators
-instead, so that their action on a symmetric grid is exact.
+A group is its Coxeter matrix m, with bilinear form B_ij = -cos(pi / m_ij),
+and its chamber normals: unit vectors n_i with n_i . n_j = B_ij, whose wall
+reflections I - 2 n_i n_i^T generate it (Humphreys, Reflection Groups and
+Coxeter Groups, 1990, sections 1.12 and 5.3).  B is positive definite
+exactly when the group is finite, and then the rows of its lower Cholesky
+factor are normals (the Tits route).  Named groups with an axis-aligned
+realization (products of A1, the dihedral groups with mirrors on coordinate
+planes and diagonals, the tetrahedral and the full cube group) take
+hand-picked normals whose reflections are signed permutations instead, so
+that their action on a symmetric grid is exact.
 
 Elements are enumerated by breadth-first closure under generator
 multiplication.  `element_keys`, the entries rounded at MATRIX_TOL, is the
@@ -19,7 +21,7 @@ is multiplicative, i.e. the parity of word length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,22 +63,6 @@ class CoxeterMatrix:
         m = self.entries.astype(float)
         with np.errstate(divide="ignore"):
             return -np.cos(np.pi / m)
-
-
-def _cholesky(b: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of b, raising if any pivot is <= 1e-12."""
-    k = b.shape[0]
-    low = np.zeros_like(b)
-    for i in range(k):
-        pivot = b[i, i] - low[i, :i] @ low[i, :i]
-        if pivot <= 1e-12:
-            raise NonPositiveDefinite(
-                f"bilinear form pivot {pivot:.3e} at row {i}; group is infinite"
-            )
-        low[i, i] = math.sqrt(pivot)
-        for j in range(i + 1, k):
-            low[j, i] = (b[j, i] - low[j, :i] @ low[i, :i]) / low[i, i]
-    return low
 
 
 def _snap_signed_perm(g: np.ndarray) -> np.ndarray:
@@ -160,20 +146,24 @@ class CoxeterGroup:
     ----------
     matrix : CoxeterMatrix
         Defining matrix (rank 0 for the trivial group).
-    generators : list of ndarray
-        Reflection matrices, one per node of the diagram.
     chamber_normals : ndarray, shape (k, k)
-        Row i is the inward unit normal of the mirror of generator i; the
-        closed fundamental chamber is the cone where all <x, n_i> >= 0.
+        Row i is the inward unit normal n_i of the i-th wall; the closed
+        fundamental chamber is the cone where all <x, n_i> >= 0, and
+        n_i . n_j = B_ij.
+    generators : list of ndarray
+        The wall reflections I - 2 n_i n_i^T, one per normal, snapped to an
+        exact signed permutation when within MATRIX_TOL of one.
     tag : str or None
         Name used to build the group, when it came from a named tag.
     """
 
-    def __init__(self, matrix, generators, chamber_normals, tag=None):
+    def __init__(self, matrix, chamber_normals, tag=None):
         self.matrix = matrix
-        self.generators = [np.array(g, dtype=float) for g in generators]
         self.chamber_normals = np.array(chamber_normals, dtype=float)
         self.tag = tag
+        k = matrix.rank
+        self.generators = [_snap_signed_perm(np.eye(k) - 2.0 * np.outer(n, n))
+                           for n in self.chamber_normals]
         mats = _close_under_products(self.generators)
         self._mats = np.array(mats)
         self._signs = np.array([_element_sign(g) for g in mats], dtype=int)
@@ -248,39 +238,26 @@ class CoxeterGroup:
 
 
 def build_group(matrix: CoxeterMatrix, tag: str | None = None) -> CoxeterGroup:
-    """Build a group from its Coxeter matrix via the Tits representation.
+    """Build a group from its Coxeter matrix by the Tits route.
 
-    The Tits reflections sigma_i(x) = x - 2 B(x, e_i) e_i preserve B; with
-    B = L L^T they are conjugated by C = L^T into orthogonal matrices.  The
-    image C e_i of the i-th basis vector is the -1 eigenvector of the i-th
-    conjugated reflection and serves as the chamber normal.
+    The rows of the lower Cholesky factor L of B = L L^T satisfy
+    n_i . n_j = B_ij, so they are unit chamber normals whose reflections
+    realize the Coxeter matrix.  A form that is not positive definite (least
+    eigenvalue <= 1e-12) belongs to an infinite group and raises
+    NonPositiveDefinite.
     """
-    k = matrix.rank
     b = matrix.bilinear_form()
-    c = _cholesky(b).T
-    cinv = np.linalg.inv(c)
-    gens = []
-    for i in range(k):
-        tits = np.eye(k) - 2.0 * np.outer(np.eye(k)[i], b[i])
-        gens.append(_snap_signed_perm(c @ tits @ cinv))
-    normals = c.T / np.linalg.norm(c, axis=0)  # row i = C e_i normalized
-    return CoxeterGroup(matrix, gens, normals, tag=tag)
+    least = np.linalg.eigvalsh(b).min(initial=np.inf)
+    if least <= 1e-12:
+        raise NonPositiveDefinite(
+            f"bilinear form eigenvalue {least:.3e} <= 1e-12; group is infinite")
+    return CoxeterGroup(matrix, np.linalg.cholesky(b), tag=tag)
 
 
-def _dihedral_realization(m: int):
-    """Mirrors of I2(m) as the x1-axis line and the line at angle pi/m."""
+def _dihedral_normals(m: int) -> np.ndarray:
+    """Normals of the I2(m) mirrors: the x1-axis line and the line at angle pi/m."""
     theta = np.pi / m
-    r1 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    r2 = np.array([
-        [math.cos(2 * theta), math.sin(2 * theta)],
-        [math.sin(2 * theta), -math.cos(2 * theta)],
-    ])
-    gens = [r1, _snap_signed_perm(r2)]
-    normals = np.array([
-        [0.0, 1.0],
-        [math.sin(theta), -math.cos(theta)],
-    ])
-    return gens, normals
+    return np.array([[0.0, 1.0], [math.sin(theta), -math.cos(theta)]])
 
 
 def _embed_block(g: np.ndarray, k: int, offset: int) -> np.ndarray:
@@ -291,19 +268,15 @@ def _embed_block(g: np.ndarray, k: int, offset: int) -> np.ndarray:
 
 
 _SQ2 = math.sqrt(0.5)
-_SWAP01 = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
-_SWAP12 = np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0]])
 
-# (generators, chamber normals) of the named groups realized by signed
-# permutations outside the dihedral family; A3 is the tetrahedral group
+# chamber normals of the named groups realized by signed permutations
+# outside the dihedral family; A3 is the tetrahedral group
 _AXIS_REALIZATIONS = {
-    "trivial": ([], np.zeros((0, 0))),
-    "A1": ([-np.eye(1)], np.eye(1)),
-    "A1xA1xA1": ([np.diag(d) for d in 1.0 - 2.0 * np.eye(3)], np.eye(3)),
-    "A3": ([_SWAP01, _SWAP12, np.diag([-1.0, -1, 1]) @ _SWAP01],
-           [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [-_SQ2, -_SQ2, 0]]),
-    "B3": ([_SWAP01, _SWAP12, np.diag([1.0, 1, -1])],
-           [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [0, 0, 1]]),
+    "trivial": np.zeros((0, 0)),
+    "A1": np.eye(1),
+    "A1xA1xA1": np.eye(3),
+    "A3": [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [-_SQ2, -_SQ2, 0]],
+    "B3": [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [0, 0, 1]],
 }
 
 _NAMED_MATRICES = {
@@ -345,15 +318,11 @@ def from_name(tag: str) -> CoxeterGroup:
     """Build a named group, preferring grid-exact realizations where they exist."""
     tag, matrix, m = parse_tag(tag)
     if tag in _AXIS_REALIZATIONS:
-        gens, normals = _AXIS_REALIZATIONS[tag]
+        normals = _AXIS_REALIZATIONS[tag]
     elif tag == "A1xA1" or tag.startswith("I2:"):
-        gens, normals = _dihedral_realization(m or 2)
+        normals = _dihedral_normals(m or 2)
     elif tag.startswith("A1xI2:"):
-        dg, dn = _dihedral_realization(m)
-        gens = [np.diag([-1.0, 1, 1])] + [_embed_block(g, 3, 1) for g in dg]
-        normals = np.zeros((3, 3))
-        normals[0, 0] = 1.0
-        normals[1:, 1:] = dn
+        normals = _embed_block(_dihedral_normals(m), 3, 1)
     else:  # H3 has no signed-permutation realization; use the Tits route
         return build_group(matrix, tag=tag)
-    return CoxeterGroup(matrix, gens, normals, tag=tag)
+    return CoxeterGroup(matrix, normals, tag=tag)

@@ -414,6 +414,10 @@ def _split(p: np.ndarray) -> tuple:
     send e_1 to the angle theta = atan2(B_10, B_00).  With k pi/2 the quarter
     turn nearest theta and phi_r = theta - k pi/2, R(theta) F equals
     R(k pi/2) F R(-phi_r), so phi = det(B) phi_r and S = P R(-phi) rounded.
+    At a tie, |phi_r| = pi/4 up to rounding, theta / (pi/2) is rounded to 9
+    decimals first and then half to even, so k is even and S is the flip
+    part of P whatever the last bits of its entries: the double-coset
+    projector equals the group average only under this rule.
     """
     if is_signed_permutation(p):
         return np.rint(p), 0.0
@@ -422,7 +426,7 @@ def _split(p: np.ndarray) -> tuple:
             and np.max(np.abs(blk @ blk.T - np.eye(2))) <= 1e-10):
         raise IncompatibleGrid(f"no exact grid action for the matrix {p.tolist()}")
     theta = np.arctan2(blk[1, 0], blk[0, 0])
-    phi_r = theta - np.round(theta / (np.pi / 2.0)) * np.pi / 2.0
+    phi_r = theta - np.round(np.round(theta / (np.pi / 2.0), 9)) * np.pi / 2.0
     phi = float(np.sign(np.linalg.det(blk)) * phi_r)
     undo = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
     return np.rint(p @ _embed_block(undo, len(p), 0)), phi

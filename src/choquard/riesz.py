@@ -99,8 +99,10 @@ class RieszKernel:
         self.grid = grid
         self.alpha = float(alpha)
         self.constant = riesz_constant(grid.dim, alpha)
-        # Q of a field of order one on the box scales as (2L)^(N+alpha)
-        if (grid.dim + alpha) * math.log(2.0 * grid.L) >= math.log(np.finfo(float).max):
+        # Q of a field of order one on the box scales as (2L)^(N+alpha), and
+        # must neither overflow nor fall below the normal floats
+        scale = (grid.dim + alpha) * math.log(2.0 * grid.L)
+        if not (math.log(np.finfo(float).tiny) < scale < math.log(np.finfo(float).max)):
             raise IncompatibleGrid(f"L = {grid.L} puts the interaction scale "
                                    f"(2L)^{grid.dim + alpha:g} out of float range")
         # offsets in units of h, so no square overflows on the widest box

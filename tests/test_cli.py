@@ -163,6 +163,18 @@ def test_infinite_half_width_exits_64_naming_l(capsys):
     assert "L must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("tiny_l", ["1e-150", "1e-110"])
+def test_tiny_half_width_exits_64_naming_the_interaction_scale(capsys, tiny_l):
+    """A box whose (2L)^(N+alpha) falls below the normal floats is refused
+    up front, not met as an overflow or a missing Pohozaev root."""
+    rc = main(["solve", "--dim", "2", "--M", "16", "--alpha", "1",
+               "--L", tiny_l, "--restarts", "1"])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert f"L = {float(tiny_l)} puts the interaction scale" in captured.err
+
+
 def test_negative_seed_in_config_exits_64(capsys, tmp_path):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed = -1\n")

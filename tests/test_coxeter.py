@@ -82,6 +82,26 @@ def test_generators_are_orthogonal_involutions(tag):
         assert abs(np.linalg.det(s) + 1.0) < 1e-12
 
 
+NAMED_TAGS = ["trivial", "A1", "A1xA1", "A1xA1xA1", "A3", "B3", "H3",
+              *(f"I2:{m}" for m in [*range(2, 13), 16, 24, 40, 60]),
+              *(f"A1xI2:{m}" for m in range(2, 9))]
+
+
+@pytest.mark.parametrize("tag", NAMED_TAGS)
+def test_normals_realize_the_coxeter_matrix(tag):
+    """n_i . n_j = B_ij = -cos(pi / m_ij), and the generators are the wall
+    reflections I - 2 n_i n_i^T, so the normals alone fix the group."""
+    group = from_name(tag)
+    normals = group.chamber_normals
+    np.testing.assert_allclose(normals @ normals.T,
+                               group.matrix.bilinear_form(), rtol=0, atol=1e-12)
+    for n, s in zip(normals, group.generators, strict=True):
+        np.testing.assert_allclose(s, np.eye(group.rank) - 2.0 * np.outer(n, n),
+                                   rtol=0, atol=1e-15)
+    if group.grid_exact:
+        assert np.all(np.isin(group.element_matrices(), (-1.0, 0.0, 1.0)))
+
+
 def test_trivial_group_is_rank_zero():
     group = from_name("trivial")
     assert group.rank == 0

@@ -336,17 +336,33 @@ def _off_class_field(action):
     *((2, 64, tag) for tag in EXACT_2D), *((3, 24, tag) for tag in EXACT_3D)])
 def test_symmetrize_is_the_group_average(dim, M, tag):
     """The double-coset sum equals (1/|G|) sum_g psi(g) g . a term by term."""
+    a, got, want = _projector_and_group_average(dim, M, tag)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    if tag != "trivial":
+        assert np.max(np.abs(a - want)) > 0.5 * np.max(np.abs(a))
+
+
+def _projector_and_group_average(dim, M, tag):
+    """(a, symmetrize_array(a), (1/|G|) sum_g psi(g) g . a) for the off-class
+    field on the (dim, M, L=8) grid."""
     group = from_name(tag)
     grid = GridSpec(dim, M, 8.0)
     action = GroupAction(group, grid)
     a = _off_class_field(action)
     want = sum(s * apply_matrix_array(grid, action.embed(g).T, a)
                for g, s in group.elements) / group.order
-    got = symmetrize_array(action, a)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) <= 1e-13 * scale
-    if tag != "trivial":
-        assert np.max(np.abs(a - want)) > 0.5 * np.max(np.abs(a))
+    return a, symmetrize_array(action, a), want
+
+
+@pytest.mark.parametrize("tag", ["I2:16", "I2:40"])
+@pytest.mark.parametrize("dim,M", [(2, 64), (3, 24)])
+def test_symmetrize_is_the_group_average_across_quarter_turn_ties(dim, M, tag):
+    """I2:8k holds rotations by odd multiples of pi/4, whose split sits on a
+    quarter-turn tie; the projector is the group average only when every
+    tie splits off the flip part, whatever the entries' last bits."""
+    _, got, want = _projector_and_group_average(dim, M, tag)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("tag,dim,reps", [
@@ -534,6 +550,18 @@ def test_split_is_a_signed_permutation_then_a_small_rotation():
         assert np.max(np.abs(s @ rot - p)) <= 1e-12, tag
         if is_signed_permutation(p):
             assert phi == 0.0, tag
+
+
+@pytest.mark.parametrize("dc", [0.0, -2.2e-16, 2.2e-16])
+def test_split_breaks_a_quarter_turn_tie_to_the_flip_part(dc):
+    """R(+-pi/4) and R(pi/4) F, with the cosine moved in its last bits, split
+    with S the flip part (a diagonal S) and |phi| = pi/4."""
+    c, s = np.cos(np.pi / 4) + dc, np.sin(np.pi / 4)
+    for p, flip in [([[c, -s], [s, c]], [1, 1]), ([[c, s], [-s, c]], [1, 1]),
+                    ([[c, s], [s, -c]], [1, -1])]:
+        got, phi = field_mod._split(np.array(p))
+        np.testing.assert_array_equal(got, np.diag(flip))
+        assert abs(phi) == pytest.approx(np.pi / 4, abs=1e-15)
 
 
 def test_embed_pads_with_identity():

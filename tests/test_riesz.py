@@ -151,6 +151,18 @@ def test_kernel_refuses_a_box_whose_interaction_scale_overflows(dim, alpha):
         RieszKernel(GridSpec(dim, 8, half * (1.0 + 1e-9)), alpha)
 
 
+@pytest.mark.parametrize("dim,alpha", [(2, 1.0), (3, 2.0), (3, 1.0)])
+def test_kernel_refuses_a_box_whose_interaction_scale_underflows(dim, alpha):
+    """The small side of the same check: the narrowest box whose
+    (2L)^(N+alpha) is a normal float builds a finite kernel, and one just
+    narrower is refused, naming L."""
+    half = 0.5 * np.finfo(float).tiny ** (1.0 / (dim + alpha))
+    kern = RieszKernel(GridSpec(dim, 8, half * (1.0 + 1e-9)), alpha)
+    assert np.all(np.isfinite(kern.sampled))
+    with pytest.raises(IncompatibleGrid, match="L = .* interaction scale"):
+        RieszKernel(GridSpec(dim, 8, half * (1.0 - 1e-9)), alpha)
+
+
 def test_far_cells_are_midpoint_samples():
     grid = GridSpec(2, 32, 8.0)
     kern = RieszKernel(grid, 1.0)
