@@ -19,7 +19,6 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name
-from .errors import AllBelowFloor
 from .field import Field, GroupAction, radial_shell_stats
 # bench/tracer.py wraps symmetrize_array here by name; nothing in this module calls it.
 from .field import symmetrize_array  # noqa: F401
@@ -93,7 +92,9 @@ class DecayFit:
 
 
 def decay_fit(u: Field, r_min: float = None, r_max: float = None) -> DecayFit:
-    """Fit log max_shell |u| = log C - rate * r over a radial window."""
+    """Fit log max_shell |u| = log C - rate * r over the shells of a radial
+    window whose maximum is above AMPLITUDE_FLOOR; fewer than 10 such
+    shells raise ValueError."""
     grid = u.grid
     if r_min is None:
         r_min = 0.4 * grid.L
@@ -102,15 +103,11 @@ def decay_fit(u: Field, r_min: float = None, r_max: float = None) -> DecayFit:
     if not (0.0 < r_min < r_max < grid.L):
         raise ValueError(f"window [{r_min}, {r_max}] not inside (0, {grid.L})")
     centers, max_abs, _ = radial_shell_stats(u)
-    sel = (centers >= r_min) & (centers <= r_max)
-    if int(sel.sum()) < 10:
-        raise ValueError(f"only {int(sel.sum())} shells in window, need >= 10")
-    r = centers[sel]
-    vals = max_abs[sel]
-    if np.all(vals <= AMPLITUDE_FLOOR):
-        raise AllBelowFloor("all shell amplitudes at the floating point floor")
-    keep = vals > AMPLITUDE_FLOOR
-    r, vals = r[keep], vals[keep]
+    sel = (centers >= r_min) & (centers <= r_max) & (max_abs > AMPLITUDE_FLOOR)
+    r, vals = centers[sel], max_abs[sel]
+    if r.size < 10:
+        raise ValueError(f"only {r.size} shells in window above the floor "
+                         f"{AMPLITUDE_FLOOR:g}, need >= 10")
     slope, intercept = np.polyfit(r, np.log(vals), 1)
     resid = np.log(vals) - (slope * r + intercept)
     return DecayFit(
@@ -119,7 +116,7 @@ def decay_fit(u: Field, r_min: float = None, r_max: float = None) -> DecayFit:
         rms_residual=float(np.sqrt(np.mean(resid ** 2))),
         r_min=r_min,
         r_max=r_max,
-        n_shells=int(keep.sum()),
+        n_shells=r.size,
     )
 
 
@@ -133,7 +130,7 @@ def annotate_report(report: SolveReport, threshold: float = NODAL_THRESHOLD,
     nodal = nodal_domains(report.field, threshold)
     try:
         decay = decay_fit(report.field).rate
-    except (ValueError, AllBelowFloor):
+    except ValueError:
         decay = None
     return dataclasses.replace(report, nodal_count=nodal.count,
                                decay_rate=decay)

@@ -22,7 +22,6 @@ from .errors import (
     ChoquardError,
     HypothesisViolation,
     IncompatibleGrid,
-    NoDescent,
     ParseError,
 )
 
@@ -87,12 +86,18 @@ def _merge_options(args, defaults) -> dict:
     return merged
 
 
+def _check_threshold(threshold):
+    if not 0.0 <= threshold < 1.0:
+        raise ParseError(f"threshold must lie in [0, 1), got {threshold}")
+
+
 def _problem(opts, force):
     """Nonlinearity, grid, kernel and solver settings of solve and hierarchy."""
+    _check_threshold(opts["threshold"])
     nl = functionals.parse_nonlinearity(opts["nl"])
-    report = functionals.validate_hypotheses(nl, opts["dim"], opts["alpha"])
-    if report.violations and not force:
-        raise HypothesisViolation("; ".join(report.violations))
+    violations = functionals.validate_hypotheses(nl, opts["dim"], opts["alpha"])
+    if violations and not force:
+        raise HypothesisViolation("; ".join(violations))
     grid = field_mod.GridSpec(opts["dim"], opts["M"], opts["L"])
     names = [f.name for f in dataclasses.fields(solver.SolverConfig)]
     cfg = solver.SolverConfig(**{name: opts[name] for name in names})
@@ -147,6 +152,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_threshold(args.threshold)
     u = field_mod.read_field(args.field)
     if u.norm_max() == 0.0:
         raise ParseError(f"{args.field}: field is identically zero")
@@ -173,7 +179,7 @@ def cmd_verify(args) -> int:
     }
     try:
         out["decay_rate"] = analysis.decay_fit(u).rate
-    except (ValueError, ChoquardError):
+    except ValueError:
         out["decay_rate"] = None
     _dump(out)
     ok = grad_res <= args.grad_tol and p_res <= args.pohozaev_tol

@@ -45,9 +45,5 @@ class SymmetryDrift(ChoquardError):
     """Symmetry residual of a saddle iterate grew too large."""
 
 
-class AllBelowFloor(ChoquardError):
-    """Every radial shell statistic sits below the floating point floor."""
-
-
 class HypothesisViolation(ChoquardError):
     """Nonlinearity fails a structural hypothesis and no override was given."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,59 +202,35 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
 
 # -- structural hypotheses ----------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Status of (F0)-(F2); a violation of (F0) shows in violations."""
-
-    f1: bool
-    f2: bool
-    mu: float
-    critical_exponent: float
-    status: str
-    violations: tuple = dc_field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_hypotheses(nl: Nonlinearity, dim: int, alpha: float) -> HypothesisReport:
-    """Check growth hypotheses symbolically from the declared exponents.
+def validate_hypotheses(nl: Nonlinearity, dim: int, alpha: float) -> tuple:
+    """Violations of (F0)-(F2), read from F's terms with equal exponents
+    summed and zero coefficients dropped; empty when all three hold.
 
     Tabulated profiles carry no symbolic data; they are passed through with
-    status 'unverified' and a warning.
+    a warning and no violations.
     """
-    crit = (dim + alpha) / (dim - 2) if dim > 2 else float("inf")
     if nl.kind == "tabulated":
         warnings.warn(
             "tabulated nonlinearity: growth hypotheses not verifiable",
             stacklevel=2,
         )
-        return HypothesisReport(True, True, 0.0, crit, "unverified")
-
+        return ()
+    coeffs = {}
+    for t in nl.terms:
+        coeffs[t.exponent] = coeffs.get(t.exponent, 0.0) + t.coeff
+    exps = [p for p, c in coeffs.items() if c != 0.0]
+    if not exps:
+        return ("(F0): F vanishes identically",)
+    low, high, mu = min(exps), max(exps), 2.0 * coeffs.get(2.0, 0.0)
+    crit = (dim + alpha) / (dim - 2) if dim > 2 else math.inf
     violations = []
-    coeffs = np.array([t.coeff for t in nl.terms])
-    exps = np.array([t.exponent for t in nl.terms])
-
-    if not np.any(coeffs != 0.0):
-        violations.append("(F0): F vanishes identically")
-
-    mu = float(2.0 * coeffs[exps == 2.0].sum())
-    f1 = bool(exps.size) and bool(exps.min() >= 2.0) and mu >= 0.0
-    if exps.size and exps.min() < 2.0:
-        violations.append(
-            f"(F1): exponent {exps.min():g} < 2 makes f(s)/s blow up at 0"
-        )
+    if low < 2.0:
+        violations.append(f"(F1): exponent {low:g} < 2 makes f(s)/s blow up at 0")
     elif mu < 0.0:
         violations.append(f"(F1): limit f(s)/s = {mu:g} is negative")
-
-    max_exp = float(exps.max()) if exps.size else 0.0
-    f2 = max_exp < crit
-    if not f2:
-        violations.append(
-            f"(F2): exponent {max_exp:g} >= critical {crit:g}"
-        )
-    return HypothesisReport(f1, f2, mu, crit, "verified", tuple(violations))
+    if high >= crit:
+        violations.append(f"(F2): exponent {high:g} >= critical {crit:g}")
+    return tuple(violations)
 
 
 # -- functionals --------------------------------------------------------------

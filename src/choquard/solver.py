@@ -101,6 +101,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ParseError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("max_iters", "restarts", "grad_tol", "pohozaev_tol"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too; an infinite tolerance is allowed
+                raise ParseError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -323,7 +327,7 @@ def _solve(nl, kernel, grid, cfg, init, action):
     failure = None
     a0 = init.data if init.grid == half else half.fold(init.data)
     noise_scale = 0.05 * np.max(np.abs(init.data))
-    for r in range(max(1, cfg.restarts)):
+    for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         a_init = a0.copy()
         if r > 0:

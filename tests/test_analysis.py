@@ -6,6 +6,7 @@ average together.  So does the nodal minimizer bound, which criterion 10
 of test_acceptance.py imports from here.
 """
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from choquard.analysis import (
     open_chamber_mask,
 )
 from choquard.coxeter import from_name
-from choquard.errors import AllBelowFloor, ChoquardError
+from choquard.errors import ChoquardError
 from choquard.field import Field, GridSpec, GroupAction, symmetrize_array
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
@@ -219,8 +220,19 @@ def test_decay_fit_needs_ten_shells():
 
 
 def test_decay_fit_floor():
-    with pytest.raises(AllBelowFloor):
+    with pytest.raises(ValueError, match="above the floor"):
         decay_fit(Field(GRID, np.zeros(GRID.shape)))
+
+
+def test_decay_fit_counts_only_shells_above_the_floor(ground):
+    """exp(-|x|) cut to 0 past |x| = 4.1: in the default window [4, 7] one
+    shell holds a nonzero maximum, too few to fit."""
+    r = GRID.radius()
+    u = Field(GRID, np.where(r < 4.1, np.exp(-r), 0.0))
+    with pytest.raises(ValueError, match="only 1 shells in window above the floor"):
+        decay_fit(u)
+    rep = annotate_report(dataclasses.replace(ground, field=u))
+    assert rep.decay_rate is None
 
 
 # -- report annotation and the nodal bound ------------------------------------
@@ -240,7 +252,6 @@ def test_annotate_fills_diagnostics(ground):
 def test_annotate_survives_unfittable_field(ground):
     small = GridSpec(dim=2, M=16, L=2.0)
     u = Field(small, np.exp(-small.radius() ** 2))
-    import dataclasses
     stub = dataclasses.replace(ground, grid=small, field=u)
     rep = annotate_report(stub)
     assert rep.nodal_count == 1

@@ -182,6 +182,47 @@ def test_negative_seed_in_config_exits_64(capsys, tmp_path):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["verify", "--threshold", "-0.5"], "threshold"),
+    (["verify", "--threshold", "nan"], "threshold"),
+    (["verify", "--threshold", "1"], "threshold"),
+    (["solve", "--restarts", "0"], "restarts"),
+    (["solve", "--restarts", "-3"], "restarts"),
+    (["solve", "--max-iters", "0"], "max_iters"),
+    (["solve", "--grad-tol", "nan"], "grad_tol"),
+    (["solve", "--grad-tol", "-1"], "grad_tol"),
+    (["solve", "--pohozaev-tol", "nan"], "pohozaev_tol"),
+    (["solve", "--pohozaev-tol", "0"], "pohozaev_tol"),
+    (["solve", "--threshold", "-1"], "threshold"),
+    (["solve", "--threshold", "nan"], "threshold"),
+    (["solve", "--threshold", "2"], "threshold"),
+    (["hierarchy", "--threshold", "1"], "threshold"),
+])
+def test_unrunnable_setting_exits_64_before_any_kernel(
+        capsys, monkeypatch, solved, argv, name):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(riesz, "get_kernel", no_kernel)
+    problem = (["--field", f"{solved[0]}.field", "--alpha", "1.0", "--nl",
+                "power:p=2"] if argv[0] == "verify" else FAST)
+    rc = main([argv[0], *problem, *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert name in captured.err
+
+
+def test_verify_reports_no_decay_rate_with_one_shell_above_floor(capsys, tmp_path):
+    grid = GridSpec(2, 64, 10.0)
+    r = grid.radius()
+    path = tmp_path / "cut.field"
+    write_field(path, Field(grid, np.where(r < 4.1, np.exp(-r), 0.0)))
+    _, check = run_json(capsys, ["verify", "--field", str(path),
+                                 "--alpha", "1.0", "--nl", "power:p=2"])
+    assert check["decay_rate"] is None
+
+
 @pytest.mark.parametrize("big_l", [1e-300, 1e300])
 def test_verify_rejects_extreme_half_width_with_64(capsys, tmp_path, big_l):
     path = tmp_path / "extreme.field"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from choquard import functionals
 from choquard.errors import NoDescent, NonpositiveQ, ParseError
 from choquard.field import Field, GridSpec, _dst, dilate, x_dot_grad_array
 from choquard.functionals import (
@@ -159,35 +160,47 @@ def test_f_vanishes_at_zero_below_exponent_two(nl):
 # -- hypothesis validation ----------------------------------------------------
 
 def test_hypotheses_pass_for_quadratic():
-    rep = validate_hypotheses(power(2.0), 3, 2.0)
-    assert rep.ok
-    assert rep.mu == pytest.approx(2.0)
-    assert rep.critical_exponent == pytest.approx(5.0)
+    assert validate_hypotheses(power(2.0), 3, 2.0) == ()
 
 
 def test_hypotheses_fail_supercritical():
-    rep = validate_hypotheses(power(6.0), 3, 2.0)
-    assert not rep.f2
-    assert any("(F2)" in v for v in rep.violations)
+    assert validate_hypotheses(power(6.0), 3, 2.0) == (
+        "(F2): exponent 6 >= critical 5",)
 
 
 def test_hypotheses_fail_subquadratic():
-    rep = validate_hypotheses(power(1.5), 3, 2.0)
-    assert not rep.f1
-    assert any("(F1)" in v for v in rep.violations)
+    assert validate_hypotheses(power(1.5), 3, 2.0) == (
+        "(F1): exponent 1.5 < 2 makes f(s)/s blow up at 0",)
+
+
+def test_hypotheses_fail_negative_quadratic_limit():
+    nl = parse_nonlinearity("sum:c1=-1,p1=2;c2=1,p2=3")
+    assert validate_hypotheses(nl, 3, 2.0) == (
+        "(F1): limit f(s)/s = -2 is negative",)
 
 
 def test_hypotheses_no_critical_exponent_in_2d():
-    rep = validate_hypotheses(power(8.0), 2, 1.0)
-    assert rep.f2
-    assert np.isinf(rep.critical_exponent)
+    assert validate_hypotheses(power(8.0), 2, 1.0) == ()
 
 
 def test_hypotheses_tabulated_unverified():
     nl = Nonlinearity("tabulated", table=([0.0, 1.0, 2.0], [0.0, 2.0, 4.0]))
     with pytest.warns(UserWarning):
-        rep = validate_hypotheses(nl, 3, 2.0)
-    assert rep.status == "unverified"
+        assert validate_hypotheses(nl, 3, 2.0) == ()
+
+
+@pytest.mark.parametrize("text", ["sum:c1=1,p1=2;c2=0,p2=1.5",
+                                  "sum:c1=1,p1=2;c2=1,p2=1.5;c3=-1,p3=1.5"])
+def test_hypotheses_judge_f_not_its_terms(text):
+    """Terms whose coefficients sum to zero are not part of F = s^2."""
+    assert validate_hypotheses(parse_nonlinearity(text), 3, 2.0) == ()
+
+
+@pytest.mark.parametrize("nl", [power(2.0, coeff=0.0), power(1.5, coeff=0.0),
+                                parse_nonlinearity("sum:c1=1,p1=2;c2=-1,p2=2"),
+                                Nonlinearity("sum", [])])
+def test_hypotheses_f0_fires_when_f_vanishes(nl):
+    assert validate_hypotheses(nl, 3, 2.0) == ("(F0): F vanishes identically",)
 
 
 # -- functional evaluation ----------------------------------------------------
@@ -432,6 +445,25 @@ def test_ray_maximum_is_the_energy_at_the_root(dim, alpha, abq, t_root, level):
     assert ray_maximum(st, dim, alpha) == dilation_energy(t, st, dim, alpha)
     ts = np.linspace(0.05, 3.0, 600) * t_root
     assert max(dilation_energy(x, st, dim, alpha) for x in ts) <= level
+
+
+def test_amplitude_doubling_reaches_positive_q(monkeypatch):
+    """F = 0 on [0, 1] makes Q of a start below 1 exactly 0; one doubling
+    lifts it past 1 and is evaluated once."""
+    nl = Nonlinearity("tabulated", table=([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 4.0]))
+    kernel = RieszKernel(GridSpec(2, 32, 8.0), 1.0)
+    half = GridSpec(2, 32, 8.0, parity=(1, 1))
+    a = 0.8 * np.exp(-half.radius_sq() / 4.0)
+    parts = functionals._state_parts(nl, kernel, a, half)
+    assert parts[0].Q == 0.0
+    calls = []
+    state_parts = functionals._state_parts
+    monkeypatch.setattr(functionals, "_state_parts",
+                        lambda *args: calls.append(None) or state_parts(*args))
+    doubled, (state, *_) = functionals._ensure_positive_q(nl, kernel, a, half, parts)
+    assert np.array_equal(doubled, 2.0 * a)
+    assert len(calls) == 1
+    assert state.Q == pytest.approx(0.182, abs=5e-4)
 
 
 def test_ray_maximum_needs_a_root():

@@ -589,3 +589,18 @@ def test_negative_seed_is_refused():
     """np.random.default_rng takes no negative seed; refuse it up front."""
     with pytest.raises(ParseError, match="seed"):
         SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_iters", 0), ("max_iters", -1), ("restarts", 0), ("restarts", -3),
+    ("grad_tol", 0.0), ("grad_tol", -1.0), ("grad_tol", np.nan),
+    ("pohozaev_tol", 0.0), ("pohozaev_tol", np.nan),
+])
+def test_settings_the_solver_cannot_run_are_refused(name, value):
+    with pytest.raises(ParseError, match=f"{name} must be positive"):
+        SolverConfig(**{name: value})
+
+
+def test_an_infinite_tolerance_is_allowed():
+    """pohozaev_tol = inf turns the Pohozaev test off."""
+    assert SolverConfig(grad_tol=np.inf, pohozaev_tol=np.inf).pohozaev_tol == np.inf
