@@ -5,7 +5,7 @@ hierarchy (chain of groups with energy comparisons), verify (recheck a
 stored field), convert (field binary to radial CSV).  Options may come
 from a flat key=value config file; explicit flags win.  Exit codes:
 0 success, 2 solver failure, 3 hypothesis violation without --force,
-64 usage or malformed input.
+64 usage or malformed input, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -153,6 +153,7 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_threshold(args.threshold)
+    cfg = solver.SolverConfig(grad_tol=args.grad_tol, pohozaev_tol=args.pohozaev_tol)
     u = field_mod.read_field(args.field)
     if u.norm_max() == 0.0:
         raise ParseError(f"{args.field}: field is identically zero")
@@ -161,7 +162,7 @@ def cmd_verify(args) -> int:
     nl = functionals.parse_nonlinearity(args.nl)
     kernel = riesz.get_kernel(u.grid, args.alpha)
     state, grad = functionals.evaluate_with_gradient(nl, kernel, u)
-    grad_res, p_res = functionals.residuals(u.grid, state, grad.data, u.data)
+    grad_res, p_res = functionals.residuals(u.grid, state, grad.data)
     action = field_mod.GroupAction(from_name(args.group or "trivial"), u.grid)
     sym = field_mod.symmetry_residual(action, u)
     nodal = analysis.nodal_domains(u, args.threshold, action)
@@ -182,7 +183,7 @@ def cmd_verify(args) -> int:
     except ValueError:
         out["decay_rate"] = None
     _dump(out)
-    ok = grad_res <= args.grad_tol and p_res <= args.pohozaev_tol
+    ok = grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol
     return 0 if ok else 2
 
 
@@ -262,3 +263,6 @@ def main(argv=None) -> int:
     except ChoquardError as exc:
         sys.stderr.write(f"choquard: {exc}\n")
         return 2
+    except OSError as exc:  # reads are mapped to ParseError where they happen
+        sys.stderr.write(f"choquard: cannot write {exc.filename}: {exc.strerror}\n")
+        return 64

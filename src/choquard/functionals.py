@@ -37,27 +37,27 @@ from .field import Field, _dst, _idst, exact_half, sine_multipliers
 from .riesz import RieszKernel
 
 
-@dataclass(frozen=True)
-class PowerTerm:
-    coeff: float
-    exponent: float
-
-
 class Nonlinearity:
-    """Even F and f = F' for power sums or a tabulated monotone-cubic profile.
+    """Even F and f = F' held one way: terms maps each exponent p to the
+    summed nonzero coefficient of its |s|^p, and table, None for a power
+    sum, holds a monotone-cubic profile of F on s >= 0, read at |s|.
 
     F is even, so the energy is invariant under u -> psi(g) u o g^-1 and the
     sign-equivariant classes are natural constraints (Palais, Comm. Math.
-    Phys. 69, 1979); a table gives F on s >= 0 and is read at |s|.
+    Phys. 69, 1979).  config is the text the nonlinearity was given by, or
+    the canonical text of its terms.
     """
 
-    def __init__(self, kind, terms=(), table=None, config=None):
-        self.kind = kind
-        self.terms = tuple(terms)
-        self._config = config
-        if not np.all(np.isfinite([(t.coeff, t.exponent) for t in self.terms])):
+    def __init__(self, terms=(), table=None, config=None):
+        terms = list(terms)
+        if not np.all(np.isfinite(terms)):
             raise ParseError("nonlinearity coefficients and exponents must be finite")
-        if kind == "tabulated":
+        summed = {}
+        for c, p in terms:
+            summed[p] = summed.get(p, 0.0) + c
+        self.terms = {p: c for p, c in summed.items() if c != 0.0}
+        self.table = table
+        if table is not None:
             s_vals, f_vals = table
             s_vals = np.asarray(s_vals, dtype=float)
             f_vals = np.asarray(f_vals, dtype=float)
@@ -74,42 +74,29 @@ class Nonlinearity:
 
             self._interp = PchipInterpolator(s_vals, f_vals, extrapolate=True)
             self._dinterp = self._interp.derivative()
-        elif kind not in ("power", "sum"):
-            raise ParseError(f"unknown nonlinearity kind {kind!r}")
+        if config is None:
+            config = "tabulated" if table is not None else "sum:" + ";".join(
+                f"c{i}={_num(c)},p{i}={_num(p)}"
+                for i, (p, c) in enumerate(self.terms.items(), start=1))
+        self.config = config
 
     def F(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self.kind == "tabulated":
+        if self.table is not None:
             return self._interp(np.abs(s))
         out = np.zeros_like(s)
-        for t in self.terms:
-            out += t.coeff * _abs_power(s, t.exponent)
+        for p, c in self.terms.items():
+            out += c * _abs_power(s, p)
         return out
 
     def f(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self.kind == "tabulated":
+        if self.table is not None:
             return self._dinterp(np.abs(s)) * np.sign(s)
         out = np.zeros_like(s)
-        for t in self.terms:
-            out += t.coeff * t.exponent * np.copysign(_abs_power(s, t.exponent - 1.0), s)
+        for p, c in self.terms.items():
+            out += c * p * np.copysign(_abs_power(s, p - 1.0), s)
         return out
-
-    def exponents(self):
-        return [t.exponent for t in self.terms]
-
-    def config_string(self) -> str:
-        if self._config is not None:
-            return self._config
-        if self.kind == "power" and self.terms[0].coeff == 1.0:
-            return f"power:p={_num(self.terms[0].exponent)}"
-        if self.kind in ("power", "sum"):
-            parts = [
-                f"c{i+1}={_num(t.coeff)},p{i+1}={_num(t.exponent)}"
-                for i, t in enumerate(self.terms)
-            ]
-            return "sum:" + ";".join(parts)
-        return "tabulated"
 
 
 def _abs_power(s, p):
@@ -127,7 +114,9 @@ def _num(x: float) -> str:
 
 
 def power(p: float, coeff: float = 1.0) -> Nonlinearity:
-    return Nonlinearity("power", [PowerTerm(coeff, p)])
+    text = (f"power:p={_num(p)}" if coeff == 1.0
+            else f"sum:c1={_num(coeff)},p1={_num(p)}")
+    return Nonlinearity([(coeff, p)], config=text)
 
 
 def parse_nonlinearity(text: str) -> Nonlinearity:
@@ -158,7 +147,7 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
             raise ParseError(f"bad exponent in {text!r}") from None
         if kv:
             raise ParseError(f"unexpected keys {sorted(kv)} in {text!r}")
-        return Nonlinearity("power", [PowerTerm(1.0, p)], config=text)
+        return Nonlinearity([(1.0, p)], config=text)
     if kind == "sum":
         terms = []
         for i, chunk in enumerate(body.split(";"), start=1):
@@ -167,10 +156,10 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
                 raise ParseError(f"sum term {i} must provide c{i} and p{i} "
                                  f"and nothing else, got {chunk!r}")
             try:
-                terms.append(PowerTerm(float(kv[f"c{i}"]), float(kv[f"p{i}"])))
+                terms.append((float(kv[f"c{i}"]), float(kv[f"p{i}"])))
             except ValueError:
                 raise ParseError(f"bad number in sum term {chunk!r}") from None
-        return Nonlinearity("sum", terms, config=text)
+        return Nonlinearity(terms, config=text)
     if kind == "tabulated":
         kv = pairs(body)
         path = kv.pop("file", None)
@@ -196,32 +185,28 @@ def parse_nonlinearity(text: str) -> Nonlinearity:
             raise ParseError(f"cannot read table {path}: {exc.strerror}") from None
         except UnicodeDecodeError:
             raise ParseError(f"table {path} is not text") from None
-        return Nonlinearity("tabulated", table=(s_vals, f_vals), config=text)
+        return Nonlinearity(table=(s_vals, f_vals), config=text)
     raise ParseError(f"unknown nonlinearity kind {kind!r}")
 
 
 # -- structural hypotheses ----------------------------------------------------
 
 def validate_hypotheses(nl: Nonlinearity, dim: int, alpha: float) -> tuple:
-    """Violations of (F0)-(F2), read from F's terms with equal exponents
-    summed and zero coefficients dropped; empty when all three hold.
+    """Violations of (F0)-(F2), read from F's held terms; empty when all
+    three hold.
 
     Tabulated profiles carry no symbolic data; they are passed through with
     a warning and no violations.
     """
-    if nl.kind == "tabulated":
+    if nl.table is not None:
         warnings.warn(
             "tabulated nonlinearity: growth hypotheses not verifiable",
             stacklevel=2,
         )
         return ()
-    coeffs = {}
-    for t in nl.terms:
-        coeffs[t.exponent] = coeffs.get(t.exponent, 0.0) + t.coeff
-    exps = [p for p, c in coeffs.items() if c != 0.0]
-    if not exps:
+    if not nl.terms:
         return ("(F0): F vanishes identically",)
-    low, high, mu = min(exps), max(exps), 2.0 * coeffs.get(2.0, 0.0)
+    low, high, mu = min(nl.terms), max(nl.terms), 2.0 * nl.terms.get(2.0, 0.0)
     crit = (dim + alpha) / (dim - 2) if dim > 2 else math.inf
     violations = []
     if low < 2.0:
@@ -310,17 +295,14 @@ def _ensure_positive_q(nl, kernel, a, grid, parts):
     raise NonpositiveQ("could not reach Q > 0 by amplitude doubling")
 
 
-def _l2_norm(grid, a):
-    return float(np.sqrt(grid.weight * np.sum(a ** 2)))
-
-
-def residuals(grid, state, grad, a):
-    """Gradient residual ||grad||/||u|| and Pohozaev residual |P|/(A + B)."""
+def residuals(grid, state, grad):
+    """Gradient residual ||grad||/||u|| and Pohozaev residual |P|/(A + B),
+    with ||u|| = sqrt(B)."""
     scale = state.A + state.B
     if not (0.0 < scale < np.inf):
         raise NoDescent(f"iterate drained: A + B = {scale:g}")
-    denom = _l2_norm(grid, a)
-    grad_res = _l2_norm(grid, grad) / denom if denom else np.inf
+    denom = math.sqrt(state.B)
+    grad_res = math.sqrt(grid.weight * np.sum(grad ** 2)) / denom if denom else np.inf
     return grad_res, abs(state.pohozaev) / scale
 
 

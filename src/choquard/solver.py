@@ -230,7 +230,7 @@ class _Descent:
         # loop index counts the accepted steps
         for it in range(cfg.max_iters):
             grad = _gradient_from_parts(nl, kernel, a, coeff, conv, grid)
-            grad_res, p_res = residuals(grid, state, grad, a)
+            grad_res, p_res = residuals(grid, state, grad)
             if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
                 return a, state, grad_res, p_res, it
             if not self.action.half_holds_class and it % 20 == 0:
@@ -350,7 +350,7 @@ def _solve(nl, kernel, grid, cfg, init, action):
         group=action.group.tag or "custom",
         grid=grid,
         alpha=kernel.alpha,
-        nonlinearity=nl.config_string(),
+        nonlinearity=nl.config,
         iters=iters,
         energy=state.energy,
         A=state.A,

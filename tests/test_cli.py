@@ -197,6 +197,9 @@ def test_negative_seed_in_config_exits_64(capsys, tmp_path):
     (["solve", "--threshold", "nan"], "threshold"),
     (["solve", "--threshold", "2"], "threshold"),
     (["hierarchy", "--threshold", "1"], "threshold"),
+    (["verify", "--grad-tol", "nan"], "grad_tol"),
+    (["verify", "--grad-tol", "-1"], "grad_tol"),
+    (["verify", "--pohozaev-tol", "nan"], "pohozaev_tol"),
 ])
 def test_unrunnable_setting_exits_64_before_any_kernel(
         capsys, monkeypatch, solved, argv, name):
@@ -211,6 +214,21 @@ def test_unrunnable_setting_exits_64_before_any_kernel(
     assert rc == 64
     assert captured.out == ""
     assert name in captured.err
+
+
+@pytest.mark.parametrize("command", ["coxeter", "convert", "solve"])
+def test_unwritable_out_path_exits_64(capsys, tmp_path, solved, command):
+    out = tmp_path / "missing" / "x"
+    argv = {"coxeter": ["coxeter", "--group", "A1"],
+            "convert": ["convert", "--field", f"{solved[0]}.field"],
+            "solve": ["solve", *FAST]}[command]
+    rc = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert f"cannot write {out}" in captured.err
+    assert "Traceback" not in captured.err
+    if command == "solve":  # the report is printed before the files are written
+        assert json.loads(captured.out)["group"] == "trivial"
 
 
 def test_verify_reports_no_decay_rate_with_one_shell_above_floor(capsys, tmp_path):

@@ -267,9 +267,9 @@ def test_trial_above_the_iterate_but_below_the_window_is_accepted(
     judged = []
     measure = solver.residuals
 
-    def recorded(grid, state, grad, a):
+    def recorded(grid, state, grad):
         judged.append(state.energy)
-        return measure(grid, state, grad, a)
+        return measure(grid, state, grad)
 
     monkeypatch.setattr(solver, "residuals", recorded)
     cfg = SolverConfig(max_iters=3, grad_tol=1e-14, pohozaev_tol=1e-14)
