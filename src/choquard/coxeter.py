@@ -1,21 +1,23 @@
 """Finite Coxeter groups of rank <= 3 as concrete orthogonal matrix groups.
 
-A group is its Coxeter matrix m, with bilinear form B_ij = -cos(pi / m_ij),
-and its chamber normals: unit vectors n_i with n_i . n_j = B_ij, whose wall
-reflections I - 2 n_i n_i^T generate it (Humphreys, Reflection Groups and
-Coxeter Groups, 1990, sections 1.12 and 5.3).  B is positive definite
-exactly when the group is finite, and then the rows of its lower Cholesky
-factor are normals (the Tits route).  Named groups with an axis-aligned
+A group is its chamber normals: unit vectors n_i whose wall reflections
+I - 2 n_i n_i^T generate it, with n_i . n_j = B_ij = -cos(pi / m_ij) for
+its Coxeter matrix m (Humphreys, Reflection Groups and Coxeter Groups,
+1990, sections 1.12 and 5.3).  Named groups with an axis-aligned
 realization (products of A1, the dihedral groups with mirrors on coordinate
 planes and diagonals, the tetrahedral and the full cube group) take
-hand-picked normals whose reflections are signed permutations instead, so
-that their action on a symmetric grid is exact.
+hand-picked normals whose reflections are signed permutations, so that
+their action on a symmetric grid is exact.  A Coxeter matrix is only ever
+an input, to `build_group` (H3 and custom matrices): B is positive definite
+exactly when the group is finite, and then the rows of its lower Cholesky
+factor are normals (the Tits route).
 
 Elements are enumerated by breadth-first closure under generator
 multiplication.  `element_keys`, the entries rounded at MATRIX_TOL, is the
-one test of whether two elements, or two orbit points, are the same.  The
-sign character is the determinant, which equals -1 on every reflection and
-is multiplicative, i.e. the parity of word length.
+one test of whether two elements, or two orbit points, are the same, and
+of whether an element fixes a point.  The sign character is the
+determinant, which equals -1 on every reflection and is multiplicative,
+i.e. the parity of word length.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class CoxeterMatrix:
         if off.size and off.min() < 2:
             raise ParseError("off-diagonal Coxeter entries must be >= 2")
         object.__setattr__(self, "entries", m)
-
-    @property
-    def rank(self) -> int:
-        return self.entries.shape[0]
 
     def bilinear_form(self) -> np.ndarray:
         """Return B with B_ij = -cos(pi / m_ij)."""
@@ -144,12 +142,11 @@ class CoxeterGroup:
 
     Attributes
     ----------
-    matrix : CoxeterMatrix
-        Defining matrix (rank 0 for the trivial group).
     chamber_normals : ndarray, shape (k, k)
         Row i is the inward unit normal n_i of the i-th wall; the closed
         fundamental chamber is the cone where all <x, n_i> >= 0, and
-        n_i . n_j = B_ij.
+        n_i . n_j = B_ij.  The rank k is their number (0 for the trivial
+        group).
     generators : list of ndarray
         The wall reflections I - 2 n_i n_i^T, one per normal, snapped to an
         exact signed permutation when within MATRIX_TOL of one.
@@ -157,11 +154,10 @@ class CoxeterGroup:
         Name used to build the group, when it came from a named tag.
     """
 
-    def __init__(self, matrix, chamber_normals, tag=None):
-        self.matrix = matrix
+    def __init__(self, chamber_normals, tag=None):
         self.chamber_normals = np.array(chamber_normals, dtype=float)
         self.tag = tag
-        k = matrix.rank
+        k = self.rank
         self.generators = [_snap_signed_perm(np.eye(k) - 2.0 * np.outer(n, n))
                            for n in self.chamber_normals]
         mats = _close_under_products(self.generators)
@@ -171,16 +167,11 @@ class CoxeterGroup:
 
     @property
     def rank(self) -> int:
-        return self.matrix.rank
+        return len(self.chamber_normals)
 
     @property
     def order(self) -> int:
         return self._mats.shape[0]
-
-    @property
-    def elements(self):
-        """List of (matrix, sign) pairs, identity first."""
-        return list(zip(self._mats, self._signs))
 
     def element_matrices(self) -> np.ndarray:
         return self._mats
@@ -211,15 +202,15 @@ class CoxeterGroup:
         return Orbit(pts, float(dist[iu].min()))
 
     def isotropy(self, q: np.ndarray) -> Subgroup:
-        """Stabilizer subgroup S_q = {g : g q = q}."""
+        """Stabilizer subgroup S_q = {g : g q = q}, by `element_keys`."""
         q = np.asarray(q, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(q)))
-        fix = np.linalg.norm(self._mats @ q - q, axis=1) <= MATRIX_TOL * scale
+        key = element_keys(q[None])[0]
+        fix = np.array([k == key for k in element_keys(self._mats @ q)])
         mats = self._mats[fix]
         k = self.rank
         rows = (mats - np.eye(k)).reshape(len(mats) * k, k)
-        rank = int(np.linalg.matrix_rank(rows, tol=1e-8)) if len(mats) else 0
-        return Subgroup(int(fix.sum()), rank)
+        rank = int(np.linalg.matrix_rank(rows, tol=1e-8))
+        return Subgroup(len(mats), rank)
 
     def chamber_interior_point(self) -> np.ndarray:
         """Unit vector with <q, n_i> > 0 for every wall normal."""
@@ -251,7 +242,7 @@ def build_group(matrix: CoxeterMatrix, tag: str | None = None) -> CoxeterGroup:
     if least <= 1e-12:
         raise NonPositiveDefinite(
             f"bilinear form eigenvalue {least:.3e} <= 1e-12; group is infinite")
-    return CoxeterGroup(matrix, np.linalg.cholesky(b), tag=tag)
+    return CoxeterGroup(np.linalg.cholesky(b), tag=tag)
 
 
 def _dihedral_normals(m: int) -> np.ndarray:
@@ -270,59 +261,39 @@ def _embed_block(g: np.ndarray, k: int, offset: int) -> np.ndarray:
 _SQ2 = math.sqrt(0.5)
 
 # chamber normals of the named groups realized by signed permutations
-# outside the dihedral family; A3 is the tetrahedral group
+# outside the I2:m and A1xI2:m families; A3 is the tetrahedral group, and
+# A1xA1 keeps the I2:2 normals
 _AXIS_REALIZATIONS = {
     "trivial": np.zeros((0, 0)),
     "A1": np.eye(1),
+    "A1xA1": _dihedral_normals(2),
     "A1xA1xA1": np.eye(3),
     "A3": [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [-_SQ2, -_SQ2, 0]],
     "B3": [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [0, 0, 1]],
 }
 
-_NAMED_MATRICES = {
-    "trivial": np.zeros((0, 0), dtype=int),
-    "A1": [[1]],
-    "A1xA1": [[1, 2], [2, 1]],
-    "A1xA1xA1": [[1, 2, 2], [2, 1, 2], [2, 2, 1]],
-    "A3": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
-    "B3": [[1, 3, 2], [3, 1, 4], [2, 4, 1]],
-    "H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
-}
 
-
-def parse_tag(tag: str):
-    """Parse a group tag into (canonical tag, CoxeterMatrix, dihedral order or None)."""
+def from_name(tag: str) -> CoxeterGroup:
+    """Build a named group: a tag of `_AXIS_REALIZATIONS`, H3, or I2:m or
+    A1xI2:m for a dihedral order 2 <= m <= ELEMENT_CAP."""
     tag = tag.strip()
-    m = None
-    if tag.startswith("I2:") or tag.startswith("A1xI2:"):
-        head, _, tail = tag.partition(":")
+    head, colon, tail = tag.partition(":")
+    if colon and head in ("I2", "A1xI2"):
         try:
             m = int(tail)
         except ValueError:
             raise ParseError(f"bad dihedral order in tag {tag!r}") from None
         if m < 2:
             raise ParseError(f"dihedral order must be >= 2, got {m}")
-        if m > ELEMENT_CAP:  # 2m elements, and past int64 np.array fails
+        if m > ELEMENT_CAP:  # 2m elements, refused before any is built
             raise CapExceeded(f"dihedral order {m} exceeds the element cap of {ELEMENT_CAP}")
-        if head == "I2":
-            mat = [[1, m], [m, 1]]
-        else:
-            mat = [[1, 2, 2], [2, 1, m], [2, m, 1]]
-        return tag, CoxeterMatrix(np.array(mat)), m
-    if tag in _NAMED_MATRICES:
-        return tag, CoxeterMatrix(np.array(_NAMED_MATRICES[tag])), None
-    raise ParseError(f"unknown group tag {tag!r}")
-
-
-def from_name(tag: str) -> CoxeterGroup:
-    """Build a named group, preferring grid-exact realizations where they exist."""
-    tag, matrix, m = parse_tag(tag)
-    if tag in _AXIS_REALIZATIONS:
+        normals = _dihedral_normals(m)
+        if head == "A1xI2":
+            normals = _embed_block(normals, 3, 1)
+    elif tag == "H3":  # no signed-permutation realization; use the Tits route
+        return build_group(CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]]), tag)
+    elif tag in _AXIS_REALIZATIONS:
         normals = _AXIS_REALIZATIONS[tag]
-    elif tag == "A1xA1" or tag.startswith("I2:"):
-        normals = _dihedral_normals(m or 2)
-    elif tag.startswith("A1xI2:"):
-        normals = _embed_block(_dihedral_normals(m), 3, 1)
-    else:  # H3 has no signed-permutation realization; use the Tits route
-        return build_group(matrix, tag=tag)
-    return CoxeterGroup(matrix, normals, tag=tag)
+    else:
+        raise ParseError(f"unknown group tag {tag!r}")
+    return CoxeterGroup(normals, tag=tag)

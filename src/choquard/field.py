@@ -120,10 +120,6 @@ class GridSpec:
         """The length-M array v laid along one axis, broadcast over the rest."""
         return v.reshape([-1 if b == axis else 1 for b in range(self.dim)])
 
-    def mesh(self):
-        return np.meshgrid(*(self.axis_coords(ax) for ax in range(self.dim)),
-                           indexing="ij")
-
     def radius_sq(self) -> np.ndarray:
         """|x|^2 at every node, summed over the axes in order."""
         return sum(self.along(axis, self.axis_coords(axis) ** 2)

@@ -308,16 +308,6 @@ def residuals(grid, state, grad):
 
 # -- dilation path ------------------------------------------------------------
 
-def dilation_pohozaev(t: float, state: FunctionalState, dim: int,
-                      alpha: float) -> float:
-    """b(t) = P(u(./t)) = t a'(t)."""
-    return (
-        0.5 * (dim - 2) * t ** (dim - 2) * state.A
-        + 0.5 * dim * t ** dim * state.B
-        - 0.5 * (dim + alpha) * t ** (dim + alpha) * state.Q
-    )
-
-
 def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
     """Unique t > 0 with b(t) = 0, for finite A >= 0, B > 0 and Q > 0.
 

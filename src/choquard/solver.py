@@ -25,11 +25,12 @@ ground state, none where the half grid holds the class (A1, I2:2,
 A1xA1xA1), and otherwise unfold, `symmetrize_array`, fold, where the group
 average runs over the double cosets of the axis flips in G, one group
 action per non-trivial double coset (one three-shear rotation for I2:3);
-only that averaging projector needs the symmetry drift watched.  Stopping
-is measured on the L^2 gradient and the continuum Pohozaev residual.  All
-functional values come from `functionals`; `solve_saddle` is the one entry
-and `_solve` the one driver for every group, and `pohozaev_root` alone
-decides whether Q admits a retraction.
+only that averaging projector needs the symmetry drift watched.  A descent
+stops once the discrete problem has converged, its L^2 gradient residual
+within grad_tol, and fails there if the continuum Pohozaev residual is not
+within pohozaev_tol.  All functional values come from `functionals`;
+`solve_saddle` is the one entry and `_solve` the one driver for every
+group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -231,7 +232,12 @@ class _Descent:
         for it in range(cfg.max_iters):
             grad = _gradient_from_parts(nl, kernel, a, coeff, conv, grid)
             grad_res, p_res = residuals(grid, state, grad)
-            if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
+            if grad_res <= cfg.grad_tol:  # the discrete problem has converged
+                if not p_res <= cfg.pohozaev_tol:
+                    raise NoDescent(
+                        f"gradient converged at iteration {it} (grad residual "
+                        f"{grad_res:.3e}) but Pohozaev residual {p_res:.3e} > "
+                        f"pohozaev_tol {cfg.pohozaev_tol:g}")
                 return a, state, grad_res, p_res, it
             if not self.action.half_holds_class and it % 20 == 0:
                 drift = symmetry_residual(self.action,

@@ -19,7 +19,6 @@ from choquard.coxeter import from_name
 from choquard.field import Field, GridSpec, GroupAction, act, dilate
 from choquard.functionals import (
     _assemble,
-    dilation_pohozaev,
     evaluate,
     evaluate_with_gradient,
     pohozaev_root,
@@ -27,6 +26,7 @@ from choquard.functionals import (
 )
 from choquard.riesz import RieszKernel, get_kernel
 from choquard.solver import SolverConfig, solve_ground, solve_saddle
+from helpers import dilation_pohozaev
 from test_analysis import nodal_min_bound
 
 NL = power(2.0)

@@ -28,6 +28,7 @@ from choquard.field import Field, GridSpec, GroupAction, symmetrize_array
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
 from choquard.solver import SolveReport, SolverConfig, solve_ground
+from helpers import node_mesh
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
@@ -97,7 +98,7 @@ def chamber_restrict(action, u):
 
 @pytest.fixture(scope="module")
 def mesh():
-    return GRID.mesh()
+    return node_mesh(GRID)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -25,6 +27,20 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def test_readme_commands_parse():
+    """Every `choquard ...` line in README.md's sh blocks parses, so the
+    documented flags cannot drift from the parser."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("choquard ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_coxeter_info(capsys):

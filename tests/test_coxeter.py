@@ -14,7 +14,6 @@ from choquard.coxeter import (
     Subgroup,
     build_group,
     from_name,
-    parse_tag,
 )
 from choquard.errors import CapExceeded, ChoquardError, NonPositiveDefinite, ParseError
 
@@ -68,7 +67,7 @@ def test_order_matches_brute_force_oracle(tag):
 @pytest.mark.parametrize("tag", sorted(set(KNOWN_ORDERS) - {"trivial"}))
 def test_sign_character_is_determinant(tag):
     group = from_name(tag)
-    for g, s in group.elements:
+    for g, s in zip(group.element_matrices(), group.element_signs(), strict=True):
         assert s in (-1, 1)
         assert abs(np.linalg.det(g) - s) < 1e-9
 
@@ -82,9 +81,19 @@ def test_generators_are_orthogonal_involutions(tag):
         assert abs(np.linalg.det(s) + 1.0) < 1e-12
 
 
-NAMED_TAGS = ["trivial", "A1", "A1xA1", "A1xA1xA1", "A3", "B3", "H3",
-              *(f"I2:{m}" for m in [*range(2, 13), 16, 24, 40, 60]),
-              *(f"A1xI2:{m}" for m in range(2, 9))]
+# textbook Coxeter matrices of the named groups (Humphreys 1990, chapter 2)
+TEXTBOOK_MATRICES = {
+    "trivial": np.zeros((0, 0)),
+    "A1": [[1]],
+    "A1xA1": [[1, 2], [2, 1]],
+    "A1xA1xA1": [[1, 2, 2], [2, 1, 2], [2, 2, 1]],
+    "A3": [[1, 3, 2], [3, 1, 3], [2, 3, 1]],
+    "B3": [[1, 3, 2], [3, 1, 4], [2, 4, 1]],
+    "H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+    **{f"I2:{m}": [[1, m], [m, 1]] for m in [*range(2, 13), 16, 24, 40, 60]},
+    **{f"A1xI2:{m}": [[1, 2, 2], [2, 1, m], [2, m, 1]] for m in range(2, 9)},
+}
+NAMED_TAGS = list(TEXTBOOK_MATRICES)
 
 
 @pytest.mark.parametrize("tag", NAMED_TAGS)
@@ -93,8 +102,8 @@ def test_normals_realize_the_coxeter_matrix(tag):
     reflections I - 2 n_i n_i^T, so the normals alone fix the group."""
     group = from_name(tag)
     normals = group.chamber_normals
-    np.testing.assert_allclose(normals @ normals.T,
-                               group.matrix.bilinear_form(), rtol=0, atol=1e-12)
+    form = -np.cos(np.pi / np.array(TEXTBOOK_MATRICES[tag], dtype=float))
+    np.testing.assert_allclose(normals @ normals.T, form, rtol=0, atol=1e-12)
     for n, s in zip(normals, group.generators, strict=True):
         np.testing.assert_allclose(s, np.eye(group.rank) - 2.0 * np.outer(n, n),
                                    rtol=0, atol=1e-15)
@@ -209,6 +218,22 @@ def test_interior_point_is_interior():
         assert np.all(group.chamber_normals @ q > 1e-3)
 
 
+@pytest.mark.parametrize("tag", NAMED_TAGS)
+def test_isotropy_counts_the_elements_that_fix_the_point(tag):
+    """The stabilizer's order is the number of elements with ||g q - q||
+    <= 1e-9, on the facet rays, the interior point, the axes and random
+    vectors."""
+    group = from_name(tag)
+    k = group.rank
+    rng = np.random.default_rng(4)
+    points = [*facet_ray_representatives(group), group.chamber_interior_point(),
+              *np.eye(k), *rng.standard_normal((5, k))]
+    mats = group.element_matrices()
+    for q in points:
+        fixed = np.linalg.norm(mats @ q - q, axis=1) <= 1e-9
+        assert group.isotropy(q).order == np.count_nonzero(fixed)
+
+
 def test_isotropy_of_interior_point_is_trivial():
     for tag in ["I2:2", "I2:4", "B3", "H3"]:
         group = from_name(tag)
@@ -222,7 +247,7 @@ def test_isotropy_of_interior_point_is_trivial():
 )
 def test_parse_rejects_malformed_tags(text):
     with pytest.raises(ParseError):
-        parse_tag(text)
+        from_name(text)
 
 
 def test_affine_matrix_is_rejected():

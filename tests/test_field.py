@@ -39,13 +39,14 @@ from choquard.field import (
 )
 from choquard.functionals import evaluate, evaluate_with_gradient, power
 from choquard.riesz import get_kernel
+from helpers import node_mesh
 
 # F = 0 leaves E = (A + B)/2, whose L^2 gradient is -Delta u + u
 NO_INTERACTION = power(2.0, coeff=0.0)
 
 
 def from_function(grid, fn):
-    return Field(grid, fn(*grid.mesh()))
+    return Field(grid, fn(*node_mesh(grid)))
 
 
 def inner(u, v):
@@ -86,7 +87,7 @@ def test_broadcast_radius_matches_the_mesh_bit_for_bit(dim):
     """|x| and |x|^2 from per-axis coordinates equal the full-mesh sums."""
     grid = GridSpec(dim, 16, 4.0)
     r2 = np.zeros(grid.shape)
-    for x in grid.mesh():
+    for x in node_mesh(grid):
         r2 += x * x
     assert np.array_equal(grid.radius_sq(), r2)
     assert np.array_equal(grid.radius(), np.sqrt(r2))
@@ -144,7 +145,7 @@ def test_x_dot_grad_matches_analytic_sine_product(dim, M):
     grid = GridSpec(dim, M, 3.0)
     ks = (M, 3, 2)[:dim]
     kap = [k * np.pi / (2 * grid.L) for k in ks]
-    xs = grid.mesh()
+    xs = node_mesh(grid)
     sines = [np.sin(k * (x + grid.L)) for x, k in zip(xs, kap)]
     u = np.prod(sines, axis=0)
     expected = np.zeros(grid.shape)
@@ -222,7 +223,7 @@ def test_action_preserves_l2_grid_exact(tag):
     action = GroupAction(group, grid)
     rng = np.random.default_rng(2)
     u = Field(grid, rng.standard_normal(grid.shape))
-    for mat, _ in group.elements:
+    for mat in group.element_matrices():
         assert l2_sq_integral(act(action, mat, u)) == pytest.approx(
             l2_sq_integral(u), rel=1e-12)
 
@@ -351,7 +352,8 @@ def _projector_and_group_average(dim, M, tag):
     action = GroupAction(group, grid)
     a = _off_class_field(action)
     want = sum(s * apply_matrix_array(grid, action.embed(g).T, a)
-               for g, s in group.elements) / group.order
+               for g, s in zip(group.element_matrices(), group.element_signs(),
+                               strict=True)) / group.order
     return a, symmetrize_array(action, a), want
 
 
@@ -643,7 +645,7 @@ def test_radial_shells_of_an_odd_field_read_its_positive_half(dim):
     """x0 times a Gaussian, exactly odd in x0: both signs attain every shell
     maximum on the full grid, and the stored half x0 > 0 is positive."""
     grid = GridSpec(dim, 16, 4.0)
-    x = grid.mesh()
+    x = node_mesh(grid)
     u = Field(grid, parity_fold(x[0] * gaussian(grid).data, (-1,) + (0,) * (dim - 1)))
     _, _, sign = radial_shell_stats(u)
     assert np.all(sign == 1)

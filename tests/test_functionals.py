@@ -17,7 +17,6 @@ from choquard.field import Field, GridSpec, _dst, dilate, x_dot_grad_array
 from choquard.functionals import (
     Nonlinearity,
     _assemble,
-    dilation_pohozaev,
     evaluate,
     evaluate_with_gradient,
     parse_nonlinearity,
@@ -28,6 +27,7 @@ from choquard.functionals import (
     validate_hypotheses,
 )
 from choquard.riesz import RieszKernel
+from helpers import dilation_pohozaev, node_mesh
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -273,7 +273,7 @@ def test_discrete_ray_derivative_matches_dilated_energies(dim, M, L, alpha):
     grid = GridSpec(dim, M, L)
     kern = RieszKernel(grid, alpha)
     nl = power(2.0)
-    xs = grid.mesh()
+    xs = node_mesh(grid)
     u = Field(grid, 1.5 * np.exp(-grid.radius() ** 2 / 2.0) * (1.0 + 0.2 * xs[0]))
     _, grad = evaluate_with_gradient(nl, kern, u)
     xgu = x_dot_grad_array(grid, _dst(u.data, grid.parity))

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from choquard.coxeter import from_name, parse_tag
+from choquard.coxeter import from_name
 from choquard.errors import GridMismatch
 from choquard.field import (
     Field,
@@ -210,7 +210,7 @@ HOLDS_CLASS = {"trivial": True, "A1": True, "I2:2": True, "A1xA1": True,
 
 @pytest.mark.parametrize("dim,tag", [
     (dim, tag) for dim in (2, 3) for tag in HOLDS_CLASS
-    if parse_tag(tag)[1].rank <= dim])
+    if from_name(tag).rank <= dim])
 def test_action_carries_its_half_grid_and_whether_it_holds_the_class(dim, tag):
     """half keeps the positive half of every parity axis; the half alone
     holds the class exactly for groups of axis flips that fold every axis."""

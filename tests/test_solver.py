@@ -6,6 +6,7 @@ configured tolerances.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,7 @@ from choquard.solver import (
     solve_ground,
     solve_saddle,
 )
+from helpers import node_mesh
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
@@ -309,6 +311,18 @@ def test_iteration_budget_exhaustion_raises(kernel):
         solve_ground(NL, kernel, GRID, cfg)
 
 
+def test_discrete_convergence_with_a_pohozaev_excess_stops_at_once():
+    """The planar ground on a 32^2 box of half-width 8 reaches grad_tol with
+    a continuum Pohozaev residual above pohozaev_tol.  The descent stops
+    there with NoDescent, not after its iteration budget."""
+    grid = GridSpec(2, 32, 8.0)
+    with pytest.raises(NoDescent, match="Pohozaev residual") as err:
+        solve_ground(NL, RieszKernel(grid, alpha=1.0), grid,
+                     SolverConfig(restarts=1, max_iters=400))
+    stop = re.search(r"at iteration (\d+)", str(err.value))
+    assert stop is not None and int(stop.group(1)) < 50
+
+
 def test_solver_grid_must_match_kernel(kernel):
     with pytest.raises(GridMismatch):
         solve_ground(NL, kernel, GridSpec(2, 32, 10.0),
@@ -365,7 +379,7 @@ def _even_base(grid):
 
 
 def _off_centre_base(grid):
-    x, y = grid.mesh()
+    x, y = node_mesh(grid)
     return Field(grid, np.exp(-((x - 0.7) ** 2 + (y + 0.4) ** 2) / 2.0))
 
 
