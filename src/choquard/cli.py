@@ -2,8 +2,9 @@
 
 Subcommands: coxeter (group info), solve (ground state or saddle),
 hierarchy (chain of groups with energy comparisons), verify (recheck a
-stored field), convert (field binary to radial CSV).  Options may come
-from a flat key=value config file; explicit flags win.  Exit codes:
+stored field), convert (field binary to radial CSV).  Options are declared
+once, in a table of defaults that gives each flag and config key; a flat
+key=value config file may set them, and explicit flags win.  Exit codes:
 0 success, 2 solver failure, 3 hypothesis violation without --force,
 64 usage or malformed input, or an output path that cannot be written.
 """
@@ -64,23 +65,31 @@ _SOLVE_DEFAULTS = {
     **dataclasses.asdict(solver.SolverConfig()),
 }
 
-_CASTS = {key: type(val) for key, val in _SOLVE_DEFAULTS.items()}
-_CASTS["groups"] = str
+_HIERARCHY_DEFAULTS = dict(_SOLVE_DEFAULTS, groups="trivial,A1")
+del _HIERARCHY_DEFAULTS["group"]
 
 
-def _merge_options(args, defaults) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
+def _add_options(parser, table, required=()):
+    """--key, with '-' for '_', typed by the key's default; a flag left out
+    is None unless the parser sets the table's values as its defaults."""
+    for key, val in table.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=type(val),
+                            required=key in required)
+
+
+def _merge_options(args, table) -> dict:
+    """table < config file < explicit flags."""
+    merged = dict(table)
+    if args.config:
         for key, val in _read_config(args.config).items():
-            if key not in _CASTS:
+            if key not in table:
                 raise ParseError(f"unknown config key {key!r}")
             try:
-                merged[key] = _CASTS[key](val)
+                merged[key] = type(table[key])(val)
             except ValueError:
                 raise ParseError(f"bad value for config key {key!r}: {val!r}")
     for key in merged:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     return merged
@@ -91,17 +100,19 @@ def _check_threshold(threshold):
         raise ParseError(f"threshold must lie in [0, 1), got {threshold}")
 
 
-def _problem(opts, force):
-    """Nonlinearity, grid, kernel and solver settings of solve and hierarchy."""
+def _problem(opts, tags, force):
+    """Nonlinearity, grid, groups, kernel and solver settings of solve and
+    hierarchy; a tag with no group or no exact action fails before the kernel."""
     _check_threshold(opts["threshold"])
     nl = functionals.parse_nonlinearity(opts["nl"])
     violations = functionals.validate_hypotheses(nl, opts["dim"], opts["alpha"])
     if violations and not force:
         raise HypothesisViolation("; ".join(violations))
     grid = field_mod.GridSpec(opts["dim"], opts["M"], opts["L"])
+    groups = [field_mod.GroupAction(from_name(tag), grid).group for tag in tags]
     names = [f.name for f in dataclasses.fields(solver.SolverConfig)]
     cfg = solver.SolverConfig(**{name: opts[name] for name in names})
-    return nl, grid, riesz.get_kernel(grid, opts["alpha"]), cfg
+    return nl, grid, groups, riesz.get_kernel(grid, opts["alpha"]), cfg
 
 
 def _dump(obj, stream=None):
@@ -127,8 +138,8 @@ def _write_solution(prefix, report):
 
 def cmd_solve(args) -> int:
     opts = _merge_options(args, _SOLVE_DEFAULTS)
-    nl, grid, kernel, cfg = _problem(opts, args.force)
-    report = solver.solve_saddle(from_name(opts["group"]), nl, kernel, grid, cfg)
+    nl, grid, (group,), kernel, cfg = _problem(opts, [opts["group"]], args.force)
+    report = solver.solve_saddle(group, nl, kernel, grid, cfg)
     annotated = analysis.annotate_report(report, opts["threshold"])
     _dump(annotated.to_json_dict())
     if args.out:
@@ -137,11 +148,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    opts = _merge_options(args, dict(_SOLVE_DEFAULTS, groups="trivial,A1"))
+    opts = _merge_options(args, _HIERARCHY_DEFAULTS)
     tags = [t.strip() for t in opts["groups"].split(",") if t.strip()]
     if not tags:
         raise ParseError("hierarchy needs a non-empty group list")
-    nl, grid, kernel, cfg = _problem(opts, args.force)
+    nl, grid, _, kernel, cfg = _problem(opts, tags, args.force)
     report = analysis.hierarchy_report(tags, nl, kernel, grid, cfg,
                                        opts["threshold"])
     sys.stdout.write(report.to_text() + "\n")
@@ -155,6 +166,7 @@ def cmd_verify(args) -> int:
     _check_threshold(args.threshold)
     cfg = solver.SolverConfig(grad_tol=args.grad_tol, pohozaev_tol=args.pohozaev_tol)
     u = field_mod.read_field(args.field)
+    action = field_mod.GroupAction(from_name(args.group), u.grid)
     if u.norm_max() == 0.0:
         raise ParseError(f"{args.field}: field is identically zero")
     if field_mod.l2_sq_integral(u) == 0.0:  # B, and with it A + B, is 0
@@ -163,7 +175,6 @@ def cmd_verify(args) -> int:
     kernel = riesz.get_kernel(u.grid, args.alpha)
     state, grad = functionals.evaluate_with_gradient(nl, kernel, u)
     grad_res, p_res = functionals.residuals(u.grid, state, grad.data)
-    action = field_mod.GroupAction(from_name(args.group or "trivial"), u.grid)
     sym = field_mod.symmetry_residual(action, u)
     nodal = analysis.nodal_domains(u, args.threshold, action)
     out = {
@@ -202,44 +213,23 @@ def build_parser() -> _Parser:
     p_cox.add_argument("--out")
     p_cox.set_defaults(func=cmd_coxeter)
 
-    def add_common(p):
+    for name, table, func, text in (
+            ("solve", _SOLVE_DEFAULTS, cmd_solve, "solve one group"),
+            ("hierarchy", _HIERARCHY_DEFAULTS, cmd_hierarchy,
+             "solve a chain of groups")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--nl")
-        p.add_argument("--M", type=int)
-        p.add_argument("--L", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--grad-tol", dest="grad_tol", type=float)
-        p.add_argument("--pohozaev-tol", dest="pohozaev_tol", type=float)
-        p.add_argument("--threshold", type=float)
+        _add_options(p, table)
         p.add_argument("--force", action="store_true")
         p.add_argument("--out")
-
-    p_solve = sub.add_parser("solve", help="solve one group")
-    add_common(p_solve)
-    p_solve.add_argument("--group")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_hier = sub.add_parser("hierarchy", help="solve a chain of groups")
-    add_common(p_hier)
-    p_hier.add_argument("--groups")
-    p_hier.set_defaults(func=cmd_hierarchy)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="recheck a stored field")
     p_verify.add_argument("--field", required=True)
-    p_verify.add_argument("--alpha", type=float, required=True)
-    p_verify.add_argument("--nl", required=True)
-    p_verify.add_argument("--group")
-    p_verify.add_argument("--threshold", type=float,
-                          default=analysis.NODAL_THRESHOLD)
-    p_verify.add_argument("--grad-tol", dest="grad_tol", type=float,
-                          default=solver.SolverConfig.grad_tol)
-    p_verify.add_argument("--pohozaev-tol", dest="pohozaev_tol", type=float,
-                          default=solver.SolverConfig.pohozaev_tol)
-    p_verify.set_defaults(func=cmd_verify)
+    checks = {key: _SOLVE_DEFAULTS[key] for key in (
+        "alpha", "nl", "group", "threshold", "grad_tol", "pohozaev_tol")}
+    _add_options(p_verify, checks, required=("alpha", "nl"))
+    p_verify.set_defaults(func=cmd_verify, **checks)
 
     p_conv = sub.add_parser("convert", help="field binary to radial CSV")
     p_conv.add_argument("--field", required=True)

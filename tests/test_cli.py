@@ -1,5 +1,6 @@
 """End-to-end tests of the command line driver and its exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -164,7 +165,11 @@ def test_solver_defaults_are_solver_config():
     """solve, hierarchy and verify read their solver defaults from SolverConfig."""
     cfg = dataclasses.asdict(solver.SolverConfig())
     assert {k: cli._SOLVE_DEFAULTS[k] for k in cfg} == cfg
-    assert all(cli._CASTS[k] is type(v) for k, v in cfg.items())
+    flags = [arg for k, v in cfg.items()
+             for arg in (f"--{k.replace('_', '-')}", str(v))]
+    for command in ("solve", "hierarchy"):
+        parsed = vars(cli.build_parser().parse_args([command, *flags]))
+        assert all(type(parsed[k]) is type(v) for k, v in cfg.items())
     args = cli.build_parser().parse_args(
         ["verify", "--field", "f", "--alpha", "1", "--nl", "power:p=2"])
     assert args.grad_tol == cfg["grad_tol"]
@@ -216,6 +221,12 @@ def test_negative_seed_in_config_exits_64(capsys, tmp_path):
     (["verify", "--grad-tol", "nan"], "grad_tol"),
     (["verify", "--grad-tol", "-1"], "grad_tol"),
     (["verify", "--pohozaev-tol", "nan"], "pohozaev_tol"),
+    (["verify", "--group", "Z9"], "unknown group tag 'Z9'"),
+    (["verify", "--group", "A1xI2:3"], "rank 3 exceeds grid dim 2"),
+    (["verify", "--group", ""], "unknown group tag ''"),
+    (["solve", "--group", "Z9"], "unknown group tag 'Z9'"),
+    (["solve", "--group", "A1xA1xA1"], "rank 3 exceeds grid dim 2"),
+    (["hierarchy", "--groups", "trivial,Z9"], "unknown group tag 'Z9'"),
 ])
 def test_unrunnable_setting_exits_64_before_any_kernel(
         capsys, monkeypatch, solved, argv, name):
@@ -278,6 +289,34 @@ def test_unknown_config_key_exits_64(capsys, tmp_path):
     cfg.write_text("bogus = 1\n")
     assert main(["solve", "--config", str(cfg)]) == 64
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,value", [("solve", "groups", "trivial,A1"),
+                                               ("hierarchy", "group", "I2:3")])
+def test_config_key_of_the_other_command_exits_64(capsys, tmp_path, command,
+                                                  key, value):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([command, *FAST, "--config", str(cfg)]) == 64
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,table", [("solve", cli._SOLVE_DEFAULTS),
+                                           ("hierarchy", cli._HIERARCHY_DEFAULTS)])
+def test_config_keys_are_the_option_flags(tmp_path, command, table):
+    """A command's config keys are the dests of its option flags, less
+    --config, --force and --out, each cast by its flag's type."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    casts = {a.dest: a.type for a in sub.choices[command]._actions
+             if a.option_strings and a.dest not in ("help", "config", "force", "out")}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{dest} = 1\n" for dest in casts))
+    merged = cli._merge_options(parser.parse_args([command, "--config", str(cfg)]),
+                                table)
+    assert merged == {dest: cast("1") for dest, cast in casts.items()}
+    assert all(type(merged[dest]) is cast for dest, cast in casts.items())
 
 
 def test_missing_config_file_exits_64(capsys, tmp_path):
@@ -370,6 +409,24 @@ def test_config_file_with_flag_override(capsys, tmp_path, solved):
     # an explicit flag beats the config file
     assert main(["solve", "--config", str(cfg), "--max-iters", "1"]) == 2
     capsys.readouterr()
+
+
+def test_hierarchy_config_file_with_flag_override(capsys, tmp_path, solved):
+    _, reference = solved
+    cfg = tmp_path / "hier.cfg"
+    cfg.write_text("dim = 2\nalpha = 1.0\nM = 64\nL = 10.0\nrestarts = 1\n"
+                   "groups = trivial\nmax_iters = 1\n")
+    # the one-iteration budget is read from the file
+    assert main(["hierarchy", "--config", str(cfg)]) == 2
+    # explicit flags beat the file, for a solver setting and for the groups
+    out = tmp_path / "hier.json"
+    assert main(["hierarchy", "--config", str(cfg), "--max-iters", "4000",
+                 "--out", str(out)]) == 0
+    assert main(["hierarchy", "--config", str(cfg), "--groups", "Z9"]) == 64
+    assert "unknown group tag 'Z9'" in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["group"] for r in rows] == ["trivial"]
+    assert rows[0]["energy"] == reference["energy"]
 
 
 def test_convert_matches_solver_csv(capsys, tmp_path, solved):
