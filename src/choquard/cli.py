@@ -5,8 +5,10 @@ hierarchy (chain of groups with energy comparisons), verify (recheck a
 stored field), convert (field binary to radial CSV).  Options are declared
 once, in a table of defaults that gives each flag and config key; a flat
 key=value config file may set them, and explicit flags win.  Exit codes:
-0 success, 2 solver failure, 3 hypothesis violation without --force,
-64 usage or malformed input, or an output path that cannot be written.
+0 success, 2 solver failure or a stored field that verify finds off its
+tolerances or outside its group's class, 3 hypothesis violation without
+--force, 64 usage or malformed input, or an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def cmd_verify(args) -> int:
     except ValueError:
         out["decay_rate"] = None
     _dump(out)
-    ok = grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol
+    ok = (grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol
+          and sym <= solver.SYMMETRY_DRIFT_LIMIT)
     return 0 if ok else 2
 
 

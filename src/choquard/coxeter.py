@@ -3,14 +3,16 @@
 A group is its chamber normals: unit vectors n_i whose wall reflections
 I - 2 n_i n_i^T generate it, with n_i . n_j = B_ij = -cos(pi / m_ij) for
 its Coxeter matrix m (Humphreys, Reflection Groups and Coxeter Groups,
-1990, sections 1.12 and 5.3).  Named groups with an axis-aligned
-realization (products of A1, the dihedral groups with mirrors on coordinate
-planes and diagonals, the tetrahedral and the full cube group) take
-hand-picked normals whose reflections are signed permutations, so that
-their action on a symmetric grid is exact.  A Coxeter matrix is only ever
-an input, to `build_group` (H3 and custom matrices): B is positive definite
-exactly when the group is finite, and then the rows of its lower Cholesky
-factor are normals (the Tits route).
+1990, sections 1.12 and 5.3).  The finite groups of rank <= 3 are all
+tags of `from_name` (Coxeter 1934; Humphreys sections 2.4-2.7): A1, I2:m,
+A1xA1, A1xA1xA1, A1xI2:m, A3, B3 and H3, so no other input builds a
+group.  Those with an axis-aligned realization (products of A1, the
+dihedral groups with mirrors on coordinate planes and diagonals, the
+tetrahedral and the full cube group) take hand-picked normals whose
+reflections are signed permutations, so that their action on a symmetric
+grid is exact.  H3 has none and takes the rows of the lower Cholesky
+factor of its B (the Tits route).  A group given by normals whose closure
+is infinite is refused by ELEMENT_CAP.
 
 Elements are enumerated by breadth-first closure under generator
 multiplication.  `element_keys`, the entries rounded at MATRIX_TOL, is the
@@ -27,40 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, NonPositiveDefinite, ParseError
+from .errors import CapExceeded, ParseError
 
 MATRIX_TOL = 1e-9
 ELEMENT_CAP = 1024
-RANK_CAP = 3
-
-
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    """Symmetric integer matrix with 1 on the diagonal and entries >= 2 off it."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=int)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParseError("Coxeter matrix must be square")
-        k = m.shape[0]
-        if k > RANK_CAP:
-            raise ParseError(f"rank {k} exceeds the cap {RANK_CAP}")
-        if not np.array_equal(m, m.T):
-            raise ParseError("Coxeter matrix must be symmetric")
-        if not np.all(np.diag(m) == 1):
-            raise ParseError("Coxeter matrix diagonal must be 1")
-        off = m[~np.eye(k, dtype=bool)]
-        if off.size and off.min() < 2:
-            raise ParseError("off-diagonal Coxeter entries must be >= 2")
-        object.__setattr__(self, "entries", m)
-
-    def bilinear_form(self) -> np.ndarray:
-        """Return B with B_ij = -cos(pi / m_ij)."""
-        m = self.entries.astype(float)
-        with np.errstate(divide="ignore"):
-            return -np.cos(np.pi / m)
 
 
 def _snap_signed_perm(g: np.ndarray) -> np.ndarray:
@@ -228,23 +200,6 @@ class CoxeterGroup:
         }
 
 
-def build_group(matrix: CoxeterMatrix, tag: str | None = None) -> CoxeterGroup:
-    """Build a group from its Coxeter matrix by the Tits route.
-
-    The rows of the lower Cholesky factor L of B = L L^T satisfy
-    n_i . n_j = B_ij, so they are unit chamber normals whose reflections
-    realize the Coxeter matrix.  A form that is not positive definite (least
-    eigenvalue <= 1e-12) belongs to an infinite group and raises
-    NonPositiveDefinite.
-    """
-    b = matrix.bilinear_form()
-    least = np.linalg.eigvalsh(b).min(initial=np.inf)
-    if least <= 1e-12:
-        raise NonPositiveDefinite(
-            f"bilinear form eigenvalue {least:.3e} <= 1e-12; group is infinite")
-    return CoxeterGroup(np.linalg.cholesky(b), tag=tag)
-
-
 def _dihedral_normals(m: int) -> np.ndarray:
     """Normals of the I2(m) mirrors: the x1-axis line and the line at angle pi/m."""
     theta = np.pi / m
@@ -260,40 +215,48 @@ def _embed_block(g: np.ndarray, k: int, offset: int) -> np.ndarray:
 
 _SQ2 = math.sqrt(0.5)
 
-# chamber normals of the named groups realized by signed permutations
-# outside the I2:m and A1xI2:m families; A3 is the tetrahedral group, and
-# A1xA1 keeps the I2:2 normals
-_AXIS_REALIZATIONS = {
+# chamber normals of the named groups outside the I2:m and A1xI2:m
+# families; all but H3 are realized by signed permutations, A3 as the
+# tetrahedral group, and A1xA1 keeps the I2:2 normals; H3 takes the rows
+# of the lower Cholesky factor of its B, whose Coxeter labels are 5, 2, 3
+_NAMED_NORMALS = {
     "trivial": np.zeros((0, 0)),
     "A1": np.eye(1),
     "A1xA1": _dihedral_normals(2),
     "A1xA1xA1": np.eye(3),
     "A3": [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [-_SQ2, -_SQ2, 0]],
     "B3": [[_SQ2, -_SQ2, 0], [0, _SQ2, -_SQ2], [0, 0, 1]],
+    "H3": np.linalg.cholesky(
+        -np.cos(np.pi / np.array([[1, 5, 2], [5, 1, 3], [2, 3, 1]]))),
 }
 
 
 def from_name(tag: str) -> CoxeterGroup:
-    """Build a named group: a tag of `_AXIS_REALIZATIONS`, H3, or I2:m or
-    A1xI2:m for a dihedral order 2 <= m <= ELEMENT_CAP."""
+    """Build a named group: a tag of `_NAMED_NORMALS`, or I2:m or A1xI2:m
+    for a dihedral order 2 <= m <= ELEMENT_CAP written in ASCII digits.
+
+    A dihedral group is tagged with m in canonical form, so I2:03 is I2:3.
+    """
     tag = tag.strip()
     head, colon, tail = tag.partition(":")
     if colon and head in ("I2", "A1xI2"):
-        try:
-            m = int(tail)
-        except ValueError:
-            raise ParseError(f"bad dihedral order in tag {tag!r}") from None
+        if not (tail.isascii() and tail.isdigit()):
+            raise ParseError(f"bad dihedral order in tag {tag!r}")
+        digits = tail.lstrip("0") or "0"
+        # 2m elements, refused before any is built; an order too long for
+        # int() to read is refused by its length
+        if len(digits) > len(str(ELEMENT_CAP)) or int(digits) > ELEMENT_CAP:
+            raise CapExceeded(
+                f"dihedral order {digits} exceeds the element cap of {ELEMENT_CAP}")
+        m = int(digits)
         if m < 2:
             raise ParseError(f"dihedral order must be >= 2, got {m}")
-        if m > ELEMENT_CAP:  # 2m elements, refused before any is built
-            raise CapExceeded(f"dihedral order {m} exceeds the element cap of {ELEMENT_CAP}")
         normals = _dihedral_normals(m)
         if head == "A1xI2":
             normals = _embed_block(normals, 3, 1)
-    elif tag == "H3":  # no signed-permutation realization; use the Tits route
-        return build_group(CoxeterMatrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]]), tag)
-    elif tag in _AXIS_REALIZATIONS:
-        normals = _AXIS_REALIZATIONS[tag]
+        tag = f"{head}:{m}"
+    elif tag in _NAMED_NORMALS:
+        normals = _NAMED_NORMALS[tag]
     else:
         raise ParseError(f"unknown group tag {tag!r}")
     return CoxeterGroup(normals, tag=tag)

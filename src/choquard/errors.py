@@ -13,10 +13,6 @@ class ParseError(ChoquardError):
     """Malformed group tag, nonlinearity string, config entry or field data."""
 
 
-class NonPositiveDefinite(ChoquardError):
-    """Coxeter bilinear form is not positive definite (group not finite)."""
-
-
 class CapExceeded(ChoquardError):
     """Group closure exceeded the element cap."""
 

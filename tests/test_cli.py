@@ -460,6 +460,33 @@ def test_verify_rejects_at_tight_tolerance(capsys, solved):
     assert check["grad_residual"] > 1e-12
 
 
+@pytest.mark.parametrize("group", ["A1", "I2:3"])
+def test_verify_rejects_field_outside_the_group_class(capsys, solved, group):
+    """The ground state is even under every reflection, so it lies in no
+    group's sign-equivariant class: its symmetry residual is 2, and verify
+    exits 2 although its gradient and Pohozaev residuals pass."""
+    prefix, _ = solved
+    rc, check = run_json(capsys, ["verify", "--field", f"{prefix}.field",
+                                  "--alpha", "1.0", "--nl", "power:p=2",
+                                  "--group", group])
+    assert rc == 2
+    assert check["symmetry_residual"] > solver.SYMMETRY_DRIFT_LIMIT
+    assert check["grad_residual"] <= 1e-4
+    assert check["P_residual"] <= solver.SolverConfig().pohozaev_tol
+
+
+def test_verify_accepts_saddle_in_its_group_class(capsys, tmp_path):
+    prefix = tmp_path / "a1"
+    assert main(["solve", *FAST, "--group", "A1", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    rc, check = run_json(capsys, ["verify", "--field", f"{prefix}.field",
+                                  "--alpha", "1.0", "--nl", "power:p=2",
+                                  "--group", "A1"])
+    assert rc == 0
+    assert check["symmetry_residual"] <= 1e-10
+    assert check["nodal_count"] == 2
+
+
 def test_hierarchy_command(capsys, tmp_path):
     out = tmp_path / "hier.json"
     rc = main(["hierarchy", *FAST, "--groups", "trivial,A1",

@@ -4,18 +4,15 @@ The closure oracle below is an independent breadth-first enumeration over
 rounded matrix keys; it shares no code with the production closure.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from choquard.analysis import facet_ray_representatives
-from choquard.coxeter import (
-    MATRIX_TOL,
-    CoxeterMatrix,
-    Subgroup,
-    build_group,
-    from_name,
-)
-from choquard.errors import CapExceeded, ChoquardError, NonPositiveDefinite, ParseError
+from choquard.coxeter import MATRIX_TOL, CoxeterGroup, Subgroup, from_name
+from choquard.errors import CapExceeded, ChoquardError, ParseError
 
 # textbook orders of the finite reflection groups handled here
 KNOWN_ORDERS = {
@@ -122,9 +119,6 @@ def test_trivial_group_is_rank_zero():
     assert orbit.min_dist == np.inf
     assert group.isotropy(np.zeros(0)) == Subgroup(1, 0)
     assert facet_ray_representatives(group) == []
-    built = build_group(CoxeterMatrix(np.zeros((0, 0), int)))
-    assert np.array_equal(built.element_matrices(), group.element_matrices())
-    assert np.array_equal(built.element_signs(), group.element_signs())
 
 
 @pytest.mark.parametrize(
@@ -243,19 +237,12 @@ def test_isotropy_of_interior_point_is_trivial():
 
 
 @pytest.mark.parametrize(
-    "text", ["I2", "I2:", "I2:1", "I2:x", "A2:3", "Z9", "", "B4"]
+    "text", ["I2", "I2:", "I2:1", "I2:x", "A2:3", "Z9", "", "B4",
+             "I2:1_0", "I2: 3", "I2:+3", "I2:\u0663", "A1xI2:1_0"]
 )
 def test_parse_rejects_malformed_tags(text):
     with pytest.raises(ParseError):
         from_name(text)
-
-
-def test_affine_matrix_is_rejected():
-    # all off-diagonal labels 3 in rank 3 gives the affine plane tiling
-    # group, whose bilinear form is only positive semidefinite
-    mat = CoxeterMatrix(np.array([[1, 3, 3], [3, 1, 3], [3, 3, 1]]))
-    with pytest.raises(NonPositiveDefinite):
-        build_group(mat)
 
 
 def test_element_cap_is_enforced():
@@ -268,10 +255,47 @@ def test_element_cap_is_enforced():
             from_name(tag)
 
 
-def test_coxeter_matrix_validation():
-    with pytest.raises(ParseError):
-        CoxeterMatrix(np.array([[1, 2], [3, 1]]))  # asymmetric
-    with pytest.raises(ParseError):
-        CoxeterMatrix(np.array([[2, 3], [3, 1]]))  # bad diagonal
-    with pytest.raises(ParseError):
-        CoxeterMatrix(np.array([[1, 1], [1, 1]]))  # label < 2 off-diagonal
+def test_dihedral_tag_is_canonical():
+    """The order is read as ASCII digits and the tag names it without
+    leading zeros; a long run of zeros is no order past the cap, and a long
+    order is refused by the cap before it is read."""
+    three = from_name("I2:3")
+    for text in ["I2:03", "I2:" + "0" * 5000 + "3"]:
+        group = from_name(text)
+        assert group.tag == "I2:3"
+        assert np.array_equal(group.element_matrices(), three.element_matrices())
+    assert from_name("A1xI2:004").tag == "A1xI2:4"
+    with pytest.raises(CapExceeded, match="1024"):
+        from_name("I2:" + "9" * 5000)
+
+
+def _positive_definite(labels):
+    form = -np.cos(np.pi / np.asarray(labels, dtype=float))
+    return np.linalg.eigvalsh(form).min() > 1e-12
+
+
+def test_tags_cover_every_finite_rank_three_group():
+    """Of the rank-3 Coxeter matrices with labels 2..8, those whose form
+    -cos(pi / m) is positive definite, i.e. whose group is finite, are
+    exactly the relabelings of the rank-3 tags: (2, 2, m), (2, 3, 3),
+    (2, 3, 4) and (2, 3, 5) (Humphreys 1990, section 2.7)."""
+    finite = set()
+    for m12, m13, m23 in itertools.product(range(2, 9), repeat=3):
+        labels = ((1, m12, m13), (m12, 1, m23), (m13, m23, 1))
+        if _positive_definite(labels):
+            finite.add(labels)
+    tagged = set()
+    for tag, labels in TEXTBOOK_MATRICES.items():
+        if len(labels) == 3:
+            for p in itertools.permutations(range(3)):
+                tagged.add(tuple(tuple(labels[i][j] for j in p) for i in p))
+    assert finite == tagged
+    # the affine plane tiling group, all labels 3, is only semidefinite
+    assert not _positive_definite([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+
+
+def test_infinite_group_from_normals_passes_the_element_cap():
+    """Mirrors 1 rad apart generate an infinite dihedral group; with no
+    Coxeter matrix to check, the closure's element cap refuses it."""
+    with pytest.raises(CapExceeded, match="1024"):
+        CoxeterGroup([[0.0, 1.0], [math.sin(1.0), -math.cos(1.0)]])
