@@ -543,18 +543,20 @@ def dilate(u: Field, t: float, coeff: np.ndarray = None) -> Field:
 
 def translate(u: Field, shift: np.ndarray, target: GridSpec = None) -> Field:
     """u(x - shift) from the sine interpolant, zero outside the cube, on the
-    target grid (default u's own), which may differ from u's in parity only.
+    target grid (default u's own), which may differ from u's in parity and
+    in M but not in the box.
 
     Along an axis the target keeps whole, the nodes x read u(x - s); along
     an axis it folds with parity p, its positive-half nodes read
     1/2 [u(x - s) + p u(-x - s)], the target's fold of the translate, so
     one evaluation both moves u and folds it without building the full
-    grid.  u may itself live on a parity-reduced grid.
+    grid.  u may itself live on a parity-reduced grid.  With a zero shift
+    and another M this restricts or prolongs u between the grids of one box.
     """
     grid = u.grid
     target = grid if target is None else target
-    if replace(target, parity=None) != replace(grid, parity=None):
-        raise GridMismatch("translate target differs from the field's grid")
+    if (target.dim, target.L) != (grid.dim, grid.L):
+        raise GridMismatch("translate target covers another box than the field's grid")
     shift = np.asarray(shift, dtype=float)
     rows = []
     for ax, p in enumerate(target.parity):

@@ -313,18 +313,34 @@ def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
 
     In s = t^2, h(s) = 2 b(t) / t^(N-2) = (N-2) A + N B s - (N+alpha) Q s^p,
     p = 1 + alpha/2, is strictly concave with h(0) >= 0 and h'(0) = N B > 0,
-    so it has one positive root, and Newton's method started at the first
-    s = 4^k, k = 0..39, where h(s) <= 0 falls monotonically to it: the first
-    iterate that does not decrease ends it.  s^p is s s^(alpha/2), whose
-    exponent is exact.  With no such s, or a non-finite h or h' there, there
-    is no finite root: a planar (2B / ((2+alpha) Q))^(1/alpha) past 2^39 is
-    refused, while a 3D root below t = 1e-12 is found.
+    so it has one positive root, and Newton's method started at any s with
+    h(s) <= 0 falls monotonically to it: the first iterate that does not
+    decrease ends it.  The start is the first s = 4^k, k = 0..39, with
+    h(s) <= 0; where that is s = 1, it is the least s = 4^-k, k = 0..511,
+    with h(s) <= 0, found by doubling k and then bisecting it, so a root
+    however small is started within a factor 4 of it.  s^p is
+    s s^(alpha/2), whose exponent is exact.  With no such s, or a
+    non-finite h or h' there, there is no finite root: a planar
+    (2B / ((2+alpha) Q))^(1/alpha) past 2^39 is refused.
     """
     a, b, q = state.A, state.B, state.Q
     c0, c1, c2, p = (dim - 2) * a, dim * b, (dim + alpha) * q, 1.0 + 0.5 * alpha
+
+    def h_at(s):
+        return c0 + s * (c1 - c2 * s ** (0.5 * alpha))
+
     s = 1.0
-    while (h := c0 + s * (c1 - c2 * s ** (0.5 * alpha))) > 0.0 and s < 4.0 ** 39:
+    while (h := h_at(s)) > 0.0 and s < 4.0 ** 39:
         s *= 4.0
+    if s == 1.0 and h <= 0.0:
+        lo, hi = 0, 1  # h(4^-lo) <= 0; h(4^-hi) > 0 or hi is past 511
+        while hi < 512 and h_at(4.0 ** -hi) <= 0.0:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if h_at(4.0 ** -mid) <= 0.0 else (lo, mid)
+        s = 4.0 ** -lo
+        h = h_at(s)
     slope = c1 - p * c2 * s ** (0.5 * alpha)
     if not (0.0 <= a < math.inf and 0.0 < b < math.inf and 0.0 < q < math.inf
             and -math.inf < h <= 0.0 and -math.inf < slope < 0.0):

@@ -32,6 +32,15 @@ within pohozaev_tol.  All functional values come from `functionals`;
 `solve_saddle` is the one entry and `_solve` the one driver for every
 group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
+Nested iteration (Brandt, Math. Comp. 31, 1977): when `solve_saddle`
+chose the start itself and the grid has M divisible by 4 and at least
+COARSE_MIN_NODES nodes, each restart first descends on the M/2 grid of the
+same box, to COARSE_GRAD_TOL with no Pohozaev bound, from its start
+restricted there through the sine interpolant, and the fine descent starts
+from the coarse result prolonged back through the coarse interpolant.  The
+fine descent and its stopping rule are the same; only its start moves, and
+a coarse descent that fails leaves the start as it was.
+
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
 orbit-bump start of least ray maximum, the energy at its Pohozaev root,
@@ -78,7 +87,7 @@ from .functionals import (
     ray_maximum,
     residuals,
 )
-from .riesz import RieszKernel
+from .riesz import RieszKernel, get_kernel
 
 SYMMETRY_DRIFT_LIMIT = 1e-2
 ENERGY_SLACK = 1e-12
@@ -89,6 +98,15 @@ ENERGY_WINDOW = 5
 # Orbit spacings, in bump radii, of the candidate saddle starts; the last,
 # 6, keeps the supports disjoint and is the start when no candidate serves.
 SPACINGS = (1.0, 1.5, 2.0, 3.0, 6.0)
+# The coarse stage of a solve that chose its own start: grids of at least
+# COARSE_MIN_NODES nodes first descend on the M/2 grid of the same box to
+# COARSE_GRAD_TOL.  The floor is the smallest grid on which the stage was
+# measured to shorten the solve at two seeds, 160^2 (chains of ground, A1
+# and I2:2 solves, -20% wall time); at 128^2 the outcome was mixed and at
+# 64^2 and 96^2 the coarse kernel and descent cost more than they saved
+# (BENCH_31.json, "coarse_floor").
+COARSE_MIN_NODES = 160 ** 2
+COARSE_GRAD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,13 +128,16 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Converged solution with its residuals and diagnostics."""
+    """Converged solution with its residuals and diagnostics; iters counts
+    the fine descent of the winning restart, coarse_iters its coarse stage
+    (0 where none ran or it failed)."""
 
     group: str
     grid: GridSpec
     alpha: float
     nonlinearity: str
     iters: int
+    coarse_iters: int
     energy: float
     A: float
     B: float
@@ -138,6 +159,7 @@ class SolveReport:
             "alpha": self.alpha,
             "nonlinearity": self.nonlinearity,
             "iters": self.iters,
+            "coarse_iters": self.coarse_iters,
             "energy": self.energy,
             "A": self.A,
             "B": self.B,
@@ -311,13 +333,23 @@ def _projector(action):
     return lambda a: half.fold(symmetrize_array(action, half.unfold(a)))
 
 
-def _solve(nl, kernel, grid, cfg, init, action):
+def _coarse_grid(grid):
+    """The M/2 grid of the same box for the coarse stage, or None where the
+    grid has fewer than COARSE_MIN_NODES nodes or M/2 is odd."""
+    if grid.M % 4 or grid.M ** grid.dim < COARSE_MIN_NODES:
+        return None
+    return GridSpec(grid.dim, grid.M // 2, grid.L)
+
+
+def _solve(nl, kernel, grid, cfg, init, action, nested):
     """Best of cfg.restarts descents from the start field init and its noisy
     copies.
 
     init on the action's half grid is used as it is, and init on the full
     grid and each restart's noise are folded once onto the half; the
     report's field is unfolded from it, and its symmetry residual measured.
+    With nested set, on a grid `_coarse_grid` admits, each restart first
+    runs the coarse stage the module docstring describes.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
@@ -328,6 +360,14 @@ def _solve(nl, kernel, grid, cfg, init, action):
         raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
     project = _projector(action)
+    coarse = _coarse_grid(grid) if nested else None
+    if coarse is not None:
+        coarse_action = GroupAction(action.group, coarse)
+        coarse_descent = _Descent(
+            nl, get_kernel(coarse, kernel.alpha),
+            replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf),
+            _projector(coarse_action), coarse_action)
+        origin = np.zeros(grid.dim)
     best = None
     energies = []
     failure = None
@@ -338,6 +378,16 @@ def _solve(nl, kernel, grid, cfg, init, action):
         a_init = a0.copy()
         if r > 0:
             a_init += half.fold(_smooth_noise(grid, rng, noise_scale))
+        coarse_iters = 0
+        if coarse is not None:
+            try:
+                a_coarse, *_, coarse_iters = coarse_descent.run(translate(
+                    Field(half, a_init), origin, coarse_action.half).data)
+            except (NoDescent, NonpositiveQ, SymmetryDrift):
+                pass  # the restart keeps its own start
+            else:
+                a_init = translate(Field(coarse_action.half, a_coarse),
+                                   origin, half).data
         try:
             result = _Descent(nl, kernel, cfg, project, action).run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
@@ -346,10 +396,10 @@ def _solve(nl, kernel, grid, cfg, init, action):
             continue
         energies.append(result[1].energy)
         if best is None or result[1].energy < best[1].energy:
-            best = result
+            best = (*result, coarse_iters)
     if best is None:
         raise failure
-    a, state, grad_res, p_res, iters = best
+    a, state, grad_res, p_res, iters, coarse_iters = best
     wall = time.perf_counter() - start
     u = Field(grid, half.unfold(a))
     return SolveReport(
@@ -358,6 +408,7 @@ def _solve(nl, kernel, grid, cfg, init, action):
         alpha=kernel.alpha,
         nonlinearity=nl.config,
         iters=iters,
+        coarse_iters=coarse_iters,
         energy=state.energy,
         A=state.A,
         B=state.B,
@@ -461,10 +512,11 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     from base, which defaults to the ground state.
     """
     action = GroupAction(group, grid)
+    nested = init is None
     if init is None and group.rank == 0:
         init = Field(action.half, _gaussian_seed(action.half))
     elif init is None:
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
         init = _least_ray_start(nl, kernel, action, base)
-    return _solve(nl, kernel, grid, cfg, init, action)
+    return _solve(nl, kernel, grid, cfg, init, action, nested)

@@ -87,8 +87,9 @@ def wide_i23():
     kern = get_kernel(WIDE_GRID, PLANE_ALPHA)
     cfg = SolverConfig(seed=0, restarts=1)
     ground = solve_ground(NL, kern, WIDE_GRID, cfg)
-    return solve_saddle(from_name("I2:3"), NL, kern, WIDE_GRID, cfg,
-                        base=ground.field)
+    i23 = solve_saddle(from_name("I2:3"), NL, kern, WIDE_GRID, cfg,
+                       base=ground.field)
+    return {"ground": ground, "I2:3": i23}
 
 
 # -- criterion 1: reflection group engine -------------------------------------
@@ -320,7 +321,7 @@ def test_criterion_07_nodal_counts(ref_a1, plane, wide_i23):
                          GroupAction(from_name("A1"), REF_GRID))
     rep4 = nodal_domains(plane["I2:2"].field, 1e-3,
                          GroupAction(from_name("I2:2"), PLANE_GRID))
-    rep6 = nodal_domains(wide_i23.field, 1e-3,
+    rep6 = nodal_domains(wide_i23["I2:3"].field, 1e-3,
                          GroupAction(from_name("I2:3"), WIDE_GRID))
     ok = (rep3.count == 2 and rep4.count == 4 and rep6.count == 6
           and rep3.sign_on_chamber in (1, -1)
@@ -386,3 +387,28 @@ def test_criterion_10_nodal_minimizer_bound(ref_ground, ref_a1):
                  f"{2 * ref_ground.energy:.4f}, margin "
                  f"{2 * ref_ground.energy - bound:.4f}")
     assert ok
+
+
+# -- the coarse stage of the yardstick solves ---------------------------------
+
+def test_coarse_stage_halves_the_yardstick_iterations(ref_ground, ref_a1, plane,
+                                                      wide_i23):
+    """Every yardstick grid first descends on its M/2 grid, and its fine
+    descent takes at most half the iterations it took from the start
+    itself (ref3d 7 and 16, plane2d 7, 12 and 14, wide_i23 8 and 15)."""
+    bounds = [(ref_ground, 3), (ref_a1, 8), (plane["ground"], 3),
+              (plane["A1"], 6), (plane["I2:2"], 7), (wide_i23["ground"], 4),
+              (wide_i23["I2:3"], 7)]
+    for rep, most in bounds:
+        assert rep.coarse_iters > 0, rep.group
+        assert rep.iters <= most, (rep.group, rep.iters)
+
+
+def test_warm_start_on_a_yardstick_grid_skips_the_coarse_stage(plane):
+    """A converged start the caller gives is its own solution: no coarse
+    descent moves it off the fine critical point."""
+    ground = plane["ground"]
+    rep = solve_ground(NL, get_kernel(PLANE_GRID, PLANE_ALPHA), PLANE_GRID,
+                       SolverConfig(seed=0, restarts=1), init=ground.field)
+    assert (rep.iters, rep.coarse_iters) == (0, 0)
+    assert rep.energy == pytest.approx(ground.energy, rel=1e-10)

@@ -623,6 +623,49 @@ def test_translate_matches_analytic():
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("parity", [(1, 1), (-1, -1), (0, 0), (1, -1, 0)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_translate_prolongs_and_restricts_between_grids_of_one_box(parity):
+    """Sine modes the M = 16 grid carries, sampled on its half of each
+    parity, prolong onto the M = 32 half as their own samples there and
+    restrict back to themselves; the highest mode each axis carries, the
+    coarse Nyquist mode on an odd or free axis, is among them."""
+    dim = len(parity)
+    coarse = GridSpec(dim, 16, 5.0, parity)
+    fine = GridSpec(dim, 32, 5.0, parity)
+    rng = np.random.default_rng(4)
+    carried = [np.arange(16)[field_mod._modes(p)] for p in parity]
+    modes = [tuple(int(k[-1]) for k in carried)]
+    modes += [tuple(int(rng.choice(k)) for k in carried) for _ in range(5)]
+    weights = rng.uniform(0.5, 1.5, size=len(modes))
+
+    def sampled(grid):
+        out = np.zeros(grid.shape)
+        for w, ks in zip(weights, modes):
+            term = w
+            for ax, k in enumerate(ks):
+                x = grid.axis_coords(ax)
+                term = term * grid.along(ax, np.sin(grid.kappa[k] * (x + grid.L)))
+            out = out + term
+        return out
+
+    origin = np.zeros(dim)
+    a = sampled(coarse)
+    up = translate(Field(coarse, a), origin, fine)
+    scale = np.max(np.abs(a))
+    assert np.max(np.abs(up.data - sampled(fine))) <= 1e-12 * scale
+    back = translate(up, origin, coarse)
+    assert back.grid == coarse
+    assert np.max(np.abs(back.data - a)) <= 1e-12 * scale
+
+
+def test_translate_refuses_another_box():
+    u = gaussian(GridSpec(2, 16, 4.0))
+    for target in (GridSpec(2, 16, 5.0), GridSpec(3, 16, 4.0)):
+        with pytest.raises(GridMismatch, match="another box"):
+            translate(u, np.zeros(2), target)
+
+
 # -- radial statistics and boundary -------------------------------------------
 
 def test_radial_shells_use_nearest_binning():

@@ -1,5 +1,6 @@
 """Energy, gradient and Pohozaev machinery tests."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -409,6 +410,41 @@ def test_root_matches_the_planar_closed_form():
         assert pohozaev_root(st, 2, alpha) == pytest.approx(t_ref, rel=1e-12)
         closed += 1
     assert closed > 1500 and rejected > 0
+
+
+def _newton_steps(state, dim, alpha):
+    """pohozaev_root's value and its count of Newton steps: the executions
+    of the loop line that computes the next iterate, less the final test."""
+    lines, first = inspect.getsourcelines(pohozaev_root)
+    step = first + next(i for i, text in enumerate(lines) if "h / slope" in text)
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == step:
+            hits.append(None)
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code is pohozaev_root.__code__ else None
+
+    sys.settrace(trace)
+    try:
+        t = pohozaev_root(state, dim, alpha)
+    finally:
+        sys.settrace(None)
+    return t, len(hits) - 1
+
+
+def test_a_root_far_below_one_takes_few_newton_steps():
+    """A planar root near t = 1e-64 is started within a factor 4 of it and
+    reached in at most 15 Newton steps, where a start at s = 1 takes 94."""
+    alpha = 0.061
+    st = _assemble(2, alpha, 0.0, 0.0169, 122.3)
+    t, steps = _newton_steps(st, 2, alpha)
+    t_ref = (2.0 * st.B / ((2.0 + alpha) * st.Q)) ** (1.0 / alpha)
+    assert t_ref < 1e-63
+    assert t == pytest.approx(t_ref, rel=1e-12)
+    assert steps <= 15
 
 
 def test_import_loads_neither_optimize_nor_interpolate(tmp_path):

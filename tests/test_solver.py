@@ -8,6 +8,7 @@ configured tolerances.
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,10 +131,12 @@ def test_warm_start_converges_immediately(kernel, ground):
 def test_report_json_round_trip(ground):
     d = ground.to_json_dict()
     assert set(d) == {
-        "group", "grid", "alpha", "nonlinearity", "iters", "energy",
-        "A", "B", "Q", "P_residual", "grad_residual", "symmetry_residual",
-        "nodal_count", "decay_rate", "boundary_amplitude", "wall_clock",
+        "group", "grid", "alpha", "nonlinearity", "iters", "coarse_iters",
+        "energy", "A", "B", "Q", "P_residual", "grad_residual",
+        "symmetry_residual", "nodal_count", "decay_rate", "boundary_amplitude",
+        "wall_clock",
     }
+    assert d["coarse_iters"] == 0  # a 64^2 grid has no coarse stage
     assert d["grid"] == {"dim": 2, "M": 64, "L": 10.0}
     assert d["nonlinearity"] == "power:p=2"
     parsed = json.loads(json.dumps(d))
@@ -448,7 +451,7 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
     equal bit for bit to the full-grid Gaussian folded; no solve runs."""
     starts = []
 
-    def capture(nl, kernel, solve_grid, cfg, init, action):
+    def capture(nl, kernel, solve_grid, cfg, init, action, nested):
         starts.append((init, action))
         raise NoDescent("scripted: start captured")
 
@@ -458,6 +461,87 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
     (init, action), = starts
     assert init.grid == action.half
     assert np.array_equal(init.data, action.half.fold(_gaussian_seed(grid)))
+
+
+def _scripted_descents(monkeypatch, coarse_fails=False):
+    """Replace _Descent.run by a script that records each descent's grid,
+    settings and start: a coarse descent (grad_tol COARSE_GRAD_TOL) returns
+    twice its start after 3 iterations, or raises if coarse_fails; a fine
+    one raises, so no solve runs."""
+    runs = []
+
+    def run(self, a0):
+        runs.append((self.grid, self.cfg, a0))
+        if self.cfg.grad_tol == solver.COARSE_GRAD_TOL and not coarse_fails:
+            return 2.0 * a0, None, 0.0, 0.0, 3
+        raise NoDescent("scripted")
+
+    monkeypatch.setattr(_Descent, "run", run)
+    return runs
+
+
+def _kernel_stub(grid, alpha=1.0):
+    """What _solve reads of the fine kernel when the descents are scripted."""
+    return SimpleNamespace(grid=grid, alpha=alpha)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(3, 64, 12.0),
+                                  GridSpec(2, 160, 16.0), GridSpec(3, 32, 8.0)],
+                         ids=["plane2d", "ref3d", "160^2", "32^3"])
+def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, grid):
+    """On a yardstick grid, and on the smallest grids at the floor, each
+    restart descends on the M/2 grid of the same box to COARSE_GRAD_TOL with
+    no Pohozaev bound, from the restriction of its start, and the fine
+    descent starts from the prolonged result."""
+    runs = _scripted_descents(monkeypatch)
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
+    coarse = GridSpec(grid.dim, grid.M // 2, grid.L, (1,) * grid.dim)
+    fine = replace(grid, parity=(1,) * grid.dim)
+    assert [g for g, _, _ in runs] == [coarse, fine]
+    (_, coarse_cfg, coarse_start), (_, fine_cfg, fine_start) = runs
+    assert (coarse_cfg.grad_tol, coarse_cfg.pohozaev_tol) == (1e-3, np.inf)
+    assert fine_cfg == SolverConfig(restarts=1)
+    gaussian = Field(fine, _gaussian_seed(fine))
+    origin = np.zeros(grid.dim)
+    np.testing.assert_array_equal(coarse_start,
+                                  translate(gaussian, origin, coarse).data)
+    np.testing.assert_array_equal(
+        fine_start, translate(Field(coarse, 2.0 * coarse_start), origin, fine).data)
+
+
+@pytest.mark.parametrize("grid,given", [
+    (GridSpec(2, 258, 16.0), False),   # M % 4 != 0
+    (GridSpec(2, 156, 16.0), False),   # M^N < COARSE_MIN_NODES
+    (GridSpec(2, 128, 16.0), False),   # M^N < COARSE_MIN_NODES
+    (GridSpec(3, 28, 8.0), False),     # M^N < COARSE_MIN_NODES
+    (GridSpec(2, 256, 16.0), True),    # the caller's start
+], ids=["M%4", "156^2", "128^2", "28^3", "init"])
+def test_no_coarse_stage_off_the_rule(monkeypatch, grid, given):
+    """A grid whose M/2 is odd or with fewer than COARSE_MIN_NODES nodes,
+    or a start the caller gives, runs the fine descent alone, from the start
+    itself."""
+    runs = _scripted_descents(monkeypatch)
+    fine = replace(grid, parity=(1,) * grid.dim)
+    start = Field(fine, _gaussian_seed(fine))
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1),
+                     init=start if given else None)
+    (descent_grid, cfg, a0), = runs
+    assert descent_grid == fine and cfg == SolverConfig(restarts=1)
+    np.testing.assert_array_equal(a0, start.data)
+
+
+def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
+    """A coarse descent that raises hands the fine descent the restart's
+    own start."""
+    grid = GridSpec(2, 256, 16.0)
+    runs = _scripted_descents(monkeypatch, coarse_fails=True)
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
+    fine = replace(grid, parity=(1, 1))
+    assert [g for g, _, _ in runs] == [GridSpec(2, 128, 16.0, (1, 1)), fine]
+    np.testing.assert_array_equal(runs[1][2], _gaussian_seed(fine))
 
 
 def test_saddle_sits_above_ground(ground, saddle):
