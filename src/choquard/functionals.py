@@ -100,11 +100,13 @@ class Nonlinearity:
 
 
 def _abs_power(s, p):
-    """|s|^p; for p = 1 and 2 without the per-element pow call of **."""
+    """|s|^p; for p = 1, 2 and 3 without the per-element pow call of **."""
     if p == 2.0:
         return np.square(s)
     if p == 1.0:
         return np.abs(s)
+    if p == 3.0:
+        return np.abs(s) * np.square(s)
     return np.abs(s) ** p
 
 

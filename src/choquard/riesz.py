@@ -147,9 +147,10 @@ class RieszKernel:
         return v * self.grid.cell_volume
 
 
-# A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Twelve is
-# the fewest that makes the test suite rebuild no kernel it has evicted,
-# with the kernels of the M/2 grids the solver's coarse stage descends on.
+# A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  With the
+# kernels of the M/2 grids the solver's coarse stage scans and descends on,
+# the test suite asks for 23 kernels and rebuilds none it has evicted at
+# eleven or twelve entries, one at ten; twelve keeps one entry spare.
 @lru_cache(maxsize=12)
 def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
     """The kernel for (grid, alpha), shared by callers while it stays cached."""

@@ -34,12 +34,15 @@ group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
 Nested iteration (Brandt, Math. Comp. 31, 1977): when `solve_saddle`
 chose the start itself and the grid has M divisible by 4 and at least
-COARSE_MIN_NODES nodes, each restart first descends on the M/2 grid of the
-same box, to COARSE_GRAD_TOL with no Pohozaev bound, from its start
-restricted there through the sine interpolant, and the fine descent starts
-from the coarse result prolonged back through the coarse interpolant.  The
-fine descent and its stopping rule are the same; only its start moves, and
-a coarse descent that fails leaves the start as it was.
+COARSE_MIN_NODES nodes, everything before the first fine descent runs on
+the M/2 grid of the same box, whose action, kernel and descent are built
+once per solve.  The orbit-bump scan builds and evaluates its candidates
+there; the Gaussian is restricted there through the sine interpolant; each
+restart adds its noise built there, and descends there to COARSE_GRAD_TOL
+with no Pohozaev bound.  The fine descent starts from the coarse result
+prolonged back through the coarse interpolant.  Its stopping rule is the
+same; only its start moves, and a coarse descent that fails hands it the
+restart's own start prolonged: the fine start, plus the noise.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -48,7 +51,8 @@ over one start for each orbit spacing in SPACINGS, read off one evaluation
 of each.  An orbit-bump start translates a cut-off copy of a base profile
 to the orbit of a chamber-interior direction and antisymmetrizes, giving
 one signed bump per orbit point, built on the half grid from the base's
-own half; only the averaging class map of I2:m unfolds it.
+own half, folded once per scan; only the averaging class map of I2:m
+unfolds it.
 """
 
 from __future__ import annotations
@@ -341,53 +345,69 @@ def _coarse_grid(grid):
     return GridSpec(grid.dim, grid.M // 2, grid.L)
 
 
-def _solve(nl, kernel, grid, cfg, init, action, nested):
+def _solve(nl, kernel, grid, cfg, init, action, coarse):
     """Best of cfg.restarts descents from the start field init and its noisy
     copies.
 
     init on the action's half grid is used as it is, and init on the full
-    grid and each restart's noise are folded once onto the half; the
-    report's field is unfolded from it, and its symmetry residual measured.
-    With nested set, on a grid `_coarse_grid` admits, each restart first
-    runs the coarse stage the module docstring describes.
+    grid is folded once onto the half; the report's field is unfolded from
+    it, and its symmetry residual measured.  With coarse, the group's action
+    on the coarse stage's M/2 grid (None: no stage), init may also lie on
+    its half, and each restart first runs the stage the module docstring
+    describes, from init restricted once to the coarse half plus, for
+    r > 0, noise built on the coarse grid.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
     half = action.half
-    if init.grid not in (grid, half):
+    on_coarse = coarse is not None and init.grid == coarse.half
+    if not (on_coarse or init.grid in (grid, half)):
         raise GridMismatch("start field grid does not match the solver grid")
     if not np.all(np.isfinite(init.data)):
         raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
     project = _projector(action)
-    coarse = _coarse_grid(grid) if nested else None
+    # the fine start; from a coarse init it is built only for a restart
+    # whose coarse descent fails
+    a0 = None if on_coarse else init.data if init.grid == half else half.fold(init.data)
+    # the half each restart first descends on, where its noise is built,
+    # and the start there
+    first, b0 = half, a0
     if coarse is not None:
-        coarse_action = GroupAction(action.group, coarse)
         coarse_descent = _Descent(
-            nl, get_kernel(coarse, kernel.alpha),
+            nl, get_kernel(coarse.grid, kernel.alpha),
             replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf),
-            _projector(coarse_action), coarse_action)
+            _projector(coarse), coarse)
         origin = np.zeros(grid.dim)
+        first = coarse.half
+
+        def prolong(b):
+            return translate(Field(first, b), origin, half).data
+
+        b0 = init.data if on_coarse else translate(Field(half, a0), origin, first).data
+    noise_scale = 0.05 * np.max(np.abs(init.data))
     best = None
     energies = []
     failure = None
-    a0 = init.data if init.grid == half else half.fold(init.data)
-    noise_scale = 0.05 * np.max(np.abs(init.data))
     for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        a_init = a0.copy()
+        noise = None
         if r > 0:
-            a_init += half.fold(_smooth_noise(grid, rng, noise_scale))
+            rng = np.random.default_rng(cfg.seed + r)
+            noise = first.fold(_smooth_noise(replace(first, parity=None), rng,
+                                             noise_scale))
+        a_init = b0 if noise is None else b0 + noise
         coarse_iters = 0
         if coarse is not None:
             try:
-                a_coarse, *_, coarse_iters = coarse_descent.run(translate(
-                    Field(half, a_init), origin, coarse_action.half).data)
+                a_coarse, *_, coarse_iters = coarse_descent.run(a_init)
             except (NoDescent, NonpositiveQ, SymmetryDrift):
-                pass  # the restart keeps its own start
+                # the restart keeps its own start: the fine start plus the
+                # noise prolonged
+                if a0 is None:
+                    a0 = prolong(b0)
+                a_init = a0 if noise is None else a0 + prolong(noise)
             else:
-                a_init = translate(Field(coarse_action.half, a_coarse),
-                                   origin, half).data
+                a_init = prolong(a_coarse)
         try:
             result = _Descent(nl, kernel, cfg, project, action).run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
@@ -452,13 +472,15 @@ def build_initializer(action: GroupAction, base: Field,
     across each wall.  The output is scaled by the group order so that
     each bump, where it stands alone, keeps the base amplitude.
 
-    The bump is cut on the base's own half (`exact_half`, all-even for a
-    ground state); one sine-interpolant evaluation translates it and folds
-    it onto the action's half.  The class map is then `_projector`'s: none
-    where the half holds the class, else unfold, group average and fold,
-    whose unfold is the only full-grid array built.  For the trivial group
-    this is |base| cut off at the origin; `solve_saddle` starts that group
-    from a Gaussian instead.
+    The bump is cut on the base's own half: `exact_half` of a full-grid
+    base (all-even for a ground state), or the half a folded base already
+    lies on.  One sine-interpolant evaluation translates it and folds it
+    onto the action's half, whose M may differ from the base's (the coarse
+    stage's scan reads a fine base straight onto the M/2 half).  The class
+    map is then `_projector`'s: none where the half holds the class, else
+    unfold, group average and fold, whose unfold is the only full-grid
+    array built.  For the trivial group this is |base| cut off at the
+    origin; `solve_saddle` starts that group from a Gaussian instead.
     """
     group = action.group
     grid = action.grid
@@ -474,20 +496,32 @@ def build_initializer(action: GroupAction, base: Field,
     # configuration before settling, and a seed that already touches the
     # boundary turns those dilations into wall artifacts.
     radius = 0.80 * grid.L / (separation * qmax + 2.0)
-    source = exact_half(base)
-    bump = quintic_cutoff(source, radius) * source.fold(base.data)
+    base = _own_half(base)
+    bump = quintic_cutoff(base.grid, radius) * base.data
     center = action.embed_point(separation * radius * q)
-    a = translate(Field(source, bump), center, action.half).data
+    a = translate(Field(base.grid, bump), center, action.half).data
     project = _projector(action)
     return Field(action.half, group.order * (project(a) if project else a))
 
 
+def _own_half(base):
+    """base on its own half: as it is where it lies on a half grid, else
+    folded onto its `exact_half`."""
+    if any(base.grid.parity):
+        return base
+    source = exact_half(base)
+    return Field(source, source.fold(base.data)) if any(source.parity) else base
+
+
 def _least_ray_start(nl, kernel, action, base):
     """The orbit-bump start over SPACINGS of least ray maximum a(t_u), from
-    one half-grid evaluation of each: the peak selection of the local
-    minimax method (Li & Zhou, SIAM J. Sci. Comput. 23, 2001) applied to
-    the start.  Candidates with no Pohozaev root are skipped; the start is
-    the last one built, spaced 6R, when none has one."""
+    one evaluation of each on the action's half grid with the kernel of its
+    M: the peak selection of the local minimax method (Li & Zhou, SIAM J.
+    Sci. Comput. 23, 2001) applied to the start.  The base is folded onto
+    its own half once per scan.  Candidates with no Pohozaev root are
+    skipped; the start is the last one built, spaced 6R, when none has
+    one."""
+    base = _own_half(base)
     best, least = None, np.inf
     for spacing in SPACINGS:
         start = build_initializer(action, base, spacing)
@@ -509,14 +543,21 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
 
     The start is init when given; else, for the trivial group, a Gaussian
     built on the half grid; else the least-ray-maximum orbit-bump start
-    from base, which defaults to the ground state.
+    from base, which defaults to the ground state.  A start chosen here
+    runs the coarse stage where `_coarse_grid` admits the grid, and the
+    scan then runs on the coarse half with the coarse kernel.
     """
     action = GroupAction(group, grid)
-    nested = init is None
+    coarse_grid = _coarse_grid(grid) if init is None else None
+    coarse = None if coarse_grid is None else GroupAction(group, coarse_grid)
     if init is None and group.rank == 0:
         init = Field(action.half, _gaussian_seed(action.half))
     elif init is None:
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
-        init = _least_ray_start(nl, kernel, action, base)
-    return _solve(nl, kernel, grid, cfg, init, action, nested)
+        if coarse is None:
+            init = _least_ray_start(nl, kernel, action, base)
+        else:
+            init = _least_ray_start(nl, get_kernel(coarse_grid, kernel.alpha),
+                                    coarse, base)
+    return _solve(nl, kernel, grid, cfg, init, action, coarse)

@@ -24,6 +24,7 @@ from choquard.functionals import (
     pohozaev_root,
     power,
 )
+from choquard import solver
 from choquard.riesz import RieszKernel, get_kernel
 from choquard.solver import SolverConfig, solve_ground, solve_saddle
 from helpers import dilation_pohozaev
@@ -412,3 +413,37 @@ def test_warm_start_on_a_yardstick_grid_skips_the_coarse_stage(plane):
                        SolverConfig(seed=0, restarts=1), init=ground.field)
     assert (rep.iters, rep.coarse_iters) == (0, 0)
     assert rep.energy == pytest.approx(ground.energy, rel=1e-10)
+
+
+def _scan_spacing(monkeypatch, kernel, action, base):
+    """The spacing of the start the saddle-start scan picks on the action's
+    half grid with the kernel."""
+    built = []
+    build = solver.build_initializer
+
+    def recorded(*args):
+        start = build(*args)
+        built.append((start, args[2]))
+        return start
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "build_initializer", recorded)
+        chosen = solver._least_ray_start(NL, kernel, action, base)
+    return next(spacing for start, spacing in built if start is chosen)
+
+
+def test_coarse_scan_picks_the_fine_scan_spacing(monkeypatch, ref_ground, plane,
+                                                 wide_i23):
+    """The saddle-start scan of a yardstick solve runs on the M/2 grid; from
+    the yardstick ground fields it picks the spacing the scan on the solve
+    grid picks."""
+    cases = [("ref3d A1", REF_GRID, REF_ALPHA, "A1", ref_ground),
+             ("plane2d A1", PLANE_GRID, PLANE_ALPHA, "A1", plane["ground"]),
+             ("plane2d I2:2", PLANE_GRID, PLANE_ALPHA, "I2:2", plane["ground"]),
+             ("wide_i23 I2:3", WIDE_GRID, PLANE_ALPHA, "I2:3", wide_i23["ground"])]
+    for name, grid, alpha, tag, ground in cases:
+        group = from_name(tag)
+        coarse = solver._coarse_grid(grid)
+        picks = [_scan_spacing(monkeypatch, get_kernel(g, alpha), GroupAction(group, g),
+                               ground.field) for g in (grid, coarse)]
+        assert picks[0] == picks[1], (name, picks)

@@ -41,18 +41,37 @@ def smooth_random_field(grid, rng, width=2.0):
 
 # -- nonlinearity parsing -----------------------------------------------------
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_power_without_pow_matches_the_pow_form_bit_for_bit(p):
-    """F and f skip pow for |s|^2 and |s|^1 and still equal the ** form,
-    over 17 decades and at +0 and -0."""
+def _signed_decades():
+    """10^6 values of either sign over 17 decades, led by +0 and -0."""
     rng = np.random.default_rng(17)
     s = np.sign(rng.standard_normal(10 ** 6)) * 10.0 ** rng.uniform(-8.5, 8.5, 10 ** 6)
     s[:2] = [0.0, -0.0]
+    return s
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_power_without_pow_matches_the_pow_form_bit_for_bit(p):
+    """F and f skip pow for |s|^2 and |s|^1 and still equal the ** form,
+    over 17 decades and at +0 and -0."""
+    s = _signed_decades()
     nl = power(p)
     F_pow = np.zeros_like(s) + np.abs(s) ** p
     f_pow = np.zeros_like(s) + p * np.copysign(np.abs(s) ** (p - 1.0), s)
     assert np.array_equal(nl.F(s).view(np.int64), F_pow.view(np.int64))
     assert np.array_equal(nl.f(s).view(np.int64), f_pow.view(np.int64))
+
+
+def test_cube_without_pow_matches_the_pow_form_to_rounding():
+    """|s|^3 is |s| s^2, two roundings where pow makes one: F and f of
+    power:p=3, and f of power:p=4, which reads |s|^3, keep the ** form to
+    1e-15 relative over 17 decades, and are exactly zero at +0 and -0."""
+    s = _signed_decades()
+    cube = np.abs(s) ** 3.0
+    np.testing.assert_allclose(power(3.0).F(s), cube, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(power(3.0).f(s), 3.0 * np.copysign(np.abs(s) ** 2.0, s),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(power(4.0).f(s), 4.0 * np.copysign(cube, s),
+                               rtol=1e-15, atol=0.0)
 
 
 def test_parse_power():

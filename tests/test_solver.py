@@ -544,6 +544,126 @@ def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
     np.testing.assert_array_equal(runs[1][2], _gaussian_seed(fine))
 
 
+def _recorded_scan(monkeypatch):
+    """Record, for each candidate the spacing scan builds, the half it is
+    built on, and for each state evaluation outside a descent, the kernel's
+    grid and the grid evaluated on."""
+    built, evaluated = [], []
+    build, parts = solver.build_initializer, solver._state_parts
+
+    def recorded_build(*args):
+        start = build(*args)
+        built.append(start.grid)
+        return start
+
+    def recorded_parts(nl, kernel, a, grid, *rest):
+        evaluated.append((kernel.grid, grid))
+        return parts(nl, kernel, a, grid, *rest)
+
+    monkeypatch.setattr(solver, "build_initializer", recorded_build)
+    monkeypatch.setattr(solver, "_state_parts", recorded_parts)
+    return built, evaluated
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(3, 64, 12.0)],
+                         ids=["plane2d", "ref3d"])
+def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
+                                                                    grid):
+    """Without init, on a grid with a coarse stage, the scan builds one
+    candidate per spacing on the coarse action's half, evaluates each with
+    the M/2 kernel, and its winner is the coarse descent's start."""
+    runs = _scripted_descents(monkeypatch)
+    built, evaluated = _recorded_scan(monkeypatch)
+    base = _even_base(grid)
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_saddle(from_name("A1"), NL, _kernel_stub(grid), grid,
+                     SolverConfig(restarts=1), base=base)
+    coarse_action = GroupAction(from_name("A1"), GridSpec(grid.dim, grid.M // 2, grid.L))
+    coarse = coarse_action.half
+    assert built == [coarse] * len(solver.SPACINGS)
+    assert evaluated == [(coarse_action.grid, coarse)] * len(solver.SPACINGS)
+    expected = _least_ray_start(NL, solver.get_kernel(coarse_action.grid, 1.0),
+                                coarse_action, base)
+    assert runs[0][0] == coarse
+    np.testing.assert_array_equal(runs[0][2], expected.data)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["64^2", "init"])
+def test_the_scan_stays_on_the_fine_half_off_the_rule(kernel, ground, monkeypatch,
+                                                      given):
+    """On the 64^2 test grid the scan builds and evaluates its candidates on
+    the fine half with the fine kernel, as without a coarse stage; a start
+    the caller gives on a yardstick grid runs no scan and no coarse
+    descent."""
+    runs = _scripted_descents(monkeypatch)
+    built, evaluated = _recorded_scan(monkeypatch)
+    grid = GridSpec(2, 256, 16.0) if given else GRID
+    action = GroupAction(from_name("A1"), grid)
+    init = build_initializer(action, _even_base(grid)) if given else None
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_saddle(from_name("A1"), NL, _kernel_stub(grid) if given else kernel,
+                     grid, SolverConfig(restarts=1), base=ground.field, init=init)
+    n = 0 if given else len(solver.SPACINGS)
+    assert built == [action.half] * n
+    assert evaluated == [(grid, action.half)] * n
+    (descent_grid, _, a0), = runs
+    assert descent_grid == action.half
+    if given:
+        np.testing.assert_array_equal(a0, init.data)
+
+
+def _coarse_noise(grid, seed, scale):
+    """Restart noise as the coarse stage builds it: on the M/2 grid of the
+    box, folded onto its all-even half."""
+    coarse = GridSpec(grid.dim, grid.M // 2, grid.L)
+    noise = solver._smooth_noise(coarse, np.random.default_rng(seed), scale)
+    return replace(coarse, parity=(1,) * grid.dim).fold(noise)
+
+
+def test_a_restart_adds_noise_built_on_the_coarse_grid(monkeypatch):
+    """Restart 1 starts its coarse descent from the restricted start plus
+    noise drawn at seed + 1 on the coarse grid and folded onto its half."""
+    grid = GridSpec(2, 256, 16.0)
+    runs = _scripted_descents(monkeypatch)
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=2, seed=3))
+    fine = replace(grid, parity=(1, 1))
+    coarse = GridSpec(2, 128, 16.0, (1, 1))
+    assert [g for g, _, _ in runs] == [coarse, fine, coarse, fine]
+    gaussian = _gaussian_seed(fine)
+    restricted = translate(Field(fine, gaussian), np.zeros(2), coarse).data
+    np.testing.assert_array_equal(runs[0][2], restricted)
+    noise = _coarse_noise(grid, 4, 0.05 * np.max(gaussian))
+    np.testing.assert_array_equal(runs[2][2], restricted + noise)
+
+
+@pytest.mark.parametrize("tag,restarts", [("trivial", 2), ("A1", 1)])
+def test_a_failed_coarse_descent_leaves_the_prolonged_start(monkeypatch, tag,
+                                                            restarts):
+    """Where a coarse descent raises, the fine descent starts from the
+    restart's own start on the fine half: at r = 1 the fine start plus the
+    coarse noise prolonged, and for a start the scan built on the coarse
+    half, that start prolonged."""
+    grid = GridSpec(2, 256, 16.0)
+    runs = _scripted_descents(monkeypatch, coarse_fails=True)
+    with pytest.raises(NoDescent, match="scripted"):
+        solve_saddle(from_name(tag), NL, _kernel_stub(grid), grid,
+                     SolverConfig(restarts=restarts), base=_even_base(grid))
+    fine = GroupAction(from_name(tag), grid).half
+    coarse = runs[0][0]
+    assert [g for g, _, _ in runs] == [coarse, fine] * restarts
+
+    def prolong(a):
+        return translate(Field(coarse, a), np.zeros(2), fine).data
+
+    if tag == "trivial":
+        gaussian = _gaussian_seed(fine)
+        noise = _coarse_noise(grid, 1, 0.05 * np.max(gaussian))
+        np.testing.assert_array_equal(runs[3][2], gaussian + prolong(noise))
+    else:
+        np.testing.assert_array_equal(runs[1][2], prolong(runs[0][2]))
+
+
 def test_saddle_sits_above_ground(ground, saddle):
     assert saddle.group == "A1"
     assert saddle.grad_residual <= 1e-4
