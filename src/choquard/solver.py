@@ -20,12 +20,13 @@ each restart's noise are folded onto the half once, so restarts explore
 only the parity class, and the report's field is unfolded from it.  Each
 descent evaluates its start once, and neither a trial nor a dilation
 transforms again what an evaluation already holds.
-`_projector` picks the map into the class once per solve: |u| for the
-ground state, none where the half grid holds the class (A1, I2:2,
-A1xA1xA1), and otherwise unfold, `symmetrize_array`, fold, where the group
-average runs over the double cosets of the axis flips in G, one group
-action per non-trivial double coset (one three-shear rotation for I2:3);
-only that averaging projector needs the symmetry drift watched.  A descent
+A descent level is its action, built once per solve with the kernel of
+its M; `_projector(action)` is its map into the class: |u| for the ground
+state, none where the half grid holds the class (A1, I2:2, A1xA1xA1), and
+otherwise unfold, `symmetrize_array`, fold, where the group average runs
+over the double cosets of the axis flips in G, one group action per
+non-trivial double coset (one three-shear rotation for I2:3); only that
+averaging projector needs the symmetry drift watched.  A descent
 stops once the discrete problem has converged, its L^2 gradient residual
 within grad_tol, and fails there if the continuum Pohozaev residual is not
 within pohozaev_tol.  All functional values come from `functionals`;
@@ -36,13 +37,13 @@ Nested iteration (Brandt, Math. Comp. 31, 1977): when `solve_saddle`
 chose the start itself and the grid has M divisible by 4 and at least
 COARSE_MIN_NODES nodes, everything before the first fine descent runs on
 the M/2 grid of the same box, whose action, kernel and descent are built
-once per solve.  The orbit-bump scan builds and evaluates its candidates
-there; the Gaussian is restricted there through the sine interpolant; each
+once per solve, as the fine descent is.  The Gaussian is built there, and
+the orbit-bump scan builds and evaluates its candidates there; each
 restart adds its noise built there, and descends there to COARSE_GRAD_TOL
 with no Pohozaev bound.  The fine descent starts from the coarse result
 prolonged back through the coarse interpolant.  Its stopping rule is the
-same; only its start moves, and a coarse descent that fails hands it the
-restart's own start prolonged: the fine start, plus the noise.
+same; only its start moves, and a failed coarse descent's own start is
+prolonged: the coarse start plus the noise.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -191,16 +192,17 @@ def _bb_step(s, y, py):
 
 
 class _Descent:
-    """One descent run from a fixed initial iterate, on the action's half
-    grid; project maps arrays into the class there (None: every array on
-    the half is in the class already)."""
+    """One descent level: runs from a fixed initial iterate on the action's
+    half grid, with the kernel of its M, and maps arrays into the class
+    there by `_projector(action)`, the identity where every array on the
+    half is in the class already."""
 
-    def __init__(self, nl, kernel, cfg, project, action):
+    def __init__(self, nl, kernel, cfg, action):
         self.nl = nl
         self.kernel = kernel
         self.grid = action.half
         self.cfg = cfg
-        self.project = project or (lambda a: a)
+        self.project = _projector(action) or (lambda a: a)
         self.action = action
 
     # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
@@ -349,67 +351,47 @@ def _solve(nl, kernel, grid, cfg, init, action, coarse):
     """Best of cfg.restarts descents from the start field init and its noisy
     copies.
 
-    init on the action's half grid is used as it is, and init on the full
-    grid is folded once onto the half; the report's field is unfolded from
-    it, and its symmetry residual measured.  With coarse, the group's action
-    on the coarse stage's M/2 grid (None: no stage), init may also lie on
-    its half, and each restart first runs the stage the module docstring
-    describes, from init restricted once to the coarse half plus, for
-    r > 0, noise built on the coarse grid.
+    With coarse, the group's action on the coarse stage's M/2 grid (None: no
+    stage), init lies on the coarse half and each restart first runs the
+    stage the module docstring describes.  Without it init lies on the
+    action's half or on the full grid, which is folded once onto the half.
+    The noise of a restart r > 0 is built on the half init lies on, the
+    report's field is unfolded from the fine half, and its symmetry
+    residual measured.
     """
-    if grid != kernel.grid:
-        raise GridMismatch("solver grid does not match the kernel grid")
     half = action.half
-    on_coarse = coarse is not None and init.grid == coarse.half
-    if not (on_coarse or init.grid in (grid, half)):
+    first = (coarse or action).half
+    if not (init.grid == first or coarse is None and init.grid == grid):
         raise GridMismatch("start field grid does not match the solver grid")
     if not np.all(np.isfinite(init.data)):
         raise ParseError("start field holds NaN or Inf")
     start = time.perf_counter()
-    project = _projector(action)
-    # the fine start; from a coarse init it is built only for a restart
-    # whose coarse descent fails
-    a0 = None if on_coarse else init.data if init.grid == half else half.fold(init.data)
-    # the half each restart first descends on, where its noise is built,
-    # and the start there
-    first, b0 = half, a0
+    b0 = init.data if init.grid == first else half.fold(init.data)
+    descent = _Descent(nl, kernel, cfg, action)
     if coarse is not None:
         coarse_descent = _Descent(
             nl, get_kernel(coarse.grid, kernel.alpha),
-            replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf),
-            _projector(coarse), coarse)
+            replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf), coarse)
         origin = np.zeros(grid.dim)
-        first = coarse.half
-
-        def prolong(b):
-            return translate(Field(first, b), origin, half).data
-
-        b0 = init.data if on_coarse else translate(Field(half, a0), origin, first).data
     noise_scale = 0.05 * np.max(np.abs(init.data))
     best = None
     energies = []
     failure = None
     for r in range(cfg.restarts):
-        noise = None
+        a_init = b0
         if r > 0:
             rng = np.random.default_rng(cfg.seed + r)
-            noise = first.fold(_smooth_noise(replace(first, parity=None), rng,
-                                             noise_scale))
-        a_init = b0 if noise is None else b0 + noise
+            a_init = b0 + first.fold(_smooth_noise(replace(first, parity=None), rng,
+                                                   noise_scale))
         coarse_iters = 0
         if coarse is not None:
             try:
-                a_coarse, *_, coarse_iters = coarse_descent.run(a_init)
+                a_init, *_, coarse_iters = coarse_descent.run(a_init)
             except (NoDescent, NonpositiveQ, SymmetryDrift):
-                # the restart keeps its own start: the fine start plus the
-                # noise prolonged
-                if a0 is None:
-                    a0 = prolong(b0)
-                a_init = a0 if noise is None else a0 + prolong(noise)
-            else:
-                a_init = prolong(a_coarse)
+                pass  # the restart's own start is prolonged
+            a_init = translate(Field(first, a_init), origin, half).data
         try:
-            result = _Descent(nl, kernel, cfg, project, action).run(a_init)
+            result = descent.run(a_init)
         except (NoDescent, NonpositiveQ) as exc:
             failure = exc
             energies.append(float("nan"))
@@ -544,20 +526,22 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     The start is init when given; else, for the trivial group, a Gaussian
     built on the half grid; else the least-ray-maximum orbit-bump start
     from base, which defaults to the ground state.  A start chosen here
-    runs the coarse stage where `_coarse_grid` admits the grid, and the
-    scan then runs on the coarse half with the coarse kernel.
+    runs the coarse stage where `_coarse_grid` admits the grid, and is
+    then built on the coarse half: the Gaussian is built there, and the
+    scan runs there with the coarse kernel.
     """
+    if grid != kernel.grid:
+        raise GridMismatch("solver grid does not match the kernel grid")
     action = GroupAction(group, grid)
     coarse_grid = _coarse_grid(grid) if init is None else None
     coarse = None if coarse_grid is None else GroupAction(group, coarse_grid)
+    first = coarse or action
     if init is None and group.rank == 0:
-        init = Field(action.half, _gaussian_seed(action.half))
+        init = Field(first.half, _gaussian_seed(first.half))
     elif init is None:
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
-        if coarse is None:
-            init = _least_ray_start(nl, kernel, action, base)
-        else:
-            init = _least_ray_start(nl, get_kernel(coarse_grid, kernel.alpha),
-                                    coarse, base)
+        init = _least_ray_start(
+            nl, kernel if coarse is None else get_kernel(coarse_grid, kernel.alpha),
+            first, base)
     return _solve(nl, kernel, grid, cfg, init, action, coarse)

@@ -8,7 +8,9 @@ one that does not, and raise; the strict xfail marker turns an accidental
 fix into a visible suite failure so the expectation has to be updated.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,3 +449,47 @@ def test_coarse_scan_picks_the_fine_scan_spacing(monkeypatch, ref_ground, plane,
         picks = [_scan_spacing(monkeypatch, get_kernel(g, alpha), GroupAction(group, g),
                                ground.field) for g in (grid, coarse)]
         assert picks[0] == picks[1], (name, picks)
+
+
+# -- committed records of the yardstick solves --------------------------------
+
+RECORDS = Path(__file__).with_name("yardstick_records.json")
+# relative tolerance of each float field; iters and coarse_iters are exact
+RECORD_RTOL = {"energy": 1e-10, "restart_energies": 1e-10,
+               "grad_residual": 1e-6, "P_residual": 1e-6}
+
+
+def _record(rep):
+    return {"iters": rep.iters, "coarse_iters": rep.coarse_iters,
+            "energy": rep.energy, "restart_energies": rep.restart_energies,
+            "grad_residual": rep.grad_residual, "P_residual": rep.p_residual}
+
+
+def _record_holds(want, got):
+    if (got["iters"], got["coarse_iters"]) != (want["iters"], want["coarse_iters"]):
+        return False
+    for key, rtol in RECORD_RTOL.items():
+        w, g = np.asarray(want[key], float), np.asarray(got[key], float)
+        if w.shape != g.shape or not np.allclose(g, w, rtol=rtol, atol=0.0,
+                                                 equal_nan=True):
+            return False
+    return True
+
+
+def test_yardstick_solves_keep_their_committed_records(ref_ground, ref_a1, plane,
+                                                       wide_i23):
+    """The seven seed-0 yardstick solves reproduce the records committed in
+    yardstick_records.json: iteration counts exactly, energies to 1e-10 and
+    residuals to 1e-6 relative.  A change that moves a solve fails here with
+    the current records printed as JSON, to be committed with the reason."""
+    reports = {"ref3d trivial": ref_ground, "ref3d A1": ref_a1,
+               **{f"plane2d {rep.group}": rep for rep in plane.values()},
+               **{f"wide_i23 {rep.group}": rep for rep in wide_i23.values()}}
+    current = {name: _record(rep) for name, rep in reports.items()}
+    committed = json.loads(RECORDS.read_text())
+    moved = sorted(name for name in current.keys() | committed.keys()
+                   if name not in current or name not in committed
+                   or not _record_holds(committed[name], current[name]))
+    if moved:
+        pytest.fail(f"solves moved off their records: {moved}; current records:\n"
+                    + json.dumps(current, indent=1))

@@ -157,7 +157,7 @@ def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
     state, coeff, conv = _state_parts(NL, kernel, a, GRID)
     assert abs(pohozaev_root(state, GRID.dim, kernel.alpha) - 1.0) <= 0.05
     half = HALF.fold(a)
-    retracted = HALF.unfold(_Descent(NL, kernel, CFG, np.abs, TRIVIAL)._retract(
+    retracted = HALF.unfold(_Descent(NL, kernel, CFG, TRIVIAL)._retract(
         half, *_state_parts(NL, kernel, half, HALF))[0])
     before = discrete_pohozaev(kernel, a)
     assert abs(discrete_pohozaev(kernel, retracted)) * 100.0 <= abs(before)
@@ -174,7 +174,7 @@ def test_retraction_returns_continuum_root_when_fold_leaves_q_nonpositive(
     synthetic = replace(state, Q=q_root, pohozaev=-10.0 * (state.A + state.B))
     t0 = pohozaev_root(synthetic, dim, alpha)
     assert abs(t0 - 1.0) <= 0.05
-    descent = _Descent(NL, kernel, CFG, np.abs, TRIVIAL)
+    descent = _Descent(NL, kernel, CFG, TRIVIAL)
     assert descent._retraction_root(a, synthetic, coeff, conv) == t0
 
 
@@ -211,8 +211,9 @@ def test_trial_whose_retraction_raises_is_a_rejected_trial(kernel, monkeypatch):
         return out
 
     monkeypatch.setattr(_Descent, "_retract", recorded)
+    monkeypatch.setattr(solver, "_projector", lambda action: project)
     cfg = SolverConfig(seed=0, restarts=1)
-    a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, project, TRIVIAL).run(
+    a, state, grad_res, p_res, iters = _Descent(NL, kernel, cfg, TRIVIAL).run(
         HALF.fold(_gaussian_seed(GRID)))
     assert grad_res <= cfg.grad_tol and iters >= 1 and len(calls) > 2
     # one projection per retraction, none where the forced failure cut it
@@ -279,7 +280,7 @@ def test_trial_above_the_iterate_but_below_the_window_is_accepted(
     monkeypatch.setattr(solver, "residuals", recorded)
     cfg = SolverConfig(max_iters=3, grad_tol=1e-14, pohozaev_tol=1e-14)
     with pytest.raises(NoDescent, match="no convergence in 3 iterations"):
-        _Descent(NL, kernel, cfg, np.abs, TRIVIAL).run(HALF.fold(_gaussian_seed(GRID)))
+        _Descent(NL, kernel, cfg, TRIVIAL).run(HALF.fold(_gaussian_seed(GRID)))
     assert judged == [10.0, 5.0, 7.0]
     assert retracted == script + [1.0]  # one trial per line search
 
@@ -330,6 +331,17 @@ def test_solver_grid_must_match_kernel(kernel):
     with pytest.raises(GridMismatch):
         solve_ground(NL, kernel, GridSpec(2, 32, 10.0),
                      SolverConfig(seed=0, restarts=1))
+
+
+def test_a_kernel_for_another_grid_is_refused_before_the_scan(kernel, monkeypatch):
+    """A saddle solve given a base and the 64^2 kernel on a 32^2 grid raises
+    GridMismatch before the spacing scan builds a candidate."""
+    built, evaluated = _recorded_scan(monkeypatch)
+    grid = GridSpec(2, 32, 10.0)
+    with pytest.raises(GridMismatch, match="kernel grid"):
+        solve_saddle(from_name("A1"), NL, kernel, grid,
+                     SolverConfig(seed=0, restarts=1), base=_even_base(grid))
+    assert built == [] and evaluated == []
 
 
 @pytest.mark.parametrize("radius", [1.5, 2.5])
@@ -447,20 +459,26 @@ def test_trivial_group_solve_is_the_ground_solve(kernel, ground, monkeypatch):
                                   GridSpec(2, 256, 16.0), GridSpec(2, 256, 24.0)],
                          ids=["test", "ref3d", "plane2d", "wide_i23"])
 def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
-    """The trivial group's start is the Gaussian built on its half grid,
-    equal bit for bit to the full-grid Gaussian folded; no solve runs."""
+    """The trivial group's start is the Gaussian built on the half its first
+    descent runs on, the coarse half where the grid has a coarse stage,
+    equal bit for bit to the Gaussian of that half's full grid folded; no
+    solve runs."""
     starts = []
 
-    def capture(nl, kernel, solve_grid, cfg, init, action, nested):
-        starts.append((init, action))
+    def capture(nl, kernel, solve_grid, cfg, init, action, coarse):
+        starts.append((init, action, coarse))
         raise NoDescent("scripted: start captured")
 
     monkeypatch.setattr(solver, "_solve", capture)
     with pytest.raises(NoDescent, match="start captured"):
-        solve_ground(NL, None, grid, SolverConfig(restarts=1))
-    (init, action), = starts
-    assert init.grid == action.half
-    assert np.array_equal(init.data, action.half.fold(_gaussian_seed(grid)))
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
+    (init, action, coarse), = starts
+    first = coarse or action
+    assert action.grid == grid and (coarse is None) == (grid == GRID)
+    assert first.grid == (grid if coarse is None
+                          else GridSpec(grid.dim, grid.M // 2, grid.L))
+    assert init.grid == first.half
+    assert np.array_equal(init.data, first.half.fold(_gaussian_seed(first.grid)))
 
 
 def _scripted_descents(monkeypatch, coarse_fails=False):
@@ -491,8 +509,8 @@ def _kernel_stub(grid, alpha=1.0):
 def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, grid):
     """On a yardstick grid, and on the smallest grids at the floor, each
     restart descends on the M/2 grid of the same box to COARSE_GRAD_TOL with
-    no Pohozaev bound, from the restriction of its start, and the fine
-    descent starts from the prolonged result."""
+    no Pohozaev bound, from the Gaussian built on the coarse half, and the
+    fine descent starts from the prolonged result."""
     runs = _scripted_descents(monkeypatch)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
@@ -502,12 +520,10 @@ def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, gri
     (_, coarse_cfg, coarse_start), (_, fine_cfg, fine_start) = runs
     assert (coarse_cfg.grad_tol, coarse_cfg.pohozaev_tol) == (1e-3, np.inf)
     assert fine_cfg == SolverConfig(restarts=1)
-    gaussian = Field(fine, _gaussian_seed(fine))
-    origin = np.zeros(grid.dim)
-    np.testing.assert_array_equal(coarse_start,
-                                  translate(gaussian, origin, coarse).data)
+    np.testing.assert_array_equal(coarse_start, _gaussian_seed(coarse))
     np.testing.assert_array_equal(
-        fine_start, translate(Field(coarse, 2.0 * coarse_start), origin, fine).data)
+        fine_start,
+        translate(Field(coarse, 2.0 * coarse_start), np.zeros(grid.dim), fine).data)
 
 
 @pytest.mark.parametrize("grid,given", [
@@ -534,14 +550,19 @@ def test_no_coarse_stage_off_the_rule(monkeypatch, grid, given):
 
 def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
     """A coarse descent that raises hands the fine descent the restart's
-    own start."""
+    own start prolonged: the coarse Gaussian through the coarse
+    interpolant."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch, coarse_fails=True)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     fine = replace(grid, parity=(1, 1))
-    assert [g for g, _, _ in runs] == [GridSpec(2, 128, 16.0, (1, 1)), fine]
-    np.testing.assert_array_equal(runs[1][2], _gaussian_seed(fine))
+    coarse = GridSpec(2, 128, 16.0, (1, 1))
+    assert [g for g, _, _ in runs] == [coarse, fine]
+    gaussian = _gaussian_seed(coarse)
+    np.testing.assert_array_equal(runs[0][2], gaussian)
+    np.testing.assert_array_equal(
+        runs[1][2], translate(Field(coarse, gaussian), np.zeros(2), fine).data)
 
 
 def _recorded_scan(monkeypatch):
@@ -621,8 +642,9 @@ def _coarse_noise(grid, seed, scale):
 
 
 def test_a_restart_adds_noise_built_on_the_coarse_grid(monkeypatch):
-    """Restart 1 starts its coarse descent from the restricted start plus
-    noise drawn at seed + 1 on the coarse grid and folded onto its half."""
+    """Restart 1 starts its coarse descent from the coarse Gaussian plus
+    noise drawn at seed + 1 on the coarse grid, scaled by the Gaussian's
+    peak and folded onto its half."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch)
     with pytest.raises(NoDescent, match="scripted"):
@@ -630,20 +652,19 @@ def test_a_restart_adds_noise_built_on_the_coarse_grid(monkeypatch):
     fine = replace(grid, parity=(1, 1))
     coarse = GridSpec(2, 128, 16.0, (1, 1))
     assert [g for g, _, _ in runs] == [coarse, fine, coarse, fine]
-    gaussian = _gaussian_seed(fine)
-    restricted = translate(Field(fine, gaussian), np.zeros(2), coarse).data
-    np.testing.assert_array_equal(runs[0][2], restricted)
+    gaussian = _gaussian_seed(coarse)
+    np.testing.assert_array_equal(runs[0][2], gaussian)
     noise = _coarse_noise(grid, 4, 0.05 * np.max(gaussian))
-    np.testing.assert_array_equal(runs[2][2], restricted + noise)
+    np.testing.assert_array_equal(runs[2][2], gaussian + noise)
 
 
 @pytest.mark.parametrize("tag,restarts", [("trivial", 2), ("A1", 1)])
 def test_a_failed_coarse_descent_leaves_the_prolonged_start(monkeypatch, tag,
                                                             restarts):
     """Where a coarse descent raises, the fine descent starts from the
-    restart's own start on the fine half: at r = 1 the fine start plus the
-    coarse noise prolonged, and for a start the scan built on the coarse
-    half, that start prolonged."""
+    restart's own start prolonged onto the fine half: for the trivial group
+    at r = 1 the coarse Gaussian plus the coarse noise, and for a start the
+    scan built on the coarse half, that start."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch, coarse_fails=True)
     with pytest.raises(NoDescent, match="scripted"):
@@ -656,12 +677,13 @@ def test_a_failed_coarse_descent_leaves_the_prolonged_start(monkeypatch, tag,
     def prolong(a):
         return translate(Field(coarse, a), np.zeros(2), fine).data
 
+    for (_, _, coarse_start), (_, _, fine_start) in zip(runs[::2], runs[1::2]):
+        np.testing.assert_array_equal(fine_start, prolong(coarse_start))
     if tag == "trivial":
-        gaussian = _gaussian_seed(fine)
+        gaussian = _gaussian_seed(coarse)
         noise = _coarse_noise(grid, 1, 0.05 * np.max(gaussian))
-        np.testing.assert_array_equal(runs[3][2], gaussian + prolong(noise))
-    else:
-        np.testing.assert_array_equal(runs[1][2], prolong(runs[0][2]))
+        np.testing.assert_array_equal(runs[0][2], gaussian)
+        np.testing.assert_array_equal(runs[2][2], gaussian + noise)
 
 
 def test_saddle_sits_above_ground(ground, saddle):
@@ -799,7 +821,7 @@ def test_descent_checks_drift_only_when_the_projector_averages(
              else build_initializer(action, ground.field).data)
     cfg = SolverConfig(max_iters=1, grad_tol=1e-14, pohozaev_tol=1e-14)
     with pytest.raises(SymmetryDrift if checks else NoDescent):
-        _Descent(NL, kernel, cfg, project, action).run(start)
+        _Descent(NL, kernel, cfg, action).run(start)
     assert bool(calls) is checks
 
 
