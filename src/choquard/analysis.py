@@ -64,10 +64,8 @@ def nodal_domains(u: Field, threshold: float = NODAL_THRESHOLD,
     structure = ndimage.generate_binary_structure(u.grid.dim, 1)
     lab_pos, n_pos = ndimage.label(pos, structure=structure)
     lab_neg, n_neg = ndimage.label(neg, structure=structure)
-    sizes = [int(s) for s in ndimage.sum_labels(pos, lab_pos,
-                                                range(1, n_pos + 1))]
-    sizes += [int(s) for s in ndimage.sum_labels(neg, lab_neg,
-                                                 range(1, n_neg + 1))]
+    sizes = [int(s) for lab, n in ((lab_pos, n_pos), (lab_neg, n_neg))
+             for s in np.bincount(lab.ravel(), minlength=n + 1)[1:]]
     sign = None
     if action is not None:
         sel = open_chamber_mask(action) & (pos | neg)

@@ -40,10 +40,12 @@ the M/2 grid of the same box, whose action, kernel and descent are built
 once per solve, as the fine descent is.  The Gaussian is built there, and
 the orbit-bump scan builds and evaluates its candidates there; each
 restart adds its noise built there, and descends there to COARSE_GRAD_TOL
-with no Pohozaev bound.  The fine descent starts from the coarse result
-prolonged back through the coarse interpolant.  Its stopping rule is the
-same; only its start moves, and a failed coarse descent's own start is
-prolonged: the coarse start plus the noise.
+with no Pohozaev bound.  The restarts then race on the coarse grid: fine
+descents run in order of coarse energy, each from its coarse result
+prolonged back through the coarse interpolant, until one converges, and
+that one is the solve.  A failed coarse descent's own start (the coarse
+start plus the noise) is prolonged, and runs after all the others.  The
+fine stopping rule is the same; only its start moves.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -135,7 +137,10 @@ class SolverConfig:
 class SolveReport:
     """Converged solution with its residuals and diagnostics; iters counts
     the fine descent of the winning restart, coarse_iters its coarse stage
-    (0 where none ran or it failed)."""
+    (0 where none ran or it failed).  restart_energies holds, per restart,
+    the energy the restarts were compared by, on the first level they
+    descend on: the coarse energy where a coarse stage runs, else the fine
+    energy; NaN where that descent failed."""
 
     group: str
     grid: GridSpec
@@ -349,15 +354,17 @@ def _coarse_grid(grid):
 
 def _solve(nl, kernel, grid, cfg, init, action, coarse):
     """Best of cfg.restarts descents from the start field init and its noisy
-    copies.
+    copies, compared on the first level they descend on.
 
     With coarse, the group's action on the coarse stage's M/2 grid (None: no
-    stage), init lies on the coarse half and each restart first runs the
-    stage the module docstring describes.  Without it init lies on the
-    action's half or on the full grid, which is folded once onto the half.
-    The noise of a restart r > 0 is built on the half init lies on, the
-    report's field is unfolded from the fine half, and its symmetry
-    residual measured.
+    stage), init lies on the coarse half and every restart first runs its
+    coarse descent; the fine descents then race in order of coarse energy,
+    failed coarse descents last, and the first to converge is the solve.
+    If none converges, the last failure is raised.  Without it init lies on
+    the action's half or on the full grid, which is folded once onto the
+    half, every restart's fine descent runs, and the lowest wins.  The noise
+    of a restart r > 0 is built on the half init lies on, the report's field
+    is unfolded from the fine half, and its symmetry residual measured.
     """
     half = action.half
     first = (coarse or action).half
@@ -374,9 +381,9 @@ def _solve(nl, kernel, grid, cfg, init, action, coarse):
             replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf), coarse)
         origin = np.zeros(grid.dim)
     noise_scale = 0.05 * np.max(np.abs(init.data))
-    best = None
-    energies = []
-    failure = None
+    # each restart's start on the first level, with the coarse stage's
+    # result and energy where one runs
+    starts, coarse_energies = [], []
     for r in range(cfg.restarts):
         a_init = b0
         if r > 0:
@@ -386,9 +393,22 @@ def _solve(nl, kernel, grid, cfg, init, action, coarse):
         coarse_iters = 0
         if coarse is not None:
             try:
-                a_init, *_, coarse_iters = coarse_descent.run(a_init)
+                a_init, state, *_, coarse_iters = coarse_descent.run(a_init)
+                coarse_energies.append(state.energy)
             except (NoDescent, NonpositiveQ, SymmetryDrift):
-                pass  # the restart's own start is prolonged
+                coarse_energies.append(float("nan"))  # its own start is prolonged
+        starts.append((a_init, coarse_iters))
+    order = range(cfg.restarts)
+    if coarse is not None:
+        # the race: least coarse energy first, failed coarse descents last
+        order = sorted(order, key=lambda r: np.nan_to_num(coarse_energies[r],
+                                                          nan=np.inf))
+    best = None
+    energies = []
+    failure = None
+    for r in order:
+        a_init, coarse_iters = starts[r]
+        if coarse is not None:
             a_init = translate(Field(first, a_init), origin, half).data
         try:
             result = descent.run(a_init)
@@ -399,8 +419,12 @@ def _solve(nl, kernel, grid, cfg, init, action, coarse):
         energies.append(result[1].energy)
         if best is None or result[1].energy < best[1].energy:
             best = (*result, coarse_iters)
+        if coarse is not None:
+            break  # the first fine descent to converge wins the race
     if best is None:
         raise failure
+    if coarse is not None:
+        energies = coarse_energies
     a, state, grad_res, p_res, iters, coarse_iters = best
     wall = time.perf_counter() - start
     u = Field(grid, half.unfold(a))

@@ -5,6 +5,7 @@ so the whole module runs in a few seconds while still converging to the
 configured tolerances.
 """
 
+import itertools
 import json
 import re
 from dataclasses import replace
@@ -481,18 +482,33 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
     assert np.array_equal(init.data, first.half.fold(_gaussian_seed(first.grid)))
 
 
-def _scripted_descents(monkeypatch, coarse_fails=False):
+def _scripted_descents(monkeypatch, coarse_energies=None, fine_energies=None):
     """Replace _Descent.run by a script that records each descent's grid,
-    settings and start: a coarse descent (grad_tol COARSE_GRAD_TOL) returns
-    twice its start after 3 iterations, or raises if coarse_fails; a fine
-    one raises, so no solve runs."""
+    settings and start.  The k-th coarse descent (grad_tol COARSE_GRAD_TOL)
+    returns twice its start after 3 iterations with energy
+    coarse_energies[k] (default k + 1), or raises where that entry is None.
+    The k-th fine descent returns its start after 4 iterations with energy
+    fine_energies[k] where that key is given, and otherwise raises
+    "scripted fine k"; by default every fine descent raises, so no solve
+    completes."""
     runs = []
+    coarse = iter(coarse_energies if coarse_energies is not None
+                  else itertools.count(1.0))
+    fine_energies = fine_energies or {}
+    fine = itertools.count()
 
     def run(self, a0):
         runs.append((self.grid, self.cfg, a0))
-        if self.cfg.grad_tol == solver.COARSE_GRAD_TOL and not coarse_fails:
-            return 2.0 * a0, None, 0.0, 0.0, 3
-        raise NoDescent("scripted")
+        if self.cfg.grad_tol == solver.COARSE_GRAD_TOL:
+            energy = next(coarse)
+            if energy is None:
+                raise NoDescent("scripted coarse")
+            return 2.0 * a0, SimpleNamespace(energy=energy), 0.0, 0.0, 3
+        k = next(fine)
+        if k not in fine_energies:
+            raise NoDescent(f"scripted fine {k}")
+        state = SimpleNamespace(energy=fine_energies[k], A=1.0, B=1.0, Q=1.0)
+        return a0, state, 0.0, 0.0, 4
 
     monkeypatch.setattr(_Descent, "run", run)
     return runs
@@ -553,7 +569,7 @@ def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
     own start prolonged: the coarse Gaussian through the coarse
     interpolant."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, coarse_fails=True)
+    runs = _scripted_descents(monkeypatch, itertools.repeat(None))
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     fine = replace(grid, parity=(1, 1))
@@ -644,18 +660,19 @@ def _coarse_noise(grid, seed, scale):
 def test_a_restart_adds_noise_built_on_the_coarse_grid(monkeypatch):
     """Restart 1 starts its coarse descent from the coarse Gaussian plus
     noise drawn at seed + 1 on the coarse grid, scaled by the Gaussian's
-    peak and folded onto its half."""
+    peak and folded onto its half; both coarse descents run before any fine
+    one."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=2, seed=3))
     fine = replace(grid, parity=(1, 1))
     coarse = GridSpec(2, 128, 16.0, (1, 1))
-    assert [g for g, _, _ in runs] == [coarse, fine, coarse, fine]
+    assert [g for g, _, _ in runs] == [coarse, coarse, fine, fine]
     gaussian = _gaussian_seed(coarse)
     np.testing.assert_array_equal(runs[0][2], gaussian)
     noise = _coarse_noise(grid, 4, 0.05 * np.max(gaussian))
-    np.testing.assert_array_equal(runs[2][2], gaussian + noise)
+    np.testing.assert_array_equal(runs[1][2], gaussian + noise)
 
 
 @pytest.mark.parametrize("tag,restarts", [("trivial", 2), ("A1", 1)])
@@ -666,24 +683,116 @@ def test_a_failed_coarse_descent_leaves_the_prolonged_start(monkeypatch, tag,
     at r = 1 the coarse Gaussian plus the coarse noise, and for a start the
     scan built on the coarse half, that start."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, coarse_fails=True)
+    runs = _scripted_descents(monkeypatch, itertools.repeat(None))
     with pytest.raises(NoDescent, match="scripted"):
         solve_saddle(from_name(tag), NL, _kernel_stub(grid), grid,
                      SolverConfig(restarts=restarts), base=_even_base(grid))
     fine = GroupAction(from_name(tag), grid).half
     coarse = runs[0][0]
-    assert [g for g, _, _ in runs] == [coarse, fine] * restarts
+    assert [g for g, _, _ in runs] == [coarse] * restarts + [fine] * restarts
 
     def prolong(a):
         return translate(Field(coarse, a), np.zeros(2), fine).data
 
-    for (_, _, coarse_start), (_, _, fine_start) in zip(runs[::2], runs[1::2]):
+    for (_, _, coarse_start), (_, _, fine_start) in zip(runs[:restarts],
+                                                        runs[restarts:]):
         np.testing.assert_array_equal(fine_start, prolong(coarse_start))
     if tag == "trivial":
         gaussian = _gaussian_seed(coarse)
         noise = _coarse_noise(grid, 1, 0.05 * np.max(gaussian))
         np.testing.assert_array_equal(runs[0][2], gaussian)
-        np.testing.assert_array_equal(runs[2][2], gaussian + noise)
+        np.testing.assert_array_equal(runs[1][2], gaussian + noise)
+
+
+def _prolonged(runs, grid):
+    """The coarse results the script returned, twice each coarse start,
+    prolonged onto the fine half of the trivial group."""
+    coarse, fine = runs[0][0], replace(grid, parity=(1,) * grid.dim)
+    return [translate(Field(coarse, 2.0 * a), np.zeros(grid.dim), fine).data
+            for g, _, a in runs if g == coarse]
+
+
+def test_fine_descents_follow_the_coarse_energies(monkeypatch):
+    """With a coarse stage every restart descends there first; the fine
+    descents then run in order of coarse energy, each from its own coarse
+    result prolonged, and the first that converges is the solve: the
+    restart of coarse energy 3 never descends on the fine grid."""
+    grid = GridSpec(2, 256, 16.0)
+    runs = _scripted_descents(monkeypatch, [3.0, 1.0, 2.0], {1: 7.5})
+    rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
+    coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
+    assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 2
+    prolonged = _prolonged(runs, grid)
+    np.testing.assert_array_equal(runs[3][2], prolonged[1])
+    np.testing.assert_array_equal(runs[4][2], prolonged[2])
+    np.testing.assert_array_equal(rep.field.data, fine.unfold(prolonged[2]))
+    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 3)
+    assert rep.restart_energies == [3.0, 1.0, 2.0]
+
+
+def test_a_failed_coarse_restart_races_last(monkeypatch):
+    """A restart whose coarse descent raised gets its fine descent after
+    all the others, from its own start prolonged, and reports no coarse
+    iterations when it wins."""
+    grid = GridSpec(2, 256, 16.0)
+    runs = _scripted_descents(monkeypatch, [None, 2.0, 1.0], {2: 7.5})
+    rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
+    coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
+    assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 3
+    prolonged = _prolonged(runs, grid)
+    np.testing.assert_array_equal(runs[3][2], prolonged[2])
+    np.testing.assert_array_equal(runs[4][2], prolonged[1])
+    np.testing.assert_array_equal(
+        runs[5][2], translate(Field(coarse, runs[0][2]), np.zeros(2), fine).data)
+    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 0)
+
+
+def test_when_every_descent_fails_the_last_failure_is_raised(monkeypatch):
+    """With no fine descent converging, every restart gets one, in order of
+    coarse energy, and the solve raises the last one's failure."""
+    grid = GridSpec(2, 256, 16.0)
+    runs = _scripted_descents(monkeypatch, [2.0, None, 1.0])
+    with pytest.raises(NoDescent, match="^scripted fine 2$"):
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
+    coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
+    assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 3
+    prolonged = _prolonged(runs, grid)
+    np.testing.assert_array_equal(runs[3][2], prolonged[2])
+    np.testing.assert_array_equal(runs[4][2], prolonged[0])
+    np.testing.assert_array_equal(
+        runs[5][2], translate(Field(coarse, runs[1][2]), np.zeros(2), fine).data)
+
+
+@pytest.mark.parametrize("coarse_energies", [
+    [1.0, 2.0, 3.0], [None, 2.0, 3.0], [1.0, None, None], [None, None, 3.0]])
+def test_coarse_stage_restart_energies_are_the_coarse_levels(monkeypatch,
+                                                             coarse_energies):
+    """A coarse-stage solve reports one energy per restart, its coarse
+    energy, with NaN exactly where its coarse descent failed."""
+    grid = GridSpec(2, 256, 16.0)
+    _scripted_descents(monkeypatch, coarse_energies, {0: 7.5})
+    rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
+    energies = np.asarray(rep.restart_energies)
+    assert energies.shape == (3,)
+    assert np.array_equal(np.isnan(energies),
+                          [e is None for e in coarse_energies])
+    np.testing.assert_array_equal(
+        energies, [np.nan if e is None else e for e in coarse_energies])
+
+
+def test_without_a_coarse_stage_every_restart_descends_and_the_lowest_wins(
+        monkeypatch):
+    """Below the coarse floor each restart runs its fine descent, the
+    lowest fine energy wins, and restart_energies are the fine energies,
+    NaN where a fine descent failed."""
+    grid = GridSpec(2, 128, 16.0)
+    runs = _scripted_descents(monkeypatch, fine_energies={0: 7.5, 2: 7.25})
+    rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
+    fine = replace(grid, parity=(1, 1))
+    assert [g for g, _, _ in runs] == [fine] * 3
+    np.testing.assert_array_equal(rep.field.data, fine.unfold(runs[2][2]))
+    assert (rep.energy, rep.coarse_iters) == (7.25, 0)
+    np.testing.assert_array_equal(rep.restart_energies, [7.5, np.nan, 7.25])
 
 
 def test_saddle_sits_above_ground(ground, saddle):
