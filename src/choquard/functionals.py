@@ -287,12 +287,16 @@ def _gradient_from_parts(nl, kernel, a, coeff, conv, grid):
 def _ensure_positive_q(nl, kernel, a, grid, parts):
     """Double the amplitude of a until Q > 0, from parts = _state_parts(a),
     evaluating again only after a doubling; returns the amplitude reached
-    and its parts.  The zero field never gets there."""
+    and its parts.  The zero field never gets there, and a Q that is not
+    finite is refused at once."""
     for doubling in range(60):
         if doubling:
             a = 2.0 * a
             parts = _state_parts(nl, kernel, a, grid)
-        if parts[0].Q > 0.0:
+        q = parts[0].Q
+        if not np.isfinite(q):
+            raise NonpositiveQ(f"Q = {q} is not finite")
+        if q > 0.0:
             return a, parts
     raise NonpositiveQ("could not reach Q > 0 by amplitude doubling")
 

@@ -33,19 +33,19 @@ within pohozaev_tol.  All functional values come from `functionals`;
 `solve_saddle` is the one entry and `_solve` the one driver for every
 group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
-Nested iteration (Brandt, Math. Comp. 31, 1977): when `solve_saddle`
+A solve is a ladder of descent levels (nested iteration: Brandt, Math.
+Comp. 31, 1977), built once per solve by `_levels`.  When `solve_saddle`
 chose the start itself and the grid has M divisible by 4 and at least
-COARSE_MIN_NODES nodes, everything before the first fine descent runs on
-the M/2 grid of the same box, whose action, kernel and descent are built
-once per solve, as the fine descent is.  The Gaussian is built there, and
-the orbit-bump scan builds and evaluates its candidates there; each
-restart adds its noise built there, and descends there to COARSE_GRAD_TOL
-with no Pohozaev bound.  The restarts then race on the coarse grid: fine
-descents run in order of coarse energy, each from its coarse result
-prolonged back through the coarse interpolant, until one converges, and
-that one is the solve.  A failed coarse descent's own start (the coarse
-start plus the noise) is prolonged, and runs after all the others.  The
-fine stopping rule is the same; only its start moves.
+COARSE_MIN_NODES nodes, the ladder starts on the M/2 grid of the same box,
+descending there to COARSE_GRAD_TOL with no Pohozaev bound; otherwise it
+is the fine level alone.  The start is built on the first level, and each
+restart adds its noise built there.  One race picks the solve: every
+restart descends on the first level, then, in order of that energy,
+failed descents last, carries its result up the ladder, prolonged through
+the sine interpolant (a failed descent's own start instead), and the
+first whose last descent converges is the solve; with one level that is
+the lowest energy.  A descent that raises NoDescent, NonpositiveQ or
+SymmetryDrift loses the race, on every level.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -136,11 +136,10 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Converged solution with its residuals and diagnostics; iters counts
-    the fine descent of the winning restart, coarse_iters its coarse stage
-    (0 where none ran or it failed).  restart_energies holds, per restart,
-    the energy the restarts were compared by, on the first level they
-    descend on: the coarse energy where a coarse stage runs, else the fine
-    energy; NaN where that descent failed."""
+    the last-level descent of the winning restart, coarse_iters its
+    converged descents below it (0 with one level).  restart_energies
+    holds, per restart, the first-level energy that orders the race, NaN
+    where that descent failed."""
 
     group: str
     grid: GridSpec
@@ -352,87 +351,78 @@ def _coarse_grid(grid):
     return GridSpec(grid.dim, grid.M // 2, grid.L)
 
 
-def _solve(nl, kernel, grid, cfg, init, action, coarse):
-    """Best of cfg.restarts descents from the start field init and its noisy
-    copies, compared on the first level they descend on.
+def _levels(nl, kernel, cfg, group, grid, coarse_grid):
+    """The ladder of descents of one solve, built once: [fine], or, with
+    coarse_grid, [coarse, fine], the coarse descent on that grid with the
+    kernel of its M, to COARSE_GRAD_TOL and with no Pohozaev bound."""
+    fine = _Descent(nl, kernel, cfg, GroupAction(group, grid))
+    if coarse_grid is None:
+        return [fine]
+    coarse_cfg = replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf)
+    return [_Descent(nl, get_kernel(coarse_grid, kernel.alpha), coarse_cfg,
+                     GroupAction(group, coarse_grid)), fine]
 
-    With coarse, the group's action on the coarse stage's M/2 grid (None: no
-    stage), init lies on the coarse half and every restart first runs its
-    coarse descent; the fine descents then race in order of coarse energy,
-    failed coarse descents last, and the first to converge is the solve.
-    If none converges, the last failure is raised.  Without it init lies on
-    the action's half or on the full grid, which is folded once onto the
-    half, every restart's fine descent runs, and the lowest wins.  The noise
-    of a restart r > 0 is built on the half init lies on, the report's field
-    is unfolded from the fine half, and its symmetry residual measured.
+
+def _attempt(level, a):
+    """The descent of level from a, or the failure that loses the race."""
+    try:
+        return level.run(a)
+    except (NoDescent, NonpositiveQ, SymmetryDrift) as exc:
+        return exc
+
+
+def _solve(cfg, init, levels):
+    """The race of cfg.restarts descents from the start field init and its
+    noisy copies up the ladder levels.
+
+    init lies on the first level's half or its full grid, which is folded
+    once onto the half; the noise of a restart r > 0 is built on that half.
+    Every restart descends on the first level; in order of that energy,
+    failed descents last, each restart then carries its result up the
+    later levels, prolonged through the sine interpolant (a failed
+    descent's own start instead), and the first whose last descent
+    converges is the solve; with one level that is the lowest energy.  If
+    none converges, the last failure is raised.  The report's field is
+    unfolded from the last level's half and its symmetry residual measured.
     """
-    half = action.half
-    first = (coarse or action).half
-    if not (init.grid == first or coarse is None and init.grid == grid):
+    first, last = levels[0], levels[-1]
+    if init.grid not in (first.grid, first.action.grid):
         raise GridMismatch("start field grid does not match the solver grid")
     if not np.all(np.isfinite(init.data)):
         raise ParseError("start field holds NaN or Inf")
-    start = time.perf_counter()
-    b0 = init.data if init.grid == first else half.fold(init.data)
-    descent = _Descent(nl, kernel, cfg, action)
-    if coarse is not None:
-        coarse_descent = _Descent(
-            nl, get_kernel(coarse.grid, kernel.alpha),
-            replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf), coarse)
-        origin = np.zeros(grid.dim)
+    t0 = time.perf_counter()
+    b0 = init.data if init.grid == first.grid else first.grid.fold(init.data)
     noise_scale = 0.05 * np.max(np.abs(init.data))
-    # each restart's start on the first level, with the coarse stage's
-    # result and energy where one runs
-    starts, coarse_energies = [], []
-    for r in range(cfg.restarts):
-        a_init = b0
-        if r > 0:
-            rng = np.random.default_rng(cfg.seed + r)
-            a_init = b0 + first.fold(_smooth_noise(replace(first, parity=None), rng,
-                                                   noise_scale))
-        coarse_iters = 0
-        if coarse is not None:
-            try:
-                a_init, state, *_, coarse_iters = coarse_descent.run(a_init)
-                coarse_energies.append(state.energy)
-            except (NoDescent, NonpositiveQ, SymmetryDrift):
-                coarse_energies.append(float("nan"))  # its own start is prolonged
-        starts.append((a_init, coarse_iters))
-    order = range(cfg.restarts)
-    if coarse is not None:
-        # the race: least coarse energy first, failed coarse descents last
-        order = sorted(order, key=lambda r: np.nan_to_num(coarse_energies[r],
-                                                          nan=np.inf))
-    best = None
-    energies = []
-    failure = None
-    for r in order:
-        a_init, coarse_iters = starts[r]
-        if coarse is not None:
-            a_init = translate(Field(first, a_init), origin, half).data
-        try:
-            result = descent.run(a_init)
-        except (NoDescent, NonpositiveQ) as exc:
-            failure = exc
-            energies.append(float("nan"))
-            continue
-        energies.append(result[1].energy)
-        if best is None or result[1].energy < best[1].energy:
-            best = (*result, coarse_iters)
-        if coarse is not None:
-            break  # the first fine descent to converge wins the race
-    if best is None:
-        raise failure
-    if coarse is not None:
-        energies = coarse_energies
-    a, state, grad_res, p_res, iters, coarse_iters = best
-    wall = time.perf_counter() - start
-    u = Field(grid, half.unfold(a))
+    starts = [b0]
+    for r in range(1, cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        noise = _smooth_noise(replace(first.grid, parity=None), rng, noise_scale)
+        starts.append(b0 + first.grid.fold(noise))
+    results = [_attempt(first, a) for a in starts]
+    energies = [float("nan") if isinstance(res, Exception) else res[1].energy
+                for res in results]
+    origin = np.zeros(last.grid.dim)
+    for r in sorted(range(cfg.restarts),
+                    key=lambda r: np.nan_to_num(energies[r], nan=np.inf)):
+        a, result, coarse_iters = starts[r], results[r], 0
+        for below, level in zip(levels, levels[1:]):
+            if not isinstance(result, Exception):
+                a, coarse_iters = result[0], coarse_iters + result[4]
+            result = _attempt(level, translate(Field(below.grid, a), origin,
+                                               level.grid).data)
+        if not isinstance(result, Exception):
+            break
+    else:
+        raise result
+    a, state, grad_res, p_res, iters = result
+    wall = time.perf_counter() - t0
+    grid = last.action.grid
+    u = Field(grid, last.grid.unfold(a))
     return SolveReport(
-        group=action.group.tag or "custom",
+        group=last.action.group.tag or "custom",
         grid=grid,
-        alpha=kernel.alpha,
-        nonlinearity=nl.config,
+        alpha=last.kernel.alpha,
+        nonlinearity=last.nl.config,
         iters=iters,
         coarse_iters=coarse_iters,
         energy=state.energy,
@@ -441,7 +431,7 @@ def _solve(nl, kernel, grid, cfg, init, action, coarse):
         Q=state.Q,
         p_residual=p_res,
         grad_residual=grad_res,
-        symmetry_residual=symmetry_residual(action, u),
+        symmetry_residual=symmetry_residual(last.action, u),
         boundary_amplitude=boundary_amplitude(u),
         wall_clock=wall,
         field=u,
@@ -549,23 +539,20 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
 
     The start is init when given; else, for the trivial group, a Gaussian
     built on the half grid; else the least-ray-maximum orbit-bump start
-    from base, which defaults to the ground state.  A start chosen here
-    runs the coarse stage where `_coarse_grid` admits the grid, and is
-    then built on the coarse half: the Gaussian is built there, and the
-    scan runs there with the coarse kernel.
+    from base, which defaults to the ground state.  A start chosen here is
+    built on the first level of the ladder, which is the coarse stage
+    where `_coarse_grid` admits the grid, and the scan evaluates it there
+    with that level's kernel.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
-    action = GroupAction(group, grid)
-    coarse_grid = _coarse_grid(grid) if init is None else None
-    coarse = None if coarse_grid is None else GroupAction(group, coarse_grid)
-    first = coarse or action
+    levels = _levels(nl, kernel, cfg, group, grid,
+                     _coarse_grid(grid) if init is None else None)
+    first = levels[0]
     if init is None and group.rank == 0:
-        init = Field(first.half, _gaussian_seed(first.half))
+        init = Field(first.grid, _gaussian_seed(first.grid))
     elif init is None:
         if base is None:
             base = solve_ground(nl, kernel, grid, cfg).field
-        init = _least_ray_start(
-            nl, kernel if coarse is None else get_kernel(coarse_grid, kernel.alpha),
-            first, base)
-    return _solve(nl, kernel, grid, cfg, init, action, coarse)
+        init = _least_ray_start(nl, first.kernel, first.action, base)
+    return _solve(cfg, init, levels)

@@ -378,17 +378,31 @@ def test_solver_failure_exits_2(capsys):
     assert "choquard:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,message", [
     # drains towards u = 0
-    ["--M", "16", "--L", "4.0", "--alpha", "1.0", "--nl", "power:p=3"],
+    (["--M", "16", "--L", "4.0", "--alpha", "1.0", "--nl", "power:p=3"],
+     "line search stalled"),
     # the planar root (2B / ((2 + alpha) Q))^(1/alpha) overflows
-    ["--M", "64", "--L", "16", "--alpha", "0.5", "--nl", "power:p=2"],
-])
-def test_accepted_input_that_cannot_solve_exits_2(capsys, tmp_path, argv):
+    (["--M", "64", "--L", "16", "--alpha", "0.5", "--nl", "power:p=2"],
+     "line search stalled"),
+    # Q is NaN at the first evaluation; doubling it would overflow
+    (["--M", "16", "--L", "4", "--alpha", "1", "--restarts", "1",
+      "--nl", "sum:c1=1e308,p1=2"], "Q = nan is not finite"),
+    # converges on the grid; the kernel's quadrature error is P's share
+    (["--M", "32", "--L", "8", "--alpha", "1"], "Pohozaev residual"),
+    # the start's Pohozaev root lies far from 1, and every restart drains
+    (["--M", "64", "--L", "10", "--alpha", "1", "--group", "I2:4"],
+     "line search stalled"),
+    # the box clips the six-fold class: every restart drifts out of it
+    (["--M", "64", "--L", "10", "--alpha", "1", "--group", "I2:3"],
+     "symmetry residual"),
+], ids=["drain", "root-overflow", "nan-q", "pohozaev", "i2-4-drain", "i2-3-drift"])
+def test_accepted_input_that_cannot_solve_exits_2(capsys, tmp_path, argv, message):
     rc = main(["solve", "--dim", "2", *argv, "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("choquard:")
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -466,31 +466,32 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
     solve runs."""
     starts = []
 
-    def capture(nl, kernel, solve_grid, cfg, init, action, coarse):
-        starts.append((init, action, coarse))
+    def capture(cfg, init, levels):
+        starts.append((init, levels))
         raise NoDescent("scripted: start captured")
 
     monkeypatch.setattr(solver, "_solve", capture)
     with pytest.raises(NoDescent, match="start captured"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
-    (init, action, coarse), = starts
-    first = coarse or action
-    assert action.grid == grid and (coarse is None) == (grid == GRID)
-    assert first.grid == (grid if coarse is None
-                          else GridSpec(grid.dim, grid.M // 2, grid.L))
-    assert init.grid == first.half
-    assert np.array_equal(init.data, first.half.fold(_gaussian_seed(first.grid)))
+    (init, levels), = starts
+    first = levels[0]
+    assert levels[-1].action.grid == grid and (len(levels) == 1) == (grid == GRID)
+    assert first.action.grid == (grid if len(levels) == 1
+                                 else GridSpec(grid.dim, grid.M // 2, grid.L))
+    assert init.grid == first.grid
+    assert np.array_equal(init.data, first.grid.fold(_gaussian_seed(first.action.grid)))
 
 
-def _scripted_descents(monkeypatch, coarse_energies=None, fine_energies=None):
+def _scripted_descents(monkeypatch, grid, coarse_energies=None,
+                       fine_energies=None):
     """Replace _Descent.run by a script that records each descent's grid,
-    settings and start.  The k-th coarse descent (grad_tol COARSE_GRAD_TOL)
-    returns twice its start after 3 iterations with energy
+    settings and start.  The k-th coarse descent (on the M/2 grid of the
+    solve's grid) returns twice its start after 3 iterations with energy
     coarse_energies[k] (default k + 1), or raises where that entry is None.
-    The k-th fine descent returns its start after 4 iterations with energy
-    fine_energies[k] where that key is given, and otherwise raises
-    "scripted fine k"; by default every fine descent raises, so no solve
-    completes."""
+    The k-th fine descent (on the solve's grid) returns its start after 4
+    iterations with energy fine_energies[k] where that key is given, raises
+    it where it is an exception, and otherwise raises "scripted fine k"; by
+    default every fine descent raises, so no solve completes."""
     runs = []
     coarse = iter(coarse_energies if coarse_energies is not None
                   else itertools.count(1.0))
@@ -499,15 +500,17 @@ def _scripted_descents(monkeypatch, coarse_energies=None, fine_energies=None):
 
     def run(self, a0):
         runs.append((self.grid, self.cfg, a0))
-        if self.cfg.grad_tol == solver.COARSE_GRAD_TOL:
+        if 2 * self.grid.M == grid.M:
             energy = next(coarse)
             if energy is None:
                 raise NoDescent("scripted coarse")
             return 2.0 * a0, SimpleNamespace(energy=energy), 0.0, 0.0, 3
+        assert self.grid.M == grid.M
         k = next(fine)
-        if k not in fine_energies:
-            raise NoDescent(f"scripted fine {k}")
-        state = SimpleNamespace(energy=fine_energies[k], A=1.0, B=1.0, Q=1.0)
+        energy = fine_energies.get(k, NoDescent(f"scripted fine {k}"))
+        if isinstance(energy, Exception):
+            raise energy
+        state = SimpleNamespace(energy=energy, A=1.0, B=1.0, Q=1.0)
         return a0, state, 0.0, 0.0, 4
 
     monkeypatch.setattr(_Descent, "run", run)
@@ -527,7 +530,7 @@ def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, gri
     restart descends on the M/2 grid of the same box to COARSE_GRAD_TOL with
     no Pohozaev bound, from the Gaussian built on the coarse half, and the
     fine descent starts from the prolonged result."""
-    runs = _scripted_descents(monkeypatch)
+    runs = _scripted_descents(monkeypatch, grid)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     coarse = GridSpec(grid.dim, grid.M // 2, grid.L, (1,) * grid.dim)
@@ -553,7 +556,7 @@ def test_no_coarse_stage_off_the_rule(monkeypatch, grid, given):
     """A grid whose M/2 is odd or with fewer than COARSE_MIN_NODES nodes,
     or a start the caller gives, runs the fine descent alone, from the start
     itself."""
-    runs = _scripted_descents(monkeypatch)
+    runs = _scripted_descents(monkeypatch, grid)
     fine = replace(grid, parity=(1,) * grid.dim)
     start = Field(fine, _gaussian_seed(fine))
     with pytest.raises(NoDescent, match="scripted"):
@@ -569,7 +572,7 @@ def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
     own start prolonged: the coarse Gaussian through the coarse
     interpolant."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, itertools.repeat(None))
+    runs = _scripted_descents(monkeypatch, grid, itertools.repeat(None))
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     fine = replace(grid, parity=(1, 1))
@@ -609,7 +612,7 @@ def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
     """Without init, on a grid with a coarse stage, the scan builds one
     candidate per spacing on the coarse action's half, evaluates each with
     the M/2 kernel, and its winner is the coarse descent's start."""
-    runs = _scripted_descents(monkeypatch)
+    runs = _scripted_descents(monkeypatch, grid)
     built, evaluated = _recorded_scan(monkeypatch)
     base = _even_base(grid)
     with pytest.raises(NoDescent, match="scripted"):
@@ -632,9 +635,9 @@ def test_the_scan_stays_on_the_fine_half_off_the_rule(kernel, ground, monkeypatc
     the fine half with the fine kernel, as without a coarse stage; a start
     the caller gives on a yardstick grid runs no scan and no coarse
     descent."""
-    runs = _scripted_descents(monkeypatch)
-    built, evaluated = _recorded_scan(monkeypatch)
     grid = GridSpec(2, 256, 16.0) if given else GRID
+    runs = _scripted_descents(monkeypatch, grid)
+    built, evaluated = _recorded_scan(monkeypatch)
     action = GroupAction(from_name("A1"), grid)
     init = build_initializer(action, _even_base(grid)) if given else None
     with pytest.raises(NoDescent, match="scripted"):
@@ -663,7 +666,7 @@ def test_a_restart_adds_noise_built_on_the_coarse_grid(monkeypatch):
     peak and folded onto its half; both coarse descents run before any fine
     one."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch)
+    runs = _scripted_descents(monkeypatch, grid)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=2, seed=3))
     fine = replace(grid, parity=(1, 1))
@@ -683,7 +686,7 @@ def test_a_failed_coarse_descent_leaves_the_prolonged_start(monkeypatch, tag,
     at r = 1 the coarse Gaussian plus the coarse noise, and for a start the
     scan built on the coarse half, that start."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, itertools.repeat(None))
+    runs = _scripted_descents(monkeypatch, grid, itertools.repeat(None))
     with pytest.raises(NoDescent, match="scripted"):
         solve_saddle(from_name(tag), NL, _kernel_stub(grid), grid,
                      SolverConfig(restarts=restarts), base=_even_base(grid))
@@ -718,7 +721,7 @@ def test_fine_descents_follow_the_coarse_energies(monkeypatch):
     result prolonged, and the first that converges is the solve: the
     restart of coarse energy 3 never descends on the fine grid."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, [3.0, 1.0, 2.0], {1: 7.5})
+    runs = _scripted_descents(monkeypatch, grid, [3.0, 1.0, 2.0], {1: 7.5})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
     coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
     assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 2
@@ -735,7 +738,7 @@ def test_a_failed_coarse_restart_races_last(monkeypatch):
     all the others, from its own start prolonged, and reports no coarse
     iterations when it wins."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, [None, 2.0, 1.0], {2: 7.5})
+    runs = _scripted_descents(monkeypatch, grid, [None, 2.0, 1.0], {2: 7.5})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
     coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
     assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 3
@@ -751,7 +754,7 @@ def test_when_every_descent_fails_the_last_failure_is_raised(monkeypatch):
     """With no fine descent converging, every restart gets one, in order of
     coarse energy, and the solve raises the last one's failure."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, [2.0, None, 1.0])
+    runs = _scripted_descents(monkeypatch, grid, [2.0, None, 1.0])
     with pytest.raises(NoDescent, match="^scripted fine 2$"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
     coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
@@ -770,7 +773,7 @@ def test_coarse_stage_restart_energies_are_the_coarse_levels(monkeypatch,
     """A coarse-stage solve reports one energy per restart, its coarse
     energy, with NaN exactly where its coarse descent failed."""
     grid = GridSpec(2, 256, 16.0)
-    _scripted_descents(monkeypatch, coarse_energies, {0: 7.5})
+    _scripted_descents(monkeypatch, grid, coarse_energies, {0: 7.5})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
     energies = np.asarray(rep.restart_energies)
     assert energies.shape == (3,)
@@ -786,13 +789,28 @@ def test_without_a_coarse_stage_every_restart_descends_and_the_lowest_wins(
     lowest fine energy wins, and restart_energies are the fine energies,
     NaN where a fine descent failed."""
     grid = GridSpec(2, 128, 16.0)
-    runs = _scripted_descents(monkeypatch, fine_energies={0: 7.5, 2: 7.25})
+    runs = _scripted_descents(monkeypatch, grid, fine_energies={0: 7.5, 2: 7.25})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
     fine = replace(grid, parity=(1, 1))
     assert [g for g, _, _ in runs] == [fine] * 3
     np.testing.assert_array_equal(rep.field.data, fine.unfold(runs[2][2]))
     assert (rep.energy, rep.coarse_iters) == (7.25, 0)
     np.testing.assert_array_equal(rep.restart_energies, [7.5, np.nan, 7.25])
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(2, 128, 16.0)],
+                         ids=["coarse-stage", "fine-only"])
+def test_a_drifting_descent_loses_the_race(monkeypatch, grid):
+    """SymmetryDrift in a restart's last descent loses the race as any
+    other failure does, with or without a coarse stage: a later restart
+    wins, and when every descent drifts the last drift is raised."""
+    drift = [SymmetryDrift(f"scripted drift {k}") for k in range(2)]
+    _scripted_descents(monkeypatch, grid, fine_energies={0: drift[0], 1: 7.5})
+    rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=2))
+    assert rep.energy == 7.5
+    _scripted_descents(monkeypatch, grid, fine_energies=dict(enumerate(drift)))
+    with pytest.raises(SymmetryDrift, match="^scripted drift 1$"):
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=2))
 
 
 def test_saddle_sits_above_ground(ground, saddle):
