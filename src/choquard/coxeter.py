@@ -233,7 +233,7 @@ _NAMED_NORMALS = {
 
 def from_name(tag: str) -> CoxeterGroup:
     """Build a named group: a tag of `_NAMED_NORMALS`, or I2:m or A1xI2:m
-    for a dihedral order 2 <= m <= ELEMENT_CAP written in ASCII digits.
+    for an order m >= 2 in ASCII digits whose 2m or 4m elements fit ELEMENT_CAP.
 
     A dihedral group is tagged with m in canonical form, so I2:03 is I2:3.
     """
@@ -243,11 +243,12 @@ def from_name(tag: str) -> CoxeterGroup:
         if not (tail.isascii() and tail.isdigit()):
             raise ParseError(f"bad dihedral order in tag {tag!r}")
         digits = tail.lstrip("0") or "0"
-        # 2m elements, refused before any is built; an order too long for
-        # int() to read is refused by its length
-        if len(digits) > len(str(ELEMENT_CAP)) or int(digits) > ELEMENT_CAP:
-            raise CapExceeded(
-                f"dihedral order {digits} exceeds the element cap of {ELEMENT_CAP}")
+        # I2:m has 2m elements and A1xI2:m 4m, refused before any is built;
+        # an order too long for int() to read is refused by its length
+        factor = 2 if head == "I2" else 4
+        if len(digits) > len(str(ELEMENT_CAP)) or factor * int(digits) > ELEMENT_CAP:
+            raise CapExceeded(f"{head}:{digits} has {factor} x {digits} elements, "
+                              f"past the element cap of {ELEMENT_CAP}")
         m = int(digits)
         if m < 2:
             raise ParseError(f"dihedral order must be >= 2, got {m}")

@@ -321,41 +321,38 @@ def pohozaev_root(state: FunctionalState, dim: int, alpha: float) -> float:
     p = 1 + alpha/2, is strictly concave with h(0) >= 0 and h'(0) = N B > 0,
     so it has one positive root, and Newton's method started at any s with
     h(s) <= 0 falls monotonically to it: the first iterate that does not
-    decrease ends it.  The start is the first s = 4^k, k = 0..39, with
-    h(s) <= 0; where that is s = 1, it is the least s = 4^-k, k = 0..511,
-    with h(s) <= 0, found by doubling k and then bisecting it, so a root
-    however small is started within a factor 4 of it.  s^p is
-    s s^(alpha/2), whose exponent is exact.  With no such s, or a
-    non-finite h or h' there, there is no finite root: a planar
-    (2B / ((2+alpha) Q))^(1/alpha) past 2^39 is refused.
+    decrease ends it.  Both the start and the steps read h through
+    g(s) = h(s) / s = (N-2) A / s + N B - (N+alpha) Q s^(alpha/2), which has
+    the sign of h but does not underflow where s is tiny, and the step
+    s - h / h' is s - s (g / h').  The start is the least s = 4^k with
+    g(s) <= 0, found by bisecting k on the bracket [-511, 39], so a root
+    is started within a factor 4 of it.  The bracket closes only when
+    g(4^-511) > 0 >= g(4^39), with g and h' finite at the start; otherwise
+    there is no root t in (2^-511, 2^39] and it is refused on either side:
+    a planar (2B / ((2+alpha) Q))^(1/alpha) past 2^39 or below 2^-511.
     """
-    a, b, q = state.A, state.B, state.Q
+    # Python floats: c0 / s past the float range is inf, with no warning
+    a, b, q, alpha = float(state.A), float(state.B), float(state.Q), float(alpha)
     c0, c1, c2, p = (dim - 2) * a, dim * b, (dim + alpha) * q, 1.0 + 0.5 * alpha
 
-    def h_at(s):
-        return c0 + s * (c1 - c2 * s ** (0.5 * alpha))
+    def g_slope(s):
+        w = c2 * s ** (0.5 * alpha)
+        return c0 / s + c1 - w, c1 - p * w
 
-    s = 1.0
-    while (h := h_at(s)) > 0.0 and s < 4.0 ** 39:
-        s *= 4.0
-    if s == 1.0 and h <= 0.0:
-        lo, hi = 0, 1  # h(4^-lo) <= 0; h(4^-hi) > 0 or hi is past 511
-        while hi < 512 and h_at(4.0 ** -hi) <= 0.0:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if h_at(4.0 ** -mid) <= 0.0 else (lo, mid)
-        s = 4.0 ** -lo
-        h = h_at(s)
-    slope = c1 - p * c2 * s ** (0.5 * alpha)
-    if not (0.0 <= a < math.inf and 0.0 < b < math.inf and 0.0 < q < math.inf
-            and -math.inf < h <= 0.0 and -math.inf < slope < 0.0):
+    lo, hi = -511, 39  # g(4^lo) > 0 >= g(4^hi) while the bracket is closed
+    closed = (0.0 <= a < math.inf and 0.0 < b < math.inf and 0.0 < q < math.inf
+              and g_slope(4.0 ** lo)[0] > 0.0 >= g_slope(4.0 ** hi)[0])
+    while closed and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if g_slope(4.0 ** mid)[0] <= 0.0 else (mid, hi)
+    s = 4.0 ** hi
+    g, slope = g_slope(s)
+    if not (closed and -math.inf < g and -math.inf < slope < 0.0):
         raise NonpositiveQ(f"no finite Pohozaev root, the bracket did not close: "
                            f"A = {a:g}, B = {b:g}, Q = {q:g}")
-    while (nxt := s - h / slope) < s:
+    while (nxt := s - s * (g / slope)) < s:
         s = nxt
-        w = c2 * s ** (0.5 * alpha)
-        h, slope = c0 + s * (c1 - w), c1 - p * w
+        g, slope = g_slope(s)
     return math.sqrt(s)
 
 

@@ -396,7 +396,11 @@ def test_solver_failure_exits_2(capsys):
     # the box clips the six-fold class: every restart drifts out of it
     (["--M", "64", "--L", "10", "--alpha", "1", "--group", "I2:3"],
      "symmetry residual"),
-], ids=["drain", "root-overflow", "nan-q", "pohozaev", "i2-4-drain", "i2-3-drift"])
+    # the planar root lies below the t = 2^-511 bracket: refused, not 0.0
+    (["--M", "16", "--L", "4", "--alpha", "1", "--restarts", "1",
+      "--nl", "power:p=50", "--force"], "drained"),
+], ids=["drain", "root-overflow", "nan-q", "pohozaev", "i2-4-drain", "i2-3-drift",
+        "root-underflow"])
 def test_accepted_input_that_cannot_solve_exits_2(capsys, tmp_path, argv, message):
     rc = main(["solve", "--dim", "2", *argv, "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err

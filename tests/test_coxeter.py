@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from choquard import coxeter
 from choquard.analysis import facet_ray_representatives
 from choquard.coxeter import MATRIX_TOL, CoxeterGroup, Subgroup, from_name
 from choquard.errors import CapExceeded, ChoquardError, ParseError
@@ -245,14 +246,21 @@ def test_parse_rejects_malformed_tags(text):
         from_name(text)
 
 
-def test_element_cap_is_enforced():
-    """I2:600 has 1,200 elements, past the cap of 1,024; a dihedral order
-    past the cap is refused before its Coxeter matrix is built, so one
+def test_element_cap_is_enforced(monkeypatch):
+    """I2:600 has 1,200 elements, past the cap of 1,024; a tag whose 2m
+    (I2) or 4m (A1xI2) elements pass the cap is refused before any element
+    is built, so I2:513 and A1xI2:257 never reach the closure, and an order
     past int64 is refused alike."""
-    for tag in ["I2:600", "I2:1025", "I2:99999999999999999999",
-                "A1xI2:99999999999999999999"]:
+    def closure(generators):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(coxeter, "_close_under_products", closure)
+    for tag in ["I2:600", "I2:1025", "I2:513", "A1xI2:257",
+                "I2:99999999999999999999", "A1xI2:99999999999999999999"]:
         with pytest.raises(CapExceeded, match="1024"):
             from_name(tag)
+    with pytest.raises(CapExceeded, match="4 x 257 elements"):
+        from_name("A1xI2:257")
 
 
 def test_dihedral_tag_is_canonical():

@@ -389,8 +389,8 @@ def test_root_of_a_state_without_a_bracket_is_rejected(abq, dim, alpha):
 def test_3d_root_matches_brentq():
     """The 3D Newton root agrees with scipy's bracketed solve, run to its
     tightest tolerance, on A, B, Q in e^[-6, 6] and alpha in (0, 3); a state
-    whose root lies beyond the bracket the doubling reaches (hi <= 2^39)
-    raises NonpositiveQ."""
+    whose root lies past the bracket's upper end, t = 2^39, raises
+    NonpositiveQ."""
     rng = np.random.default_rng(20)
     closed = rejected = 0
     for _ in range(2000):
@@ -405,7 +405,7 @@ def test_3d_root_matches_brentq():
             continue
         t_ref = brentq(beta, 1e-12, 2.0 ** 39, xtol=1e-300, rtol=8.9e-16,
                        maxiter=500)
-        assert pohozaev_root(st, 3, alpha) == pytest.approx(t_ref, rel=1e-12)
+        assert pohozaev_root(st, 3, alpha) == pytest.approx(t_ref, rel=1e-12, abs=0.0)
         closed += 1
     assert closed > 1500 and rejected > 0
 
@@ -426,7 +426,7 @@ def test_root_matches_the_planar_closed_form():
                 pohozaev_root(st, 2, alpha)
             rejected += 1
             continue
-        assert pohozaev_root(st, 2, alpha) == pytest.approx(t_ref, rel=1e-12)
+        assert pohozaev_root(st, 2, alpha) == pytest.approx(t_ref, rel=1e-12, abs=0.0)
         closed += 1
     assert closed > 1500 and rejected > 0
 
@@ -435,7 +435,7 @@ def _newton_steps(state, dim, alpha):
     """pohozaev_root's value and its count of Newton steps: the executions
     of the loop line that computes the next iterate, less the final test."""
     lines, first = inspect.getsourcelines(pohozaev_root)
-    step = first + next(i for i, text in enumerate(lines) if "h / slope" in text)
+    step = first + next(i for i, text in enumerate(lines) if "nxt :=" in text)
     hits = []
 
     def local(frame, event, arg):
@@ -462,8 +462,35 @@ def test_a_root_far_below_one_takes_few_newton_steps():
     t, steps = _newton_steps(st, 2, alpha)
     t_ref = (2.0 * st.B / ((2.0 + alpha) * st.Q)) ** (1.0 / alpha)
     assert t_ref < 1e-63
-    assert t == pytest.approx(t_ref, rel=1e-12)
+    assert t == pytest.approx(t_ref, rel=1e-12, abs=0.0)
     assert steps <= 15
+
+
+@pytest.mark.parametrize("dim,alpha,abq", [
+    (2, 1.0, (1.0, 1e-300, 1e300)),
+    (2, 0.15001478311613775, (1.0, 4.012326892294105e-21, 537324601304090.94)),
+    (3, 2.0, (0.0, 1e-300, 1e300)),
+])
+def test_root_below_the_bracket_is_refused(dim, alpha, abq):
+    """A root t at or below 2^-511, the lower end of the bracket, is
+    refused as one past 2^39 is, not returned as 0.0 or a wrong tiny root
+    (the 3D root here is about 7.7e-301)."""
+    st = _assemble(dim, alpha, *abq)
+    with pytest.raises(NonpositiveQ, match="no finite Pohozaev root"):
+        pohozaev_root(st, dim, alpha)
+
+
+@pytest.mark.parametrize("alpha,abq", [
+    (0.552045144878999, (1.0, 5.210099069683936e-286, 3.37802132832591e-262)),
+    (1.4873544403380365, (1.0, 3.566208961178119e-46, 4.797160083995002e+154)),
+])
+def test_tiny_planar_root_inside_the_bracket_is_exact(alpha, abq):
+    """Where b(t) = t^2 B - ... underflows, g = h / s still has the sign
+    of h: a planar root inside the bracket matches the closed form."""
+    st = _assemble(2, alpha, *abq)
+    t_ref = (2.0 * st.B / ((2.0 + alpha) * st.Q)) ** (1.0 / alpha)
+    assert 2.0 ** -511 < t_ref < 1e-40
+    assert pohozaev_root(st, 2, alpha) == pytest.approx(t_ref, rel=1e-12, abs=0.0)
 
 
 def test_import_loads_neither_optimize_nor_interpolate(tmp_path):
