@@ -106,9 +106,11 @@ class GridSpec:
         return c[self.M // 2:] if axis is not None and self.parity[axis] else c
 
     def fold(self, a: np.ndarray) -> np.ndarray:
-        """Positive halves of parity_fold(a) for a full-grid array a."""
-        return parity_fold(a, self.parity)[
-            tuple(slice(self.M // 2, None) if s else slice(None) for s in self.parity)]
+        """Positive halves of parity_fold(a) for a full-grid array a, half by half."""
+        for ax in self.folded:
+            low, high = np.split(a, 2, axis=ax)
+            a = (high + self.parity[ax] * np.flip(low, ax)) / 2.0
+        return a
 
     def unfold(self, b: np.ndarray) -> np.ndarray:
         """The full-grid array with positive halves b, mirrored with sign."""

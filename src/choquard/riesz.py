@@ -25,6 +25,7 @@ nothing from the input to choose it.
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 
@@ -146,12 +147,25 @@ class RieszKernel:
             v = v[(slice(None),) * ax + (slice(0, m // 2),)]
         return v * self.grid.cell_volume
 
+    def restrict(self, grid: GridSpec) -> "RieszKernel":
+        """This kernel on grid, the full grid of the same box with M' <= M: on
+        their common period 4L, DCT-I entries 0..M' times (M'/M)^N are the fine
+        multipliers at grid's frequencies (Galerkin R A P), sampled by inverse DCT-I."""
+        if grid != GridSpec(self.grid.dim, min(grid.M, self.grid.M), self.grid.L):
+            raise IncompatibleGrid(f"cannot restrict the kernel of {self.grid} to {grid}")
+        coarse = copy.copy(self)
+        coarse.grid, coarse.spectrum = grid, self.spectrum[
+            (slice(0, grid.M + 1),) * grid.dim] * (grid.M / self.grid.M) ** grid.dim
+        coarse.sampled = scipy.fft.idctn(coarse.spectrum, type=1)
+        coarse.sampled.setflags(write=False)
+        coarse.spectrum.setflags(write=False)
+        return coarse
 
-# A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  With the
-# kernels of the M/2 grids the solver's coarse stage scans and descends on,
-# the test suite asks for 23 kernels and rebuilds none it has evicted at
-# eleven or twelve entries, one at ten; twelve keeps one entry spare.
-@lru_cache(maxsize=12)
+
+# A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Coarse kernels are
+# restricted, not cached: the test suite builds 14 kernels here (4 more are refused)
+# and rebuilds none it has evicted at 5 entries or more, one at 4; 6 keeps one spare.
+@lru_cache(maxsize=6)
 def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
     """The kernel for (grid, alpha), shared by callers while it stays cached."""
     return RieszKernel(grid, alpha)

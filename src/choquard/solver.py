@@ -20,8 +20,8 @@ each restart's noise are folded onto the half once, so restarts explore
 only the parity class, and the report's field is unfolded from it.  Each
 descent evaluates its start once, and neither a trial nor a dilation
 transforms again what an evaluation already holds.
-A descent level is its action, built once per solve with the kernel of
-its M; `_projector(action)` is its map into the class: |u| for the ground
+A descent level is its action, built once per solve with the kernel on
+its grid; `_projector(action)` is its map into the class: |u| for the ground
 state, none where the half grid holds the class (A1, I2:2, A1xA1xA1), and
 otherwise unfold, `symmetrize_array`, fold, where the group average runs
 over the double cosets of the axis flips in G, one group action per
@@ -33,19 +33,19 @@ within pohozaev_tol.  All functional values come from `functionals`;
 `solve_saddle` is the one entry and `_solve` the one driver for every
 group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
-A solve is a ladder of descent levels (nested iteration: Brandt, Math.
-Comp. 31, 1977), built once per solve by `_levels`.  When `solve_saddle`
-chose the start itself and the grid has M divisible by 4 and at least
-COARSE_MIN_NODES nodes, the ladder starts on the M/2 grid of the same box,
-descending there to COARSE_GRAD_TOL with no Pohozaev bound; otherwise it
-is the fine level alone.  The start is built on the first level, and each
-restart adds its noise built there.  One race picks the solve: every
-restart descends on the first level, then, in order of that energy,
-failed descents last, carries its result up the ladder, prolonged through
-the sine interpolant (a failed descent's own start instead), and the
-first whose last descent converges is the solve; with one level that is
-the lowest energy.  A descent that raises NoDescent, NonpositiveQ or
-SymmetryDrift loses the race, on every level.
+A solve is a ladder of descent levels (nested iteration: Brandt, Math. Comp.
+31, 1977), built once per solve by `_levels`.  When `solve_saddle` chose the
+start itself and the grid has M divisible by 4 and at least COARSE_MIN_NODES
+nodes, the ladder starts on the M/2 grid of the same box with the fine
+kernel restricted to it, so the coarse descent solves the fine problem up to
+aliasing, to the same grad_tol with no Pohozaev bound and at most
+COARSE_MAX_ITERS iterations, and the fine level confirms it; otherwise the
+ladder is the fine level alone.  The start is built on the first level, and
+each restart adds its noise built there.  One race, `_solve`'s, picks the
+solve: restarts descend on the first level and, in order of that energy,
+carry their results up the ladder until one converges on the last.  A
+descent that raises NoDescent, NonpositiveQ or SymmetryDrift loses the race,
+on every level.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -94,7 +94,7 @@ from .functionals import (
     ray_maximum,
     residuals,
 )
-from .riesz import RieszKernel, get_kernel
+from .riesz import RieszKernel
 
 SYMMETRY_DRIFT_LIMIT = 1e-2
 ENERGY_SLACK = 1e-12
@@ -105,15 +105,13 @@ ENERGY_WINDOW = 5
 # Orbit spacings, in bump radii, of the candidate saddle starts; the last,
 # 6, keeps the supports disjoint and is the start when no candidate serves.
 SPACINGS = (1.0, 1.5, 2.0, 3.0, 6.0)
-# The coarse stage of a solve that chose its own start: grids of at least
-# COARSE_MIN_NODES nodes first descend on the M/2 grid of the same box to
-# COARSE_GRAD_TOL.  The floor is the smallest grid on which the stage was
-# measured to shorten the solve at two seeds, 160^2 (chains of ground, A1
-# and I2:2 solves, -20% wall time); at 128^2 the outcome was mixed and at
-# 64^2 and 96^2 the coarse kernel and descent cost more than they saved
+# The floor of the coarse stage: the smallest grid on which it was measured
+# to shorten the solve at two seeds, 160^2 (chains of ground, A1 and I2:2
+# solves, -20% wall time); at 128^2 the outcome was mixed and at 64^2 and
+# 96^2 the coarse kernel and descent cost more than they saved
 # (BENCH_31.json, "coarse_floor").
 COARSE_MIN_NODES = 160 ** 2
-COARSE_GRAD_TOL = 1e-3
+COARSE_MAX_ITERS = 100  # a plateau's budget; the yardsticks take at most 14
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def _bb_step(s, y, py):
 
 class _Descent:
     """One descent level: runs from a fixed initial iterate on the action's
-    half grid, with the kernel of its M, and maps arrays into the class
+    half grid, with the kernel on its grid, and maps arrays into the class
     there by `_projector(action)`, the identity where every array on the
     half is in the class already."""
 
@@ -352,14 +350,15 @@ def _coarse_grid(grid):
 
 
 def _levels(nl, kernel, cfg, group, grid, coarse_grid):
-    """The ladder of descents of one solve, built once: [fine], or, with
-    coarse_grid, [coarse, fine], the coarse descent on that grid with the
-    kernel of its M, to COARSE_GRAD_TOL and with no Pohozaev bound."""
+    """The ladder of descents of one solve, built once: [fine], or [coarse,
+    fine] on coarse_grid with the kernel restricted to it, to grad_tol with no
+    Pohozaev bound and at most COARSE_MAX_ITERS iterations."""
     fine = _Descent(nl, kernel, cfg, GroupAction(group, grid))
     if coarse_grid is None:
         return [fine]
-    coarse_cfg = replace(cfg, grad_tol=COARSE_GRAD_TOL, pohozaev_tol=np.inf)
-    return [_Descent(nl, get_kernel(coarse_grid, kernel.alpha), coarse_cfg,
+    coarse_cfg = replace(cfg, pohozaev_tol=np.inf,
+                         max_iters=min(cfg.max_iters, COARSE_MAX_ITERS))
+    return [_Descent(nl, kernel.restrict(coarse_grid), coarse_cfg,
                      GroupAction(group, coarse_grid)), fine]
 
 
@@ -511,8 +510,8 @@ def _own_half(base):
 
 def _least_ray_start(nl, kernel, action, base):
     """The orbit-bump start over SPACINGS of least ray maximum a(t_u), from
-    one evaluation of each on the action's half grid with the kernel of its
-    M: the peak selection of the local minimax method (Li & Zhou, SIAM J.
+    one evaluation of each on the action's half grid with the kernel on its
+    grid: the peak selection of the local minimax method (Li & Zhou, SIAM J.
     Sci. Comput. 23, 2001) applied to the start.  The base is folded onto
     its own half once per scan.  Candidates with no Pohozaev root are
     skipped; the start is the last one built, spaced 6R, when none has

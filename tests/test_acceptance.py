@@ -18,9 +18,10 @@ from scipy.optimize import brentq
 
 from choquard.analysis import annotate_report, decay_fit, nodal_domains
 from choquard.coxeter import from_name
-from choquard.field import Field, GridSpec, GroupAction, act, dilate
+from choquard.field import Field, GridSpec, GroupAction, act, dilate, translate
 from choquard.functionals import (
     _assemble,
+    _state_parts,
     evaluate,
     evaluate_with_gradient,
     pohozaev_root,
@@ -410,6 +411,32 @@ def test_coarse_stage_halves_the_yardstick_iterations(ref_ground, ref_a1, plane,
         assert rep.iters <= most, (rep.group, rep.iters)
 
 
+@pytest.mark.parametrize("name,grid,alpha", [("ref3d", REF_GRID, REF_ALPHA),
+                                             ("plane2d", PLANE_GRID, PLANE_ALPHA)])
+def test_the_restricted_kernel_gives_the_coarse_half_the_fine_energy(
+        request, name, grid, alpha):
+    """The fine ground state, restricted onto the all-even M/2 half, keeps
+    its fine energy to 1e-6 under the fine kernel restricted to M/2, so the
+    coarse level solves the fine problem; under the kernel built on M/2 it
+    lies off by that kernel's quadrature error (ref3d 4.0e-3, plane2d
+    9.6e-4)."""
+    ground = (request.getfixturevalue("ref_ground") if name == "ref3d"
+              else request.getfixturevalue("plane")["ground"])
+    coarse = GridSpec(grid.dim, grid.M // 2, grid.L)
+    half = GridSpec(grid.dim, grid.M // 2, grid.L, (1,) * grid.dim)
+    a = translate(ground.field, np.zeros(grid.dim), half).data
+
+    def offset(kernel):
+        energy = _state_parts(NL, kernel, a, half)[0].energy
+        return abs(energy - ground.energy) / ground.energy
+
+    restricted = offset(get_kernel(grid, alpha).restrict(coarse))
+    built = offset(RieszKernel(coarse, alpha))
+    print(f"{name}: coarse energy off by {restricted:.2e} restricted, {built:.2e} built")
+    assert restricted <= 1e-6
+    assert built >= 5e-4
+
+
 def test_warm_start_on_a_yardstick_grid_skips_the_coarse_stage(plane):
     """A converged start the caller gives is its own solution: no coarse
     descent moves it off the fine critical point."""
@@ -439,9 +466,9 @@ def _scan_spacing(monkeypatch, kernel, action, base):
 
 def test_coarse_scan_picks_the_fine_scan_spacing(monkeypatch, ref_ground, plane,
                                                  wide_i23):
-    """The saddle-start scan of a yardstick solve runs on the M/2 grid; from
-    the yardstick ground fields it picks the spacing the scan on the solve
-    grid picks."""
+    """The saddle-start scan of a yardstick solve runs on the M/2 grid with
+    the fine kernel restricted to it; from the yardstick ground fields it
+    picks the spacing the scan on the solve grid picks."""
     cases = [("ref3d A1", REF_GRID, REF_ALPHA, "A1", ref_ground),
              ("plane2d A1", PLANE_GRID, PLANE_ALPHA, "A1", plane["ground"]),
              ("plane2d I2:2", PLANE_GRID, PLANE_ALPHA, "I2:2", plane["ground"]),
@@ -449,8 +476,9 @@ def test_coarse_scan_picks_the_fine_scan_spacing(monkeypatch, ref_ground, plane,
     for name, grid, alpha, tag, ground in cases:
         group = from_name(tag)
         coarse = solver._coarse_grid(grid)
-        picks = [_scan_spacing(monkeypatch, get_kernel(g, alpha), GroupAction(group, g),
-                               ground.field) for g in (grid, coarse)]
+        fine = get_kernel(grid, alpha)
+        picks = [_scan_spacing(monkeypatch, k, GroupAction(group, k.grid), ground.field)
+                 for k in (fine, fine.restrict(coarse))]
         assert picks[0] == picks[1], (name, picks)
 
 

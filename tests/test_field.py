@@ -511,6 +511,19 @@ def test_parity_fold_is_exact_and_idempotent(parity):
     assert abs(np.sum((a - b) * b)) <= 1e-12 * np.sum(a * a)
 
 
+
+@pytest.mark.parametrize("parity", [(1, 1, 1), (-1, 1, 1), (-1, -1, 0), (0, 0, 0)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_fold_is_the_positive_half_of_parity_fold_bit_for_bit(parity):
+    """GridSpec.fold averages half by half, never the whole grid, and gives
+    the positive halves of parity_fold to the last bit."""
+    half = GridSpec(3, 32, 4.0, parity)
+    a = np.random.default_rng(7).standard_normal((32,) * 3)
+    want = parity_fold(a, parity)[tuple(slice(16, None) if s else slice(None)
+                                        for s in parity)]
+    assert np.array_equal(half.fold(a), want)
+
+
 _C, _S = np.cos(0.3), np.sin(0.3)
 
 

@@ -260,6 +260,36 @@ def test_kernel_samples_are_read_only():
         kern.spectrum[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("dim,M,coarse_m,alpha", [(2, 32, 16, 1.0), (3, 16, 8, 2.0),
+                                                   (2, 32, 20, 0.5), (3, 16, 16, 2.5)])
+def test_restricted_kernel_keeps_the_fine_multipliers(dim, M, coarse_m, alpha):
+    """The kernel restricted to M' <= M on the same box multiplies by the
+    fine DCT-I entries 0..M' per axis, scaled by (h/h')^N = (M'/M)^N, and
+    samples their inverse DCT-I; both arrays are read-only."""
+    kern = RieszKernel(GridSpec(dim, M, 4.0), alpha)
+    grid = GridSpec(dim, coarse_m, 4.0)
+    coarse = kern.restrict(grid)
+    assert (coarse.grid, coarse.alpha, kern.grid.M) == (grid, alpha, M)
+    np.testing.assert_array_equal(
+        coarse.spectrum,
+        kern.spectrum[(slice(0, coarse_m + 1),) * dim] * (coarse_m / M) ** dim)
+    np.testing.assert_allclose(scipy.fft.dctn(coarse.sampled, type=1), coarse.spectrum,
+                               rtol=0.0, atol=1e-13 * np.max(np.abs(coarse.spectrum)))
+    for arr in (coarse.sampled, coarse.spectrum):
+        with pytest.raises(ValueError):
+            arr[(0,) * dim] = 0.0
+    if coarse_m == M:
+        np.testing.assert_allclose(coarse.sampled, kern.sampled, rtol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 16, 5.0), GridSpec(3, 16, 4.0),
+                                  GridSpec(2, 64, 4.0), GridSpec(2, 16, 4.0, (1, 1))],
+                         ids=["box", "dim", "finer", "half"])
+def test_restriction_to_another_box_dim_or_finer_grid_is_refused(grid):
+    with pytest.raises(IncompatibleGrid):
+        RieszKernel(GridSpec(2, 32, 4.0), 1.0).restrict(grid)
+
+
 def test_kernel_build_memory_is_bounded_by_the_half_grid():
     """Only the (M+1)^N samples and their DCT-I are built and kept."""
     grid = GridSpec(3, 64, 12.0)

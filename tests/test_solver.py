@@ -518,8 +518,11 @@ def _scripted_descents(monkeypatch, grid, coarse_energies=None,
 
 
 def _kernel_stub(grid, alpha=1.0):
-    """What _solve reads of the fine kernel when the descents are scripted."""
-    return SimpleNamespace(grid=grid, alpha=alpha)
+    """What _solve reads of the fine kernel when the descents are scripted;
+    its restriction to a coarse grid is the real kernel's, built only when a
+    coarse stage asks for it."""
+    return SimpleNamespace(grid=grid, alpha=alpha,
+                           restrict=lambda coarse: RieszKernel(grid, alpha).restrict(coarse))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(3, 64, 12.0),
@@ -527,9 +530,10 @@ def _kernel_stub(grid, alpha=1.0):
                          ids=["plane2d", "ref3d", "160^2", "32^3"])
 def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, grid):
     """On a yardstick grid, and on the smallest grids at the floor, each
-    restart descends on the M/2 grid of the same box to COARSE_GRAD_TOL with
-    no Pohozaev bound, from the Gaussian built on the coarse half, and the
-    fine descent starts from the prolonged result."""
+    restart descends on the M/2 grid of the same box to the solve's
+    grad_tol, with no Pohozaev bound and at most COARSE_MAX_ITERS
+    iterations, from the Gaussian built on the coarse half, and the fine
+    descent starts from the prolonged result."""
     runs = _scripted_descents(monkeypatch, grid)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
@@ -537,12 +541,32 @@ def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, gri
     fine = replace(grid, parity=(1,) * grid.dim)
     assert [g for g, _, _ in runs] == [coarse, fine]
     (_, coarse_cfg, coarse_start), (_, fine_cfg, fine_start) = runs
-    assert (coarse_cfg.grad_tol, coarse_cfg.pohozaev_tol) == (1e-3, np.inf)
+    assert coarse_cfg == replace(SolverConfig(restarts=1), pohozaev_tol=np.inf,
+                                 max_iters=solver.COARSE_MAX_ITERS)
     assert fine_cfg == SolverConfig(restarts=1)
     np.testing.assert_array_equal(coarse_start, _gaussian_seed(coarse))
     np.testing.assert_array_equal(
         fine_start,
         translate(Field(coarse, 2.0 * coarse_start), np.zeros(grid.dim), fine).data)
+
+
+@pytest.mark.parametrize("max_iters", [40, 4000])
+def test_the_coarse_level_takes_the_solve_tolerance_and_a_capped_budget(max_iters):
+    """The coarse descent runs with the solve's own grad_tol, no Pohozaev
+    bound and the solve's budget capped at COARSE_MAX_ITERS, on the fine
+    kernel restricted to the M/2 grid; the fine descent keeps the solve's
+    settings and kernel."""
+    grid = GridSpec(2, 256, 16.0)
+    kernel = RieszKernel(grid, 1.0)
+    cfg = SolverConfig(max_iters=max_iters, grad_tol=3e-5, restarts=1)
+    coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"), grid,
+                                  solver._coarse_grid(grid))
+    assert (fine.cfg, fine.kernel) == (cfg, kernel)
+    assert coarse.cfg == replace(cfg, pohozaev_tol=np.inf,
+                                 max_iters=min(max_iters, solver.COARSE_MAX_ITERS))
+    assert coarse.kernel.grid == GridSpec(2, 128, 16.0)
+    np.testing.assert_array_equal(coarse.kernel.spectrum,
+                                  kernel.spectrum[:129, :129] * 2.0 ** -2)
 
 
 @pytest.mark.parametrize("grid,given", [
@@ -611,7 +635,8 @@ def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
                                                                     grid):
     """Without init, on a grid with a coarse stage, the scan builds one
     candidate per spacing on the coarse action's half, evaluates each with
-    the M/2 kernel, and its winner is the coarse descent's start."""
+    the fine kernel restricted to M/2, and its winner is the coarse
+    descent's start."""
     runs = _scripted_descents(monkeypatch, grid)
     built, evaluated = _recorded_scan(monkeypatch)
     base = _even_base(grid)
@@ -622,7 +647,7 @@ def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
     coarse = coarse_action.half
     assert built == [coarse] * len(solver.SPACINGS)
     assert evaluated == [(coarse_action.grid, coarse)] * len(solver.SPACINGS)
-    expected = _least_ray_start(NL, solver.get_kernel(coarse_action.grid, 1.0),
+    expected = _least_ray_start(NL, RieszKernel(grid, 1.0).restrict(coarse_action.grid),
                                 coarse_action, base)
     assert runs[0][0] == coarse
     np.testing.assert_array_equal(runs[0][2], expected.data)
