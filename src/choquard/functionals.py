@@ -272,8 +272,11 @@ def _state_parts(nl, kernel, a, grid, coeff=None):
     a_val = float(grid.cell_volume * np.sum(sine_multipliers(grid) * coeff ** 2))
     b_val = float(grid.weight * np.sum(a ** 2))
     f_of_u = nl.F(a)
-    conv = kernel.convolve_array(f_of_u, grid.folded)
-    q_val = float(grid.weight * np.sum(conv * f_of_u))
+    # an F(u) past the float range gives a Q that is not finite, which
+    # _ensure_positive_q and pohozaev_root refuse
+    with np.errstate(over="ignore"):
+        conv = kernel.convolve_array(f_of_u, grid.folded)
+        q_val = float(grid.weight * np.sum(conv * f_of_u))
     state = _assemble(grid.dim, kernel.alpha, a_val, b_val, q_val)
     return state, coeff, conv
 

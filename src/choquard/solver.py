@@ -35,17 +35,16 @@ group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
 A solve is a ladder of descent levels (nested iteration: Brandt, Math. Comp.
 31, 1977), built once per solve by `_levels`.  When `solve_saddle` chose the
-start itself and the grid has M divisible by 4 and at least COARSE_MIN_NODES
-nodes, the ladder starts on the M/2 grid of the same box with the fine
-kernel restricted to it, so the coarse descent solves the fine problem up to
-aliasing, to the same grad_tol with no Pohozaev bound and at most
-COARSE_MAX_ITERS iterations, and the fine level confirms it; otherwise the
-ladder is the fine level alone.  The start is built on the first level, and
-each restart adds its noise built there.  One race, `_solve`'s, picks the
-solve: restarts descend on the first level and, in order of that energy,
-carry their results up the ladder until one converges on the last.  A
-descent that raises NoDescent, NonpositiveQ or SymmetryDrift loses the race,
-on every level.
+start itself and the M/2 grid of the same box exists (`_coarse_grid`), the
+ladder starts there with the fine kernel restricted to it, so the coarse
+descent solves the fine problem up to aliasing, to the same grad_tol with no
+Pohozaev bound and at most COARSE_MAX_ITERS iterations, and the fine level
+confirms it; otherwise the ladder is the fine level alone.  The start is
+built on the first level, and each restart adds its noise built there.  One
+race, `_solve`'s, picks the solve: restarts descend on the first level and,
+in order of that energy, carry their results up the ladder until one
+converges on the last.  A descent that raises NoDescent, NonpositiveQ or
+SymmetryDrift loses the race, on every level.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -105,12 +104,6 @@ ENERGY_WINDOW = 5
 # Orbit spacings, in bump radii, of the candidate saddle starts; the last,
 # 6, keeps the supports disjoint and is the start when no candidate serves.
 SPACINGS = (1.0, 1.5, 2.0, 3.0, 6.0)
-# The floor of the coarse stage: the smallest grid on which it was measured
-# to shorten the solve at two seeds, 160^2 (chains of ground, A1 and I2:2
-# solves, -20% wall time); at 128^2 the outcome was mixed and at 64^2 and
-# 96^2 the coarse kernel and descent cost more than they saved
-# (BENCH_31.json, "coarse_floor").
-COARSE_MIN_NODES = 160 ** 2
 COARSE_MAX_ITERS = 100  # a plateau's budget; the yardsticks take at most 14
 
 
@@ -342,9 +335,9 @@ def _projector(action):
 
 
 def _coarse_grid(grid):
-    """The M/2 grid of the same box for the coarse stage, or None where the
-    grid has fewer than COARSE_MIN_NODES nodes or M/2 is odd."""
-    if grid.M % 4 or grid.M ** grid.dim < COARSE_MIN_NODES:
+    """The M/2 grid of the same box, the first level of a ladder wherever it
+    exists, or None where it does not: M/2 odd or below GridSpec's least M, 8."""
+    if grid.M % 4 or grid.M // 2 < 8:
         return None
     return GridSpec(grid.dim, grid.M // 2, grid.L)
 

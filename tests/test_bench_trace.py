@@ -63,8 +63,10 @@ def test_tracer_counts_match_an_untraced_chain(tracer_module):
     assert restored
     assert [_outcome(r) for r in traced] == [_outcome(r) for r in plain]
     m = tracer_module.summarize(tr.spans, 0)
-    assert m["solver.iters"] == sum(r.iters for r in traced)
-    assert m["solver.restarts.attempted"] == 2
+    # the tracer counts descents, not restarts (a FOUND note in CHANGES.md):
+    # each solve here descends on the 32^2 grid, then confirms on 64^2
+    assert m["solver.iters"] == sum(r.iters + r.coarse_iters for r in traced) == 36
+    assert m["solver.restarts.attempted"] == 4
     assert m["solver.restarts.failed"] == 0
     assert m["riesz.convolve.calls"] > 0
     assert m["solver.retraction.calls"] > 0

@@ -137,7 +137,7 @@ def test_report_json_round_trip(ground):
         "symmetry_residual", "nodal_count", "decay_rate", "boundary_amplitude",
         "wall_clock",
     }
-    assert d["coarse_iters"] == 0  # a 64^2 grid has no coarse stage
+    assert d["coarse_iters"] == 8  # the 32^2 descent of the winning restart
     assert d["grid"] == {"dim": 2, "M": 64, "L": 10.0}
     assert d["nonlinearity"] == "power:p=2"
     parsed = json.loads(json.dumps(d))
@@ -440,7 +440,8 @@ def test_each_restart_start_is_convolved_once(kernel, monkeypatch):
 
 def test_trivial_group_solve_is_the_ground_solve(kernel, ground, monkeypatch):
     """solve_saddle of the trivial group is solve_ground bit for bit: one
-    descent per restart (one Q > 0 check each) and no spacing scan."""
+    Q > 0 check per descent, a coarse one per restart and the winner's fine
+    one, and no spacing scan."""
     def no_scan(*args):
         raise AssertionError("the spacing scan ran")
 
@@ -450,20 +451,21 @@ def test_trivial_group_solve_is_the_ground_solve(kernel, ground, monkeypatch):
     monkeypatch.setattr(solver, "_ensure_positive_q",
                         lambda *args: checks.append(None) or ensure(*args))
     rep = solve_saddle(from_name("trivial"), NL, kernel, GRID, CFG)
-    assert len(checks) == CFG.restarts
+    assert len(checks) == CFG.restarts + 1
     assert (rep.energy, rep.iters) == (ground.energy, ground.iters)
     assert rep.restart_energies == ground.restart_energies
     assert rep.field.data.tobytes() == ground.field.data.tobytes()
 
 
 @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 64, 12.0),
-                                  GridSpec(2, 256, 16.0), GridSpec(2, 256, 24.0)],
-                         ids=["test", "ref3d", "plane2d", "wide_i23"])
+                                  GridSpec(2, 256, 16.0), GridSpec(2, 256, 24.0),
+                                  GridSpec(2, 12, 3.0)],
+                         ids=["test", "ref3d", "plane2d", "wide_i23", "12^2"])
 def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
     """The trivial group's start is the Gaussian built on the half its first
-    descent runs on, the coarse half where the grid has a coarse stage,
-    equal bit for bit to the Gaussian of that half's full grid folded; no
-    solve runs."""
+    descent runs on, the coarse half where the grid has a coarse stage (not
+    at M = 12, whose M/2 is below 8), equal bit for bit to the Gaussian of that
+    half's full grid folded; no solve runs."""
     starts = []
 
     def capture(cfg, init, levels):
@@ -475,7 +477,7 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     (init, levels), = starts
     first = levels[0]
-    assert levels[-1].action.grid == grid and (len(levels) == 1) == (grid == GRID)
+    assert levels[-1].action.grid == grid and (len(levels) == 1) == (grid.M == 12)
     assert first.action.grid == (grid if len(levels) == 1
                                  else GridSpec(grid.dim, grid.M // 2, grid.L))
     assert init.grid == first.grid
@@ -526,11 +528,14 @@ def _kernel_stub(grid, alpha=1.0):
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(3, 64, 12.0),
-                                  GridSpec(2, 160, 16.0), GridSpec(3, 32, 8.0)],
-                         ids=["plane2d", "ref3d", "160^2", "32^3"])
+                                  GridSpec(2, 160, 16.0), GridSpec(3, 32, 8.0),
+                                  GridSpec(2, 64, 10.0), GridSpec(2, 96, 12.0),
+                                  GridSpec(3, 28, 8.0), GridSpec(2, 16, 4.0)],
+                         ids=["plane2d", "ref3d", "160^2", "32^3", "64^2", "96^2",
+                              "28^3", "16^2"])
 def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, grid):
-    """On a yardstick grid, and on the smallest grids at the floor, each
-    restart descends on the M/2 grid of the same box to the solve's
+    """On a yardstick grid, and on every grid whose M/2 grid exists, down to
+    M = 16 and its 8^2 half, each restart descends on the M/2 grid of the same box to the solve's
     grad_tol, with no Pohozaev bound and at most COARSE_MAX_ITERS
     iterations, from the Gaussian built on the coarse half, and the fine
     descent starts from the prolonged result."""
@@ -571,15 +576,13 @@ def test_the_coarse_level_takes_the_solve_tolerance_and_a_capped_budget(max_iter
 
 @pytest.mark.parametrize("grid,given", [
     (GridSpec(2, 258, 16.0), False),   # M % 4 != 0
-    (GridSpec(2, 156, 16.0), False),   # M^N < COARSE_MIN_NODES
-    (GridSpec(2, 128, 16.0), False),   # M^N < COARSE_MIN_NODES
-    (GridSpec(3, 28, 8.0), False),     # M^N < COARSE_MIN_NODES
+    (GridSpec(2, 8, 4.0), False),      # M/2 = 4, below GridSpec's least M
+    (GridSpec(2, 12, 4.0), False),     # M/2 = 6, below GridSpec's least M
     (GridSpec(2, 256, 16.0), True),    # the caller's start
-], ids=["M%4", "156^2", "128^2", "28^3", "init"])
+], ids=["M%4", "8^2", "12^2", "init"])
 def test_no_coarse_stage_off_the_rule(monkeypatch, grid, given):
-    """A grid whose M/2 is odd or with fewer than COARSE_MIN_NODES nodes,
-    or a start the caller gives, runs the fine descent alone, from the start
-    itself."""
+    """A grid whose M/2 is odd or below 8, or a start the caller gives, runs
+    the fine descent alone, from the start itself."""
     runs = _scripted_descents(monkeypatch, grid)
     fine = replace(grid, parity=(1,) * grid.dim)
     start = Field(fine, _gaussian_seed(fine))
@@ -653,21 +656,21 @@ def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
     np.testing.assert_array_equal(runs[0][2], expected.data)
 
 
-@pytest.mark.parametrize("given", [False, True], ids=["64^2", "init"])
-def test_the_scan_stays_on_the_fine_half_off_the_rule(kernel, ground, monkeypatch,
-                                                      given):
-    """On the 64^2 test grid the scan builds and evaluates its candidates on
-    the fine half with the fine kernel, as without a coarse stage; a start
-    the caller gives on a yardstick grid runs no scan and no coarse
-    descent."""
-    grid = GridSpec(2, 256, 16.0) if given else GRID
+@pytest.mark.parametrize("given", [False, True], ids=["M%4", "init"])
+def test_the_scan_stays_on_the_fine_half_off_the_rule(monkeypatch, given):
+    """On a grid whose M/2 is odd the scan builds and evaluates its
+    candidates on the fine half with the fine kernel, as without a coarse
+    stage; a start the caller gives on a yardstick grid runs no scan and no
+    coarse descent."""
+    grid = GridSpec(2, 256, 16.0) if given else GridSpec(2, 66, 10.0)
     runs = _scripted_descents(monkeypatch, grid)
     built, evaluated = _recorded_scan(monkeypatch)
     action = GroupAction(from_name("A1"), grid)
     init = build_initializer(action, _even_base(grid)) if given else None
     with pytest.raises(NoDescent, match="scripted"):
-        solve_saddle(from_name("A1"), NL, _kernel_stub(grid) if given else kernel,
-                     grid, SolverConfig(restarts=1), base=ground.field, init=init)
+        solve_saddle(from_name("A1"), NL,
+                     _kernel_stub(grid) if given else RieszKernel(grid, 1.0), grid,
+                     SolverConfig(restarts=1), base=_even_base(grid), init=init)
     n = 0 if given else len(solver.SPACINGS)
     assert built == [action.half] * n
     assert evaluated == [(grid, action.half)] * n
@@ -810,10 +813,10 @@ def test_coarse_stage_restart_energies_are_the_coarse_levels(monkeypatch,
 
 def test_without_a_coarse_stage_every_restart_descends_and_the_lowest_wins(
         monkeypatch):
-    """Below the coarse floor each restart runs its fine descent, the
+    """On a grid whose M/2 is odd each restart runs its fine descent, the
     lowest fine energy wins, and restart_energies are the fine energies,
     NaN where a fine descent failed."""
-    grid = GridSpec(2, 128, 16.0)
+    grid = GridSpec(2, 130, 16.0)
     runs = _scripted_descents(monkeypatch, grid, fine_energies={0: 7.5, 2: 7.25})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
     fine = replace(grid, parity=(1, 1))
@@ -823,7 +826,7 @@ def test_without_a_coarse_stage_every_restart_descends_and_the_lowest_wins(
     np.testing.assert_array_equal(rep.restart_energies, [7.5, np.nan, 7.25])
 
 
-@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(2, 128, 16.0)],
+@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(2, 130, 16.0)],
                          ids=["coarse-stage", "fine-only"])
 def test_a_drifting_descent_loses_the_race(monkeypatch, grid):
     """SymmetryDrift in a restart's last descent loses the race as any
@@ -859,23 +862,45 @@ def test_half_grid_solves_keep_the_full_grid_energies(ground, saddle):
     """Energies and iteration counts of the Barzilai-Borwein step with the
     nonmonotone acceptance on the half grid, each iterate projected once
     after its dilation, the saddle started at the least ray maximum over
-    SPACINGS; a change to the step rule, to the start, to where the
-    descent projects or to the half-grid arithmetic moves them."""
-    assert ground.energy == pytest.approx(1.905239053117299, rel=1e-9, abs=0.0)
-    assert saddle.energy == pytest.approx(3.2534875445509903, rel=1e-9, abs=0.0)
-    assert (ground.iters, saddle.iters) == (8, 32)
+    SPACINGS, each solve descending on the 32^2 grid first and confirmed on
+    the 64^2 grid; a change to the step rule, to the start, to where the
+    descent projects, to the ladder or to the half-grid arithmetic moves
+    them."""
+    assert ground.energy == pytest.approx(1.9052390504820544, rel=1e-9, abs=0.0)
+    assert saddle.energy == pytest.approx(3.2534875444637374, rel=1e-9, abs=0.0)
+    assert ((ground.iters, ground.coarse_iters),
+            (saddle.iters, saddle.coarse_iters)) == ((1, 8), (0, 27))
+
+
+def test_the_ladder_reaches_the_fine_only_solutions(kernel, ground, saddle):
+    """On the 64^2 test grid the ladder's ground and A1 saddle lie within
+    1e-8 relative energy of the fine descent alone from the same start,
+    given as init: the Gaussian, and the scan's start on the fine half from
+    the same ground; the nodal counts agree."""
+    cfg = SolverConfig(seed=0, restarts=1)
+    fine_ground = solve_ground(NL, kernel, GRID, cfg,
+                               init=Field(GRID, _gaussian_seed(GRID)))
+    action = GroupAction(from_name("A1"), GRID)
+    fine_saddle = solve_saddle(from_name("A1"), NL, kernel, GRID, cfg,
+                               init=_least_ray_start(NL, kernel, action, ground.field))
+    for ladder, fine in [(ground, fine_ground), (saddle, fine_saddle)]:
+        assert fine.coarse_iters == 0 and fine.iters > 0
+        assert ladder.energy == pytest.approx(fine.energy, rel=1e-8, abs=0.0)
+        assert nodal_domains(ladder.field).count == nodal_domains(fine.field).count
 
 
 def test_scanned_and_widest_starts_reach_the_same_saddle(kernel, ground):
     """At a tight gradient tolerance the scanned start and the 6R start
     converge to one discrete critical energy: the scan changes the path,
-    not the critical point the pin above approximates."""
+    not the critical point the pin above approximates.  Both are given as
+    init, so both descend on the fine grid alone."""
     group = from_name("A1")
     action = GroupAction(group, GRID)
     cfg = SolverConfig(seed=0, restarts=1, grad_tol=1e-9)
     widest = solve_saddle(group, NL, kernel, GRID, cfg,
                           init=build_initializer(action, ground.field, 6.0))
-    scanned = solve_saddle(group, NL, kernel, GRID, cfg, base=ground.field)
+    scanned = solve_saddle(group, NL, kernel, GRID, cfg,
+                           init=_least_ray_start(NL, kernel, action, ground.field))
     assert scanned.energy == pytest.approx(widest.energy, rel=1e-12, abs=0.0)
     assert scanned.iters < widest.iters
 
