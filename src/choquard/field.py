@@ -101,8 +101,8 @@ class GridSpec:
         return (np.arange(self.M) + 1) * np.pi / (2.0 * self.L)
 
     def axis_coords(self, axis: int = None) -> np.ndarray:
-        """Node coordinates; along a folded axis, its positive half."""
-        c = -self.L + (np.arange(self.M) + 0.5) * self.h
+        """Node coordinates, mirror-exact; along a folded axis, its positive half."""
+        c = (np.arange(self.M) - (self.M - 1) / 2) * self.h
         return c[self.M // 2:] if axis is not None and self.parity[axis] else c
 
     def fold(self, a: np.ndarray) -> np.ndarray:

@@ -35,16 +35,17 @@ group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
 A solve is a ladder of descent levels (nested iteration: Brandt, Math. Comp.
 31, 1977), built once per solve by `_levels`.  When `solve_saddle` chose the
-start itself and the M/2 grid of the same box exists (`_coarse_grid`), the
-ladder starts there with the fine kernel restricted to it, so the coarse
-descent solves the fine problem up to aliasing, to the same grad_tol with no
-Pohozaev bound and at most COARSE_MAX_ITERS iterations, and the fine level
-confirms it; otherwise the ladder is the fine level alone.  The start is
-built on the first level, and each restart adds its noise built there.  One
-race, `_solve`'s, picks the solve: restarts descend on the first level and,
-in order of that energy, carry their results up the ladder until one
-converges on the last.  A descent that raises NoDescent, NonpositiveQ or
-SymmetryDrift loses the race, on every level.
+start itself, the M/2 grid of the same box (`_coarse_grid`) and each M/2
+grid below it with h <= 1 are levels on the fine kernel restricted to them:
+the first solves the fine problem up to aliasing, to the same grad_tol with
+no Pohozaev bound and at most COARSE_MAX_ITERS iterations, and the levels
+above confirm it, with no retraction where a start already meets both
+tolerances in the class; otherwise the ladder is the fine level alone.  The
+start is built on the first level, and each restart adds its noise built
+there.  One race, `_solve`'s, picks the solve: restarts descend on the first
+level and, in order of that energy, carry their results up the ladder until
+one converges on the last.  A descent that raises NoDescent, NonpositiveQ
+or SymmetryDrift loses the race, on every level.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -104,7 +105,7 @@ ENERGY_WINDOW = 5
 # Orbit spacings, in bump radii, of the candidate saddle starts; the last,
 # 6, keeps the supports disjoint and is the start when no candidate serves.
 SPACINGS = (1.0, 1.5, 2.0, 3.0, 6.0)
-COARSE_MAX_ITERS = 100  # a plateau's budget; the yardsticks take at most 14
+COARSE_MAX_ITERS = 100  # a plateau's budget; a yardstick level takes at most 15
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class _Descent:
         self.kernel = kernel
         self.grid = action.half
         self.cfg = cfg
-        self.project = _projector(action) or (lambda a: a)
+        self.project = _projector(action)
         self.action = action
 
     # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
@@ -205,7 +206,15 @@ class _Descent:
         w = dilate(Field(self.grid, a), t).data
         return _state_parts(self.nl, self.kernel, w, self.grid)[0].energy
 
-    def _retraction_root(self, a, state, coeff, conv):
+    def _near_gradient(self, a, state, coeff, conv):
+        """a's continuum Pohozaev root t0, and its L^2 gradient where
+        |t0 - 1| <= 0.05 (near the manifold), else None."""
+        t0 = pohozaev_root(state, self.grid.dim, self.kernel.alpha)
+        if abs(t0 - 1.0) > 0.05:
+            return t0, None
+        return t0, _gradient_from_parts(self.nl, self.kernel, a, coeff, conv, self.grid)
+
+    def _retraction_root(self, a, state, coeff, conv, near=None):
         """Dilation factor that restores the zero-Pohozaev condition.
 
         Far from the critical point this is the root of the continuum
@@ -215,36 +224,45 @@ class _Descent:
         ray derivative d/dt E_h(u(./t)) at t = 1 = -<grad E_h(u), x . grad u>_h;
         the root is then 1 exactly where the grid energy is stationary on the ray.
         A defect so large that the folded Q is not positive is not folded:
-        the continuum root is returned instead.
+        the continuum root is returned instead.  near is a's `_near_gradient`.
         """
         dim, alpha = self.grid.dim, self.kernel.alpha
-        t0 = pohozaev_root(state, dim, alpha)
-        if abs(t0 - 1.0) > 0.05:
+        t0, grad = near or self._near_gradient(a, state, coeff, conv)
+        if grad is None:
             return t0
-        grad = _gradient_from_parts(self.nl, self.kernel, a, coeff, conv, self.grid)
         p_h = -self.grid.weight * np.sum(grad * x_dot_grad_array(self.grid, coeff))
         q = float(state.Q - 2.0 * (p_h - state.pohozaev) / (dim + alpha))
         if not (q > 0.0):
             return t0
         return pohozaev_root(replace(state, Q=q), dim, alpha)
 
-    def _retract(self, a, state, coeff, conv):
+    def _retract(self, a, state, coeff, conv, near=None):
         """Dilate a back onto the ray maximum, project it into the class and
         evaluate it there: the one place where an iterate enters the class.
         The dilation reads a's sine coefficients coeff from its evaluation."""
-        t = self._retraction_root(a, state, coeff, conv)
-        a = self.project(dilate(Field(self.grid, a), t, coeff).data)
+        t = self._retraction_root(a, state, coeff, conv, near)
+        a = dilate(Field(self.grid, a), t, coeff).data
+        a = self.project(a) if self.project else a
         return (a, *_state_parts(self.nl, self.kernel, a, self.grid))
 
     def run(self, a0: np.ndarray):
         """Descend from a0, evaluated once here; its amplitude is doubled
-        first where its Q is not positive."""
+        first where its Q is not positive.  A start near the manifold that
+        meets both tolerances in the class is returned with no retraction."""
         cfg = self.cfg
         grid = self.grid
         nl, kernel = self.nl, self.kernel
         a0, parts = _ensure_positive_q(nl, kernel, a0, grid,
                                        _state_parts(nl, kernel, a0, grid))
-        a, state, coeff, conv = self._retract(a0, *parts)
+        near = self._near_gradient(a0, *parts)
+        # in the class as it is where the half holds it or |.| leaves a0;
+        # an averaging projector is not called to decide
+        held = self.project is None or (self.project is np.abs and np.all(a0 >= 0))
+        if near[1] is not None and held:
+            grad_res, p_res = residuals(grid, parts[0], near[1])
+            if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
+                return a0, parts[0], grad_res, p_res, 0
+        a, state, coeff, conv = self._retract(a0, *parts, near)
         # energies of the last accepted iterates: a trial is accepted when
         # it does not rise above the highest of them (nonmonotone descent)
         recent = deque([state.energy], maxlen=ENERGY_WINDOW)
@@ -335,24 +353,28 @@ def _projector(action):
 
 
 def _coarse_grid(grid):
-    """The M/2 grid of the same box, the first level of a ladder wherever it
-    exists, or None where it does not: M/2 odd or below GridSpec's least M, 8."""
+    """The M/2 grid of the same box, or None where it does not exist: M/2
+    odd or below GridSpec's least M, 8."""
     if grid.M % 4 or grid.M // 2 < 8:
         return None
     return GridSpec(grid.dim, grid.M // 2, grid.L)
 
 
 def _levels(nl, kernel, cfg, group, grid, coarse_grid):
-    """The ladder of descents of one solve, built once: [fine], or [coarse,
-    fine] on coarse_grid with the kernel restricted to it, to grad_tol with no
-    Pohozaev bound and at most COARSE_MAX_ITERS iterations."""
+    """The ladder of descents of one solve, built once, coarsest first: on
+    coarse_grid and each M/2 grid below it that keeps a node per unit
+    length, the decay length of -Delta + 1 (h <= 1), with the kernel
+    restricted to it, to grad_tol with no Pohozaev bound and at most
+    COARSE_MAX_ITERS iterations; then on the fine grid."""
     fine = _Descent(nl, kernel, cfg, GroupAction(group, grid))
-    if coarse_grid is None:
-        return [fine]
+    grids, g = [], coarse_grid
+    while g is not None and (not grids or g.h <= 1.0):
+        grids.insert(0, g)
+        g = _coarse_grid(g)
     coarse_cfg = replace(cfg, pohozaev_tol=np.inf,
                          max_iters=min(cfg.max_iters, COARSE_MAX_ITERS))
-    return [_Descent(nl, kernel.restrict(coarse_grid), coarse_cfg,
-                     GroupAction(group, coarse_grid)), fine]
+    return [_Descent(nl, kernel.restrict(g), coarse_cfg, GroupAction(group, g))
+            for g in grids] + [fine]
 
 
 def _attempt(level, a):
@@ -371,8 +393,8 @@ def _solve(cfg, init, levels):
     once onto the half; the noise of a restart r > 0 is built on that half.
     Every restart descends on the first level; in order of that energy,
     failed descents last, each restart then carries its result up the
-    later levels, prolonged through the sine interpolant (a failed
-    descent's own start instead), and the first whose last descent
+    later levels, prolonged through the sine interpolant (where a descent
+    failed, its own start prolonged instead), and the first whose last descent
     converges is the solve; with one level that is the lowest energy.  If
     none converges, the last failure is raised.  The report's field is
     unfolded from the last level's half and its symmetry residual measured.
@@ -400,8 +422,8 @@ def _solve(cfg, init, levels):
         for below, level in zip(levels, levels[1:]):
             if not isinstance(result, Exception):
                 a, coarse_iters = result[0], coarse_iters + result[4]
-            result = _attempt(level, translate(Field(below.grid, a), origin,
-                                               level.grid).data)
+            a = translate(Field(below.grid, a), origin, level.grid).data
+            result = _attempt(level, a)
         if not isinstance(result, Exception):
             break
     else:
@@ -532,9 +554,8 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     The start is init when given; else, for the trivial group, a Gaussian
     built on the half grid; else the least-ray-maximum orbit-bump start
     from base, which defaults to the ground state.  A start chosen here is
-    built on the first level of the ladder, which is the coarse stage
-    where `_coarse_grid` admits the grid, and the scan evaluates it there
-    with that level's kernel.
+    built on the first level of the ladder, its coarsest grid, and the scan
+    evaluates it there with that level's kernel.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")

@@ -447,6 +447,19 @@ def test_warm_start_on_a_yardstick_grid_skips_the_coarse_stage(plane):
     assert rep.energy == pytest.approx(ground.energy, rel=1e-10)
 
 
+def test_plane2d_i24_saddle_solves_with_eight_nodal_domains(plane):
+    """The four-fold dihedral saddle on the planar yardstick grid, as
+    `choquard solve --dim 2 --M 256 --L 16 --alpha 1 --group I2:4
+    --restarts 1` runs it, converges with one nodal domain per chamber of
+    the group's eight."""
+    rep = annotate_report(solve_saddle(
+        from_name("I2:4"), NL, get_kernel(PLANE_GRID, PLANE_ALPHA), PLANE_GRID,
+        SolverConfig(seed=0, restarts=1), base=plane["ground"].field))
+    assert rep.grad_residual <= 1e-4 and rep.p_residual <= 1e-3
+    assert rep.nodal_count == 8
+    assert rep.energy > plane["I2:2"].energy
+
+
 def _scan_spacing(monkeypatch, kernel, action, base):
     """The spacing of the start the saddle-start scan picks on the action's
     half grid with the kernel."""

@@ -38,6 +38,7 @@ from choquard.field import (
     zeros,
 )
 from choquard.functionals import evaluate, evaluate_with_gradient, power
+from choquard.solver import _gaussian_seed
 from choquard.riesz import get_kernel
 from helpers import node_mesh
 
@@ -105,6 +106,18 @@ def test_axis_coords_are_antisymmetric():
     ax = grid.axis_coords()
     np.testing.assert_allclose(ax, -ax[::-1], atol=0)
     assert ax[0] == pytest.approx(-4.0 + grid.h / 2)
+
+
+def test_axis_coords_are_mirror_exact_off_dyadic_steps():
+    """On 66^2 at L = 10, where h is not a dyadic fraction, the coordinates
+    are exact negatives of their mirrors, so the Gaussian built on the half
+    equals the folded full-grid Gaussian bit for bit."""
+    grid = GridSpec(2, 66, 10.0)
+    ax = grid.axis_coords()
+    assert np.array_equal(ax, -ax[::-1])
+    half = replace(grid, parity=(1, 1))
+    assert np.array_equal(half.axis_coords(0), ax[grid.M // 2:])
+    assert np.array_equal(_gaussian_seed(half), half.fold(_gaussian_seed(grid)))
 
 
 def test_field_shape_checked():

@@ -5,6 +5,7 @@ so the whole module runs in a few seconds while still converging to the
 configured tolerances.
 """
 
+import functools
 import itertools
 import json
 import re
@@ -127,6 +128,74 @@ def test_warm_start_converges_immediately(kernel, ground):
                        init=ground.field)
     assert rep.iters == 0
     assert rep.energy == pytest.approx(ground.energy, rel=1e-10)
+
+
+def _recorded_retractions(monkeypatch):
+    """Record each _retract call's input array."""
+    retract, calls = _Descent._retract, []
+
+    def recorded(self, a, *parts):
+        calls.append(a)
+        return retract(self, a, *parts)
+
+    monkeypatch.setattr(_Descent, "_retract", recorded)
+    return calls
+
+
+def test_a_converged_start_is_returned_without_a_retraction(kernel, ground,
+                                                            monkeypatch):
+    """A start that already meets grad_tol and pohozaev_tol in the class is
+    the descent's result as it stands: 0 iterations, no retraction, and the
+    residuals its own gradient gives."""
+    calls = _recorded_retractions(monkeypatch)
+    start = HALF.fold(ground.field.data)
+    a, state, grad_res, p_res, iters = _Descent(NL, kernel, CFG, TRIVIAL).run(start)
+    assert calls == [] and iters == 0
+    assert a is start
+    assert state.energy == ground.energy
+    assert (grad_res, p_res) == (ground.grad_residual, ground.p_residual)
+
+
+def test_a_converged_ground_start_with_a_negative_node_still_retracts(
+        kernel, ground, monkeypatch):
+    """|.| would change a ground start with one negative node, so the start
+    is retracted, and projected, before the descent judges it."""
+    calls = _recorded_retractions(monkeypatch)
+    start = HALF.fold(ground.field.data)
+    start[-1, -1] = -1e-12
+    a, _, grad_res, _, iters = _Descent(NL, kernel, CFG, TRIVIAL).run(start)
+    assert len(calls) == 1 and calls[0] is start
+    assert a.min() >= 0.0 and iters == 0 and grad_res <= CFG.grad_tol
+
+
+def test_an_averaging_class_start_still_retracts(kernel, ground, monkeypatch):
+    """For I2:3, whose projector averages over the group, the class of a
+    start is not checked by projecting it: a start near the manifold whose
+    residuals are scripted as converged is retracted once, and the group
+    average runs only inside that retraction."""
+    action = GroupAction(from_name("I2:3"), GRID)
+    built = build_initializer(action, ground.field)
+    state = _state_parts(NL, kernel, built.data, built.grid)[0]
+    start = dilate(built, pohozaev_root(state, GRID.dim, kernel.alpha)).data
+    descent = _Descent(NL, kernel, CFG, action)
+    assert descent._near_gradient(
+        start, *_state_parts(NL, kernel, start, built.grid))[1] is not None
+    averaged, retracting = [], []
+    average, retract = solver.symmetrize_array, _Descent._retract
+
+    def recorded_average(*args):
+        averaged.append(bool(retracting))
+        return average(*args)
+
+    def recorded_retract(self, *args):
+        retracting.append(None)
+        return retract(self, *args)
+
+    monkeypatch.setattr(solver, "symmetrize_array", recorded_average)
+    monkeypatch.setattr(_Descent, "_retract", recorded_retract)
+    monkeypatch.setattr(solver, "residuals", lambda grid, state, grad: (0.0, 0.0))
+    *_, iters = descent.run(start)
+    assert iters == 0 and len(retracting) == 1 and averaged == [True]
 
 
 def test_report_json_round_trip(ground):
@@ -457,14 +526,15 @@ def test_trivial_group_solve_is_the_ground_solve(kernel, ground, monkeypatch):
     assert rep.field.data.tobytes() == ground.field.data.tobytes()
 
 
-@pytest.mark.parametrize("grid", [GRID, GridSpec(3, 64, 12.0),
-                                  GridSpec(2, 256, 16.0), GridSpec(2, 256, 24.0),
-                                  GridSpec(2, 12, 3.0)],
-                         ids=["test", "ref3d", "plane2d", "wide_i23", "12^2"])
-def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
+@pytest.mark.parametrize("grid,first_m", [
+    (GRID, 32), (GridSpec(3, 64, 12.0), 32), (GridSpec(2, 256, 16.0), 32),
+    (GridSpec(2, 256, 24.0), 64), (GridSpec(2, 12, 3.0), 12),
+], ids=["test", "ref3d", "plane2d", "wide_i23", "12^2"])
+def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid,
+                                                           first_m):
     """The trivial group's start is the Gaussian built on the half its first
-    descent runs on, the coarse half where the grid has a coarse stage (not
-    at M = 12, whose M/2 is below 8), equal bit for bit to the Gaussian of that
+    descent runs on, the coarsest level of the ladder (the fine half at
+    M = 12, whose M/2 is below 8), equal bit for bit to the Gaussian of that
     half's full grid folded; no solve runs."""
     starts = []
 
@@ -477,23 +547,24 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     (init, levels), = starts
     first = levels[0]
-    assert levels[-1].action.grid == grid and (len(levels) == 1) == (grid.M == 12)
-    assert first.action.grid == (grid if len(levels) == 1
-                                 else GridSpec(grid.dim, grid.M // 2, grid.L))
+    assert levels[-1].action.grid == grid
+    assert first.action.grid == GridSpec(grid.dim, first_m, grid.L)
     assert init.grid == first.grid
     assert np.array_equal(init.data, first.grid.fold(_gaussian_seed(first.action.grid)))
 
 
 def _scripted_descents(monkeypatch, grid, coarse_energies=None,
-                       fine_energies=None):
+                       fine_energies=None, failing=()):
     """Replace _Descent.run by a script that records each descent's grid,
-    settings and start.  The k-th coarse descent (on the M/2 grid of the
-    solve's grid) returns twice its start after 3 iterations with energy
-    coarse_energies[k] (default k + 1), or raises where that entry is None.
-    The k-th fine descent (on the solve's grid) returns its start after 4
-    iterations with energy fine_energies[k] where that key is given, raises
-    it where it is an exception, and otherwise raises "scripted fine k"; by
-    default every fine descent raises, so no solve completes."""
+    settings and start.  Every descent below the solve's grid returns twice
+    its start after 3 iterations: on the first level, the grid of the first
+    descent, the k-th with energy coarse_energies[k] (default k + 1) or
+    raising "scripted coarse" where that entry is None; on a level between
+    the first and the fine one, raising "scripted level M" where its M is in
+    failing.  The k-th fine descent (on the solve's grid) returns its start
+    after 4 iterations with energy fine_energies[k] where that key is given,
+    raises it where it is an exception, and otherwise raises "scripted fine
+    k"; by default every fine descent raises, so no solve completes."""
     runs = []
     coarse = iter(coarse_energies if coarse_energies is not None
                   else itertools.count(1.0))
@@ -502,10 +573,12 @@ def _scripted_descents(monkeypatch, grid, coarse_energies=None,
 
     def run(self, a0):
         runs.append((self.grid, self.cfg, a0))
-        if 2 * self.grid.M == grid.M:
-            energy = next(coarse)
+        if self.grid.M < grid.M:
+            energy = next(coarse) if self.grid.M == runs[0][0].M else 0.0
             if energy is None:
                 raise NoDescent("scripted coarse")
+            if self.grid.M in failing:
+                raise NoDescent(f"scripted level {self.grid.M}")
             return 2.0 * a0, SimpleNamespace(energy=energy), 0.0, 0.0, 3
         assert self.grid.M == grid.M
         k = next(fine)
@@ -519,59 +592,85 @@ def _scripted_descents(monkeypatch, grid, coarse_energies=None,
     return runs
 
 
+def _carried(a, grids, failing=()):
+    """a, the start of a descent on grids[0], carried up the ladder grids as
+    `_solve` carries it under the script: each level's result, twice its
+    start, prolonged onto the next grid, or, where the level's M is in
+    failing, its start prolonged."""
+    for below, above in zip(grids, grids[1:]):
+        b = a if below.M in failing else 2.0 * a
+        a = translate(Field(below, b), np.zeros(below.dim), above).data
+    return a
+
+
 def _kernel_stub(grid, alpha=1.0):
     """What _solve reads of the fine kernel when the descents are scripted;
-    its restriction to a coarse grid is the real kernel's, built only when a
-    coarse stage asks for it."""
+    its restriction to a coarser grid is the real kernel's, built once and
+    only when a ladder asks for it."""
+    real = functools.cache(lambda: RieszKernel(grid, alpha))
     return SimpleNamespace(grid=grid, alpha=alpha,
-                           restrict=lambda coarse: RieszKernel(grid, alpha).restrict(coarse))
+                           restrict=lambda coarse: real().restrict(coarse))
 
 
-@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(3, 64, 12.0),
-                                  GridSpec(2, 160, 16.0), GridSpec(3, 32, 8.0),
-                                  GridSpec(2, 64, 10.0), GridSpec(2, 96, 12.0),
-                                  GridSpec(3, 28, 8.0), GridSpec(2, 16, 4.0)],
-                         ids=["plane2d", "ref3d", "160^2", "32^3", "64^2", "96^2",
-                              "28^3", "16^2"])
-def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, grid):
-    """On a yardstick grid, and on every grid whose M/2 grid exists, down to
-    M = 16 and its 8^2 half, each restart descends on the M/2 grid of the same box to the solve's
-    grad_tol, with no Pohozaev bound and at most COARSE_MAX_ITERS
-    iterations, from the Gaussian built on the coarse half, and the fine
-    descent starts from the prolonged result."""
+@pytest.mark.parametrize("grid,ladder", [
+    (GridSpec(2, 256, 16.0), [32, 64, 128, 256]),
+    (GridSpec(3, 64, 12.0), [32, 64]),
+    (GridSpec(2, 160, 16.0), [40, 80, 160]),
+    (GridSpec(3, 32, 8.0), [16, 32]),
+    (GridSpec(2, 64, 10.0), [32, 64]),
+    (GridSpec(2, 96, 12.0), [24, 48, 96]),
+    (GridSpec(3, 28, 8.0), [14, 28]),
+    (GridSpec(2, 16, 4.0), [8, 16]),
+    (GridSpec(2, 256, 24.0), [64, 128, 256]),
+    (GridSpec(2, 128, 16.0), [32, 64, 128]),
+    (GridSpec(2, 128, 10.0), [32, 64, 128]),
+], ids=["plane2d", "ref3d", "160^2", "32^3", "64^2", "96^2", "28^3", "16^2",
+        "wide_i23", "128^2-L16", "128^2-L10"])
+def test_a_yardstick_grid_descends_first_on_its_half_resolution(monkeypatch, grid,
+                                                                ladder):
+    """Every grid whose M/2 grid exists, down to M = 16 and its 8^2 half,
+    descends on that M/2 grid of the same box below the fine one, and first
+    on the coarsest further halving that keeps h <= 1 (32^2 of plane2d has
+    h = 1; 32^2 of wide_i23 and 16^3 of ref3d, at h = 1.5, are not levels).
+    Each level below the fine one runs to the solve's grad_tol with no
+    Pohozaev bound and at most COARSE_MAX_ITERS iterations, the first from
+    the Gaussian built on its half, and each later level from the prolonged
+    result of the level below."""
     runs = _scripted_descents(monkeypatch, grid)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
-    coarse = GridSpec(grid.dim, grid.M // 2, grid.L, (1,) * grid.dim)
-    fine = replace(grid, parity=(1,) * grid.dim)
-    assert [g for g, _, _ in runs] == [coarse, fine]
-    (_, coarse_cfg, coarse_start), (_, fine_cfg, fine_start) = runs
-    assert coarse_cfg == replace(SolverConfig(restarts=1), pohozaev_tol=np.inf,
-                                 max_iters=solver.COARSE_MAX_ITERS)
-    assert fine_cfg == SolverConfig(restarts=1)
-    np.testing.assert_array_equal(coarse_start, _gaussian_seed(coarse))
-    np.testing.assert_array_equal(
-        fine_start,
-        translate(Field(coarse, 2.0 * coarse_start), np.zeros(grid.dim), fine).data)
+    halves = [GridSpec(grid.dim, m, grid.L, (1,) * grid.dim) for m in ladder]
+    assert [g for g, _, _ in runs] == halves
+    coarse_cfg = replace(SolverConfig(restarts=1), pohozaev_tol=np.inf,
+                         max_iters=solver.COARSE_MAX_ITERS)
+    assert [cfg for _, cfg, _ in runs] == [coarse_cfg] * (len(ladder) - 1) + [
+        SolverConfig(restarts=1)]
+    np.testing.assert_array_equal(runs[0][2], _gaussian_seed(halves[0]))
+    for k in range(1, len(ladder)):
+        np.testing.assert_array_equal(runs[k][2],
+                                      _carried(runs[0][2], halves[:k + 1]))
 
 
 @pytest.mark.parametrize("max_iters", [40, 4000])
 def test_the_coarse_level_takes_the_solve_tolerance_and_a_capped_budget(max_iters):
-    """The coarse descent runs with the solve's own grad_tol, no Pohozaev
-    bound and the solve's budget capped at COARSE_MAX_ITERS, on the fine
-    kernel restricted to the M/2 grid; the fine descent keeps the solve's
+    """Each level below the fine one runs with the solve's own grad_tol, no
+    Pohozaev bound and the solve's budget capped at COARSE_MAX_ITERS, on the
+    fine kernel restricted to its grid; the fine descent keeps the solve's
     settings and kernel."""
     grid = GridSpec(2, 256, 16.0)
     kernel = RieszKernel(grid, 1.0)
     cfg = SolverConfig(max_iters=max_iters, grad_tol=3e-5, restarts=1)
-    coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"), grid,
-                                  solver._coarse_grid(grid))
+    *coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"), grid,
+                                   solver._coarse_grid(grid))
     assert (fine.cfg, fine.kernel) == (cfg, kernel)
-    assert coarse.cfg == replace(cfg, pohozaev_tol=np.inf,
-                                 max_iters=min(max_iters, solver.COARSE_MAX_ITERS))
-    assert coarse.kernel.grid == GridSpec(2, 128, 16.0)
-    np.testing.assert_array_equal(coarse.kernel.spectrum,
-                                  kernel.spectrum[:129, :129] * 2.0 ** -2)
+    assert [level.kernel.grid.M for level in coarse] == [32, 64, 128]
+    for level in coarse:
+        m = level.kernel.grid.M
+        assert level.cfg == replace(cfg, pohozaev_tol=np.inf,
+                                    max_iters=min(max_iters, solver.COARSE_MAX_ITERS))
+        assert level.kernel.grid == GridSpec(2, m, 16.0)
+        np.testing.assert_array_equal(level.kernel.spectrum,
+                                      kernel.spectrum[:m + 1, :m + 1] * (m / 256) ** 2)
 
 
 @pytest.mark.parametrize("grid,given", [
@@ -595,20 +694,37 @@ def test_no_coarse_stage_off_the_rule(monkeypatch, grid, given):
 
 
 def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
-    """A coarse descent that raises hands the fine descent the restart's
-    own start prolonged: the coarse Gaussian through the coarse
-    interpolant."""
+    """Where every level below the fine one raises, the fine descent starts
+    from the restart's own start carried up the ladder: the Gaussian of the
+    coarsest half prolonged onto each grid in turn."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, grid, itertools.repeat(None))
+    halves = [GridSpec(2, m, 16.0, (1, 1)) for m in (32, 64, 128, 256)]
+    runs = _scripted_descents(monkeypatch, grid, itertools.repeat(None),
+                              failing={64, 128})
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
-    fine = replace(grid, parity=(1, 1))
-    coarse = GridSpec(2, 128, 16.0, (1, 1))
-    assert [g for g, _, _ in runs] == [coarse, fine]
-    gaussian = _gaussian_seed(coarse)
+    assert [g for g, _, _ in runs] == halves
+    gaussian = _gaussian_seed(halves[0])
     np.testing.assert_array_equal(runs[0][2], gaussian)
     np.testing.assert_array_equal(
-        runs[1][2], translate(Field(coarse, gaussian), np.zeros(2), fine).data)
+        runs[3][2], _carried(gaussian, halves, failing={32, 64, 128}))
+
+
+def test_a_failed_middle_level_carries_its_own_prolonged_start(monkeypatch):
+    """On a three-level ladder (96^2: 24^2, 48^2, 96^2) whose middle descent
+    raises, the fine descent starts from that level's own start prolonged,
+    the first level's result carried up through it, and the solve counts
+    the first level's iterations alone as coarse."""
+    grid = GridSpec(2, 96, 12.0)
+    halves = [GridSpec(2, m, 12.0, (1, 1)) for m in (24, 48, 96)]
+    runs = _scripted_descents(monkeypatch, grid, fine_energies={0: 7.5},
+                              failing={48})
+    rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
+    assert [g for g, _, _ in runs] == halves
+    expected = _carried(runs[0][2], halves, failing={48})
+    np.testing.assert_array_equal(runs[2][2], expected)
+    np.testing.assert_array_equal(rep.field.data, halves[-1].unfold(expected))
+    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 3)
 
 
 def _recorded_scan(monkeypatch):
@@ -632,21 +748,22 @@ def _recorded_scan(monkeypatch):
     return built, evaluated
 
 
-@pytest.mark.parametrize("grid", [GridSpec(2, 256, 16.0), GridSpec(3, 64, 12.0)],
+@pytest.mark.parametrize("grid,first_m", [(GridSpec(2, 256, 16.0), 32),
+                                          (GridSpec(3, 64, 12.0), 32)],
                          ids=["plane2d", "ref3d"])
 def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
-                                                                    grid):
-    """Without init, on a grid with a coarse stage, the scan builds one
-    candidate per spacing on the coarse action's half, evaluates each with
-    the fine kernel restricted to M/2, and its winner is the coarse
-    descent's start."""
+                                                                    grid, first_m):
+    """Without init, on a grid with a ladder, the scan builds one candidate
+    per spacing on the half of the action on the ladder's first grid,
+    evaluates each with the fine kernel restricted to that grid, and its
+    winner is the first descent's start."""
     runs = _scripted_descents(monkeypatch, grid)
     built, evaluated = _recorded_scan(monkeypatch)
     base = _even_base(grid)
     with pytest.raises(NoDescent, match="scripted"):
         solve_saddle(from_name("A1"), NL, _kernel_stub(grid), grid,
                      SolverConfig(restarts=1), base=base)
-    coarse_action = GroupAction(from_name("A1"), GridSpec(grid.dim, grid.M // 2, grid.L))
+    coarse_action = GroupAction(from_name("A1"), GridSpec(grid.dim, first_m, grid.L))
     coarse = coarse_action.half
     assert built == [coarse] * len(solver.SPACINGS)
     assert evaluated == [(coarse_action.grid, coarse)] * len(solver.SPACINGS)
@@ -680,118 +797,108 @@ def test_the_scan_stays_on_the_fine_half_off_the_rule(monkeypatch, given):
         np.testing.assert_array_equal(a0, init.data)
 
 
-def _coarse_noise(grid, seed, scale):
-    """Restart noise as the coarse stage builds it: on the M/2 grid of the
-    box, folded onto its all-even half."""
-    coarse = GridSpec(grid.dim, grid.M // 2, grid.L)
-    noise = solver._smooth_noise(coarse, np.random.default_rng(seed), scale)
-    return replace(coarse, parity=(1,) * grid.dim).fold(noise)
+def _coarse_noise(first, seed, scale):
+    """Restart noise as the ladder builds it: on the full grid of its first
+    level first, folded onto its all-even half."""
+    noise = solver._smooth_noise(first, np.random.default_rng(seed), scale)
+    return replace(first, parity=(1,) * first.dim).fold(noise)
 
 
 def test_a_restart_adds_noise_built_on_the_coarse_grid(monkeypatch):
-    """Restart 1 starts its coarse descent from the coarse Gaussian plus
-    noise drawn at seed + 1 on the coarse grid, scaled by the Gaussian's
-    peak and folded onto its half; both coarse descents run before any fine
-    one."""
+    """Restart 1 starts its first descent, on 32^2 for plane2d, from the
+    Gaussian there plus noise drawn at seed + 1 on that grid, scaled by the
+    Gaussian's peak and folded onto its half; both first-level descents run
+    before any higher one."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch, grid)
     with pytest.raises(NoDescent, match="scripted"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=2, seed=3))
-    fine = replace(grid, parity=(1, 1))
-    coarse = GridSpec(2, 128, 16.0, (1, 1))
-    assert [g for g, _, _ in runs] == [coarse, coarse, fine, fine]
-    gaussian = _gaussian_seed(coarse)
+    halves = [GridSpec(2, m, 16.0, (1, 1)) for m in (32, 64, 128, 256)]
+    assert [g for g, _, _ in runs] == halves[:1] * 2 + halves[1:] * 2
+    gaussian = _gaussian_seed(halves[0])
     np.testing.assert_array_equal(runs[0][2], gaussian)
-    noise = _coarse_noise(grid, 4, 0.05 * np.max(gaussian))
+    noise = _coarse_noise(GridSpec(2, 32, 16.0), 4, 0.05 * np.max(gaussian))
     np.testing.assert_array_equal(runs[1][2], gaussian + noise)
 
 
 @pytest.mark.parametrize("tag,restarts", [("trivial", 2), ("A1", 1)])
 def test_a_failed_coarse_descent_leaves_the_prolonged_start(monkeypatch, tag,
                                                             restarts):
-    """Where a coarse descent raises, the fine descent starts from the
-    restart's own start prolonged onto the fine half: for the trivial group
-    at r = 1 the coarse Gaussian plus the coarse noise, and for a start the
-    scan built on the coarse half, that start."""
+    """Where every level below the fine one raises, the fine descent starts
+    from the restart's own start carried up the ladder onto the fine half:
+    for the trivial group at r = 1 the first level's Gaussian plus the noise
+    built there, and for a start the scan built on the first half, that
+    start."""
     grid = GridSpec(2, 256, 16.0)
-    runs = _scripted_descents(monkeypatch, grid, itertools.repeat(None))
+    runs = _scripted_descents(monkeypatch, grid, itertools.repeat(None),
+                              failing={64, 128})
     with pytest.raises(NoDescent, match="scripted"):
         solve_saddle(from_name(tag), NL, _kernel_stub(grid), grid,
                      SolverConfig(restarts=restarts), base=_even_base(grid))
-    fine = GroupAction(from_name(tag), grid).half
-    coarse = runs[0][0]
-    assert [g for g, _, _ in runs] == [coarse] * restarts + [fine] * restarts
-
-    def prolong(a):
-        return translate(Field(coarse, a), np.zeros(2), fine).data
-
-    for (_, _, coarse_start), (_, _, fine_start) in zip(runs[:restarts],
-                                                        runs[restarts:]):
-        np.testing.assert_array_equal(fine_start, prolong(coarse_start))
+    parity = GroupAction(from_name(tag), grid).half.parity
+    halves = [GridSpec(2, m, 16.0, parity) for m in (32, 64, 128, 256)]
+    assert [g for g, _, _ in runs] == halves[:1] * restarts + halves[1:] * restarts
+    for r in range(restarts):
+        np.testing.assert_array_equal(
+            runs[restarts + 3 * r + 2][2],
+            _carried(runs[r][2], halves, failing={32, 64, 128}))
     if tag == "trivial":
-        gaussian = _gaussian_seed(coarse)
-        noise = _coarse_noise(grid, 1, 0.05 * np.max(gaussian))
+        gaussian = _gaussian_seed(halves[0])
+        noise = _coarse_noise(GridSpec(2, 32, 16.0), 1, 0.05 * np.max(gaussian))
         np.testing.assert_array_equal(runs[0][2], gaussian)
         np.testing.assert_array_equal(runs[1][2], gaussian + noise)
 
 
-def _prolonged(runs, grid):
-    """The coarse results the script returned, twice each coarse start,
-    prolonged onto the fine half of the trivial group."""
-    coarse, fine = runs[0][0], replace(grid, parity=(1,) * grid.dim)
-    return [translate(Field(coarse, 2.0 * a), np.zeros(grid.dim), fine).data
-            for g, _, a in runs if g == coarse]
+PLANE_HALVES = [GridSpec(2, m, 16.0, (1, 1)) for m in (32, 64, 128, 256)]
 
 
 def test_fine_descents_follow_the_coarse_energies(monkeypatch):
-    """With a coarse stage every restart descends there first; the fine
-    descents then run in order of coarse energy, each from its own coarse
-    result prolonged, and the first that converges is the solve: the
-    restart of coarse energy 3 never descends on the fine grid."""
+    """On a ladder every restart descends on the first level first; the
+    restarts then climb in order of that energy, each from its own result
+    carried up, and the first that converges on the fine level is the solve:
+    the restart of first-level energy 3 never climbs."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch, grid, [3.0, 1.0, 2.0], {1: 7.5})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
-    coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
-    assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 2
-    prolonged = _prolonged(runs, grid)
-    np.testing.assert_array_equal(runs[3][2], prolonged[1])
-    np.testing.assert_array_equal(runs[4][2], prolonged[2])
-    np.testing.assert_array_equal(rep.field.data, fine.unfold(prolonged[2]))
-    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 3)
+    assert [g for g, _, _ in runs] == PLANE_HALVES[:1] * 3 + PLANE_HALVES[1:] * 2
+    for climb, r in ((3, 1), (6, 2)):
+        np.testing.assert_array_equal(runs[climb + 2][2],
+                                      _carried(runs[r][2], PLANE_HALVES))
+    np.testing.assert_array_equal(rep.field.data,
+                                  PLANE_HALVES[-1].unfold(runs[8][2]))
+    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 9)
     assert rep.restart_energies == [3.0, 1.0, 2.0]
 
 
 def test_a_failed_coarse_restart_races_last(monkeypatch):
-    """A restart whose coarse descent raised gets its fine descent after
-    all the others, from its own start prolonged, and reports no coarse
-    iterations when it wins."""
+    """A restart whose first-level descent raised climbs after all the
+    others, from its own start, and reports only the iterations of the
+    levels above the first as coarse when it wins."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch, grid, [None, 2.0, 1.0], {2: 7.5})
     rep = solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
-    coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
-    assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 3
-    prolonged = _prolonged(runs, grid)
-    np.testing.assert_array_equal(runs[3][2], prolonged[2])
-    np.testing.assert_array_equal(runs[4][2], prolonged[1])
+    assert [g for g, _, _ in runs] == PLANE_HALVES[:1] * 3 + PLANE_HALVES[1:] * 3
+    for climb, r in ((3, 2), (6, 1)):
+        np.testing.assert_array_equal(runs[climb + 2][2],
+                                      _carried(runs[r][2], PLANE_HALVES))
     np.testing.assert_array_equal(
-        runs[5][2], translate(Field(coarse, runs[0][2]), np.zeros(2), fine).data)
-    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 0)
+        runs[11][2], _carried(runs[0][2], PLANE_HALVES, failing={32}))
+    assert (rep.energy, rep.iters, rep.coarse_iters) == (7.5, 4, 6)
 
 
 def test_when_every_descent_fails_the_last_failure_is_raised(monkeypatch):
-    """With no fine descent converging, every restart gets one, in order of
-    coarse energy, and the solve raises the last one's failure."""
+    """With no fine descent converging, every restart climbs, in order of
+    first-level energy, and the solve raises the last one's failure."""
     grid = GridSpec(2, 256, 16.0)
     runs = _scripted_descents(monkeypatch, grid, [2.0, None, 1.0])
     with pytest.raises(NoDescent, match="^scripted fine 2$"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=3))
-    coarse, fine = runs[0][0], replace(grid, parity=(1, 1))
-    assert [g for g, _, _ in runs] == [coarse] * 3 + [fine] * 3
-    prolonged = _prolonged(runs, grid)
-    np.testing.assert_array_equal(runs[3][2], prolonged[2])
-    np.testing.assert_array_equal(runs[4][2], prolonged[0])
+    assert [g for g, _, _ in runs] == PLANE_HALVES[:1] * 3 + PLANE_HALVES[1:] * 3
+    for climb, r in ((3, 2), (6, 0)):
+        np.testing.assert_array_equal(runs[climb + 2][2],
+                                      _carried(runs[r][2], PLANE_HALVES))
     np.testing.assert_array_equal(
-        runs[5][2], translate(Field(coarse, runs[1][2]), np.zeros(2), fine).data)
+        runs[11][2], _carried(runs[1][2], PLANE_HALVES, failing={32}))
 
 
 @pytest.mark.parametrize("coarse_energies", [
