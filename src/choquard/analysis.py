@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name
-from .field import Field, GroupAction, radial_shell_stats
+from .field import Field, GroupAction, exact_half, radial_shell_stats
 # bench/tracer.py wraps symmetrize_array here by name; nothing in this module calls it.
 from .field import symmetrize_array  # noqa: F401
 from .functionals import Nonlinearity
@@ -42,41 +42,59 @@ class NodalReport:
 
 
 def open_chamber_mask(action: GroupAction) -> np.ndarray:
-    """Nodes x with <x, n_i> > CHAMBER_TOL (1 + |x|) on every chamber wall i."""
+    """Nodes x with <x, n_i> > CHAMBER_TOL (1 + |x|) on every chamber wall i;
+    each <x, n_i> spans only the first rank axes, broadcast over the rest."""
     group, grid = action.group, action.grid
     c = grid.axis_coords()
-    tol = CHAMBER_TOL * (1.0 + grid.radius())
+    tol = grid.radius()
+    tol += 1.0
+    tol *= CHAMBER_TOL
     mask = np.ones(grid.shape, dtype=bool)
     for i in range(group.rank):
-        d = np.zeros(grid.shape)
-        for a in range(group.rank):
-            d += group.chamber_normals[i, a] * grid.along(a, c)
-        mask &= d > tol
+        mask &= sum(group.chamber_normals[i, a] * grid.along(a, c)
+                    for a in range(group.rank)) > tol
     return mask
+
+
+def _unfolded_domains(mask: np.ndarray, half) -> tuple:
+    """Sizes of the full-grid components that a mask on the half and its
+    mirror images make, with how many keep and how many flip the sign.
+
+    A component C touching e even mirror faces joins its images across
+    them, and across no odd one, whose image flips the sign: it gives
+    2^(f - e) domains of |C| 2^e nodes, f the number of folded axes, half
+    of them flipped when a folded axis is odd."""
+    lab, n = ndimage.label(mask, ndimage.generate_binary_structure(mask.ndim, 1))
+    size = np.bincount(lab.ravel(), minlength=n + 1)[1:]
+    even = [ax for ax in half.folded if half.parity[ax] > 0]
+    faces = sum((np.bincount(lab.take(0, axis=ax).ravel(), minlength=n + 1)[1:] > 0
+                 for ax in even), np.zeros(n, dtype=int))
+    copies = 2 ** (len(half.folded) - faces)
+    total = int(copies.sum())
+    flipped = total // 2 if len(even) < len(half.folded) else 0
+    return np.repeat(size * 2 ** faces, copies), total - flipped, flipped
 
 
 def nodal_domains(u: Field, threshold: float = NODAL_THRESHOLD,
                   action: GroupAction = None) -> NodalReport:
-    """Count face-connected components of u above/below the threshold."""
-    theta = threshold * u.norm_max()
-    pos = u.data > theta
-    neg = u.data < -theta
-    structure = ndimage.generate_binary_structure(u.grid.dim, 1)
-    lab_pos, n_pos = ndimage.label(pos, structure=structure)
-    lab_neg, n_neg = ndimage.label(neg, structure=structure)
-    sizes = [int(s) for lab, n in ((lab_pos, n_pos), (lab_neg, n_neg))
-             for s in np.bincount(lab.ravel(), minlength=n + 1)[1:]]
+    """Count face-connected components of u above/below the threshold,
+    labelled on u's `exact_half` with their mirror images counted
+    (`_unfolded_domains`); the chamber sign reads the full grid."""
+    half = exact_half(u)
+    b = u.data[tuple(slice(u.data.shape[ax] // 2, None) if s else slice(None)
+                     for ax, s in enumerate(half.parity))]
+    theta = threshold * float(np.max(np.abs(b)))
+    pos_sizes, pos_kept, pos_flipped = _unfolded_domains(b > theta, half)
+    neg_sizes, neg_kept, neg_flipped = _unfolded_domains(b < -theta, half)
+    n_pos, n_neg = pos_kept + neg_flipped, neg_kept + pos_flipped
     sign = None
     if action is not None:
-        sel = open_chamber_mask(action) & (pos | neg)
-        if not np.any(sel):
-            sign = 0
-        else:
-            has_pos = bool(np.any(pos & sel))
-            has_neg = bool(np.any(neg & sel))
-            sign = 0 if (has_pos and has_neg) else (1 if has_pos else -1)
-    return NodalReport(n_pos + n_neg, n_pos, n_neg, tuple(sorted(sizes)),
-                       threshold, sign)
+        chamber = open_chamber_mask(action)
+        has_pos = bool(np.any(chamber & (u.data > theta)))
+        has_neg = bool(np.any(chamber & (u.data < -theta)))
+        sign = 0 if has_pos == has_neg else (1 if has_pos else -1)
+    sizes = np.sort(np.concatenate((pos_sizes, neg_sizes))).tolist()
+    return NodalReport(n_pos + n_neg, n_pos, n_neg, tuple(sizes), threshold, sign)
 
 
 @dataclass(frozen=True)

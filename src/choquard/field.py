@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -113,10 +113,19 @@ class GridSpec:
         return a
 
     def unfold(self, b: np.ndarray) -> np.ndarray:
-        """The full-grid array with positive halves b, mirrored with sign."""
+        """The full-grid array with positive halves b, mirrored with sign
+        into one array written once, one folded axis after another."""
+        if not self.folded:
+            return b
+        out = np.empty((self.M,) * self.dim)
+        m = self.M // 2
+        index = [slice(m, None) if s else slice(None) for s in self.parity]
+        out[tuple(index)] = b
         for ax in self.folded:
-            b = np.concatenate((self.parity[ax] * np.flip(b, ax), b), axis=ax)
-        return b
+            index[ax] = slice(None)
+            v = np.moveaxis(out[tuple(index)], ax, 0)
+            np.multiply(v[:m - 1:-1], self.parity[ax], out=v[:m])
+        return out
 
     def along(self, axis: int, v: np.ndarray) -> np.ndarray:
         """The length-M array v laid along one axis, broadcast over the rest."""
@@ -156,6 +165,13 @@ class Field:
     def norm_max(self) -> float:
         return float(np.max(np.abs(self.data)))
 
+    @cached_property
+    def half(self) -> GridSpec:
+        """`exact_half` of this field, found on first use and kept: data is
+        read-only."""
+        return replace(self.grid, parity=tuple(
+            _mirror_sign(self.data, ax) for ax in range(self.data.ndim)))
+
 
 def zeros(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
@@ -163,11 +179,24 @@ def zeros(grid: GridSpec) -> Field:
 
 def exact_half(u: Field) -> GridSpec:
     """u's grid with parity s on each axis where u equals s times its mirror
-    image bit for bit, s = +1 tried first, and parity 0 on the others."""
-    a = u.data
-    return replace(u.grid, parity=tuple(
-        next((s for s in (1, -1) if np.array_equal(a, s * np.flip(a, ax))), 0)
-        for ax in range(a.ndim)))
+    image bit for bit, s = +1 tried first, and parity 0 on the others;
+    found once per field, as `Field.half`."""
+    return u.half
+
+
+def _mirror_sign(a: np.ndarray, ax: int) -> int:
+    """s = +1, else -1, where a equals s times its flip along ax bit for
+    bit, else 0.  The first half of the axis is compared with the second
+    reversed, so each mirror pair is read once; the two node planes next
+    to the mirror are compared first and can only rule a sign out."""
+    a = np.moveaxis(a, ax, 0)
+    k = (len(a) + 1) // 2
+    low, high = a[:k], a[::-1][:k]
+    for s in (1, -1):
+        if all(np.array_equal(x, y if s > 0 else -y)
+               for x, y in ((low[-1], high[-1]), (low, high))):
+            return s
+    return 0
 
 
 # -- spectral operators -------------------------------------------------------
@@ -277,9 +306,10 @@ class GroupAction:
 
     flips[i] is -1 when the single flip of axis i is in G (psi = det is -1
     on it), and 0 otherwise; these flips generate D, the subgroup that
-    `parity_fold(a, flips)` averages over exactly.  parity[i] is the mirror
-    parity the class imposes along axis i: +1 on the axes at or beyond the
-    rank, which every element fixes, and flips[i] on the others.
+    `parity_fold(a, flips)` averages over exactly; generator_axes[j] is the
+    axis whose single flip generator j is, None if it is none.  parity[i]
+    is the mirror parity the class imposes along axis i: +1 on the axes at
+    or beyond the rank, which every element fixes, and flips[i] on the others.
     `half` is the grid that keeps the positive half of every axis with a
     parity, and `half_holds_class` says that the half alone holds the
     class: G has one double coset, so G = D and every field on the half is
@@ -308,8 +338,11 @@ class GroupAction:
         keys = element_keys(mats)
         members = set(keys)
         eye = np.eye(grid.dim)
-        self.flips = tuple(-1 if k in members else 0 for k in element_keys(
-            [eye - 2.0 * np.outer(e, e) for e in eye]))
+        flip_keys = element_keys([eye - 2.0 * np.outer(e, e) for e in eye])
+        self.flips = tuple(-1 if k in members else 0 for k in flip_keys)
+        axis_of = dict(zip(flip_keys, range(grid.dim)))
+        self.generator_axes = tuple(axis_of.get(element_keys([self.embed(g)])[0])
+                                    for g in group.generators)
         self.parity = tuple(1 if ax >= group.rank else s
                             for ax, s in enumerate(self.flips))
         self.half = replace(grid, parity=self.parity)
@@ -360,9 +393,9 @@ def _shear_tensor(grid: GridSpec, coef: float) -> tuple:
 
     With s_j = coef * x_j and kappa_k = (k + 1) pi / 2L, cos[j, k] is
     cos(kappa_k s_j) and sin_up[j, k] is sin(kappa_{k-1} s_j), one mode up,
-    with sin_up[j, 0] = 0; inside[j, i] is 1 where |x_i + s_j| <= L and 0
-    outside the cube.  Each table holds M^2 doubles and depends only on
-    (M, L, coef).
+    with sin_up[j, 0] = 0; inside[j, i] is True where |x_i + s_j| <= L and
+    False outside the cube.  Each table holds M^2 entries, doubles or, for
+    inside, bytes, and depends only on (M, L, coef).
     """
     key = (grid.M, float(grid.L), round(float(coef), 14))
     t = _SHEAR_CACHE.get(key)
@@ -372,7 +405,7 @@ def _shear_tensor(grid: GridSpec, coef: float) -> tuple:
         s = coef * ax[:, None]
         sin_up = np.zeros((grid.M, grid.M))
         sin_up[:, 1:] = np.sin(s * kappa[:-1])
-        inside = (np.abs(ax[None, :] + s) <= grid.L).astype(float)
+        inside = np.abs(ax[None, :] + s) <= grid.L
         t = (np.cos(s * kappa), sin_up, inside)
         if len(_SHEAR_CACHE) >= _SHEAR_CACHE_CAP:
             _SHEAR_CACHE.pop(next(iter(_SHEAR_CACHE)))
@@ -388,18 +421,22 @@ def _planar_shear(grid: GridSpec, a: np.ndarray, moved: int, coef: float) -> np.
     slice: sin(kappa (x + L + s)) splits into a cos(kappa s) part, summed by
     a DST-III, and a sin(kappa s) part, summed by a DCT-III one mode up.  The
     Nyquist cosine vanishes on the nodes, so nothing is lost.  Points outside
-    the cube read zero; axes beyond the second ride along as a batch.
+    the cube read zero; axes beyond the second ride along as a batch.  The
+    forward transform writes the moved axis last and contiguous; the rest
+    runs there in place on two buffers, and a view puts the axes back.
     """
     cos_t, sin_up, inside = _shear_tensor(grid, coef)
-    if moved == 0:
-        cos_t, sin_up, inside = cos_t.T, sin_up.T, inside.T
-    shape = (grid.M, grid.M) + (1,) * (a.ndim - 2)
+    shape = (grid.M,) + (1,) * (a.ndim - 2) + (grid.M,)
     cos_t, sin_up, inside = (t.reshape(shape) for t in (cos_t, sin_up, inside))
-    c = scipy.fft.dst(a, type=2, axis=moved, norm="ortho")
-    even = scipy.fft.idst(c * cos_t, type=2, axis=moved, norm="ortho")
-    odd = scipy.fft.idct(np.roll(c, 1, axis=moved) * sin_up, type=2,
-                         axis=moved, norm="ortho")
-    return (even + odd) * inside
+    c = scipy.fft.dst(np.moveaxis(a, moved, -1), type=2, axis=-1, norm="ortho")
+    up = np.empty_like(c)  # c one mode up, as np.roll(c, 1) along the axis
+    up[..., 1:], up[..., 0] = c[..., :-1], c[..., -1]
+    c *= cos_t
+    up *= sin_up
+    out = scipy.fft.idst(c, type=2, axis=-1, norm="ortho", overwrite_x=True)
+    out += scipy.fft.idct(up, type=2, axis=-1, norm="ortho", overwrite_x=True)
+    out *= inside
+    return np.moveaxis(out, -1, moved)
 
 
 def _split(p: np.ndarray) -> tuple:
@@ -479,14 +516,22 @@ def symmetrize_array(action: GroupAction, a: np.ndarray) -> np.ndarray:
 
 
 def symmetry_residual(action: GroupAction, u: Field) -> float:
-    """max over generators of ||g.u - psi(g) u||_2 / ||u||_2."""
-    denom = np.sqrt(np.sum(u.data ** 2))
+    """max over generators of ||g.u - psi(g) u||_2 / ||u||_2.  A generator
+    that flips one axis, along which `exact_half(u)` already holds u with
+    the sign psi(g), gives exactly 0.0: it is not applied, and where no
+    generator is, ||u|| is not summed either."""
+    if u.grid != action.grid:
+        raise GridMismatch("field grid does not match the action grid")
+    signs = [action.group.sign(g) for g in action.group.generators]
+    applied = [(g, s) for g, s, ax in zip(action.group.generators, signs,
+                                          action.generator_axes)
+               if ax is None or exact_half(u).parity[ax] != s]
+    denom = np.sqrt(np.sum(u.data ** 2)) if applied else 0.0
     if denom == 0.0:
         return 0.0
     worst = 0.0
-    for g in action.group.generators:
+    for g, s in applied:
         moved = act(action, g, u).data
-        s = action.group.sign(g)
         worst = max(worst, float(np.sqrt(np.sum((moved - s * u.data) ** 2)) / denom))
     return worst
 

@@ -117,6 +117,7 @@ class RieszKernel:
         self.spectrum = scipy.fft.dctn(k, type=1)
         self.sampled.setflags(write=False)
         self.spectrum.setflags(write=False)
+        self._restricted = {}
 
     def convolve_array(self, v: np.ndarray, folded: tuple = ()) -> np.ndarray:
         """I_alpha * v at the nodes; on the axes in folded, named by the caller's
@@ -150,21 +151,31 @@ class RieszKernel:
     def restrict(self, grid: GridSpec) -> "RieszKernel":
         """This kernel on grid, the full grid of the same box with M' <= M: on
         their common period 4L, DCT-I entries 0..M' times (M'/M)^N are the fine
-        multipliers at grid's frequencies (Galerkin R A P), sampled by inverse DCT-I."""
+        multipliers at grid's frequencies (Galerkin R A P), sampled by inverse DCT-I.
+        The same grid gets the same kernel back: this one keeps the last
+        log2(M) it built, as many as a ladder M/2, M/4, ... takes."""
         if grid != GridSpec(self.grid.dim, min(grid.M, self.grid.M), self.grid.L):
             raise IncompatibleGrid(f"cannot restrict the kernel of {self.grid} to {grid}")
+        coarse = self._restricted.get(grid)
+        if coarse is not None:
+            return coarse
         coarse = copy.copy(self)
         coarse.grid, coarse.spectrum = grid, self.spectrum[
             (slice(0, grid.M + 1),) * grid.dim] * (grid.M / self.grid.M) ** grid.dim
         coarse.sampled = scipy.fft.idctn(coarse.spectrum, type=1)
         coarse.sampled.setflags(write=False)
         coarse.spectrum.setflags(write=False)
+        coarse._restricted = {}
+        if len(self._restricted) >= math.log2(self.grid.M):
+            self._restricted.pop(next(iter(self._restricted)))
+        self._restricted[grid] = coarse
         return coarse
 
 
 # A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Coarse kernels are
-# restricted, not cached: the test suite builds 14 kernels here (4 more are refused)
-# and rebuilds none it has evicted at 5 entries or more, one at 4; 6 keeps one spare.
+# not cached here but kept by the kernel they restrict: the test suite builds 14
+# kernels here (4 more are refused) and rebuilds none it has evicted at 5 entries
+# or more, one at 4; 6 keeps one spare.
 @lru_cache(maxsize=6)
 def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
     """The kernel for (grid, alpha), shared by callers while it stays cached."""

@@ -18,7 +18,15 @@ from scipy.optimize import brentq
 
 from choquard.analysis import annotate_report, decay_fit, nodal_domains
 from choquard.coxeter import from_name
-from choquard.field import Field, GridSpec, GroupAction, act, dilate, translate
+from choquard.field import (
+    Field,
+    GridSpec,
+    GroupAction,
+    act,
+    dilate,
+    symmetry_residual,
+    translate,
+)
 from choquard.functionals import (
     _assemble,
     _state_parts,
@@ -30,7 +38,7 @@ from choquard.functionals import (
 from choquard import solver
 from choquard.riesz import RieszKernel, get_kernel
 from choquard.solver import SolverConfig, solve_ground, solve_saddle
-from helpers import dilation_pohozaev
+from helpers import dilation_pohozaev, full_grid_nodal_domains, generator_residual
 from test_analysis import nodal_min_bound
 
 NL = power(2.0)
@@ -337,6 +345,21 @@ def test_criterion_07_nodal_counts(ref_a1, plane, wide_i23):
                 f"I2:3 {rep6.count}/6; chamber signs {rep3.sign_on_chamber}, "
                 f"{rep4.sign_on_chamber}")
     assert ok
+
+
+def test_yardstick_diagnostics_on_the_half_equal_the_full_grid_oracles(
+        ref_ground, ref_a1, plane, wide_i23):
+    """On the seven yardstick fields, read back from their files as `choquard
+    verify` reads them, the nodal report with the chamber sign and the
+    symmetry residual equal the full-grid labelling and the residual that
+    applies every generator."""
+    reports = [ref_ground, ref_a1, *plane.values(), *wide_i23.values()]
+    for rep in reports:
+        action = GroupAction(from_name(rep.group), rep.grid)
+        u = Field(rep.grid, rep.field.data)
+        assert (nodal_domains(u, 1e-3, action)
+                == full_grid_nodal_domains(u, 1e-3, action)), rep.group
+        assert symmetry_residual(action, u) == generator_residual(action, u)
 
 
 # -- criterion 8: exact equivariance of grid-exact saddles --------------------

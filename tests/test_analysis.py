@@ -7,6 +7,7 @@ of test_acceptance.py imports from here.
 """
 
 import dataclasses
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -24,11 +25,18 @@ from choquard.analysis import (
 )
 from choquard.coxeter import from_name
 from choquard.errors import ChoquardError
-from choquard.field import Field, GridSpec, GroupAction, symmetrize_array
+from choquard.field import (
+    Field,
+    GridSpec,
+    GroupAction,
+    exact_half,
+    parity_fold,
+    symmetrize_array,
+)
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
 from choquard.solver import SolveReport, SolverConfig, solve_ground
-from helpers import node_mesh
+from helpers import full_grid_nodal_domains, node_mesh
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
@@ -153,6 +161,87 @@ def test_sizes_are_sorted(mesh, gauss):
     x, _ = mesh
     rep = nodal_domains(Field(GRID, (x + 1.0) * gauss))
     assert rep.sizes == tuple(sorted(rep.sizes))
+
+
+# -- nodal domains on the exact half against the full-grid oracle -------------
+
+ORACLE_GRIDS = {2: GridSpec(2, 32, 6.0), 3: GridSpec(3, 16, 5.0)}
+ORACLE_CASES = [
+    pytest.param(dim, par, id=f"{dim}D" + "".join("0+-"[s] for s in par))
+    for dim in (2, 3) for par in itertools.product((1, -1, 0), repeat=dim)
+]
+# groups whose open chamber the sign is read on, per dimension
+ORACLE_GROUPS = {2: ("A1", "I2:2", "I2:3"), 3: ("A1", "A1xA1xA1", "B3")}
+
+
+def bump(grid, center, width=1.0):
+    return np.exp(-sum(grid.along(ax, (grid.axis_coords() - c) ** 2)
+                       for ax, c in enumerate(center)) / width)
+
+
+def smooth_field(grid, par, seed):
+    """Signed Gaussian bumps at random centers, folded into the parity
+    class: components that touch mirror faces, cross them, and do not."""
+    rng = np.random.default_rng(seed)
+    a = sum(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0)
+            * bump(grid, rng.uniform(-0.7, 0.7, grid.dim) * grid.L,
+                   rng.uniform(0.3, 1.5))
+            for _ in range(8))
+    return parity_fold(a, par)
+
+
+@pytest.mark.parametrize("dim,par", ORACLE_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_half_grid_nodal_report_is_the_full_grid_labelling(dim, par, seed):
+    """Count, split, sorted sizes and chamber sign equal the full grid's for
+    every parity pattern, with the threshold at 0 and at two levels."""
+    grid = ORACLE_GRIDS[dim]
+    u = Field(grid, smooth_field(grid, par, seed))
+    assert exact_half(u).parity == par
+    for threshold in (0.0, 1e-3, 0.2):
+        assert nodal_domains(u, threshold) == full_grid_nodal_domains(u, threshold)
+    for tag in ORACLE_GROUPS[dim]:
+        action = GroupAction(from_name(tag), grid)
+        assert (nodal_domains(u, 1e-3, action)
+                == full_grid_nodal_domains(u, 1e-3, action))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_field_has_no_nodal_domain(dim):
+    u = Field(ORACLE_GRIDS[dim], np.zeros(ORACLE_GRIDS[dim].shape))
+    assert exact_half(u).parity == (1,) * dim
+    action = GroupAction(from_name("A1"), u.grid)
+    for threshold in (0.0, 1e-3):
+        rep = nodal_domains(u, threshold, action)
+        assert rep == full_grid_nodal_domains(u, threshold, action)
+        assert (rep.count, rep.sizes, rep.sign_on_chamber) == (0, (), 0)
+
+
+@pytest.mark.parametrize("center,faces", [
+    ((0.0, 0.0, 0.0), 3), ((2.0, 0.0, 0.0), 2),
+    ((2.0, 2.0, 0.0), 1), ((2.0, 2.0, 2.0), 0)])
+def test_a_component_joins_its_images_across_the_even_faces_it_touches(center, faces):
+    """A bump on an all-even grid that touches e mirror faces gives 2^(3-e)
+    domains of 2^e times its half-grid size."""
+    grid = ORACLE_GRIDS[3]
+    u = Field(grid, parity_fold(bump(grid, center), (1, 1, 1)))
+    rep = nodal_domains(u, 0.1)
+    assert rep == full_grid_nodal_domains(u, 0.1)
+    assert (rep.count, rep.negative_count) == (2 ** (3 - faces), 0)
+    assert len(set(rep.sizes)) == 1 and rep.sizes[0] % 2 ** faces == 0
+
+
+@pytest.mark.parametrize("par", [(-1, 1, 1), (-1, -1, 1), (-1, -1, -1)])
+def test_a_component_never_joins_its_image_across_an_odd_axis(par):
+    """A bump at the origin touches every mirror face; each odd axis keeps
+    its image apart and flips its sign."""
+    grid = ORACLE_GRIDS[3]
+    u = Field(grid, parity_fold(bump(grid, (0.5, 0.5, 0.5)), par))
+    rep = nodal_domains(u, 0.1)
+    odd = par.count(-1)
+    assert rep == full_grid_nodal_domains(u, 0.1)
+    assert (rep.count, rep.positive_count, rep.negative_count) == (
+        2 ** odd, 2 ** (odd - 1), 2 ** (odd - 1))
 
 
 # -- chamber masks and unfolding ----------------------------------------------

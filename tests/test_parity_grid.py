@@ -15,6 +15,7 @@ import pytest
 
 from choquard.coxeter import from_name
 from choquard.errors import GridMismatch
+from choquard import field as field_mod
 from choquard.field import (
     Field,
     GridSpec,
@@ -25,6 +26,8 @@ from choquard.field import (
     exact_half,
     helmholtz_inverse_array,
     parity_fold,
+    symmetrize_array,
+    symmetry_residual,
     translate,
     x_dot_grad_array,
 )
@@ -35,6 +38,7 @@ from choquard.functionals import (
     power,
 )
 from choquard.riesz import RieszKernel
+from helpers import generator_residual
 
 TOL = 1e-13
 GRIDS = {2: GridSpec(2, 32, 6.0), 3: GridSpec(3, 16, 5.0)}
@@ -77,6 +81,94 @@ def test_fold_unfold_round_trip(dim, par):
     assert b.shape == half.shape
     assert np.array_equal(b, positive_half(grid, par, a))
     assert np.array_equal(half.unfold(b), a)
+
+
+def concatenated_unfold(half, b):
+    """The full-grid array with positive halves b, one concatenation per
+    folded axis."""
+    for ax in half.folded:
+        b = np.concatenate((half.parity[ax] * np.flip(b, ax), b), axis=ax)
+    return b
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_unfold_writes_the_concatenated_mirror_images_bit_for_bit(dim, par):
+    """Signed zeros included: the one-write unfold negates what the
+    concatenation multiplies by -1."""
+    half = replace(GRIDS[dim], parity=par)
+    b = np.random.default_rng(1).standard_normal(half.shape)
+    b[b < -1.0] = -0.0
+    b[b > 1.0] = 0.0
+    got = half.unfold(b)
+    assert got.shape == GRIDS[dim].shape
+    assert got.tobytes() == concatenated_unfold(half, b).tobytes()
+
+
+@pytest.mark.parametrize("dim,par", CASES)
+def test_exact_half_finds_the_class_once_per_field(dim, par, monkeypatch):
+    calls = []
+    find = field_mod._mirror_sign
+    monkeypatch.setattr(field_mod, "_mirror_sign",
+                        lambda a, ax: calls.append(ax) or find(a, ax))
+    u = Field(GRIDS[dim], class_field(GRIDS[dim], par))
+    assert exact_half(u).parity == par
+    assert exact_half(u) is u.half
+    assert calls == list(range(dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_an_odd_axis_with_zero_planes_at_its_mirror_is_odd(dim):
+    """Zero node planes next to the mirror pass the even check there; only
+    the whole half rules +1 out, and -1 holds."""
+    grid = GRIDS[dim]
+    a = class_field(grid, (-1,) + (0,) * (dim - 1))
+    a[grid.M // 2 - 1] = a[grid.M // 2] = 0.0
+    assert exact_half(Field(grid, a)).parity == (-1,) + (0,) * (dim - 1)
+    even = class_field(grid, (1,) * dim)
+    even[grid.M // 2 - 1] = even[grid.M // 2] = 0.0
+    assert exact_half(Field(grid, even)).parity == (1,) * dim
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("par", [1, -1])
+@pytest.mark.parametrize("index", [0, 3, -1])
+def test_a_last_bit_asymmetry_leaves_the_axis_whole(dim, par, index):
+    """One node plane, at the cube's edge, inside, or next to the mirror,
+    one ulp larger in magnitude than its mirror image leaves its axis
+    unfolded and the others, along which it stays in the class, not."""
+    grid = GRIDS[dim]
+    a = class_field(grid, (par,) * dim)
+    plane = grid.M // 2 + index if index < 0 else index
+    a[plane] = np.copysign(np.nextafter(np.abs(a[plane]), np.inf), a[plane])
+    assert exact_half(Field(grid, a)).parity == (0,) + (par,) * (dim - 1)
+
+
+@pytest.mark.parametrize("dim,tag", [
+    (2, "A1"), (2, "I2:2"), (2, "I2:3"), (2, "I2:4"),
+    (3, "A1"), (3, "A1xA1xA1"), (3, "B3"), (3, "A3")])
+def test_symmetry_residual_with_held_flips_skipped_equals_every_generator_applied(dim, tag):
+    """The residual with held flips skipped equals the one that applies every
+    generator, for a class field, a field of the half's parity that the
+    class does not hold, and a field with no parity; it applies no
+    generator when every one is a flip the half holds."""
+    grid = GRIDS[dim]
+    action = GroupAction(from_name(tag), grid)
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal(grid.shape)
+    fields = [symmetrize_array(action, noise), parity_fold(noise, action.flips), noise]
+    for a in fields:
+        u = Field(grid, a)
+        assert symmetry_residual(action, u) == generator_residual(action, u)
+    held = all(ax is not None and action.flips[ax] for ax in action.generator_axes)
+    assert held is (tag in ("A1", "I2:2", "A1xA1xA1"))
+
+
+def test_symmetry_residual_of_a_held_flip_applies_nothing(monkeypatch):
+    grid = GRIDS[3]
+    action = GroupAction(from_name("A1xA1xA1"), grid)
+    u = Field(grid, class_field(grid, (-1, -1, -1)))
+    monkeypatch.setattr(field_mod, "act", None)
+    assert symmetry_residual(action, u) == 0.0
 
 
 @pytest.mark.parametrize("dim,par", CASES)

@@ -282,6 +282,24 @@ def test_restricted_kernel_keeps_the_fine_multipliers(dim, M, coarse_m, alpha):
         np.testing.assert_allclose(coarse.sampled, kern.sampled, rtol=1e-12)
 
 
+def test_restriction_is_kept_per_grid_on_the_fine_kernel():
+    """The same grid gets the same read-only kernel back, built once; a
+    restricted kernel keeps its own restrictions, and the fine one keeps at
+    most log2(M) of them, the last built."""
+    kern = RieszKernel(GridSpec(2, 32, 4.0), 1.0)
+    grids = [GridSpec(2, m, 4.0) for m in (16, 8, 10, 12, 14, 18)]
+    coarse = kern.restrict(grids[0])
+    assert kern.restrict(grids[0]) is coarse
+    assert coarse.restrict(grids[1]) is not kern.restrict(grids[1])
+    np.testing.assert_array_equal(coarse.restrict(grids[1]).spectrum,
+                                  kern.restrict(grids[1]).spectrum)
+    assert not coarse.spectrum.flags.writeable and not coarse.sampled.flags.writeable
+    kept = [kern.restrict(g) for g in grids]
+    assert kern.restrict(grids[-1]) is kept[-1]
+    assert kern.restrict(grids[0]) is not coarse  # the oldest of six, past log2(32)
+    np.testing.assert_array_equal(kern.restrict(grids[0]).sampled, coarse.sampled)
+
+
 @pytest.mark.parametrize("grid", [GridSpec(2, 16, 5.0), GridSpec(3, 16, 4.0),
                                   GridSpec(2, 64, 4.0), GridSpec(2, 16, 4.0, (1, 1))],
                          ids=["box", "dim", "finer", "half"])
