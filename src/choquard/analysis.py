@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name
-from .field import Field, GroupAction, exact_half, radial_shell_stats
+from .field import Field, GroupAction, radial_shell_stats
 # bench/tracer.py wraps symmetrize_array here by name; nothing in this module calls it.
 from .field import symmetrize_array  # noqa: F401
 from .functionals import Nonlinearity
@@ -78,20 +78,18 @@ def _unfolded_domains(mask: np.ndarray, half) -> tuple:
 def nodal_domains(u: Field, threshold: float = NODAL_THRESHOLD,
                   action: GroupAction = None) -> NodalReport:
     """Count face-connected components of u above/below the threshold,
-    labelled on u's `exact_half` with their mirror images counted
-    (`_unfolded_domains`); the chamber sign reads the full grid."""
-    half = exact_half(u)
-    b = u.data[tuple(slice(u.data.shape[ax] // 2, None) if s else slice(None)
-                     for ax, s in enumerate(half.parity))]
+    labelled on `u.half` with their mirror images counted
+    (`_unfolded_domains`); the chamber sign reads u unfolded to its full grid."""
+    half, b = u.half, u.half_data
     theta = threshold * float(np.max(np.abs(b)))
     pos_sizes, pos_kept, pos_flipped = _unfolded_domains(b > theta, half)
     neg_sizes, neg_kept, neg_flipped = _unfolded_domains(b < -theta, half)
     n_pos, n_neg = pos_kept + neg_flipped, neg_kept + pos_flipped
     sign = None
     if action is not None:
-        chamber = open_chamber_mask(action)
-        has_pos = bool(np.any(chamber & (u.data > theta)))
-        has_neg = bool(np.any(chamber & (u.data < -theta)))
+        chamber, full = open_chamber_mask(action), u.grid.unfold(u.data)
+        has_pos = bool(np.any(chamber & (full > theta)))
+        has_neg = bool(np.any(chamber & (full < -theta)))
         sign = 0 if has_pos == has_neg else (1 if has_pos else -1)
     sizes = np.sort(np.concatenate((pos_sizes, neg_sizes))).tolist()
     return NodalReport(n_pos + n_neg, n_pos, n_neg, tuple(sizes), threshold, sign)

@@ -9,19 +9,20 @@ diagonalizes on this node set.  Group elements act exactly or not at all:
 `_split` writes each as a signed permutation, an index move, then a rotation
 of the first two axes by at most pi/4, three shears of the sine interpolant
 with zero extension outside the cube; it rejects any other with IncompatibleGrid.
-`parity_fold` makes a field bit-exactly odd or even under the mirror of
-chosen axes, since no node lies on a mirror.  Dilation and translation
-sample the same sine interpolant, which reads zero outside the cube; there
-is no other resampling model.
+Dilation and translation sample the same sine interpolant, which reads zero
+outside the cube; there is no other resampling model.
 
 A `GridSpec` with parity +-1 on an axis holds only the positive half of
 that axis, for fields even or odd under its mirror; the full grid is parity
-(0, ..., 0).  The sine modes split alike (Martucci, IEEE Trans. Signal
-Process. 42(5), 1994): an even axis carries kappa_{2j} through a DCT-IV of
-the half, an odd axis kappa_{2j+1} through a DST-II of length M/2, each
-orthonormal times sqrt 2, so every reduced coefficient is, up to sign, the
-full grid's.  The Laplacian, Helmholtz inverse, x.grad u and dilation read
-the parity from the grid; there is one set of operators.
+(0, ..., 0).  `GridSpec.fold` and `unfold` are the one mirror fold, exact
+since no node lies on a mirror; `Field.half` alone finds the half that
+holds a field, read there as `Field.half_data`.  The sine modes split alike
+(Martucci, IEEE Trans. Signal Process. 42(5), 1994): an even axis carries
+kappa_{2j} through a DCT-IV of the half, an odd axis kappa_{2j+1} through a
+DST-II of length M/2, each orthonormal times sqrt 2, so every reduced
+coefficient is, up to sign, the full grid's.  The Laplacian, Helmholtz
+inverse, x.grad u and dilation read the parity from the grid; there is one
+set of operators.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class GridSpec:
         return c[self.M // 2:] if axis is not None and self.parity[axis] else c
 
     def fold(self, a: np.ndarray) -> np.ndarray:
-        """Positive halves of parity_fold(a) for a full-grid array a, half by half."""
+        """Positive halves of (a + s flip(a)) / 2 along each folded axis of
+        parity s, one after another, for a full-grid array a."""
         for ax in self.folded:
             low, high = np.split(a, 2, axis=ax)
             a = (high + self.parity[ax] * np.flip(low, ax)) / 2.0
@@ -167,21 +169,22 @@ class Field:
 
     @cached_property
     def half(self) -> GridSpec:
-        """`exact_half` of this field, found on first use and kept: data is
-        read-only."""
+        """The grid of the positive halves that hold this field: an axis the
+        grid folds keeps its parity, and a whole axis takes parity s where
+        the data equal s times their mirror image bit for bit, s = +1 tried
+        first, else 0.  Found on first use and kept: data is read-only."""
         return replace(self.grid, parity=tuple(
-            _mirror_sign(self.data, ax) for ax in range(self.data.ndim)))
+            s or _mirror_sign(self.data, ax) for ax, s in enumerate(self.grid.parity)))
+
+    @property
+    def half_data(self) -> np.ndarray:
+        """The stored positive halves on `half`: a read-only view of data."""
+        return self.data[tuple(slice(n - m, None)
+                               for n, m in zip(self.data.shape, self.half.shape))]
 
 
 def zeros(grid: GridSpec) -> Field:
     return Field(grid, np.zeros(grid.shape))
-
-
-def exact_half(u: Field) -> GridSpec:
-    """u's grid with parity s on each axis where u equals s times its mirror
-    image bit for bit, s = +1 tried first, and parity 0 on the others;
-    found once per field, as `Field.half`."""
-    return u.half
 
 
 def _mirror_sign(a: np.ndarray, ax: int) -> int:
@@ -283,19 +286,6 @@ def l2_sq_integral(u: Field) -> float:
 
 # -- group action -------------------------------------------------------------
 
-def parity_fold(a: np.ndarray, parity) -> np.ndarray:
-    """a -> (a + s flip(a, axis)) / 2 along every axis whose parity s is +-1.
-
-    Axes with parity 0 are left alone.  The result is bit-exactly even
-    (s = +1) or odd (s = -1) under the mirror of each folded axis, and
-    folding it again returns it unchanged.
-    """
-    for axis, s in enumerate(parity):
-        if s:
-            a = (a + s * np.flip(a, axis)) / 2.0
-    return a
-
-
 class GroupAction:
     """Action of a rank-k Coxeter group on fields over a dim-N grid, k <= N.
 
@@ -305,17 +295,16 @@ class GroupAction:
     other group raises IncompatibleGrid here, before any solve.
 
     flips[i] is -1 when the single flip of axis i is in G (psi = det is -1
-    on it), and 0 otherwise; these flips generate D, the subgroup that
-    `parity_fold(a, flips)` averages over exactly; generator_axes[j] is the
-    axis whose single flip generator j is, None if it is none.  parity[i]
-    is the mirror parity the class imposes along axis i: +1 on the axes at
-    or beyond the rank, which every element fixes, and flips[i] on the others.
-    `half` is the grid that keeps the positive half of every axis with a
-    parity, and `half_holds_class` says that the half alone holds the
-    class: G has one double coset, so G = D and every field on the half is
-    in the class.  `cosets` holds one element r of each double coset D r D
-    with its weight psi(r) |D r D| / |G|, identity first: the terms
-    `symmetrize_array` sums.
+    on it), and 0 otherwise; these flips generate D, the subgroup whose
+    average the fold onto `half` takes exactly; generator_axes[j] is the
+    axis whose single flip generator j is, None if it is none.  `half` is
+    the grid that keeps the positive half of every axis with the mirror
+    parity the class imposes: +1 on the axes at or beyond the rank, which
+    every element fixes, and flips[i] on the others.  `half_holds_class`
+    says that the half alone holds the class: G has one double coset, so
+    G = D and every field on the half is in the class.  `cosets` holds one
+    element r of each double coset D r D with its weight psi(r) |D r D| /
+    |G|, identity first: the terms `symmetrize_array` sums.
     """
 
     def __init__(self, group: CoxeterGroup, grid: GridSpec):
@@ -343,9 +332,8 @@ class GroupAction:
         axis_of = dict(zip(flip_keys, range(grid.dim)))
         self.generator_axes = tuple(axis_of.get(element_keys([self.embed(g)])[0])
                                     for g in group.generators)
-        self.parity = tuple(1 if ax >= group.rank else s
-                            for ax, s in enumerate(self.flips))
-        self.half = replace(grid, parity=self.parity)
+        self.half = replace(grid, parity=tuple(1 if ax >= group.rank else s
+                                               for ax, s in enumerate(self.flips)))
         self.cosets = self._double_cosets(mats, group.element_signs(), keys)
         self.half_holds_class = len(self.cosets) == 1
 
@@ -497,35 +485,38 @@ def act(action: GroupAction, g: np.ndarray, u: Field) -> Field:
     return u.with_data(apply_matrix_array(action.grid, p, u.data))
 
 
-def symmetrize_array(action: GroupAction, a: np.ndarray) -> np.ndarray:
-    """Projector onto the sign-equivariant class, (1/|G|) sum_g psi(g) g . a,
+def symmetrize_array(action: GroupAction, b: np.ndarray) -> np.ndarray:
+    """Projector onto the sign-equivariant class, (1/|G|) sum_g psi(g) g . a
+    for a = half.unfold(b), folded onto `action.half`, where b lies too;
     summed over the double cosets of the flip subgroup D (Bossavit 1986).
 
-    The fold over D, P_D = parity_fold(., flips), is exact and absorbs the
-    character: P_D d = psi(d) P_D for d in D, so every g in D r D gives
-    the same P_D g P_D up to psi, and the average is
-    P_D (sum_r psi(r) |D r D| / |G| r .) P_D.  Each non-identity
-    representative costs one group action; the identity is a scaled copy.
+    The fold over D, P_D, is exact and absorbs the character: P_D d =
+    psi(d) P_D for d in D, so every g in D r D gives the same P_D g P_D up
+    to psi, and the average is P_D (sum_r psi(r) |D r D| / |G| r .) P_D;
+    a is in D's class already, and `half.fold` is P_D on the way out.
+    Each non-identity representative costs one group action; the identity
+    is a scaled copy.
     """
-    a = parity_fold(a, action.flips)
+    half = action.half
+    a = half.unfold(b)
     (_, weight), *rest = action.cosets
     acc = weight * a
     for g, w in rest:
         acc += w * apply_matrix_array(action.grid, g.T, a)
-    return parity_fold(acc, action.flips)
+    return half.fold(acc)
 
 
 def symmetry_residual(action: GroupAction, u: Field) -> float:
     """max over generators of ||g.u - psi(g) u||_2 / ||u||_2.  A generator
-    that flips one axis, along which `exact_half(u)` already holds u with
-    the sign psi(g), gives exactly 0.0: it is not applied, and where no
-    generator is, ||u|| is not summed either."""
+    that flips one axis, along which `u.half` already holds u with the sign
+    psi(g), gives exactly 0.0: it is not applied, and where no generator
+    is, ||u|| is not summed either."""
     if u.grid != action.grid:
         raise GridMismatch("field grid does not match the action grid")
     signs = [action.group.sign(g) for g in action.group.generators]
     applied = [(g, s) for g, s, ax in zip(action.group.generators, signs,
                                           action.generator_axes)
-               if ax is None or exact_half(u).parity[ax] != s]
+               if ax is None or u.half.parity[ax] != s]
     denom = np.sqrt(np.sum(u.data ** 2)) if applied else 0.0
     if denom == 0.0:
         return 0.0
@@ -631,8 +622,8 @@ def boundary_amplitude(u: Field) -> float:
 def radial_shell_stats(u: Field):
     """Shell-wise radial profile: center radius, max |u|, sign at the max.
 
-    u is read on `exact_half(u)`, whose mirror images carry the same |u|, so
-    the shell maxima are the full grid's.  Points are binned to the nearest
+    u is read on `u.half`, whose mirror images carry the same |u|, so the
+    shell maxima are the full grid's.  Points are binned to the nearest
     multiple of h, so shell k is centered at radius k*h and covers
     [k*h - h/2, k*h + h/2). The sign is +1 if every stored node attaining
     the shell maximum is positive, -1 if every one is negative, 0 if both
@@ -640,8 +631,8 @@ def radial_shell_stats(u: Field):
     Shells containing no grid point (always the origin shell on a
     cell-centered grid) are dropped from the output.
     """
-    half = exact_half(u)
-    vals = half.fold(u.data).ravel()
+    half = u.half
+    vals = u.half_data.ravel()
     idx = np.rint(half.radius().ravel() / half.h).astype(int)
     counts = np.bincount(idx)
     max_abs = np.zeros(counts.size)

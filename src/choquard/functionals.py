@@ -19,8 +19,9 @@ This module is the one evaluation core: the solver, `evaluate` and
 `choquard verify` all take A, B, Q, the gradient and the residuals from
 the array functions `_state_parts`, `_gradient_from_parts` and
 `residuals`, on the grid the caller passes, which names the folded
-axes: the solver's half grid, or the field's `field.exact_half` in
-`evaluate`, which unfolds the gradient from it.
+axes: the solver's half grid, or in `evaluate` the field's own
+`Field.half`, where it reads `Field.half_data` and from which it unfolds
+the gradient.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NoDescent, NonpositiveQ, ParseError
-from .field import Field, _dst, _idst, exact_half, sine_multipliers
+from .field import Field, _dst, _idst, sine_multipliers
 from .riesz import RieszKernel
 
 
@@ -245,18 +246,16 @@ def _check_grid(kernel: RieszKernel, u: Field):
 
 
 def evaluate(nl: Nonlinearity, kernel: RieszKernel, u: Field) -> FunctionalState:
-    """State of u, on the half of its grid that exact_half finds."""
+    """State of u, on its own half `u.half`."""
     _check_grid(kernel, u)
-    half = exact_half(u)
-    return _state_parts(nl, kernel, half.fold(u.data), half)[0]
+    return _state_parts(nl, kernel, u.half_data, u.half)[0]
 
 
 def evaluate_with_gradient(nl, kernel, u):
     """State and gradient sharing one convolution and one sine transform, on
-    the half of u's grid that exact_half finds; the gradient is unfolded."""
+    u's own half `u.half`; the gradient is unfolded."""
     _check_grid(kernel, u)
-    half = exact_half(u)
-    a = half.fold(u.data)
+    half, a = u.half, u.half_data
     state, coeff, conv = _state_parts(nl, kernel, a, half)
     return state, u.with_data(
         half.unfold(_gradient_from_parts(nl, kernel, a, coeff, conv, half)))

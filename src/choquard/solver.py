@@ -23,7 +23,7 @@ transforms again what an evaluation already holds.
 A descent level is its action, built once per solve with the kernel on
 its grid; `_projector(action)` is its map into the class: |u| for the ground
 state, none where the half grid holds the class (A1, I2:2, A1xA1xA1), and
-otherwise unfold, `symmetrize_array`, fold, where the group average runs
+otherwise `symmetrize_array` on the half, where the group average runs
 over the double cosets of the axis flips in G, one group action per
 non-trivial double coset (one three-shear rotation for I2:3); only that
 averaging projector needs the symmetry drift watched.  A descent
@@ -54,8 +54,8 @@ over one start for each orbit spacing in SPACINGS, read off one evaluation
 of each.  An orbit-bump start translates a cut-off copy of a base profile
 to the orbit of a chamber-interior direction and antisymmetrizes, giving
 one signed bump per orbit point, built on the half grid from the base's
-own half, folded once per scan; only the averaging class map of I2:m
-unfolds it.
+own half, `Field.half`, which the base finds once and keeps for the whole
+scan; only the averaging class map of I2:m unfolds it.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .field import (
     _idst,
     boundary_amplitude,
     dilate,
-    exact_half,
     helmholtz_inverse_coeff,
     symmetrize_array,
     symmetry_residual,
@@ -343,13 +342,12 @@ def _gaussian_seed(grid: GridSpec) -> np.ndarray:
 def _projector(action):
     """The map into the class of the action on its half grid: |.| for the
     trivial group, None where the half grid holds the class, and otherwise
-    unfold, group average, fold."""
+    the group average on the half, looked up by its module-level name."""
     if action.group.rank == 0:
         return np.abs
     if action.half_holds_class:
         return None
-    half = action.half
-    return lambda a: half.fold(symmetrize_array(action, half.unfold(a)))
+    return lambda a: symmetrize_array(action, a)
 
 
 def _coarse_grid(grid):
@@ -482,15 +480,15 @@ def build_initializer(action: GroupAction, base: Field,
     across each wall.  The output is scaled by the group order so that
     each bump, where it stands alone, keeps the base amplitude.
 
-    The bump is cut on the base's own half: `exact_half` of a full-grid
-    base (all-even for a ground state), or the half a folded base already
-    lies on.  One sine-interpolant evaluation translates it and folds it
-    onto the action's half, whose M may differ from the base's (the coarse
-    stage's scan reads a fine base straight onto the M/2 half).  The class
-    map is then `_projector`'s: none where the half holds the class, else
-    unfold, group average and fold, whose unfold is the only full-grid
-    array built.  For the trivial group this is |base| cut off at the
-    origin; `solve_saddle` starts that group from a Gaussian instead.
+    The bump is cut on the base's own half, `base.half` (all-even for a
+    ground state), read as `base.half_data`.  One sine-interpolant
+    evaluation translates it and folds it onto the action's half, whose M
+    may differ from the base's (the coarse stage's scan reads a fine base
+    straight onto the M/2 half).  The class map is then `_projector`'s:
+    none where the half holds the class, else the group average on the
+    half, whose unfold is the only full-grid array built.  For the trivial
+    group this is |base| cut off at the origin; `solve_saddle` starts that
+    group from a Gaussian instead.
     """
     group = action.group
     grid = action.grid
@@ -506,32 +504,21 @@ def build_initializer(action: GroupAction, base: Field,
     # configuration before settling, and a seed that already touches the
     # boundary turns those dilations into wall artifacts.
     radius = 0.80 * grid.L / (separation * qmax + 2.0)
-    base = _own_half(base)
-    bump = quintic_cutoff(base.grid, radius) * base.data
+    bump = quintic_cutoff(base.half, radius) * base.half_data
     center = action.embed_point(separation * radius * q)
-    a = translate(Field(base.grid, bump), center, action.half).data
+    a = translate(Field(base.half, bump), center, action.half).data
     project = _projector(action)
     return Field(action.half, group.order * (project(a) if project else a))
-
-
-def _own_half(base):
-    """base on its own half: as it is where it lies on a half grid, else
-    folded onto its `exact_half`."""
-    if any(base.grid.parity):
-        return base
-    source = exact_half(base)
-    return Field(source, source.fold(base.data)) if any(source.parity) else base
 
 
 def _least_ray_start(nl, kernel, action, base):
     """The orbit-bump start over SPACINGS of least ray maximum a(t_u), from
     one evaluation of each on the action's half grid with the kernel on its
     grid: the peak selection of the local minimax method (Li & Zhou, SIAM J.
-    Sci. Comput. 23, 2001) applied to the start.  The base is folded onto
-    its own half once per scan.  Candidates with no Pohozaev root are
-    skipped; the start is the last one built, spaced 6R, when none has
-    one."""
-    base = _own_half(base)
+    Sci. Comput. 23, 2001) applied to the start.  The base finds its own
+    half once, on the first candidate, and keeps it for the rest.
+    Candidates with no Pohozaev root are skipped; the start is the last
+    one built, spaced 6R, when none has one."""
     best, least = None, np.inf
     for spacing in SPACINGS:
         start = build_initializer(action, base, spacing)

@@ -1,20 +1,37 @@
 """Test-only helpers shared by the test modules: the node mesh of a grid,
-the dilation ray's b(t), the oracle the Pohozaev root is checked against,
-and the full-grid oracles of the diagnostics that read a field on its
-exact half: nodal domains labelled on the whole grid, and the symmetry
-residual with every generator applied."""
+a field made exactly even or odd along chosen axes, the class projector
+on full-grid arrays, the dilation ray's b(t), the oracle the Pohozaev
+root is checked against, and the full-grid oracles of the diagnostics
+that read a field on its exact half: nodal domains labelled on the whole
+grid, and the symmetry residual with every generator applied."""
+
+from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
 
 from choquard.analysis import NodalReport, open_chamber_mask
-from choquard.field import act
+from choquard.field import act, symmetrize_array
 
 
 def node_mesh(grid):
     """Node coordinates of the grid, one array per axis, indexed ij."""
     return np.meshgrid(*(grid.axis_coords(ax) for ax in range(grid.dim)),
                        indexing="ij")
+
+
+def mirror_class(grid, a, parity):
+    """The full-grid array a made bit-exactly even (+1) or odd (-1) along
+    each axis of that parity: the unfold of its fold onto that half."""
+    half = replace(grid, parity=tuple(parity))
+    return half.unfold(half.fold(a))
+
+
+def project(action, a):
+    """The class projector on a full-grid array: fold onto the action's
+    half, project there, unfold."""
+    half = action.half
+    return half.unfold(symmetrize_array(action, half.fold(a)))
 
 
 def dilation_pohozaev(t, state, dim, alpha):

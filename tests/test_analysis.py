@@ -9,6 +9,7 @@ of test_acceptance.py imports from here.
 import dataclasses
 import itertools
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,14 +30,12 @@ from choquard.field import (
     Field,
     GridSpec,
     GroupAction,
-    exact_half,
-    parity_fold,
-    symmetrize_array,
+    radial_shell_stats,
 )
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
 from choquard.solver import SolveReport, SolverConfig, solve_ground
-from helpers import full_grid_nodal_domains, node_mesh
+from helpers import full_grid_nodal_domains, mirror_class, node_mesh, project
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
 NL = parse_nonlinearity("power:p=2")
@@ -94,9 +93,7 @@ def chamber_reconstruct(action, v):
             raise SupportViolation(
                 f"support leaks outside the chamber by {leak:.3e} relative"
             )
-    return v.with_data(
-        action.group.order * symmetrize_array(action, restricted)
-    )
+    return v.with_data(action.group.order * project(action, restricted))
 
 
 def chamber_restrict(action, u):
@@ -187,7 +184,7 @@ def smooth_field(grid, par, seed):
             * bump(grid, rng.uniform(-0.7, 0.7, grid.dim) * grid.L,
                    rng.uniform(0.3, 1.5))
             for _ in range(8))
-    return parity_fold(a, par)
+    return mirror_class(grid, a, par)
 
 
 @pytest.mark.parametrize("dim,par", ORACLE_CASES)
@@ -197,7 +194,7 @@ def test_half_grid_nodal_report_is_the_full_grid_labelling(dim, par, seed):
     every parity pattern, with the threshold at 0 and at two levels."""
     grid = ORACLE_GRIDS[dim]
     u = Field(grid, smooth_field(grid, par, seed))
-    assert exact_half(u).parity == par
+    assert u.half.parity == par
     for threshold in (0.0, 1e-3, 0.2):
         assert nodal_domains(u, threshold) == full_grid_nodal_domains(u, threshold)
     for tag in ORACLE_GROUPS[dim]:
@@ -209,7 +206,7 @@ def test_half_grid_nodal_report_is_the_full_grid_labelling(dim, par, seed):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_zero_field_has_no_nodal_domain(dim):
     u = Field(ORACLE_GRIDS[dim], np.zeros(ORACLE_GRIDS[dim].shape))
-    assert exact_half(u).parity == (1,) * dim
+    assert u.half.parity == (1,) * dim
     action = GroupAction(from_name("A1"), u.grid)
     for threshold in (0.0, 1e-3):
         rep = nodal_domains(u, threshold, action)
@@ -224,7 +221,7 @@ def test_a_component_joins_its_images_across_the_even_faces_it_touches(center, f
     """A bump on an all-even grid that touches e mirror faces gives 2^(3-e)
     domains of 2^e times its half-grid size."""
     grid = ORACLE_GRIDS[3]
-    u = Field(grid, parity_fold(bump(grid, center), (1, 1, 1)))
+    u = Field(grid, mirror_class(grid, bump(grid, center), (1, 1, 1)))
     rep = nodal_domains(u, 0.1)
     assert rep == full_grid_nodal_domains(u, 0.1)
     assert (rep.count, rep.negative_count) == (2 ** (3 - faces), 0)
@@ -236,12 +233,37 @@ def test_a_component_never_joins_its_image_across_an_odd_axis(par):
     """A bump at the origin touches every mirror face; each odd axis keeps
     its image apart and flips its sign."""
     grid = ORACLE_GRIDS[3]
-    u = Field(grid, parity_fold(bump(grid, (0.5, 0.5, 0.5)), par))
+    u = Field(grid, mirror_class(grid, bump(grid, (0.5, 0.5, 0.5)), par))
     rep = nodal_domains(u, 0.1)
     odd = par.count(-1)
     assert rep == full_grid_nodal_domains(u, 0.1)
     assert (rep.count, rep.positive_count, rep.negative_count) == (
         2 ** odd, 2 ** (odd - 1), 2 ** (odd - 1))
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_a_half_grid_field_reads_as_its_full_grid_field(M):
+    """x exp(-|x|), odd in x and even in y, stored on the (-1, 1) half: its
+    radial shells, nodal domains, chamber sign and decay fit are its
+    full-grid field's."""
+    grid = GridSpec(2, M, 4.0)
+    x, _ = node_mesh(grid)
+    full = Field(grid, x * np.exp(-grid.radius()))
+    h = replace(grid, parity=(-1, 1))
+    half = Field(h, h.fold(full.data))
+    for got, want in zip(radial_shell_stats(half), radial_shell_stats(full),
+                         strict=True):
+        np.testing.assert_array_equal(got, want)
+    action = GroupAction(from_name("A1"), grid)
+    rep = nodal_domains(half, action=action)
+    assert rep == nodal_domains(full, action=action)
+    assert (rep.count, rep.sign_on_chamber) == (2, 1)
+    if M == 16:  # two shells in the default window [1.6, 2.8], too few to fit
+        for u in (half, full):
+            with pytest.raises(ValueError, match="only 2 shells"):
+                decay_fit(u)
+    else:
+        assert decay_fit(half) == decay_fit(full)
 
 
 # -- chamber masks and unfolding ----------------------------------------------

@@ -78,7 +78,7 @@ def test_tracer_counts_shear_tables(tracer_module, monkeypatch):
     # a fresh cache, so the tables are built under the tracer
     monkeypatch.setattr(field, "_SHEAR_CACHE", {})
     action = GroupAction(from_name("I2:3"), GRID)
-    a = np.random.default_rng(0).standard_normal(GRID.shape)
+    a = np.random.default_rng(0).standard_normal(action.half.shape)
     plain = symmetrize_array(action, a)
     monkeypatch.setattr(field, "_SHEAR_CACHE", {})
     tr = tracer_module.Tracer()

@@ -24,7 +24,6 @@ from choquard.field import (
     dilate,
     helmholtz_inverse_array,
     l2_sq_integral,
-    parity_fold,
     radial_shell_stats,
     read_field,
     sine_multipliers,
@@ -40,7 +39,7 @@ from choquard.field import (
 from choquard.functionals import evaluate, evaluate_with_gradient, power
 from choquard.solver import _gaussian_seed
 from choquard.riesz import get_kernel
-from helpers import node_mesh
+from helpers import mirror_class, node_mesh, project
 
 # F = 0 leaves E = (A + B)/2, whose L^2 gradient is -Delta u + u
 NO_INTERACTION = power(2.0, coeff=0.0)
@@ -299,8 +298,8 @@ def test_symmetrize_idempotent_grid_exact(tag):
     action = GroupAction(group, grid)
     rng = np.random.default_rng(3)
     u = Field(grid, rng.standard_normal(grid.shape))
-    pu = u.with_data(symmetrize_array(action, u.data))
-    ppu = symmetrize_array(action, pu.data)
+    pu = u.with_data(project(action, u.data))
+    ppu = project(action, pu.data)
     np.testing.assert_allclose(ppu, pu.data, atol=1e-13)
     assert symmetry_residual(action, pu) <= 1e-10 or l2_sq_integral(pu) < 1e-20
 
@@ -311,8 +310,8 @@ def test_symmetrize_near_idempotent_sheared(tag):
     grid = GridSpec(2, 64, 6.0)
     action = GroupAction(group, grid)
     u = gaussian(grid, np.array([1.0, 0.5]), width=0.8)
-    pu = u.with_data(symmetrize_array(action, u.data))
-    ppu = symmetrize_array(action, pu.data)
+    pu = u.with_data(project(action, u.data))
+    ppu = project(action, pu.data)
     denom = np.sqrt(l2_sq_integral(pu))
     assert np.sqrt(l2_sq_integral(Field(grid, ppu - pu.data))) / denom < 1e-3
     assert symmetry_residual(action, pu) < 1e-2
@@ -324,8 +323,8 @@ def test_symmetrize_is_self_adjoint():
     rng = np.random.default_rng(4)
     u = Field(grid, rng.standard_normal(grid.shape))
     v = Field(grid, rng.standard_normal(grid.shape))
-    pu = u.with_data(symmetrize_array(action, u.data))
-    pv = v.with_data(symmetrize_array(action, v.data))
+    pu = u.with_data(project(action, u.data))
+    pv = v.with_data(project(action, v.data))
     assert inner(pu, v) == pytest.approx(inner(u, pv), rel=1e-12)
 
 
@@ -349,7 +348,8 @@ def _off_class_field(action):
 @pytest.mark.parametrize("dim,M,tag", [
     *((2, 64, tag) for tag in EXACT_2D), *((3, 24, tag) for tag in EXACT_3D)])
 def test_symmetrize_is_the_group_average(dim, M, tag):
-    """The double-coset sum equals (1/|G|) sum_g psi(g) g . a term by term."""
+    """The double-coset sum equals (1/|G|) sum_g psi(g) g . a term by term,
+    for a on the action's half, unfolded."""
     a, got, want = _projector_and_group_average(dim, M, tag)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -358,16 +358,19 @@ def test_symmetrize_is_the_group_average(dim, M, tag):
 
 
 def _projector_and_group_average(dim, M, tag):
-    """(a, symmetrize_array(a), (1/|G|) sum_g psi(g) g . a) for the off-class
-    field on the (dim, M, L=8) grid."""
+    """(a, the projection of a, (1/|G|) sum_g psi(g) g . a') for the
+    off-class field a on the (dim, M, L=8) grid: the projection unfolds
+    symmetrize_array of a's fold onto the action's half, and a' is that
+    fold unfolded."""
     group = from_name(tag)
     grid = GridSpec(dim, M, 8.0)
     action = GroupAction(group, grid)
     a = _off_class_field(action)
-    want = sum(s * apply_matrix_array(grid, action.embed(g).T, a)
+    folded = action.half.unfold(action.half.fold(a))
+    want = sum(s * apply_matrix_array(grid, action.embed(g).T, folded)
                for g, s in zip(group.element_matrices(), group.element_signs(),
                                strict=True)) / group.order
-    return a, symmetrize_array(action, a), want
+    return a, project(action, a), want
 
 
 @pytest.mark.parametrize("tag", ["I2:16", "I2:40"])
@@ -378,6 +381,30 @@ def test_symmetrize_is_the_group_average_across_quarter_turn_ties(dim, M, tag):
     tie splits off the flip part, whatever the entries' last bits."""
     _, got, want = _projector_and_group_average(dim, M, tag)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tag,dim,M", [
+    ("I2:3", 2, 256), ("I2:3", 2, 64), ("I2:4", 2, 64), ("I2:5", 2, 66),
+    ("I2:6", 2, 64), ("A3", 3, 16), ("B3", 3, 16), ("I2:3", 3, 16),
+    ("A1xI2:4", 3, 16),
+])
+def test_projector_on_the_half_is_the_full_grid_construction_bit_for_bit(tag, dim, M):
+    """symmetrize_array on the half equals, to the last bit and signed
+    zeros included, the fold of the full-grid construction
+    P_D (sum_r w_r r .) P_D of the unfolded input, P_D the mirror average
+    over the flips in G, unfold(fold(.)) on the half of parity flips."""
+    action = GroupAction(from_name(tag), GridSpec(dim, M, 8.0))
+    half = action.half
+    b = half.fold(_off_class_field(action))
+    b[np.abs(b) < 1e-6] = -0.0
+    a = mirror_class(action.grid, half.unfold(b), action.flips)
+    (_, weight), *rest = action.cosets
+    acc = weight * a
+    for r, w in rest:
+        acc += w * apply_matrix_array(action.grid, r.T, a)
+    want = half.fold(mirror_class(action.grid, acc, action.flips))
+    assert np.any(np.signbit(b) & (b == 0.0))
+    assert symmetrize_array(action, b).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tag,dim,reps", [
@@ -397,12 +424,12 @@ def test_double_coset_representatives(tag, dim, reps):
     assert np.sum(np.abs(weights)) == pytest.approx(1.0, abs=1e-15)
     for r, w in action.cosets:
         assert np.sign(w) == round(np.linalg.det(r))
-    assert action.flips == tuple(s if s < 0 else 0 for s in action.parity)
+    assert action.flips == tuple(s if s < 0 else 0 for s in action.half.parity)
     assert action.half_holds_class is (len(action.cosets) == 1)
 
 
 def test_i23_projection_runs_one_group_action(monkeypatch):
-    """The identity is a scaled copy and parity_fold averages the one axis
+    """The identity is a scaled copy and the fold averages the one axis
     flip, so an I2:3 projection runs a single (three-shear) group action."""
     grid = GridSpec(2, 64, 8.0)
     action = GroupAction(from_name("I2:3"), grid)
@@ -415,9 +442,9 @@ def test_i23_projection_runs_one_group_action(monkeypatch):
         return original(grid, p, a)
 
     monkeypatch.setattr(field_mod, "apply_matrix_array", counted)
-    a = _off_class_field(action)
+    b = action.half.fold(_off_class_field(action))
     for n in (1, 2):
-        symmetrize_array(action, a)
+        symmetrize_array(action, b)
         assert len(moved) == n
     assert not is_signed_permutation(moved[0])
 
@@ -443,7 +470,7 @@ def test_group_acts_exactly_or_is_rejected(tag, exact):
         return
     action = GroupAction(group, grid)
     u = gaussian(grid, np.linspace(0.3, 0.9, grid.dim))
-    pu = u.with_data(symmetrize_array(action, u.data))
+    pu = u.with_data(project(action, u.data))
     # shears of a smooth bump at h = 0.5 are exact to about 3e-4 (I2:8)
     assert symmetry_residual(action, pu) < 1e-3
 
@@ -469,10 +496,10 @@ def test_group_parity(tag, parity2, parity3):
         if want is None:
             continue
         action = GroupAction(group, GridSpec(dim, 16, 4.0))
-        assert action.parity == want
+        assert action.half.parity == want
         # the group average already has the parity of every flip in G
         u = gaussian(action.grid, np.linspace(0.3, 0.9, dim)).data
-        pu = symmetrize_array(action, u)
+        pu = project(action, u)
         for ax, s in enumerate(want):
             if s == -1:
                 assert np.allclose(pu, s * np.flip(pu, ax), atol=1e-12)
@@ -503,23 +530,25 @@ def test_parity_is_even_beyond_the_rank_and_the_flips_within(tag, dim):
     mats = np.array([action.embed(g) for g in action.group.element_matrices()])
     fixed = [np.allclose(mats[:, ax], e) and np.allclose(mats[:, :, ax], e)
              for ax, e in enumerate(np.eye(dim))]
-    assert action.parity == tuple(1 if f else s for f, s in zip(fixed, action.flips))
+    assert action.half.parity == tuple(1 if f else s
+                                       for f, s in zip(fixed, action.flips))
 
 
 @pytest.mark.parametrize("parity", [(1, 1), (-1, 1), (0, -1), (1, -1, 0),
                                     (-1, -1, -1), (0, 1, -1)],
                          ids=lambda p: ",".join(map(str, p)))
 def test_parity_fold_is_exact_and_idempotent(parity):
+    """The mirror average unfold(fold(a)) on the half of that parity."""
     grid = GridSpec(len(parity), 16, 4.0)
     a = np.random.default_rng(5).standard_normal(grid.shape)
-    b = parity_fold(a, parity)
+    b = mirror_class(grid, a, parity)
     for ax, s in enumerate(parity):
         if s:
             assert np.array_equal(b, s * np.flip(b, ax))
         else:
             assert not np.allclose(b, np.flip(b, ax))
             assert not np.allclose(b, -np.flip(b, ax))
-    assert np.array_equal(parity_fold(b, parity), b)
+    assert np.array_equal(mirror_class(grid, b, parity), b)
     # a projector: the folded-away part is orthogonal to the result
     assert abs(np.sum((a - b) * b)) <= 1e-12 * np.sum(a * a)
 
@@ -528,13 +557,19 @@ def test_parity_fold_is_exact_and_idempotent(parity):
 @pytest.mark.parametrize("parity", [(1, 1, 1), (-1, 1, 1), (-1, -1, 0), (0, 0, 0)],
                          ids=lambda p: ",".join(map(str, p)))
 def test_fold_is_the_positive_half_of_parity_fold_bit_for_bit(parity):
-    """GridSpec.fold averages half by half, never the whole grid, and gives
-    the positive halves of parity_fold to the last bit."""
+    """GridSpec.fold is exact on its own mirror average: the unfold of a
+    fold holds it in the positive halves, and folding that again gives it
+    back to the last bit, signed zeros included.  The class projector's
+    last fold rests on this."""
     half = GridSpec(3, 32, 4.0, parity)
     a = np.random.default_rng(7).standard_normal((32,) * 3)
-    want = parity_fold(a, parity)[tuple(slice(16, None) if s else slice(None)
-                                        for s in parity)]
-    assert np.array_equal(half.fold(a), want)
+    a[np.abs(a) < 0.3] = 0.0
+    a[a > 1.5] = -0.0
+    b = half.fold(a)
+    full = half.unfold(b)
+    positive = tuple(slice(16, None) if s else slice(None) for s in parity)
+    assert full[positive].tobytes() == b.tobytes()
+    assert half.fold(full).tobytes() == b.tobytes()
 
 
 _C, _S = np.cos(0.3), np.sin(0.3)
@@ -623,7 +658,7 @@ def test_dilate_matches_analytic_gaussian(t):
 def test_l2_sq_integral_is_the_full_grid_b_on_every_half(parity):
     """A parity-reduced field gives the B of its unfolded full-grid field."""
     grid = GridSpec(2, 16, 4.0)
-    a = parity_fold(gaussian(grid, [1.2, -0.9]).data, parity)
+    a = mirror_class(grid, gaussian(grid, [1.2, -0.9]).data, parity)
     half = replace(grid, parity=parity)
     full_b = l2_sq_integral(Field(grid, a))
     assert full_b > 0.1
@@ -715,7 +750,8 @@ def test_radial_shells_of_an_odd_field_read_its_positive_half(dim):
     maximum on the full grid, and the stored half x0 > 0 is positive."""
     grid = GridSpec(dim, 16, 4.0)
     x = node_mesh(grid)
-    u = Field(grid, parity_fold(x[0] * gaussian(grid).data, (-1,) + (0,) * (dim - 1)))
+    u = Field(grid, mirror_class(grid, x[0] * gaussian(grid).data,
+                                 (-1,) + (0,) * (dim - 1)))
     _, _, sign = radial_shell_stats(u)
     assert np.all(sign == 1)
 
@@ -752,7 +788,7 @@ def test_radial_shells_match_a_full_grid_oracle(parity):
     grid's, bit for bit."""
     grid = GridSpec(len(parity), 16, 4.0)
     rng = np.random.default_rng(11)
-    u = Field(grid, parity_fold(rng.standard_normal(grid.shape), parity))
+    u = Field(grid, mirror_class(grid, rng.standard_normal(grid.shape), parity))
     centers, max_abs, _ = radial_shell_stats(u)
     want_centers, want_max = _radial_oracle(u)
     np.testing.assert_array_equal(centers, want_centers)

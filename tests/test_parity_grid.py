@@ -23,10 +23,7 @@ from choquard.field import (
     _dst,
     _idst,
     dilate,
-    exact_half,
     helmholtz_inverse_array,
-    parity_fold,
-    symmetrize_array,
     symmetry_residual,
     translate,
     x_dot_grad_array,
@@ -38,7 +35,7 @@ from choquard.functionals import (
     power,
 )
 from choquard.riesz import RieszKernel
-from helpers import generator_residual
+from helpers import generator_residual, mirror_class, project
 
 TOL = 1e-13
 GRIDS = {2: GridSpec(2, 32, 6.0), 3: GridSpec(3, 16, 5.0)}
@@ -60,7 +57,7 @@ def class_field(grid, par, seed=0):
     every sine mode present (the Nyquist mode included)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(grid.shape) * np.exp(-grid.radius_sq() / grid.L)
-    return parity_fold(a, par)
+    return mirror_class(grid, a, par)
 
 
 def positive_half(grid, par, a):
@@ -111,9 +108,32 @@ def test_exact_half_finds_the_class_once_per_field(dim, par, monkeypatch):
     monkeypatch.setattr(field_mod, "_mirror_sign",
                         lambda a, ax: calls.append(ax) or find(a, ax))
     u = Field(GRIDS[dim], class_field(GRIDS[dim], par))
-    assert exact_half(u).parity == par
-    assert exact_half(u) is u.half
+    assert u.half.parity == par
+    # the stored positive halves, read in place and read-only
+    view = u.half_data
+    assert np.array_equal(view, positive_half(GRIDS[dim], par, u.data))
+    assert np.shares_memory(view, u.data) and not view.flags.writeable
     assert calls == list(range(dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_half_grid_field_keeps_its_folded_axis_and_finds_a_whole_even_one(
+        dim, monkeypatch):
+    """x0 exp(-|x|) stored on the half odd along axis 0 only: the folded
+    axis keeps its parity, only the whole axes are searched, and each is
+    found even."""
+    calls = []
+    find = field_mod._mirror_sign
+    monkeypatch.setattr(field_mod, "_mirror_sign",
+                        lambda a, ax: calls.append(ax) or find(a, ax))
+    grid = GridSpec(dim, 16, 4.0)
+    x0 = grid.along(0, grid.axis_coords())
+    full = x0 * np.exp(-grid.radius())
+    h = replace(grid, parity=(-1,) + (0,) * (dim - 1))
+    u = Field(h, h.fold(full))
+    assert u.half == replace(grid, parity=(-1,) + (1,) * (dim - 1))
+    assert np.array_equal(u.half_data, positive_half(grid, u.half.parity, full))
+    assert calls == list(range(1, dim))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -123,10 +143,10 @@ def test_an_odd_axis_with_zero_planes_at_its_mirror_is_odd(dim):
     grid = GRIDS[dim]
     a = class_field(grid, (-1,) + (0,) * (dim - 1))
     a[grid.M // 2 - 1] = a[grid.M // 2] = 0.0
-    assert exact_half(Field(grid, a)).parity == (-1,) + (0,) * (dim - 1)
+    assert Field(grid, a).half.parity == (-1,) + (0,) * (dim - 1)
     even = class_field(grid, (1,) * dim)
     even[grid.M // 2 - 1] = even[grid.M // 2] = 0.0
-    assert exact_half(Field(grid, even)).parity == (1,) * dim
+    assert Field(grid, even).half.parity == (1,) * dim
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -140,7 +160,7 @@ def test_a_last_bit_asymmetry_leaves_the_axis_whole(dim, par, index):
     a = class_field(grid, (par,) * dim)
     plane = grid.M // 2 + index if index < 0 else index
     a[plane] = np.copysign(np.nextafter(np.abs(a[plane]), np.inf), a[plane])
-    assert exact_half(Field(grid, a)).parity == (0,) + (par,) * (dim - 1)
+    assert Field(grid, a).half.parity == (0,) + (par,) * (dim - 1)
 
 
 @pytest.mark.parametrize("dim,tag", [
@@ -155,7 +175,7 @@ def test_symmetry_residual_with_held_flips_skipped_equals_every_generator_applie
     action = GroupAction(from_name(tag), grid)
     rng = np.random.default_rng(2)
     noise = rng.standard_normal(grid.shape)
-    fields = [symmetrize_array(action, noise), parity_fold(noise, action.flips), noise]
+    fields = [project(action, noise), mirror_class(grid, noise, action.flips), noise]
     for a in fields:
         u = Field(grid, a)
         assert symmetry_residual(action, u) == generator_residual(action, u)
@@ -197,7 +217,7 @@ def test_reduced_a_and_b_match_the_full_grid(dim, par):
     a = class_field(grid, par)
     full, coeff, conv = _state_parts(nl, kernel, a, grid)
     reduced = _state_parts(nl, kernel, half.fold(a), half)[0]
-    assert exact_half(Field(grid, a)) == half
+    assert Field(grid, a).half == half
     evaluated, grad = evaluate_with_gradient(nl, kernel, Field(grid, a))
     for state in (reduced, evaluated):
         for name in ("A", "B", "Q", "energy"):
@@ -308,5 +328,6 @@ def test_action_carries_its_half_grid_and_whether_it_holds_the_class(dim, tag):
     holds the class exactly for groups of axis flips that fold every axis."""
     grid = GRIDS[dim]
     action = GroupAction(from_name(tag), grid)
-    assert action.half == replace(grid, parity=action.parity)
+    assert replace(action.half, parity=None) == grid
+    assert all(p == f for p, f in zip(action.half.parity, action.flips) if f)
     assert action.half_holds_class is HOLDS_CLASS[tag]

@@ -19,7 +19,7 @@ import pytest
 import scipy.fft
 
 from choquard.errors import AlphaOutOfRange, IncompatibleGrid
-from choquard.field import Field, GridSpec, exact_half, parity_fold
+from choquard.field import Field, GridSpec
 from choquard.functionals import (
     _gradient_from_parts,
     _state_parts,
@@ -32,6 +32,7 @@ from choquard.riesz import (
     get_kernel,
     riesz_constant,
 )
+from helpers import mirror_class
 
 
 def offset_value(kern, offset):
@@ -370,7 +371,7 @@ def test_folded_convolution_matches_doubled_grid(dim, M, alpha, parity):
     even = GridSpec(dim, M, 4.0, parity=tuple(int(s == 1) for s in parity))
     kern = RieszKernel(grid, alpha)
     rng = np.random.default_rng(13)
-    v = parity_fold(rng.standard_normal(grid.shape), list(parity))
+    v = mirror_class(grid, rng.standard_normal(grid.shape), parity)
     conv = even.unfold(kern.convolve_array(even.fold(v), even.folded))
     want = doubled_grid_convolution(kern, v)
     assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
@@ -382,19 +383,19 @@ def test_one_asymmetric_sample_is_not_folded(dim, M):
     is evaluated on the full grid; one slice off leaves only its axis."""
     grid = GridSpec(dim, M, 4.0)
     kern = RieszKernel(grid, 1.0)
-    v = parity_fold(np.exp(-grid.radius() ** 2), (1,) * dim)
+    v = mirror_class(grid, np.exp(-grid.radius() ** 2), (1,) * dim)
     v[(1,) * dim] += 1e-9
     want = doubled_grid_convolution(kern, v)
     conv = kern.convolve_array(v)
     assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
     u = Field(grid, v)
-    assert exact_half(u) == grid
+    assert u.half == grid
     nl = power(2.0)
     state, grad = evaluate_with_gradient(nl, kern, u)
     full, coeff, conv = _state_parts(nl, kern, v, grid)
     assert state == full
     assert np.array_equal(grad.data,
                           _gradient_from_parts(nl, kern, v, coeff, conv, grid))
-    w = parity_fold(np.exp(-grid.radius() ** 2), (1,) * dim)
+    w = mirror_class(grid, np.exp(-grid.radius() ** 2), (1,) * dim)
     w[1] += 1e-9
-    assert exact_half(Field(grid, w)).parity == (0,) + (1,) * (dim - 1)
+    assert Field(grid, w).half.parity == (0,) + (1,) * (dim - 1)

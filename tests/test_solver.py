@@ -31,7 +31,6 @@ from choquard.field import (
     GroupAction,
     _dst,
     dilate,
-    exact_half,
     symmetrize_array,
     symmetry_residual,
     translate,
@@ -453,7 +452,7 @@ def _full_grid_start(action, base, spacing):
     radius = 0.80 * grid.L / (separation * np.max(np.abs(orbit.points)) + 2.0)
     bump = quintic_cutoff(grid, radius) * base.data
     moved = translate(Field(grid, bump), action.embed_point(separation * radius * q))
-    return action.half.fold(group.order * symmetrize_array(action, moved.data))
+    return group.order * symmetrize_array(action, action.half.fold(moved.data))
 
 
 GRID3 = GridSpec(dim=3, M=16, L=6.0)
@@ -484,7 +483,7 @@ def test_half_grid_start_is_the_folded_full_grid_start(
     construction folded once: from the ground state's all-even half, and
     from an off-centre base whose source half is the full grid."""
     base = ground.field if make_base is None else make_base(grid)
-    assert exact_half(base).parity == source_parity
+    assert base.half.parity == source_parity
     action = GroupAction(from_name(tag), grid)
     start = build_initializer(action, base, spacing)
     assert start.grid == action.half
