@@ -7,8 +7,8 @@ once, in a table of defaults that gives each flag and config key; a flat
 key=value config file may set them, and explicit flags win.  Exit codes:
 0 success, 2 solver failure or a stored field that verify finds off its
 tolerances or outside its group's class, 3 hypothesis violation without
---force, 64 usage or malformed input, or an output path that cannot be
-written.
+--force, 64 usage or malformed input, an output path that cannot be
+written, or a grid too large for memory.
 """
 
 from __future__ import annotations
@@ -256,6 +256,9 @@ def main(argv=None) -> int:
     except ChoquardError as exc:
         sys.stderr.write(f"choquard: {exc}\n")
         return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        sys.stderr.write(f"choquard: grid too large for memory: {exc}\n")
+        return 64
     except OSError as exc:  # reads are mapped to ParseError where they happen
         sys.stderr.write(f"choquard: cannot write {exc.filename}: {exc.strerror}\n")
         return 64

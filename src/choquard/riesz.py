@@ -84,40 +84,42 @@ def _near_cell_integrals(dim: int, alpha: float) -> np.ndarray:
     return table
 
 
-class RieszKernel:
-    """Kernel samples at node offsets 0..M per axis plus their DCT-I.
+def kernel_samples(grid: GridSpec, alpha: float) -> np.ndarray:
+    """The kernel at node offsets 0..M per axis, (M+1)^N.
 
     The offsets within _NEAR_RADIUS of the singularity carry the cell means
     A_alpha h^(alpha-N) _near_cell_integrals(N, alpha), every other offset
     its midpoint sample; with midpoint samples near the origin the
     quadrature error of the convolution concentrates at the singularity and
     shows up as an O(h^2) defect in the scaling identities at critical
-    points.  Both arrays, `sampled` and `spectrum`, are (M+1)^N and
-    read-only.
+    points.
     """
+    const = riesz_constant(grid.dim, alpha)
+    # Q of a field of order one on the box scales as (2L)^(N+alpha), and
+    # must neither overflow nor fall below the normal floats
+    scale = (grid.dim + alpha) * math.log(2.0 * grid.L)
+    if not (math.log(np.finfo(float).tiny) < scale < math.log(np.finfo(float).max)):
+        raise IncompatibleGrid(f"L = {grid.L} puts the interaction scale "
+                               f"(2L)^{grid.dim + alpha:g} out of float range")
+    # offsets in units of h, so no square overflows on the widest box
+    k = sum(np.ix_(*(np.arange(grid.M + 1.0) ** 2,) * grid.dim))
+    with np.errstate(divide="ignore"):
+        np.power(k, (alpha - grid.dim) / 2.0, out=k)
+    k[(slice(0, _NEAR_RADIUS + 1),) * grid.dim] = _near_cell_integrals(
+        grid.dim, float(alpha))
+    k *= const * grid.h ** (alpha - grid.dim)
+    return k
+
+
+class RieszKernel:
+    """The kernel on grid as its DCT-I, `spectrum`: (M+1)^N and read-only,
+    the one array the convolution and `restrict` read."""
 
     def __init__(self, grid: GridSpec, alpha: float):
         self.grid = grid
         self.alpha = float(alpha)
-        self.constant = riesz_constant(grid.dim, alpha)
-        # Q of a field of order one on the box scales as (2L)^(N+alpha), and
-        # must neither overflow nor fall below the normal floats
-        scale = (grid.dim + alpha) * math.log(2.0 * grid.L)
-        if not (math.log(np.finfo(float).tiny) < scale < math.log(np.finfo(float).max)):
-            raise IncompatibleGrid(f"L = {grid.L} puts the interaction scale "
-                                   f"(2L)^{grid.dim + alpha:g} out of float range")
-        # offsets in units of h, so no square overflows on the widest box
-        k = sum(np.ix_(*(np.arange(grid.M + 1.0) ** 2,) * grid.dim))
-        with np.errstate(divide="ignore"):
-            np.power(k, (alpha - grid.dim) / 2.0, out=k)
-        k[(slice(0, _NEAR_RADIUS + 1),) * grid.dim] = _near_cell_integrals(
-            grid.dim, self.alpha)
-        k *= self.constant * grid.h ** (alpha - grid.dim)
-        self.sampled = k
-        self.spectrum = scipy.fft.dctn(k, type=1)
-        self.sampled.setflags(write=False)
+        self.spectrum = scipy.fft.dctn(kernel_samples(grid, alpha), type=1)
         self.spectrum.setflags(write=False)
-        self._restricted = {}
 
     def convolve_array(self, v: np.ndarray, folded: tuple = ()) -> np.ndarray:
         """I_alpha * v at the nodes; on the axes in folded, named by the caller's
@@ -151,31 +153,21 @@ class RieszKernel:
     def restrict(self, grid: GridSpec) -> "RieszKernel":
         """This kernel on grid, the full grid of the same box with M' <= M: on
         their common period 4L, DCT-I entries 0..M' times (M'/M)^N are the fine
-        multipliers at grid's frequencies (Galerkin R A P), sampled by inverse DCT-I.
-        The same grid gets the same kernel back: this one keeps the last
-        log2(M) it built, as many as a ladder M/2, M/4, ... takes."""
+        multipliers at grid's frequencies (Galerkin R A P).  Each call cuts a
+        new read-only spectrum, a slice far cheaper than the kernel's build."""
         if grid != GridSpec(self.grid.dim, min(grid.M, self.grid.M), self.grid.L):
             raise IncompatibleGrid(f"cannot restrict the kernel of {self.grid} to {grid}")
-        coarse = self._restricted.get(grid)
-        if coarse is not None:
-            return coarse
         coarse = copy.copy(self)
         coarse.grid, coarse.spectrum = grid, self.spectrum[
             (slice(0, grid.M + 1),) * grid.dim] * (grid.M / self.grid.M) ** grid.dim
-        coarse.sampled = scipy.fft.idctn(coarse.spectrum, type=1)
-        coarse.sampled.setflags(write=False)
         coarse.spectrum.setflags(write=False)
-        coarse._restricted = {}
-        if len(self._restricted) >= math.log2(self.grid.M):
-            self._restricted.pop(next(iter(self._restricted)))
-        self._restricted[grid] = coarse
         return coarse
 
 
-# A 3D kernel at M = 128 holds 2 * 129^3 doubles, about 34 MB.  Coarse kernels are
-# not cached here but kept by the kernel they restrict: the test suite builds 14
-# kernels here (4 more are refused) and rebuilds none it has evicted at 5 entries
-# or more, one at 4; 6 keeps one spare.
+# A 3D kernel at M = 128 holds 129^3 doubles, about 17 MB, and no restrictions:
+# `restrict` cuts a new one on every call.  The test suite builds 14 kernels here
+# (4 more are refused) and rebuilds none it has evicted at 5 entries or more, one
+# at 4; 6 keeps one spare.
 @lru_cache(maxsize=6)
 def get_kernel(grid: GridSpec, alpha: float) -> RieszKernel:
     """The kernel for (grid, alpha), shared by callers while it stays cached."""

@@ -36,7 +36,7 @@ from choquard.functionals import (
     power,
 )
 from choquard import solver
-from choquard.riesz import RieszKernel, get_kernel
+from choquard.riesz import RieszKernel, get_kernel, kernel_samples
 from choquard.solver import SolverConfig, solve_ground, solve_saddle
 from helpers import dilation_pohozaev, full_grid_nodal_domains, generator_residual
 from test_analysis import nodal_min_bound
@@ -157,7 +157,7 @@ def test_criterion_01_group_orders_closure_and_character():
 def direct_convolution(kernel, f, grid):
     m = grid.M
     idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-    t = kernel.sampled
+    t = kernel_samples(kernel.grid, kernel.alpha)
     if grid.dim == 2:
         kk = t[idx[:, :, None, None], idx[None, None, :, :]]
         return np.einsum("abcd,bd->ac", kk, f) * grid.cell_volume

@@ -243,6 +243,24 @@ def test_unrunnable_setting_exits_64_before_any_kernel(
     assert name in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_grid_too_large_for_memory_exits_64(capsys, monkeypatch, solved, command):
+    """A kernel that cannot be allocated ends in one line and exit 64, as
+    numpy's MemoryError does on a grid like --dim 2 --M 100000; nothing is
+    allocated for real here."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(riesz, "get_kernel", no_memory)
+    problem = (["--field", f"{solved[0]}.field", "--alpha", "1.0", "--nl",
+                "power:p=2"] if command == "verify" else FAST)
+    rc = main([command, *problem])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert captured.err == "choquard: grid too large for memory: Unable to allocate 74.5 GiB\n"
+
+
 @pytest.mark.parametrize("command", ["coxeter", "convert", "solve"])
 def test_unwritable_out_path_exits_64(capsys, tmp_path, solved, command):
     out = tmp_path / "missing" / "x"

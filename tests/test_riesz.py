@@ -30,6 +30,7 @@ from choquard.riesz import (
     RieszKernel,
     _near_cell_integrals,
     get_kernel,
+    kernel_samples,
     riesz_constant,
 )
 from helpers import mirror_class
@@ -37,7 +38,8 @@ from helpers import mirror_class
 
 def offset_value(kern, offset):
     """Kernel sample at integer node offset (j - i) per axis."""
-    return float(kern.sampled[tuple(abs(int(o)) for o in offset)])
+    samples = kernel_samples(kern.grid, kern.alpha)
+    return float(samples[tuple(abs(int(o)) for o in offset)])
 
 
 def inner(u, v):
@@ -125,7 +127,7 @@ def test_near_cells_are_the_scaled_unit_table(dim, M, L, alpha):
     table = _near_cell_integrals(dim, alpha)
     assert table is _near_cell_integrals(dim, alpha)
     assert table.shape == (3,) * dim and not table.flags.writeable
-    near = RieszKernel(grid, alpha).sampled[(slice(0, 3),) * dim]
+    near = kernel_samples(grid, alpha)[(slice(0, 3),) * dim]
     want = riesz_constant(dim, alpha) * grid.h ** (alpha - dim) * table
     np.testing.assert_allclose(near, want, rtol=1e-15, atol=0)
 
@@ -146,8 +148,9 @@ def test_kernel_refuses_a_box_whose_interaction_scale_overflows(dim, alpha):
     """Q scales as (2L)^(N+alpha); the widest box that keeps it a float
     builds a finite kernel, and one just wider is refused, naming L."""
     half = 0.5 * np.finfo(float).max ** (1.0 / (dim + alpha))
-    kern = RieszKernel(GridSpec(dim, 8, half * (1.0 - 1e-9)), alpha)
-    assert np.all(np.isfinite(kern.sampled))
+    grid = GridSpec(dim, 8, half * (1.0 - 1e-9))
+    assert np.all(np.isfinite(kernel_samples(grid, alpha)))
+    assert np.all(np.isfinite(RieszKernel(grid, alpha).spectrum))
     with pytest.raises(IncompatibleGrid, match="L = .* interaction scale"):
         RieszKernel(GridSpec(dim, 8, half * (1.0 + 1e-9)), alpha)
 
@@ -158,8 +161,9 @@ def test_kernel_refuses_a_box_whose_interaction_scale_underflows(dim, alpha):
     (2L)^(N+alpha) is a normal float builds a finite kernel, and one just
     narrower is refused, naming L."""
     half = 0.5 * np.finfo(float).tiny ** (1.0 / (dim + alpha))
-    kern = RieszKernel(GridSpec(dim, 8, half * (1.0 + 1e-9)), alpha)
-    assert np.all(np.isfinite(kern.sampled))
+    grid = GridSpec(dim, 8, half * (1.0 + 1e-9))
+    assert np.all(np.isfinite(kernel_samples(grid, alpha)))
+    assert np.all(np.isfinite(RieszKernel(grid, alpha).spectrum))
     with pytest.raises(IncompatibleGrid, match="L = .* interaction scale"):
         RieszKernel(GridSpec(dim, 8, half * (1.0 - 1e-9)), alpha)
 
@@ -191,7 +195,7 @@ def test_fft_convolution_equals_direct_summation(dim, M, alpha):
     f = rng.standard_normal(grid.shape)
     conv = kern.convolve_array(f)
     idx = np.abs(np.arange(M)[:, None] - np.arange(M)[None, :])
-    t = kern.sampled
+    t = kernel_samples(kern.grid, kern.alpha)
     if dim == 2:
         kk = t[idx[:, :, None, None], idx[None, None, :, :]]
         direct = np.einsum("abcd,bd->ac", kk, f) * grid.cell_volume
@@ -256,17 +260,24 @@ def test_kernel_samples_are_read_only():
     grid = GridSpec(2, 16, 4.0)
     kern = RieszKernel(grid, 1.0)
     with pytest.raises(ValueError):
-        kern.sampled[0, 0] = 0.0
-    with pytest.raises(ValueError):
         kern.spectrum[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim,M,L,alpha", [(2, 32, 4.0, 1.0), (3, 16, 4.0, 2.0),
+                                           (2, 16, 6.0, 0.5)])
+def test_spectrum_is_the_dct_of_the_samples(dim, M, L, alpha):
+    """The kernel keeps the DCT-I of kernel_samples, bit for bit."""
+    grid = GridSpec(dim, M, L)
+    np.testing.assert_array_equal(RieszKernel(grid, alpha).spectrum,
+                                  scipy.fft.dctn(kernel_samples(grid, alpha), type=1))
 
 
 @pytest.mark.parametrize("dim,M,coarse_m,alpha", [(2, 32, 16, 1.0), (3, 16, 8, 2.0),
                                                    (2, 32, 20, 0.5), (3, 16, 16, 2.5)])
 def test_restricted_kernel_keeps_the_fine_multipliers(dim, M, coarse_m, alpha):
     """The kernel restricted to M' <= M on the same box multiplies by the
-    fine DCT-I entries 0..M' per axis, scaled by (h/h')^N = (M'/M)^N, and
-    samples their inverse DCT-I; both arrays are read-only."""
+    fine DCT-I entries 0..M' per axis, scaled by (h/h')^N = (M'/M)^N, in a
+    read-only spectrum; at M' = M it is the fine spectrum."""
     kern = RieszKernel(GridSpec(dim, M, 4.0), alpha)
     grid = GridSpec(dim, coarse_m, 4.0)
     coarse = kern.restrict(grid)
@@ -274,31 +285,28 @@ def test_restricted_kernel_keeps_the_fine_multipliers(dim, M, coarse_m, alpha):
     np.testing.assert_array_equal(
         coarse.spectrum,
         kern.spectrum[(slice(0, coarse_m + 1),) * dim] * (coarse_m / M) ** dim)
-    np.testing.assert_allclose(scipy.fft.dctn(coarse.sampled, type=1), coarse.spectrum,
-                               rtol=0.0, atol=1e-13 * np.max(np.abs(coarse.spectrum)))
-    for arr in (coarse.sampled, coarse.spectrum):
-        with pytest.raises(ValueError):
-            arr[(0,) * dim] = 0.0
+    with pytest.raises(ValueError):
+        coarse.spectrum[(0,) * dim] = 0.0
     if coarse_m == M:
-        np.testing.assert_allclose(coarse.sampled, kern.sampled, rtol=1e-12)
+        np.testing.assert_array_equal(coarse.spectrum, kern.spectrum)
 
 
-def test_restriction_is_kept_per_grid_on_the_fine_kernel():
-    """The same grid gets the same read-only kernel back, built once; a
-    restricted kernel keeps its own restrictions, and the fine one keeps at
-    most log2(M) of them, the last built."""
+def test_repeated_restrictions_give_the_same_spectrum():
+    """Every call cuts a new read-only kernel, and the same grid gets the same
+    spectrum again, whether restricted from the fine kernel or from a
+    restriction of it."""
     kern = RieszKernel(GridSpec(2, 32, 4.0), 1.0)
-    grids = [GridSpec(2, m, 4.0) for m in (16, 8, 10, 12, 14, 18)]
-    coarse = kern.restrict(grids[0])
-    assert kern.restrict(grids[0]) is coarse
-    assert coarse.restrict(grids[1]) is not kern.restrict(grids[1])
-    np.testing.assert_array_equal(coarse.restrict(grids[1]).spectrum,
-                                  kern.restrict(grids[1]).spectrum)
-    assert not coarse.spectrum.flags.writeable and not coarse.sampled.flags.writeable
-    kept = [kern.restrict(g) for g in grids]
-    assert kern.restrict(grids[-1]) is kept[-1]
-    assert kern.restrict(grids[0]) is not coarse  # the oldest of six, past log2(32)
-    np.testing.assert_array_equal(kern.restrict(grids[0]).sampled, coarse.sampled)
+    for m in (16, 8, 10, 12, 14, 18):
+        grid = GridSpec(2, m, 4.0)
+        coarse = kern.restrict(grid)
+        again = kern.restrict(grid)
+        assert again is not coarse
+        np.testing.assert_array_equal(again.spectrum, coarse.spectrum)
+        assert not coarse.spectrum.flags.writeable and not again.spectrum.flags.writeable
+    ladder = kern.restrict(GridSpec(2, 16, 4.0)).restrict(GridSpec(2, 8, 4.0))
+    np.testing.assert_array_equal(ladder.spectrum,
+                                  kern.restrict(GridSpec(2, 8, 4.0)).spectrum)
+    assert not ladder.spectrum.flags.writeable
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 16, 5.0), GridSpec(3, 16, 4.0),
@@ -310,7 +318,8 @@ def test_restriction_to_another_box_dim_or_finer_grid_is_refused(grid):
 
 
 def test_kernel_build_memory_is_bounded_by_the_half_grid():
-    """Only the (M+1)^N samples and their DCT-I are built and kept."""
+    """Only the (M+1)^N samples and their DCT-I are built; the DCT-I alone
+    is kept."""
     grid = GridSpec(3, 64, 12.0)
     RieszKernel(GridSpec(3, 8, 2.0), 2.0)  # warm the quadrature caches
     tracemalloc.start()
@@ -320,14 +329,15 @@ def test_kernel_build_memory_is_bounded_by_the_half_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-    assert kern.sampled.nbytes + kern.spectrum.nbytes == 2 * 8 * 65 ** 3
+    assert sum(val.nbytes for val in vars(kern).values()
+               if isinstance(val, np.ndarray)) == 8 * 65 ** 3
 
 
 def mirrored_kernel(kern):
     """The (2M)^N kernel: index o holds the sample at ((o + M) mod 2M) - M."""
     m = kern.grid.M
     o = np.abs((np.arange(2 * m) + m) % (2 * m) - m)
-    return kern.sampled[np.ix_(*(o,) * kern.grid.dim)]
+    return kernel_samples(kern.grid, kern.alpha)[np.ix_(*(o,) * kern.grid.dim)]
 
 
 def doubled_grid_convolution(kern, v):
