@@ -244,10 +244,10 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
 
     For every group the facet-ray representatives q give stabilizers S_q;
     the stabilizer level c_{S_q} is looked up among the already-solved
-    groups by (rank, order), for which the chain should start at 'trivial'
-    and include each stabilizer class.  Uses the ground state as the base
-    profile of every saddle initializer (the stabilizer of an interior
-    direction is trivial).
+    groups by (rank, order), once per signature, for which the chain should
+    start at 'trivial' and include each stabilizer class.  Uses the ground
+    state as the base profile of every saddle initializer (the stabilizer
+    of an interior direction is trivial).
     """
     groups = [from_name(tag) for tag in tags]
     for group in groups:
@@ -270,14 +270,14 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
     for group, report in zip(groups, rows):
         best_rhs = None
         best_nontrivial = None
-        for q in facet_ray_representatives(group):
-            stab = group.isotropy(q)
-            orbit_size = group.order // stab.order
-            ref = by_signature.get((stab.rank, stab.order))
+        stabs = (group.isotropy(q) for q in facet_ray_representatives(group))
+        for rank, order in dict.fromkeys((stab.rank, stab.order) for stab in stabs):
+            orbit_size = group.order // order
+            ref = by_signature.get((rank, order))
             if ref is None:
                 notes.append(
                     f"{report.group}: no solved group with stabilizer "
-                    f"signature rank {stab.rank}, order {stab.order}"
+                    f"signature rank {rank}, order {order}"
                 )
                 continue
             rhs = orbit_size * ref.energy
@@ -292,7 +292,7 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
             ))
             if best_rhs is None or rhs < best_rhs:
                 best_rhs = rhs
-                best_nontrivial = stab.order > 1
+                best_nontrivial = order > 1
         if best_rhs is not None and best_nontrivial and ground is not None:
             inequalities.append(Inequality(
                 kind="chain",

@@ -40,12 +40,13 @@ grid below it with h <= 1 are levels on the fine kernel restricted to them:
 the first solves the fine problem up to aliasing, to the same grad_tol with
 no Pohozaev bound and at most COARSE_MAX_ITERS iterations, and the levels
 above confirm it, with no retraction where a start already meets both
-tolerances in the class; otherwise the ladder is the fine level alone.  The
-start is built on the first level, and each restart adds its noise built
-there.  One race, `_solve`'s, picks the solve: restarts descend on the first
-level and, in order of that energy, carry their results up the ladder until
-one converges on the last.  A descent that raises NoDescent, NonpositiveQ
-or SymmetryDrift loses the race, on every level.
+tolerances in the class (for an averaging class, its symmetry residual is
+within grad_tol); otherwise the ladder is the fine level alone.  The start
+is built on the first level, and each restart adds its noise built there.
+One race, `_solve`'s, picks the solve: restarts descend on the first level
+and, in order of that energy, carry their results up the ladder until one
+converges on the last.  A descent that raises NoDescent, NonpositiveQ or
+SymmetryDrift loses the race, on every level.
 
 `solve_saddle` is also the one place that chooses a start: the caller's,
 else a Gaussian built on the half grid for the trivial group, else the
@@ -205,6 +206,10 @@ class _Descent:
         w = dilate(Field(self.grid, a), t).data
         return _state_parts(self.nl, self.kernel, w, self.grid)[0].energy
 
+    def _drift(self, a):
+        """The symmetry residual of a, unfolded to the full grid."""
+        return symmetry_residual(self.action, Field(self.action.grid, self.grid.unfold(a)))
+
     def _near_gradient(self, a, state, coeff, conv):
         """a's continuum Pohozaev root t0, and its L^2 gradient where
         |t0 - 1| <= 0.05 (near the manifold), else None."""
@@ -247,19 +252,21 @@ class _Descent:
     def run(self, a0: np.ndarray):
         """Descend from a0, evaluated once here; its amplitude is doubled
         first where its Q is not positive.  A start near the manifold that
-        meets both tolerances in the class is returned with no retraction."""
-        cfg = self.cfg
-        grid = self.grid
+        meets both tolerances in the class, to grad_tol in its symmetry
+        residual for an averaging projector, is returned with no retraction."""
+        cfg, grid = self.cfg, self.grid
         nl, kernel = self.nl, self.kernel
         a0, parts = _ensure_positive_q(nl, kernel, a0, grid,
                                        _state_parts(nl, kernel, a0, grid))
         near = self._near_gradient(a0, *parts)
-        # in the class as it is where the half holds it or |.| leaves a0;
-        # an averaging projector is not called to decide
-        held = self.project is None or (self.project is np.abs and np.all(a0 >= 0))
-        if near[1] is not None and held:
+        if near[1] is not None:
             grad_res, p_res = residuals(grid, parts[0], near[1])
-            if grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol:
+            # in the class where the half holds it, |.| leaves a0, or a0's
+            # symmetry residual, read last, is within grad_tol: never projected
+            held = (grad_res <= cfg.grad_tol and p_res <= cfg.pohozaev_tol and (
+                self.project is None or (np.all(a0 >= 0) if self.project is np.abs
+                                         else self._drift(a0) <= cfg.grad_tol)))
+            if held:
                 return a0, parts[0], grad_res, p_res, 0
         a, state, coeff, conv = self._retract(a0, *parts, near)
         # energies of the last accepted iterates: a trial is accepted when
@@ -280,8 +287,7 @@ class _Descent:
                         f"pohozaev_tol {cfg.pohozaev_tol:g}")
                 return a, state, grad_res, p_res, it
             if not self.action.half_holds_class and it % 20 == 0:
-                drift = symmetry_residual(self.action,
-                                          Field(self.action.grid, grid.unfold(a)))
+                drift = self._drift(a)
                 if drift > SYMMETRY_DRIFT_LIMIT:
                     raise SymmetryDrift(
                         f"symmetry residual {drift:.3e} at iteration {it}"

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from choquard import analysis
 from choquard.analysis import (
     CHAMBER_TOL,
     annotate_report,
@@ -422,6 +423,33 @@ def test_hierarchy_inequality_holds(hierarchy):
     assert iq.rhs == pytest.approx(2.0 * hierarchy.rows[0].energy)
     assert iq.holds
     assert hierarchy.all_hold
+
+
+@pytest.mark.parametrize("tags,listed", [
+    (["trivial", "A1", "I2:2"], "c[I2:2] < 2 x c[A1]"),
+    (["trivial", "I2:2"], "I2:2: no solved group with stabilizer signature "
+                          "rank 1, order 2"),
+], ids=("inequality", "note"))
+def test_hierarchy_lists_each_stabilizer_signature_once(monkeypatch, tags, listed):
+    """Both facet rays of I2:2 have a stabilizer of signature (rank 1,
+    order 2), so its inequality against A1, or the note that no such group
+    was solved, appears once, in the report and in its text.  The solves
+    are stubbed, so no descent runs."""
+    energies = {"trivial": 1.9, "A1": 3.25, "I2:2": 5.2}
+
+    def solved(group, *args, **kwargs):
+        return SimpleNamespace(group=group.tag, energy=energies[group.tag],
+                               iters=0, nodal_count=None, field=None)
+
+    monkeypatch.setattr(analysis, "solve_saddle", solved)
+    monkeypatch.setattr(analysis, "annotate_report", lambda report, threshold: report)
+    report = hierarchy_report(tags, NL, None, GRID)
+    pairs = [(iq.group, iq.description) for iq in report.inequalities]
+    assert len(set(pairs)) == len(pairs)
+    assert len(set(report.notes)) == len(report.notes)
+    assert ("I2:2", listed) in pairs or report.notes == [listed]
+    lines = report.to_text().splitlines()
+    assert sum(listed in line for line in lines) == 1
 
 
 def test_hierarchy_serialization(hierarchy):

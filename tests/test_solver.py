@@ -167,18 +167,9 @@ def test_a_converged_ground_start_with_a_negative_node_still_retracts(
     assert a.min() >= 0.0 and iters == 0 and grad_res <= CFG.grad_tol
 
 
-def test_an_averaging_class_start_still_retracts(kernel, ground, monkeypatch):
-    """For I2:3, whose projector averages over the group, the class of a
-    start is not checked by projecting it: a start near the manifold whose
-    residuals are scripted as converged is retracted once, and the group
-    average runs only inside that retraction."""
-    action = GroupAction(from_name("I2:3"), GRID)
-    built = build_initializer(action, ground.field)
-    state = _state_parts(NL, kernel, built.data, built.grid)[0]
-    start = dilate(built, pohozaev_root(state, GRID.dim, kernel.alpha)).data
-    descent = _Descent(NL, kernel, CFG, action)
-    assert descent._near_gradient(
-        start, *_state_parts(NL, kernel, start, built.grid))[1] is not None
+def _recorded_averages(monkeypatch):
+    """Script every residual as converged, and record each _retract call
+    and, for each group average, whether a _retract call runs it."""
     averaged, retracting = [], []
     average, retract = solver.symmetrize_array, _Descent._retract
 
@@ -193,8 +184,46 @@ def test_an_averaging_class_start_still_retracts(kernel, ground, monkeypatch):
     monkeypatch.setattr(solver, "symmetrize_array", recorded_average)
     monkeypatch.setattr(_Descent, "_retract", recorded_retract)
     monkeypatch.setattr(solver, "residuals", lambda grid, state, grad: (0.0, 0.0))
+    return averaged, retracting
+
+
+def test_an_averaging_class_start_off_the_class_still_retracts(kernel, ground,
+                                                                monkeypatch):
+    """For I2:3, whose projector averages over the group, a start near the
+    manifold whose residuals are scripted as converged but whose symmetry
+    residual exceeds grad_tol is retracted once, and the group average runs
+    only inside that retraction."""
+    action = GroupAction(from_name("I2:3"), GRID)
+    built = build_initializer(action, ground.field)
+    state = _state_parts(NL, kernel, built.data, built.grid)[0]
+    start = dilate(built, pohozaev_root(state, GRID.dim, kernel.alpha)).data
+    descent = _Descent(NL, kernel, CFG, action)
+    assert descent._near_gradient(
+        start, *_state_parts(NL, kernel, start, built.grid))[1] is not None
+    drift = symmetry_residual(action, Field(GRID, built.grid.unfold(start)))
+    assert drift > CFG.grad_tol
+    averaged, retracting = _recorded_averages(monkeypatch)
     *_, iters = descent.run(start)
     assert iters == 0 and len(retracting) == 1 and averaged == [True]
+
+
+def test_an_averaging_class_start_in_the_class_is_returned_as_it_stands(
+        kernel, monkeypatch):
+    """An I2:3 start whose symmetry residual is within grad_tol, with its
+    residuals scripted as converged, is the descent's result as it stands:
+    0 iterations, no retraction and no group average.  The start is
+    Im (x + iy)^3 under a Gaussian, sampled on the grid and scaled onto
+    the manifold (its Pohozaev root goes as 1 / amplitude^2 here)."""
+    action = GroupAction(from_name("I2:3"), GRID)
+    x, y = node_mesh(GRID)
+    a = action.half.fold((3.0 * x * x * y - y ** 3) * np.exp(-(x * x + y * y) / 4.0))
+    state = _state_parts(NL, kernel, a, action.half)[0]
+    start = np.sqrt(pohozaev_root(state, GRID.dim, kernel.alpha)) * a
+    drift = symmetry_residual(action, Field(GRID, action.half.unfold(start)))
+    assert drift <= CFG.grad_tol
+    averaged, retracting = _recorded_averages(monkeypatch)
+    a, _, _, _, iters = _Descent(NL, kernel, CFG, action).run(start)
+    assert a is start and iters == 0 and retracting == [] and averaged == []
 
 
 def test_report_json_round_trip(ground):
