@@ -19,6 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coxeter import CoxeterGroup, from_name
+from .errors import ParseError
 from .field import Field, GroupAction, radial_shell_stats
 # bench/tracer.py wraps symmetrize_array here by name; nothing in this module calls it.
 from .field import symmetrize_array  # noqa: F401
@@ -247,10 +248,13 @@ def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
     groups by (rank, order), once per signature, for which the chain should
     start at 'trivial' and include each stabilizer class.  Uses the ground
     state as the base profile of every saddle initializer (the stabilizer
-    of an interior direction is trivial).
+    of an interior direction is trivial).  A group repeated in the chain,
+    by its canonical tag, is refused before any solve.
     """
     groups = [from_name(tag) for tag in tags]
-    for group in groups:
+    for k, group in enumerate(groups):
+        if group.tag in [g.tag for g in groups[:k]]:
+            raise ParseError(f"group {group.tag!r} repeated in the chain")
         GroupAction(group, grid)  # a group with no exact action fails here
     rows = []
     notes = []

@@ -52,7 +52,10 @@ def _read_config(path) -> dict:
         key, eq, val = line.partition("=")
         if not eq:
             raise ParseError(f"{path}:{lineno}: expected key=value")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise ParseError(f"{path}:{lineno}: repeated config key {key!r}")
+        out[key] = val.strip()
     return out
 
 

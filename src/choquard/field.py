@@ -183,10 +183,6 @@ class Field:
                                for n, m in zip(self.data.shape, self.half.shape))]
 
 
-def zeros(grid: GridSpec) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
 def _mirror_sign(a: np.ndarray, ax: int) -> int:
     """s = +1, else -1, where a equals s times its flip along ax bit for
     bit, else 0.  The first half of the axis is compared with the second

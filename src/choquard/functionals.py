@@ -15,13 +15,13 @@ projection of u onto the Pohozaev manifold.  For N = 2 and 3 alike it is
 one monotone Newton iteration on the concave polynomial b(t) / t^(N-2) in
 s = t^2 (`pohozaev_root`), so solving imports no scipy.optimize.
 
-This module is the one evaluation core: the solver, `evaluate` and
-`choquard verify` all take A, B, Q, the gradient and the residuals from
-the array functions `_state_parts`, `_gradient_from_parts` and
-`residuals`, on the grid the caller passes, which names the folded
-axes: the solver's half grid, or in `evaluate` the field's own
-`Field.half`, where it reads `Field.half_data` and from which it unfolds
-the gradient.
+This module is the one evaluation core: the solver and `choquard verify`
+both take A, B, Q, the gradient and the residuals from the array
+functions `_state_parts`, `_gradient_from_parts` and `residuals`, on the
+grid the caller passes, which names the folded axes: the solver's half
+grid, or in `evaluate_with_gradient`, behind `choquard verify`, the
+field's own `Field.half`, where it reads `Field.half_data` and from which
+it unfolds the gradient.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NoDescent, NonpositiveQ, ParseError
-from .field import Field, _dst, _idst, sine_multipliers
-from .riesz import RieszKernel
+from .field import _dst, _idst, sine_multipliers
 
 
 class Nonlinearity:
@@ -240,21 +239,11 @@ def _assemble(dim, alpha, a_val, b_val, q_val) -> FunctionalState:
     return FunctionalState(a_val, b_val, q_val, energy, poh)
 
 
-def _check_grid(kernel: RieszKernel, u: Field):
-    if u.grid != kernel.grid:
-        raise GridMismatch("field grid does not match the kernel grid")
-
-
-def evaluate(nl: Nonlinearity, kernel: RieszKernel, u: Field) -> FunctionalState:
-    """State of u, on its own half `u.half`."""
-    _check_grid(kernel, u)
-    return _state_parts(nl, kernel, u.half_data, u.half)[0]
-
-
 def evaluate_with_gradient(nl, kernel, u):
     """State and gradient sharing one convolution and one sine transform, on
     u's own half `u.half`; the gradient is unfolded."""
-    _check_grid(kernel, u)
+    if u.grid != kernel.grid:
+        raise GridMismatch("field grid does not match the kernel grid")
     half, a = u.half, u.half_data
     state, coeff, conv = _state_parts(nl, kernel, a, half)
     return state, u.with_data(

@@ -15,11 +15,11 @@ The group action alone describes the solve class: every descent stores and
 iterates only its half grid (`GroupAction.half`, the positive half of each
 axis with a mirror parity), where transforms, dilation and convolution run
 at length M/2.  F is even, so F(u) is mirror-even along every axis with a
-parity and the convolution folds them all.  A full-grid start field and
-each restart's noise are folded onto the half once, so restarts explore
-only the parity class, and the report's field is unfolded from it.  Each
-descent evaluates its start once, and neither a trial nor a dilation
-transforms again what an evaluation already holds.
+parity and the convolution folds them all.  Each restart's noise is
+folded onto the half once, so restarts explore only the parity class, and
+the report's field is unfolded from it.  Each descent evaluates its start
+once, and neither a trial nor a dilation transforms again what an
+evaluation already holds.
 A descent level is its action, built once per solve with the kernel on
 its grid; `_projector(action)` is its map into the class: |u| for the ground
 state, none where the half grid holds the class (A1, I2:2, A1xA1xA1), and
@@ -34,29 +34,30 @@ within pohozaev_tol.  All functional values come from `functionals`;
 group, and `pohozaev_root` alone decides whether Q admits a retraction.
 
 A solve is a ladder of descent levels (nested iteration: Brandt, Math. Comp.
-31, 1977), built once per solve by `_levels`.  When `solve_saddle` chose the
-start itself, the M/2 grid of the same box (`_coarse_grid`) and each M/2
-grid below it with h <= 1 are levels on the fine kernel restricted to them:
-the first solves the fine problem up to aliasing, to the same grad_tol with
-no Pohozaev bound and at most COARSE_MAX_ITERS iterations, and the levels
-above confirm it, with no retraction where a start already meets both
+31, 1977), built once per solve by `_levels`.  Where it exists, the M/2
+grid of the same box (`_coarse_grid`) and each M/2 grid below it with
+h <= 1 are levels on the fine kernel restricted to them: the first solves
+the fine problem up to aliasing, to the same grad_tol with no Pohozaev
+bound and at most COARSE_MAX_ITERS iterations, and the levels above
+confirm it, with no retraction where a start already meets both
 tolerances in the class (for an averaging class, its symmetry residual is
-within grad_tol); otherwise the ladder is the fine level alone.  The start
-is built on the first level, and each restart adds its noise built there.
+within grad_tol, and that reading is the report's); on a grid with no M/2
+grid the ladder is the fine level alone.  The start is built on the first
+level, and each restart adds its noise built there.
 One race, `_solve`'s, picks the solve: restarts descend on the first level
 and, in order of that energy, carry their results up the ladder until one
 converges on the last.  A descent that raises NoDescent, NonpositiveQ or
 SymmetryDrift loses the race, on every level.
 
-`solve_saddle` is also the one place that chooses a start: the caller's,
-else a Gaussian built on the half grid for the trivial group, else the
-orbit-bump start of least ray maximum, the energy at its Pohozaev root,
-over one start for each orbit spacing in SPACINGS, read off one evaluation
-of each.  An orbit-bump start translates a cut-off copy of a base profile
-to the orbit of a chamber-interior direction and antisymmetrizes, giving
-one signed bump per orbit point, built on the half grid from the base's
-own half, `Field.half`, which the base finds once and keeps for the whole
-scan; only the averaging class map of I2:m unfolds it.
+`solve_saddle` is also the one place that builds a start: a Gaussian on
+the half grid for the trivial group, else the orbit-bump start of least
+ray maximum, the energy at its Pohozaev root, over one start for each
+orbit spacing in SPACINGS, read off one evaluation of each.  An orbit-bump
+start translates a cut-off copy of a base profile to the orbit of a
+chamber-interior direction and antisymmetrizes, giving one signed bump
+per orbit point, built on the half grid from the base's own half,
+`Field.half`, which the base finds once and keeps for the whole scan;
+only the averaging class map of I2:m unfolds it.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ class _Descent:
         self.cfg = cfg
         self.project = _projector(action)
         self.action = action
+        self.reading = (None, None)
 
     # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
     def _ray_energy(self, a, t):
@@ -207,8 +209,11 @@ class _Descent:
         return _state_parts(self.nl, self.kernel, w, self.grid)[0].energy
 
     def _drift(self, a):
-        """The symmetry residual of a, unfolded to the full grid."""
-        return symmetry_residual(self.action, Field(self.action.grid, self.grid.unfold(a)))
+        """The symmetry residual of a, unfolded to the full grid, kept with a
+        as `reading`, the last one taken."""
+        u = Field(self.action.grid, self.grid.unfold(a))
+        self.reading = (a, symmetry_residual(self.action, u))
+        return self.reading[1]
 
     def _near_gradient(self, a, state, coeff, conv):
         """a's continuum Pohozaev root t0, and its L^2 gradient where
@@ -364,14 +369,14 @@ def _coarse_grid(grid):
     return GridSpec(grid.dim, grid.M // 2, grid.L)
 
 
-def _levels(nl, kernel, cfg, group, grid, coarse_grid):
+def _levels(nl, kernel, cfg, group, grid):
     """The ladder of descents of one solve, built once, coarsest first: on
-    coarse_grid and each M/2 grid below it that keeps a node per unit
-    length, the decay length of -Delta + 1 (h <= 1), with the kernel
-    restricted to it, to grad_tol with no Pohozaev bound and at most
-    COARSE_MAX_ITERS iterations; then on the fine grid."""
+    grid's M/2 grid, where it exists, and each M/2 grid below that which
+    keeps a node per unit length, the decay length of -Delta + 1 (h <= 1),
+    with the kernel restricted to it, to grad_tol with no Pohozaev bound
+    and at most COARSE_MAX_ITERS iterations; then on the fine grid."""
     fine = _Descent(nl, kernel, cfg, GroupAction(group, grid))
-    grids, g = [], coarse_grid
+    grids, g = [], _coarse_grid(grid)
     while g is not None and (not grids or g.h <= 1.0):
         grids.insert(0, g)
         g = _coarse_grid(g)
@@ -389,28 +394,25 @@ def _attempt(level, a):
         return exc
 
 
-def _solve(cfg, init, levels):
-    """The race of cfg.restarts descents from the start field init and its
-    noisy copies up the ladder levels.
+def _solve(cfg, start, levels):
+    """The race of cfg.restarts descents from the start field, on the first
+    level's half, and its noisy copies up the ladder levels.
 
-    init lies on the first level's half or its full grid, which is folded
-    once onto the half; the noise of a restart r > 0 is built on that half.
-    Every restart descends on the first level; in order of that energy,
-    failed descents last, each restart then carries its result up the
-    later levels, prolonged through the sine interpolant (where a descent
-    failed, its own start prolonged instead), and the first whose last descent
-    converges is the solve; with one level that is the lowest energy.  If
-    none converges, the last failure is raised.  The report's field is
-    unfolded from the last level's half and its symmetry residual measured.
+    The noise of a restart r > 0 is built on the first level's full grid
+    and folded onto its half.  Every restart descends on the first level;
+    in order of that energy, failed descents last, each restart then
+    carries its result up the later levels, prolonged through the sine
+    interpolant (where a descent failed, its own start prolonged instead),
+    and the first whose last descent converges is the solve; with one
+    level that is the lowest energy.  If none converges, the last failure
+    is raised.  The report's field is unfolded from the last level's half;
+    its symmetry residual is the last descent's reading of the result where
+    it took one, else measured.
     """
     first, last = levels[0], levels[-1]
-    if init.grid not in (first.grid, first.action.grid):
-        raise GridMismatch("start field grid does not match the solver grid")
-    if not np.all(np.isfinite(init.data)):
-        raise ParseError("start field holds NaN or Inf")
     t0 = time.perf_counter()
-    b0 = init.data if init.grid == first.grid else first.grid.fold(init.data)
-    noise_scale = 0.05 * np.max(np.abs(init.data))
+    b0 = start.data
+    noise_scale = 0.05 * np.max(np.abs(b0))
     starts = [b0]
     for r in range(1, cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
@@ -436,6 +438,7 @@ def _solve(cfg, init, levels):
     wall = time.perf_counter() - t0
     grid = last.action.grid
     u = Field(grid, last.grid.unfold(a))
+    read, drift = last.reading
     return SolveReport(
         group=last.action.group.tag or "custom",
         grid=grid,
@@ -449,7 +452,7 @@ def _solve(cfg, init, levels):
         Q=state.Q,
         p_residual=p_res,
         grad_residual=grad_res,
-        symmetry_residual=symmetry_residual(last.action, u),
+        symmetry_residual=drift if read is a else symmetry_residual(last.action, u),
         boundary_amplitude=boundary_amplitude(u),
         wall_clock=wall,
         field=u,
@@ -458,10 +461,9 @@ def _solve(cfg, init, levels):
 
 
 def solve_ground(nl: Nonlinearity, kernel: RieszKernel, grid: GridSpec,
-                 cfg: SolverConfig = SolverConfig(), init: Field = None
-                 ) -> SolveReport:
+                 cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Positive ground state: `solve_saddle` of the trivial group."""
-    return solve_saddle(from_name("trivial"), nl, kernel, grid, cfg, init=init)
+    return solve_saddle(from_name("trivial"), nl, kernel, grid, cfg)
 
 
 def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
@@ -540,25 +542,24 @@ def _least_ray_start(nl, kernel, action, base):
 
 def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
                  grid: GridSpec, cfg: SolverConfig = SolverConfig(),
-                 base: Field = None, init: Field = None) -> SolveReport:
+                 base: Field = None) -> SolveReport:
     """Least-energy solution in the sign-equivariant class of the group:
     the one solve entry, the trivial group's ground state included.
 
-    The start is init when given; else, for the trivial group, a Gaussian
-    built on the half grid; else the least-ray-maximum orbit-bump start
-    from base, which defaults to the ground state.  A start chosen here is
-    built on the first level of the ladder, its coarsest grid, and the scan
-    evaluates it there with that level's kernel.
+    The start is, for the trivial group, a Gaussian built on the half grid;
+    else the least-ray-maximum orbit-bump start from base, which defaults
+    to the ground state and is refused where it holds NaN or Inf.  The
+    start is built on the first level of the ladder, its coarsest grid, and
+    the scan evaluates it there with that level's kernel.
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
-    levels = _levels(nl, kernel, cfg, group, grid,
-                     _coarse_grid(grid) if init is None else None)
+    levels = _levels(nl, kernel, cfg, group, grid)
     first = levels[0]
-    if init is None and group.rank == 0:
-        init = Field(first.grid, _gaussian_seed(first.grid))
-    elif init is None:
-        if base is None:
-            base = solve_ground(nl, kernel, grid, cfg).field
-        init = _least_ray_start(nl, first.kernel, first.action, base)
-    return _solve(cfg, init, levels)
+    if group.rank == 0:
+        return _solve(cfg, Field(first.grid, _gaussian_seed(first.grid)), levels)
+    if base is None:
+        base = solve_ground(nl, kernel, grid, cfg).field
+    elif not np.all(np.isfinite(base.data)):
+        raise ParseError("base field holds NaN or Inf")
+    return _solve(cfg, _least_ray_start(nl, first.kernel, first.action, base), levels)

@@ -30,7 +30,6 @@ from choquard.field import (
 from choquard.functionals import (
     _assemble,
     _state_parts,
-    evaluate,
     evaluate_with_gradient,
     pohozaev_root,
     power,
@@ -202,8 +201,10 @@ def test_criterion_03_gradient_against_finite_differences():
             _, grad = evaluate_with_gradient(NL, kern, u)
             dd = float(np.sum(grad.data * phi.data) * grid.cell_volume)
             eps = 1e-5
-            ep = evaluate(NL, kern, Field(grid, u.data + eps * phi.data)).energy
-            em = evaluate(NL, kern, Field(grid, u.data - eps * phi.data)).energy
+            ep = evaluate_with_gradient(
+                NL, kern, Field(grid, u.data + eps * phi.data))[0].energy
+            em = evaluate_with_gradient(
+                NL, kern, Field(grid, u.data - eps * phi.data))[0].energy
             fd = (ep - em) / (2 * eps)
             w = max(w, abs(dd - fd) / max(abs(fd), 1e-14))
         worst[(dim, alpha)] = w
@@ -258,9 +259,9 @@ def test_criterion_04_pohozaev_root_and_dilation_laws():
         grid = GridSpec(dim=2, M=m, L=8.0)
         kern = get_kernel(grid, 1.0)
         u = Field(grid, np.exp(-grid.radius() ** 2 / 2.0))
-        st = evaluate(NL, kern, u)
+        st = evaluate_with_gradient(NL, kern, u)[0]
         t = 0.8
-        stt = evaluate(NL, kern, dilate(u, t))
+        stt = evaluate_with_gradient(NL, kern, dilate(u, t))[0]
         errs[m] = (abs(stt.B - t ** 2 * st.B) / (t ** 2 * st.B),
                    abs(stt.Q - t ** 3 * st.Q) / (t ** 3 * st.Q))
     law_ok = (max(errs[128]) <= 0.02
@@ -461,11 +462,15 @@ def test_the_restricted_kernel_gives_the_coarse_half_the_fine_energy(
 
 
 def test_warm_start_on_a_yardstick_grid_skips_the_coarse_stage(plane):
-    """A converged start the caller gives is its own solution: no coarse
-    descent moves it off the fine critical point."""
+    """The plane2d ground, folded onto the fine half, is its own solution on
+    the fine level alone: it is held with 0 iterations, and no descent
+    moves it off the fine critical point."""
     ground = plane["ground"]
-    rep = solve_ground(NL, get_kernel(PLANE_GRID, PLANE_ALPHA), PLANE_GRID,
-                       SolverConfig(seed=0, restarts=1), init=ground.field)
+    cfg = SolverConfig(seed=0, restarts=1)
+    action = GroupAction(from_name("trivial"), PLANE_GRID)
+    fine = solver._Descent(NL, get_kernel(PLANE_GRID, PLANE_ALPHA), cfg, action)
+    start = Field(action.half, action.half.fold(ground.field.data))
+    rep = solver._solve(cfg, start, [fine])
     assert (rep.iters, rep.coarse_iters) == (0, 0)
     assert rep.energy == pytest.approx(ground.energy, rel=1e-10)
 

@@ -26,7 +26,7 @@ from choquard.analysis import (
     open_chamber_mask,
 )
 from choquard.coxeter import from_name
-from choquard.errors import ChoquardError
+from choquard.errors import ChoquardError, ParseError
 from choquard.field import (
     Field,
     GridSpec,
@@ -450,6 +450,22 @@ def test_hierarchy_lists_each_stabilizer_signature_once(monkeypatch, tags, liste
     assert ("I2:2", listed) in pairs or report.notes == [listed]
     lines = report.to_text().splitlines()
     assert sum(listed in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("tags,repeated", [
+    (["trivial", "A1", "A1"], "A1"),
+    (["trivial", "I2:2", "A1", "I2:02"], "I2:2"),
+], ids=["A1", "I2:02"])
+def test_hierarchy_refuses_a_repeated_group_before_any_solve(monkeypatch, tags,
+                                                             repeated):
+    """A chain that names one group twice, by its canonical tag (I2:02 is
+    I2:2), is refused with a ParseError naming it; no solve runs."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(analysis, "solve_saddle", no_solve)
+    with pytest.raises(ParseError, match=f"group '{repeated}' repeated"):
+        hierarchy_report(tags, NL, None, GRID)
 
 
 def test_hierarchy_serialization(hierarchy):

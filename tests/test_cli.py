@@ -17,7 +17,7 @@ import pytest
 
 from choquard import cli, riesz, solver
 from choquard.cli import main
-from choquard.field import Field, GridSpec, read_field, write_field, zeros
+from choquard.field import Field, GridSpec, read_field, write_field
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST = ["--dim", "2", "--alpha", "1.0", "--M", "64", "--L", "10.0",
@@ -337,6 +337,32 @@ def test_config_keys_are_the_option_flags(tmp_path, command, table):
     assert all(type(merged[dest]) is cast for dest, cast in casts.items())
 
 
+def test_repeated_config_key_exits_64(capsys, monkeypatch, tmp_path):
+    """A key set twice in a config file is refused, with its key and the
+    line that repeats it, before any solve: it is not read last-wins."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solver, "solve_saddle", no_solve)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("M = 32\n# the box\nL = 4.0\nM = 16\n")
+    assert main(["solve", "--dim", "2", "--alpha", "1.0", "--restarts", "1",
+                 "--config", str(cfg)]) == 64
+    err = capsys.readouterr().err
+    assert "twice.cfg:4" in err and "repeated config key 'M'" in err
+
+
+@pytest.mark.parametrize("groups", ["trivial,A1,A1", "trivial,I2:2,I2:02"])
+def test_hierarchy_repeated_group_exits_64_before_solving(capsys, monkeypatch,
+                                                          groups):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solver, "_solve", no_solve)
+    assert main(["hierarchy", *FAST, "--groups", groups]) == 64
+    assert "repeated in the chain" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_64(capsys, tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.cfg")]) == 64
     assert "absent.cfg" in capsys.readouterr().err
@@ -569,7 +595,7 @@ def test_verify_rejects_damaged_field_with_64(capsys, damaged, kind):
 
 def test_verify_rejects_infinite_half_width_with_64(capsys, tmp_path):
     path = tmp_path / "wide.field"
-    write_field(path, zeros(GridSpec(2, 16, 4.0)))
+    write_field(path, Field(GridSpec(2, 16, 4.0), np.zeros((16, 16))))
     blob = bytearray(path.read_bytes())
     blob[20:28] = struct.pack("<d", np.inf)  # L follows magic, version, dim, 2 M
     path.write_bytes(bytes(blob))
@@ -594,7 +620,7 @@ def test_verify_rejects_non_finite_nonlinearity_with_64(capsys, solved, nl):
 
 def test_verify_rejects_zero_field_with_64(capsys, tmp_path):
     path = tmp_path / "zero.field"
-    write_field(path, zeros(GridSpec(2, 16, 4.0)))
+    write_field(path, Field(GridSpec(2, 16, 4.0), np.zeros((16, 16))))
     rc = main(["verify", "--field", str(path), "--alpha", "1",
                "--nl", "power:p=2"])
     captured = capsys.readouterr()

@@ -34,9 +34,8 @@ from choquard.field import (
     write_field,
     write_radial_csv,
     x_dot_grad_array,
-    zeros,
 )
-from choquard.functionals import evaluate, evaluate_with_gradient, power
+from choquard.functionals import evaluate_with_gradient, power
 from choquard.solver import _gaussian_seed
 from choquard.riesz import get_kernel
 from helpers import mirror_class, node_mesh, project
@@ -56,7 +55,7 @@ def inner(u, v):
 
 def grad_sq_integral(u):
     """A(u) = integral of |grad u|^2, through the evaluation core."""
-    return evaluate(NO_INTERACTION, get_kernel(u.grid, 1.0), u).A
+    return evaluate_with_gradient(NO_INTERACTION, get_kernel(u.grid, 1.0), u)[0].A
 
 
 def gaussian(grid, center=None, width=1.0):
@@ -201,7 +200,7 @@ def test_grad_integral_positive_definite():
     grid = GridSpec(3, 16, 4.0)
     u = gaussian(grid)
     assert grad_sq_integral(u) > 0
-    assert grad_sq_integral(zeros(grid)) == 0.0
+    assert grad_sq_integral(Field(grid, np.zeros(grid.shape))) == 0.0
 
 
 # -- group actions ------------------------------------------------------------

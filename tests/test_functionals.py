@@ -18,7 +18,6 @@ from choquard.field import Field, GridSpec, _dst, dilate, x_dot_grad_array
 from choquard.functionals import (
     Nonlinearity,
     _assemble,
-    evaluate,
     evaluate_with_gradient,
     parse_nonlinearity,
     pohozaev_root,
@@ -250,7 +249,7 @@ def test_euler_identity_links_e_and_p(dim, alpha):
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = smooth_random_field(grid, rng)
-        st = evaluate(power(2.0), kern, u)
+        st = evaluate_with_gradient(power(2.0), kern, u)[0]
         lhs = (alpha + 2.0) * st.A + alpha * st.B
         rhs = 2.0 * (dim + alpha) * st.energy - 2.0 * st.pohozaev
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -259,7 +258,7 @@ def test_euler_identity_links_e_and_p(dim, alpha):
 def test_energy_of_zero_field():
     grid = GridSpec(2, 16, 4.0)
     kern = RieszKernel(grid, 1.0)
-    st = evaluate(power(2.0), kern, Field(grid, np.zeros(grid.shape)))
+    st, _ = evaluate_with_gradient(power(2.0), kern, Field(grid, np.zeros(grid.shape)))
     assert st.A == st.B == st.Q == st.energy == 0.0
 
 
@@ -281,8 +280,10 @@ def test_gradient_matches_finite_differences(dim, alpha, nl_text):
         st, grad = evaluate_with_gradient(nl, kern, u)
         dd = float(np.sum(grad.data * phi.data) * vol)
         eps = 1e-5
-        ep = evaluate(nl, kern, Field(grid, u.data + eps * phi.data)).energy
-        em = evaluate(nl, kern, Field(grid, u.data - eps * phi.data)).energy
+        ep = evaluate_with_gradient(
+            nl, kern, Field(grid, u.data + eps * phi.data))[0].energy
+        em = evaluate_with_gradient(
+            nl, kern, Field(grid, u.data - eps * phi.data))[0].energy
         fd = (ep - em) / (2 * eps)
         assert abs(dd - fd) / max(abs(fd), 1e-12) <= 1e-5
 
@@ -299,8 +300,8 @@ def test_discrete_ray_derivative_matches_dilated_energies(dim, M, L, alpha):
     xgu = x_dot_grad_array(grid, _dst(u.data, grid.parity))
     p_h = -grid.cell_volume * np.sum(grad.data * xgu)
     eps = 1e-4
-    ep = evaluate(nl, kern, dilate(u, 1.0 + eps)).energy
-    em = evaluate(nl, kern, dilate(u, 1.0 - eps)).energy
+    ep = evaluate_with_gradient(nl, kern, dilate(u, 1.0 + eps))[0].energy
+    em = evaluate_with_gradient(nl, kern, dilate(u, 1.0 - eps))[0].energy
     assert p_h == pytest.approx((ep - em) / (2 * eps), rel=1e-6)
 
 

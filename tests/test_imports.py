@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name a package module defines is used somewhere.
+"""Every name a package module imports is used in that module, every
+name a package module defines is used somewhere, and every function and
+method of the package is reached from program code, not from tests alone.
 
 A re-export kept for a caller outside the module carries `# noqa: F401`
 on its import line and is exempt; so are the names listed in `__all__`.
@@ -86,3 +87,72 @@ def test_every_defined_name_is_used_outside_its_definition():
             if not used:
                 unused.append(f"{path.name}:{first} {name}")
     assert unused == []
+
+
+def _source_module(node, here):
+    """The package module a from-import reads names out of: 'field' for
+    `from .field import` and `from choquard.field import`, '' for the
+    package itself (`from . import`, `from choquard import`), else None."""
+    if node.level == 1 and here is not None:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "choquard":
+        return node.module.partition(".")[2]
+    return None
+
+
+def references(path):
+    """(module, name, line) of what the code of one file under src/ or
+    bench/ names: a from-import of a package name, or `module.name`
+    through a name bound to a package module, with line None; any other
+    attribute, with module and line None; and in a package module each
+    bare name, with its module and line."""
+    tree = ast.parse(path.read_text())
+    here = path.stem if path.parent == SRC else None
+    modules, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _source_module(node, here)
+            for alias in node.names:
+                if source == "":
+                    modules[alias.asname or alias.name] = alias.name
+                elif source is not None:
+                    refs.add((source, alias.name, None))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            refs.add((modules.get(owner), node.attr, None))
+        elif isinstance(node, ast.Name) and here is not None:
+            refs.add((here, node.id, node.lineno))
+    return refs
+
+
+# bench/tracer.py binds this method by its name as a string
+TRACER_ONLY = {"solver._Descent._ray_energy"}
+
+
+def test_every_function_and_method_is_reached_from_program_code():
+    """Each module-level function and method of the package is named by
+    code under src/ or bench/, outside its own definition: by name in its
+    module, by a from-import, as `module.name`, or, for a method, as an
+    attribute.  An entry only tests call is dead code; `np.zeros` does not
+    reach `field.zeros`.  The one exception is a method the tracer binds
+    by its name as a string."""
+    refs = set().union(*(references(path)
+                         for top in ("src", "bench")
+                         for path in sorted((ROOT / top).rglob("*.py"))))
+    attributes = {name for module, name, line in refs if module is None}
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                own = range(node.lineno, node.end_lineno + 1)
+                if not any(m == module and n == node.name and line not in own
+                           for m, n, line in refs):
+                    unreached.append(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                unreached += [
+                    f"{module}.{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef) and m.name not in attributes
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    assert sorted(unreached) == sorted(TRACER_ONLY)

@@ -38,7 +38,6 @@ from choquard.field import (
 )
 from choquard.functionals import (
     _state_parts,
-    evaluate,
     evaluate_with_gradient,
     parse_nonlinearity,
     pohozaev_root,
@@ -122,13 +121,6 @@ def test_restart_energies_agree(ground):
     assert spread <= 1e-3 * abs(energies.mean())
 
 
-def test_warm_start_converges_immediately(kernel, ground):
-    rep = solve_ground(NL, kernel, GRID, SolverConfig(seed=0, restarts=1),
-                       init=ground.field)
-    assert rep.iters == 0
-    assert rep.energy == pytest.approx(ground.energy, rel=1e-10)
-
-
 def _recorded_retractions(monkeypatch):
     """Record each _retract call's input array."""
     retract, calls = _Descent._retract, []
@@ -207,23 +199,47 @@ def test_an_averaging_class_start_off_the_class_still_retracts(kernel, ground,
     assert iters == 0 and len(retracting) == 1 and averaged == [True]
 
 
+def _i23_class_start(kernel, action):
+    """Im (x + iy)^3 under a Gaussian, sampled on the grid, folded onto the
+    I2:3 half and scaled onto the manifold (its Pohozaev root goes as
+    1 / amplitude^2 here)."""
+    x, y = node_mesh(GRID)
+    a = action.half.fold((3.0 * x * x * y - y ** 3) * np.exp(-(x * x + y * y) / 4.0))
+    state = _state_parts(NL, kernel, a, action.half)[0]
+    return np.sqrt(pohozaev_root(state, GRID.dim, kernel.alpha)) * a
+
+
 def test_an_averaging_class_start_in_the_class_is_returned_as_it_stands(
         kernel, monkeypatch):
     """An I2:3 start whose symmetry residual is within grad_tol, with its
     residuals scripted as converged, is the descent's result as it stands:
-    0 iterations, no retraction and no group average.  The start is
-    Im (x + iy)^3 under a Gaussian, sampled on the grid and scaled onto
-    the manifold (its Pohozaev root goes as 1 / amplitude^2 here)."""
+    0 iterations, no retraction and no group average."""
     action = GroupAction(from_name("I2:3"), GRID)
-    x, y = node_mesh(GRID)
-    a = action.half.fold((3.0 * x * x * y - y ** 3) * np.exp(-(x * x + y * y) / 4.0))
-    state = _state_parts(NL, kernel, a, action.half)[0]
-    start = np.sqrt(pohozaev_root(state, GRID.dim, kernel.alpha)) * a
+    start = _i23_class_start(kernel, action)
     drift = symmetry_residual(action, Field(GRID, action.half.unfold(start)))
     assert drift <= CFG.grad_tol
     averaged, retracting = _recorded_averages(monkeypatch)
     a, _, _, _, iters = _Descent(NL, kernel, CFG, action).run(start)
     assert a is start and iters == 0 and retracting == [] and averaged == []
+
+
+def test_a_held_averaging_start_is_measured_once(kernel, monkeypatch):
+    """A solve whose last level holds its I2:3 start in the class, with the
+    residuals scripted as converged, reports the symmetry residual that
+    descent read to hold it: one measurement in the whole solve, equal bit
+    for bit to measuring the report's field."""
+    action = GroupAction(from_name("I2:3"), GRID)
+    start = _i23_class_start(kernel, action)
+    calls = []
+    measure = solver.symmetry_residual
+    monkeypatch.setattr(solver, "symmetry_residual",
+                        lambda *args: calls.append(None) or measure(*args))
+    monkeypatch.setattr(solver, "residuals", lambda grid, state, grad: (0.0, 0.0))
+    cfg = SolverConfig(restarts=1)
+    rep = solver._solve(cfg, Field(action.half, start),
+                        [_Descent(NL, kernel, cfg, action)])
+    assert rep.iters == 0 and len(calls) == 1
+    assert rep.symmetry_residual == measure(action, rep.field)
 
 
 def test_report_json_round_trip(ground):
@@ -384,26 +400,23 @@ def test_trial_above_the_iterate_but_below_the_window_is_accepted(
 
 
 def test_zero_initializer_rejected(kernel):
-    flat = Field(GRID, np.zeros(GRID.shape))
+    cfg = SolverConfig(seed=0, restarts=1)
+    flat = Field(HALF, np.zeros(HALF.shape))
     with pytest.raises(NonpositiveQ):
-        solve_ground(NL, kernel, GRID, SolverConfig(seed=0, restarts=1),
-                     init=flat)
+        solver._solve(cfg, flat, [_Descent(NL, kernel, cfg, TRIVIAL)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("entry", ["ground_init", "saddle_init", "saddle_base"])
-def test_non_finite_start_field_is_rejected(kernel, entry, bad):
+@pytest.mark.parametrize("entry", ["saddle_base"])
+def test_non_finite_start_field_is_rejected(kernel, entry, bad, monkeypatch):
+    """A base holding NaN or Inf is refused before the spacing scan."""
+    built, _ = _recorded_scan(monkeypatch)
     data = np.exp(-GRID.radius() ** 2)
     data[GRID.M // 2, GRID.M // 2] = bad
-    start = Field(GRID, data)
-    cfg = SolverConfig(seed=0, restarts=1)
     with pytest.raises(ParseError, match="NaN or Inf"):
-        if entry == "ground_init":
-            solve_ground(NL, kernel, GRID, cfg, init=start)
-        elif entry == "saddle_init":
-            solve_saddle(from_name("A1"), NL, kernel, GRID, cfg, init=start)
-        else:
-            solve_saddle(from_name("A1"), NL, kernel, GRID, cfg, base=start)
+        solve_saddle(from_name("A1"), NL, kernel, GRID,
+                     SolverConfig(seed=0, restarts=1), base=Field(GRID, data))
+    assert built == []
 
 
 def test_iteration_budget_exhaustion_raises(kernel):
@@ -464,7 +477,7 @@ def test_orbit_bump_initializer(kernel, ground):
     assert init.data.min() < 0.0 < init.data.max()
     assert init.data.max() == pytest.approx(-init.data.min(), rel=1e-12)
     assert symmetry_residual(action, init) <= 1e-12
-    assert evaluate(NL, kernel, init).Q > 0.0
+    assert evaluate_with_gradient(NL, kernel, init)[0].Q > 0.0
     nod = nodal_domains(init)
     assert nod.count == 2
     assert nod.sizes[0] == nod.sizes[1]
@@ -566,19 +579,20 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid,
     half's full grid folded; no solve runs."""
     starts = []
 
-    def capture(cfg, init, levels):
-        starts.append((init, levels))
+    def capture(cfg, start, levels):
+        starts.append((start, levels))
         raise NoDescent("scripted: start captured")
 
     monkeypatch.setattr(solver, "_solve", capture)
     with pytest.raises(NoDescent, match="start captured"):
         solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
-    (init, levels), = starts
+    (start, levels), = starts
     first = levels[0]
     assert levels[-1].action.grid == grid
     assert first.action.grid == GridSpec(grid.dim, first_m, grid.L)
-    assert init.grid == first.grid
-    assert np.array_equal(init.data, first.grid.fold(_gaussian_seed(first.action.grid)))
+    assert start.grid == first.grid
+    assert np.array_equal(start.data,
+                          first.grid.fold(_gaussian_seed(first.action.grid)))
 
 
 def _scripted_descents(monkeypatch, grid, coarse_energies=None,
@@ -688,8 +702,7 @@ def test_the_coarse_level_takes_the_solve_tolerance_and_a_capped_budget(max_iter
     grid = GridSpec(2, 256, 16.0)
     kernel = RieszKernel(grid, 1.0)
     cfg = SolverConfig(max_iters=max_iters, grad_tol=3e-5, restarts=1)
-    *coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"), grid,
-                                   solver._coarse_grid(grid))
+    *coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"), grid)
     assert (fine.cfg, fine.kernel) == (cfg, kernel)
     assert [level.kernel.grid.M for level in coarse] == [32, 64, 128]
     for level in coarse:
@@ -701,24 +714,21 @@ def test_the_coarse_level_takes_the_solve_tolerance_and_a_capped_budget(max_iter
                                       kernel.spectrum[:m + 1, :m + 1] * (m / 256) ** 2)
 
 
-@pytest.mark.parametrize("grid,given", [
-    (GridSpec(2, 258, 16.0), False),   # M % 4 != 0
-    (GridSpec(2, 8, 4.0), False),      # M/2 = 4, below GridSpec's least M
-    (GridSpec(2, 12, 4.0), False),     # M/2 = 6, below GridSpec's least M
-    (GridSpec(2, 256, 16.0), True),    # the caller's start
-], ids=["M%4", "8^2", "12^2", "init"])
-def test_no_coarse_stage_off_the_rule(monkeypatch, grid, given):
-    """A grid whose M/2 is odd or below 8, or a start the caller gives, runs
-    the fine descent alone, from the start itself."""
+@pytest.mark.parametrize("grid", [
+    GridSpec(2, 258, 16.0),   # M % 4 != 0
+    GridSpec(2, 8, 4.0),      # M/2 = 4, below GridSpec's least M
+    GridSpec(2, 12, 4.0),     # M/2 = 6, below GridSpec's least M
+], ids=["M%4", "8^2", "12^2"])
+def test_no_coarse_stage_off_the_rule(monkeypatch, grid):
+    """A grid whose M/2 is odd or below 8 runs the fine descent alone, from
+    the Gaussian built on the fine half."""
     runs = _scripted_descents(monkeypatch, grid)
     fine = replace(grid, parity=(1,) * grid.dim)
-    start = Field(fine, _gaussian_seed(fine))
     with pytest.raises(NoDescent, match="scripted"):
-        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1),
-                     init=start if given else None)
+        solve_ground(NL, _kernel_stub(grid), grid, SolverConfig(restarts=1))
     (descent_grid, cfg, a0), = runs
     assert descent_grid == fine and cfg == SolverConfig(restarts=1)
-    np.testing.assert_array_equal(a0, start.data)
+    np.testing.assert_array_equal(a0, _gaussian_seed(fine))
 
 
 def test_a_failed_coarse_descent_leaves_the_start(monkeypatch):
@@ -781,7 +791,7 @@ def _recorded_scan(monkeypatch):
                          ids=["plane2d", "ref3d"])
 def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
                                                                     grid, first_m):
-    """Without init, on a grid with a ladder, the scan builds one candidate
+    """On a grid with a ladder the scan builds one candidate
     per spacing on the half of the action on the ladder's first grid,
     evaluates each with the fine kernel restricted to that grid, and its
     winner is the first descent's start."""
@@ -801,28 +811,21 @@ def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
     np.testing.assert_array_equal(runs[0][2], expected.data)
 
 
-@pytest.mark.parametrize("given", [False, True], ids=["M%4", "init"])
-def test_the_scan_stays_on_the_fine_half_off_the_rule(monkeypatch, given):
+@pytest.mark.parametrize("grid", [GridSpec(2, 66, 10.0)], ids=["M%4"])
+def test_the_scan_stays_on_the_fine_half_off_the_rule(monkeypatch, grid):
     """On a grid whose M/2 is odd the scan builds and evaluates its
     candidates on the fine half with the fine kernel, as without a coarse
-    stage; a start the caller gives on a yardstick grid runs no scan and no
-    coarse descent."""
-    grid = GridSpec(2, 256, 16.0) if given else GridSpec(2, 66, 10.0)
+    stage, and the fine descent is the only one."""
     runs = _scripted_descents(monkeypatch, grid)
     built, evaluated = _recorded_scan(monkeypatch)
     action = GroupAction(from_name("A1"), grid)
-    init = build_initializer(action, _even_base(grid)) if given else None
     with pytest.raises(NoDescent, match="scripted"):
-        solve_saddle(from_name("A1"), NL,
-                     _kernel_stub(grid) if given else RieszKernel(grid, 1.0), grid,
-                     SolverConfig(restarts=1), base=_even_base(grid), init=init)
-    n = 0 if given else len(solver.SPACINGS)
-    assert built == [action.half] * n
-    assert evaluated == [(grid, action.half)] * n
-    (descent_grid, _, a0), = runs
+        solve_saddle(from_name("A1"), NL, RieszKernel(grid, 1.0), grid,
+                     SolverConfig(restarts=1), base=_even_base(grid))
+    assert built == [action.half] * len(solver.SPACINGS)
+    assert evaluated == [(grid, action.half)] * len(solver.SPACINGS)
+    (descent_grid, _, _), = runs
     assert descent_grid == action.half
-    if given:
-        np.testing.assert_array_equal(a0, init.data)
 
 
 def _coarse_noise(first, seed, scale):
@@ -1007,17 +1010,23 @@ def test_half_grid_solves_keep_the_full_grid_energies(ground, saddle):
             (saddle.iters, saddle.coarse_iters)) == ((1, 8), (0, 27))
 
 
+def _fine_only(kernel, cfg, action, start):
+    """The solve of a one-level ladder, the fine descent alone, from start
+    on the action's half."""
+    return solver._solve(cfg, start, [_Descent(NL, kernel, cfg, action)])
+
+
 def test_the_ladder_reaches_the_fine_only_solutions(kernel, ground, saddle):
     """On the 64^2 test grid the ladder's ground and A1 saddle lie within
-    1e-8 relative energy of the fine descent alone from the same start,
-    given as init: the Gaussian, and the scan's start on the fine half from
-    the same ground; the nodal counts agree."""
+    1e-8 relative energy of the fine descent alone from the same start on
+    the fine half: the Gaussian, and the scan's start from the same ground;
+    the nodal counts agree."""
     cfg = SolverConfig(seed=0, restarts=1)
-    fine_ground = solve_ground(NL, kernel, GRID, cfg,
-                               init=Field(GRID, _gaussian_seed(GRID)))
+    fine_ground = _fine_only(kernel, cfg, TRIVIAL,
+                             Field(HALF, HALF.fold(_gaussian_seed(GRID))))
     action = GroupAction(from_name("A1"), GRID)
-    fine_saddle = solve_saddle(from_name("A1"), NL, kernel, GRID, cfg,
-                               init=_least_ray_start(NL, kernel, action, ground.field))
+    fine_saddle = _fine_only(kernel, cfg, action,
+                             _least_ray_start(NL, kernel, action, ground.field))
     for ladder, fine in [(ground, fine_ground), (saddle, fine_saddle)]:
         assert fine.coarse_iters == 0 and fine.iters > 0
         assert ladder.energy == pytest.approx(fine.energy, rel=1e-8, abs=0.0)
@@ -1027,15 +1036,14 @@ def test_the_ladder_reaches_the_fine_only_solutions(kernel, ground, saddle):
 def test_scanned_and_widest_starts_reach_the_same_saddle(kernel, ground):
     """At a tight gradient tolerance the scanned start and the 6R start
     converge to one discrete critical energy: the scan changes the path,
-    not the critical point the pin above approximates.  Both are given as
-    init, so both descend on the fine grid alone."""
-    group = from_name("A1")
-    action = GroupAction(group, GRID)
+    not the critical point the pin above approximates.  Both descend on
+    the fine grid alone."""
+    action = GroupAction(from_name("A1"), GRID)
     cfg = SolverConfig(seed=0, restarts=1, grad_tol=1e-9)
-    widest = solve_saddle(group, NL, kernel, GRID, cfg,
-                          init=build_initializer(action, ground.field, 6.0))
-    scanned = solve_saddle(group, NL, kernel, GRID, cfg,
-                           init=_least_ray_start(NL, kernel, action, ground.field))
+    widest = _fine_only(kernel, cfg, action,
+                        build_initializer(action, ground.field, 6.0))
+    scanned = _fine_only(kernel, cfg, action,
+                         _least_ray_start(NL, kernel, action, ground.field))
     assert scanned.energy == pytest.approx(widest.energy, rel=1e-12, abs=0.0)
     assert scanned.iters < widest.iters
 
@@ -1076,27 +1084,6 @@ def test_start_falls_back_to_the_widest_spacing(kernel, ground, monkeypatch):
     chosen = _least_ray_start(NL, kernel, action, ground.field)
     widest = build_initializer(action, ground.field, 6.0)
     assert np.array_equal(chosen.data, widest.data)
-
-
-def test_start_on_another_half_is_refused(kernel, ground):
-    """An A1 start has the shape of an I2:2 half but not its parity."""
-    start = build_initializer(GroupAction(from_name("A1"), GRID), ground.field)
-    assert start.data.shape == GroupAction(from_name("I2:2"), GRID).half.shape
-    with pytest.raises(GridMismatch, match="start field grid"):
-        solve_saddle(from_name("I2:2"), NL, kernel, GRID,
-                     SolverConfig(seed=0, restarts=1), init=start)
-
-
-def test_given_start_bypasses_the_scan(kernel, ground, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("the spacing scan ran")
-
-    monkeypatch.setattr(solver, "_least_ray_start", no_scan)
-    action = GroupAction(from_name("A1"), GRID)
-    init = build_initializer(action, ground.field)
-    rep = solve_saddle(from_name("A1"), NL, kernel, GRID,
-                       SolverConfig(seed=0, restarts=1), init=init)
-    assert rep.grad_residual <= 1e-4
 
 
 def test_saddle_is_odd_with_two_nodal_domains(saddle):
