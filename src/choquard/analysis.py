@@ -238,24 +238,29 @@ class HierarchyReport:
         return "\n".join(lines)
 
 
-def hierarchy_report(tags, nl: Nonlinearity, kernel: RieszKernel,
+def parse_chain(tags, grid) -> list:
+    """The groups of a chain of tags, each parsed and checked for an exact
+    action on grid once; a group named twice, by its canonical tag, is refused."""
+    groups = [from_name(tag) for tag in tags]
+    for k, group in enumerate(groups):
+        if group.tag in [g.tag for g in groups[:k]]:
+            raise ParseError(f"group {group.tag!r} repeated in the chain")
+        GroupAction(group, grid)  # a group with no exact action fails here
+    return groups
+
+
+def hierarchy_report(groups, nl: Nonlinearity, kernel: RieszKernel,
                      grid, cfg: SolverConfig = SolverConfig(),
                      threshold: float = NODAL_THRESHOLD) -> HierarchyReport:
-    """Solve a chain of groups and check c_G < |Gq| c_{S_q} instances.
+    """Solve the groups `parse_chain` returns and check c_G < |Gq| c_{S_q}.
 
     For every group the facet-ray representatives q give stabilizers S_q;
     the stabilizer level c_{S_q} is looked up among the already-solved
     groups by (rank, order), once per signature, for which the chain should
     start at 'trivial' and include each stabilizer class.  Uses the ground
     state as the base profile of every saddle initializer (the stabilizer
-    of an interior direction is trivial).  A group repeated in the chain,
-    by its canonical tag, is refused before any solve.
+    of an interior direction is trivial).
     """
-    groups = [from_name(tag) for tag in tags]
-    for k, group in enumerate(groups):
-        if group.tag in [g.tag for g in groups[:k]]:
-            raise ParseError(f"group {group.tag!r} repeated in the chain")
-        GroupAction(group, grid)  # a group with no exact action fails here
     rows = []
     notes = []
     by_signature = {}

@@ -107,14 +107,14 @@ def _check_threshold(threshold):
 
 def _problem(opts, tags, force):
     """Nonlinearity, grid, groups, kernel and solver settings of solve and
-    hierarchy; a tag with no group or no exact action fails before the kernel."""
+    hierarchy; `analysis.parse_chain` refuses a chain before the kernel."""
     _check_threshold(opts["threshold"])
     nl = functionals.parse_nonlinearity(opts["nl"])
     violations = functionals.validate_hypotheses(nl, opts["dim"], opts["alpha"])
     if violations and not force:
         raise HypothesisViolation("; ".join(violations))
     grid = field_mod.GridSpec(opts["dim"], opts["M"], opts["L"])
-    groups = [field_mod.GroupAction(from_name(tag), grid).group for tag in tags]
+    groups = analysis.parse_chain(tags, grid)
     names = [f.name for f in dataclasses.fields(solver.SolverConfig)]
     cfg = solver.SolverConfig(**{name: opts[name] for name in names})
     return nl, grid, groups, riesz.get_kernel(grid, opts["alpha"]), cfg
@@ -157,8 +157,8 @@ def cmd_hierarchy(args) -> int:
     tags = [t.strip() for t in opts["groups"].split(",") if t.strip()]
     if not tags:
         raise ParseError("hierarchy needs a non-empty group list")
-    nl, grid, _, kernel, cfg = _problem(opts, tags, args.force)
-    report = analysis.hierarchy_report(tags, nl, kernel, grid, cfg,
+    nl, grid, groups, kernel, cfg = _problem(opts, tags, args.force)
+    report = analysis.hierarchy_report(groups, nl, kernel, grid, cfg,
                                        opts["threshold"])
     sys.stdout.write(report.to_text() + "\n")
     if args.out:

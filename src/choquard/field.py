@@ -10,7 +10,8 @@ diagonalizes on this node set.  Group elements act exactly or not at all:
 of the first two axes by at most pi/4, three shears of the sine interpolant
 with zero extension outside the cube; it rejects any other with IncompatibleGrid.
 Dilation and translation sample the same sine interpolant, which reads zero
-outside the cube; there is no other resampling model.
+outside the cube; there is no other resampling model.  Grid operators take
+a grid and an array; a `Field` is for files, reports and the diagnostics.
 
 A `GridSpec` with parity +-1 on an axis holds only the positive half of
 that axis, for fields even or odd under its mirror; the full grid is parity
@@ -160,9 +161,6 @@ class Field:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
-
-    def with_data(self, data: np.ndarray) -> "Field":
-        return Field(self.grid, data)
 
     def norm_max(self) -> float:
         return float(np.max(np.abs(self.data)))
@@ -473,14 +471,6 @@ def apply_matrix_array(grid: GridSpec, p: np.ndarray, a: np.ndarray) -> np.ndarr
     return out
 
 
-def act(action: GroupAction, g: np.ndarray, u: Field) -> Field:
-    """(g . u)(x) = u(g^{-1} x)."""
-    if u.grid != action.grid:
-        raise GridMismatch("field grid does not match the action grid")
-    p = action.embed(np.asarray(g, dtype=float)).T  # inverse of orthogonal g
-    return u.with_data(apply_matrix_array(action.grid, p, u.data))
-
-
 def symmetrize_array(action: GroupAction, b: np.ndarray) -> np.ndarray:
     """Projector onto the sign-equivariant class, (1/|G|) sum_g psi(g) g . a
     for a = half.unfold(b), folded onto `action.half`, where b lies too;
@@ -518,7 +508,7 @@ def symmetry_residual(action: GroupAction, u: Field) -> float:
         return 0.0
     worst = 0.0
     for g, s in applied:
-        moved = act(action, g, u).data
+        moved = apply_matrix_array(action.grid, action.embed(g).T, u.data)
         worst = max(worst, float(np.sqrt(np.sum((moved - s * u.data) ** 2)) / denom))
     return worst
 
@@ -545,52 +535,53 @@ def _sine_eval_matrix(grid: GridSpec, pts: np.ndarray, parity: int) -> np.ndarra
     return mat
 
 
-def _spectral_resample(u: Field, rows, coeff=None) -> np.ndarray:
+def _spectral_resample(grid: GridSpec, a: np.ndarray, rows, coeff=None) -> np.ndarray:
     """Apply rows[axis], an evaluation matrix from `_sine_eval_matrix`, along
-    each axis to the sine coefficients of u: coeff when the caller holds
-    them, else computed here.  u may live on a parity-reduced grid."""
-    out = _dst(u.data, u.grid.parity) if coeff is None else coeff
+    each axis to the sine coefficients of a on grid, maybe parity-reduced:
+    coeff when the caller holds them, else computed here.  The result is
+    C-contiguous: what reads it does not see the last moveaxis view."""
+    out = _dst(a, grid.parity) if coeff is None else coeff
     for axis, mat in enumerate(rows):
         out = np.moveaxis(
             np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis
         )
-    return out
+    return np.ascontiguousarray(out)
 
 
-def dilate(u: Field, t: float, coeff: np.ndarray = None) -> Field:
-    """u(x / t) from the sine interpolant, zero outside the cube.
+def dilate(grid: GridSpec, a: np.ndarray, t: float, coeff: np.ndarray = None) -> np.ndarray:
+    """u(x / t) for u sampled as a on grid, from the sine interpolant.
 
-    Exact for band-limited data at every t > 0, so the rescaling inside the
-    solver, which runs on every trial step, adds no interpolation noise to
-    the gradient residual.  On a parity-reduced grid it evaluates the
-    class's modes at the positive-half points.  coeff, when given, must be
-    the sine coefficients of u (`_dst(u.data, u.grid.parity)`): a caller
-    that already holds them spares the transform, bit for bit.
+    It reads zero outside the cube and is exact for band-limited data at
+    every t > 0, so the rescaling inside the solver, which runs on every
+    trial step, adds no interpolation noise to the gradient residual.  On
+    a parity-reduced grid it evaluates the class's modes at the
+    positive-half points.  coeff, when given, must be the sine
+    coefficients of a (`_dst(a, grid.parity)`): a caller that already
+    holds them spares the transform, bit for bit.
     """
     if not (t > 0):
         raise ValueError(f"dilation factor must be positive, got {t}")
-    grid = u.grid
     rows = [_sine_eval_matrix(grid, grid.axis_coords(ax) / t, grid.parity[ax])
             for ax in range(grid.dim)]
-    return u.with_data(_spectral_resample(u, rows, coeff))
+    return _spectral_resample(grid, a, rows, coeff)
 
 
-def translate(u: Field, shift: np.ndarray, target: GridSpec = None) -> Field:
-    """u(x - shift) from the sine interpolant, zero outside the cube, on the
-    target grid (default u's own), which may differ from u's in parity and
-    in M but not in the box.
+def translate(grid: GridSpec, a: np.ndarray, shift: np.ndarray,
+              target: GridSpec = None) -> np.ndarray:
+    """u(x - shift), for u sampled as a on grid, from the sine interpolant,
+    zero outside the cube, as an array on the target grid (default grid),
+    which may differ from grid in parity and in M but not in the box.
 
     Along an axis the target keeps whole, the nodes x read u(x - s); along
     an axis it folds with parity p, its positive-half nodes read
     1/2 [u(x - s) + p u(-x - s)], the target's fold of the translate, so
     one evaluation both moves u and folds it without building the full
-    grid.  u may itself live on a parity-reduced grid.  With a zero shift
-    and another M this restricts or prolongs u between the grids of one box.
+    grid.  grid may itself be parity-reduced.  With a zero shift and another
+    M this restricts or prolongs u between the grids of one box.
     """
-    grid = u.grid
     target = grid if target is None else target
     if (target.dim, target.L) != (grid.dim, grid.L):
-        raise GridMismatch("translate target covers another box than the field's grid")
+        raise GridMismatch("translate target covers another box than the source grid")
     shift = np.asarray(shift, dtype=float)
     rows = []
     for ax, p in enumerate(target.parity):
@@ -599,7 +590,7 @@ def translate(u: Field, shift: np.ndarray, target: GridSpec = None) -> Field:
         if p:
             mat = 0.5 * (mat + p * _sine_eval_matrix(grid, -x - s, grid.parity[ax]))
         rows.append(mat)
-    return Field(target, _spectral_resample(u, rows))
+    return _spectral_resample(grid, a, rows)
 
 
 def boundary_amplitude(u: Field) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NoDescent, NonpositiveQ, ParseError
-from .field import _dst, _idst, sine_multipliers
+from .field import Field, _dst, _idst, sine_multipliers
 
 
 class Nonlinearity:
@@ -246,8 +246,8 @@ def evaluate_with_gradient(nl, kernel, u):
         raise GridMismatch("field grid does not match the kernel grid")
     half, a = u.half, u.half_data
     state, coeff, conv = _state_parts(nl, kernel, a, half)
-    return state, u.with_data(
-        half.unfold(_gradient_from_parts(nl, kernel, a, coeff, conv, half)))
+    return state, Field(u.grid, half.unfold(
+        _gradient_from_parts(nl, kernel, a, coeff, conv, half)))
 
 
 def _state_parts(nl, kernel, a, grid, coeff=None):

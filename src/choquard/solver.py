@@ -19,7 +19,8 @@ parity and the convolution folds them all.  Each restart's noise is
 folded onto the half once, so restarts explore only the parity class, and
 the report's field is unfolded from it.  Each descent evaluates its start
 once, and neither a trial nor a dilation transforms again what an
-evaluation already holds.
+evaluation already holds.  The loop runs on arrays; a `Field` is built
+only to read the symmetry drift (`_Descent._drift`) and for the report.
 A descent level is its action, built once per solve with the kernel on
 its grid; `_projector(action)` is its map into the class: |u| for the ground
 state, none where the half grid holds the class (A1, I2:2, A1xA1xA1), and
@@ -205,7 +206,7 @@ class _Descent:
 
     # bench/tracer.py wraps _ray_energy by name; nothing in this module calls it.
     def _ray_energy(self, a, t):
-        w = dilate(Field(self.grid, a), t).data
+        w = dilate(self.grid, a, t)
         return _state_parts(self.nl, self.kernel, w, self.grid)[0].energy
 
     def _drift(self, a):
@@ -250,7 +251,7 @@ class _Descent:
         evaluate it there: the one place where an iterate enters the class.
         The dilation reads a's sine coefficients coeff from its evaluation."""
         t = self._retraction_root(a, state, coeff, conv, near)
-        a = dilate(Field(self.grid, a), t, coeff).data
+        a = dilate(self.grid, a, t, coeff)
         a = self.project(a) if self.project else a
         return (a, *_state_parts(self.nl, self.kernel, a, self.grid))
 
@@ -395,7 +396,7 @@ def _attempt(level, a):
 
 
 def _solve(cfg, start, levels):
-    """The race of cfg.restarts descents from the start field, on the first
+    """The race of cfg.restarts descents from the start array, on the first
     level's half, and its noisy copies up the ladder levels.
 
     The noise of a restart r > 0 is built on the first level's full grid
@@ -405,19 +406,18 @@ def _solve(cfg, start, levels):
     interpolant (where a descent failed, its own start prolonged instead),
     and the first whose last descent converges is the solve; with one
     level that is the lowest energy.  If none converges, the last failure
-    is raised.  The report's field is unfolded from the last level's half;
-    its symmetry residual is the last descent's reading of the result where
-    it took one, else measured.
+    is raised.  The report's field, the one `Field` built here, is
+    unfolded from the last level's half; its symmetry residual is the last
+    descent's reading of the result where it took one, else measured.
     """
     first, last = levels[0], levels[-1]
     t0 = time.perf_counter()
-    b0 = start.data
-    noise_scale = 0.05 * np.max(np.abs(b0))
-    starts = [b0]
+    noise_scale = 0.05 * np.max(np.abs(start))
+    starts = [start]
     for r in range(1, cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         noise = _smooth_noise(replace(first.grid, parity=None), rng, noise_scale)
-        starts.append(b0 + first.grid.fold(noise))
+        starts.append(start + first.grid.fold(noise))
     results = [_attempt(first, a) for a in starts]
     energies = [float("nan") if isinstance(res, Exception) else res[1].energy
                 for res in results]
@@ -428,7 +428,7 @@ def _solve(cfg, start, levels):
         for below, level in zip(levels, levels[1:]):
             if not isinstance(result, Exception):
                 a, coarse_iters = result[0], coarse_iters + result[4]
-            a = translate(Field(below.grid, a), origin, level.grid).data
+            a = translate(below.grid, a, origin, level.grid)
             result = _attempt(level, a)
         if not isinstance(result, Exception):
             break
@@ -475,9 +475,9 @@ def quintic_cutoff(grid: GridSpec, radius: float) -> np.ndarray:
 
 
 def build_initializer(action: GroupAction, base: Field,
-                      spacing: float = 6.0) -> Field:
-    """Signed orbit-bump seed on the action's half grid: the fold of
-    |G| Pi_G of a cut-off base translated to l R q.
+                      spacing: float = 6.0) -> np.ndarray:
+    """Signed orbit-bump seed, the array on the action's half grid
+    `action.half`: the fold of |G| Pi_G of a cut-off base translated to l R q.
 
     q is the chamber-interior direction, so the orbit is free and the bumps
     are copies signed by the character.  The separation l = spacing / k1,
@@ -514,9 +514,9 @@ def build_initializer(action: GroupAction, base: Field,
     radius = 0.80 * grid.L / (separation * qmax + 2.0)
     bump = quintic_cutoff(base.half, radius) * base.half_data
     center = action.embed_point(separation * radius * q)
-    a = translate(Field(base.half, bump), center, action.half).data
+    a = translate(base.half, bump, center, action.half)
     project = _projector(action)
-    return Field(action.half, group.order * (project(a) if project else a))
+    return group.order * (project(a) if project else a)
 
 
 def _least_ray_start(nl, kernel, action, base):
@@ -530,9 +530,9 @@ def _least_ray_start(nl, kernel, action, base):
     best, least = None, np.inf
     for spacing in SPACINGS:
         start = build_initializer(action, base, spacing)
-        state = _state_parts(nl, kernel, start.data, start.grid)[0]
+        state = _state_parts(nl, kernel, start, action.half)[0]
         try:
-            level = ray_maximum(state, start.grid.dim, kernel.alpha)
+            level = ray_maximum(state, action.half.dim, kernel.alpha)
         except NonpositiveQ:
             continue
         if level < least:
@@ -557,7 +557,7 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     levels = _levels(nl, kernel, cfg, group, grid)
     first = levels[0]
     if group.rank == 0:
-        return _solve(cfg, Field(first.grid, _gaussian_seed(first.grid)), levels)
+        return _solve(cfg, _gaussian_seed(first.grid), levels)
     if base is None:
         base = solve_ground(nl, kernel, grid, cfg).field
     elif not np.all(np.isfinite(base.data)):

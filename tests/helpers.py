@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from choquard.analysis import NodalReport, open_chamber_mask
-from choquard.field import act, symmetrize_array
+from choquard.field import apply_matrix_array, symmetrize_array
 
 
 def node_mesh(grid):
@@ -75,7 +75,7 @@ def generator_residual(action, u):
         return 0.0
     worst = 0.0
     for g in action.group.generators:
-        moved = act(action, g, u).data
+        moved = apply_matrix_array(action.grid, action.embed(g).T, u.data)
         s = action.group.sign(g)
         worst = max(worst, float(np.sqrt(np.sum((moved - s * u.data) ** 2)) / denom))
     return worst

@@ -22,7 +22,7 @@ from choquard.field import (
     Field,
     GridSpec,
     GroupAction,
-    act,
+    apply_matrix_array,
     dilate,
     symmetry_residual,
     translate,
@@ -261,7 +261,7 @@ def test_criterion_04_pohozaev_root_and_dilation_laws():
         u = Field(grid, np.exp(-grid.radius() ** 2 / 2.0))
         st = evaluate_with_gradient(NL, kern, u)[0]
         t = 0.8
-        stt = evaluate_with_gradient(NL, kern, dilate(u, t))[0]
+        stt = evaluate_with_gradient(NL, kern, Field(grid, dilate(grid, u.data, t)))[0]
         errs[m] = (abs(stt.B - t ** 2 * st.B) / (t ** 2 * st.B),
                    abs(stt.Q - t ** 3 * st.Q) / (t ** 3 * st.Q))
     law_ok = (max(errs[128]) <= 0.02
@@ -371,7 +371,7 @@ def elementwise_residual(group, grid, u):
     denom = float(np.sqrt(np.sum(u.data ** 2)))
     worst = 0.0
     for g, s in zip(group.element_matrices(), group.element_signs()):
-        moved = act(action, g, u).data
+        moved = apply_matrix_array(grid, action.embed(g).T, u.data)
         worst = max(worst, float(
             np.sqrt(np.sum((moved - s * u.data) ** 2)) / denom))
     return worst
@@ -448,7 +448,7 @@ def test_the_restricted_kernel_gives_the_coarse_half_the_fine_energy(
               else request.getfixturevalue("plane")["ground"])
     coarse = GridSpec(grid.dim, grid.M // 2, grid.L)
     half = GridSpec(grid.dim, grid.M // 2, grid.L, (1,) * grid.dim)
-    a = translate(ground.field, np.zeros(grid.dim), half).data
+    a = translate(grid, ground.field.data, np.zeros(grid.dim), half)
 
     def offset(kernel):
         energy = _state_parts(NL, kernel, a, half)[0].energy
@@ -469,8 +469,7 @@ def test_warm_start_on_a_yardstick_grid_skips_the_coarse_stage(plane):
     cfg = SolverConfig(seed=0, restarts=1)
     action = GroupAction(from_name("trivial"), PLANE_GRID)
     fine = solver._Descent(NL, get_kernel(PLANE_GRID, PLANE_ALPHA), cfg, action)
-    start = Field(action.half, action.half.fold(ground.field.data))
-    rep = solver._solve(cfg, start, [fine])
+    rep = solver._solve(cfg, action.half.fold(ground.field.data), [fine])
     assert (rep.iters, rep.coarse_iters) == (0, 0)
     assert rep.energy == pytest.approx(ground.energy, rel=1e-10)
 

@@ -24,6 +24,7 @@ from choquard.analysis import (
     hierarchy_report,
     nodal_domains,
     open_chamber_mask,
+    parse_chain,
 )
 from choquard.coxeter import from_name
 from choquard.errors import ChoquardError, ParseError
@@ -94,12 +95,12 @@ def chamber_reconstruct(action, v):
             raise SupportViolation(
                 f"support leaks outside the chamber by {leak:.3e} relative"
             )
-    return v.with_data(action.group.order * project(action, restricted))
+    return Field(v.grid, action.group.order * project(action, restricted))
 
 
 def chamber_restrict(action, u):
     """u restricted to the closed fundamental chamber, zero elsewhere."""
-    return u.with_data(u.data * closed_chamber_mask(action))
+    return Field(u.grid, u.data * closed_chamber_mask(action))
 
 
 @pytest.fixture(scope="module")
@@ -403,8 +404,8 @@ def test_facet_representative_stabilizers_b3():
 
 @pytest.fixture(scope="module")
 def hierarchy(kernel):
-    return hierarchy_report(["trivial", "A1"], NL, kernel, GRID,
-                            SolverConfig(seed=0, restarts=1))
+    return hierarchy_report(parse_chain(["trivial", "A1"], GRID), NL, kernel,
+                            GRID, SolverConfig(seed=0, restarts=1))
 
 
 def test_hierarchy_rows(hierarchy):
@@ -443,7 +444,7 @@ def test_hierarchy_lists_each_stabilizer_signature_once(monkeypatch, tags, liste
 
     monkeypatch.setattr(analysis, "solve_saddle", solved)
     monkeypatch.setattr(analysis, "annotate_report", lambda report, threshold: report)
-    report = hierarchy_report(tags, NL, None, GRID)
+    report = hierarchy_report(parse_chain(tags, GRID), NL, None, GRID)
     pairs = [(iq.group, iq.description) for iq in report.inequalities]
     assert len(set(pairs)) == len(pairs)
     assert len(set(report.notes)) == len(report.notes)
@@ -459,13 +460,15 @@ def test_hierarchy_lists_each_stabilizer_signature_once(monkeypatch, tags, liste
 def test_hierarchy_refuses_a_repeated_group_before_any_solve(monkeypatch, tags,
                                                              repeated):
     """A chain that names one group twice, by its canonical tag (I2:02 is
-    I2:2), is refused with a ParseError naming it; no solve runs."""
+    I2:2), is refused by `parse_chain` with a ParseError naming it, so
+    `hierarchy_report`, which takes the parsed groups, never sees it and
+    no solve runs."""
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(analysis, "solve_saddle", no_solve)
     with pytest.raises(ParseError, match=f"group '{repeated}' repeated"):
-        hierarchy_report(tags, NL, None, GRID)
+        parse_chain(tags, GRID)
 
 
 def test_hierarchy_serialization(hierarchy):

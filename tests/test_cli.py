@@ -355,10 +355,16 @@ def test_repeated_config_key_exits_64(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("groups", ["trivial,A1,A1", "trivial,I2:2,I2:02"])
 def test_hierarchy_repeated_group_exits_64_before_solving(capsys, monkeypatch,
                                                           groups):
+    """The repeat is refused before the Riesz kernel is built, not only
+    before a solve."""
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
     monkeypatch.setattr(solver, "_solve", no_solve)
+    monkeypatch.setattr(riesz, "get_kernel", no_kernel)
     assert main(["hierarchy", *FAST, "--groups", groups]) == 64
     assert "repeated in the chain" in capsys.readouterr().err
 

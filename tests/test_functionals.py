@@ -300,8 +300,8 @@ def test_discrete_ray_derivative_matches_dilated_energies(dim, M, L, alpha):
     xgu = x_dot_grad_array(grid, _dst(u.data, grid.parity))
     p_h = -grid.cell_volume * np.sum(grad.data * xgu)
     eps = 1e-4
-    ep = evaluate_with_gradient(nl, kern, dilate(u, 1.0 + eps))[0].energy
-    em = evaluate_with_gradient(nl, kern, dilate(u, 1.0 - eps))[0].energy
+    ep, em = (evaluate_with_gradient(nl, kern, Field(grid, dilate(grid, u.data, t)))[0].energy
+              for t in (1.0 + eps, 1.0 - eps))
     assert p_h == pytest.approx((ep - em) / (2 * eps), rel=1e-6)
 
 

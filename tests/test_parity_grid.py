@@ -187,7 +187,7 @@ def test_symmetry_residual_of_a_held_flip_applies_nothing(monkeypatch):
     grid = GRIDS[3]
     action = GroupAction(from_name("A1xA1xA1"), grid)
     u = Field(grid, class_field(grid, (-1, -1, -1)))
-    monkeypatch.setattr(field_mod, "act", None)
+    monkeypatch.setattr(field_mod, "apply_matrix_array", None)
     assert symmetry_residual(action, u) == 0.0
 
 
@@ -253,18 +253,24 @@ def test_reduced_dilation(dim, par, t):
     grid = GRIDS[dim]
     half = replace(grid, parity=par)
     a = class_field(grid, par)
-    out = dilate(Field(half, half.fold(a)), t)
-    assert out.grid == half
-    full = dilate(Field(grid, a), t).data
-    assert rel(out.data, positive_half(grid, par, full)) <= TOL
+    out = dilate(half, half.fold(a), t)
+    assert out.shape == half.shape and out.flags.c_contiguous
+    full = dilate(grid, a, t)
+    assert full.shape == grid.shape and full.flags.c_contiguous
+    assert rel(out, positive_half(grid, par, full)) <= TOL
 
 
 @pytest.mark.parametrize("dim,par", CASES)
 def test_dilation_from_held_coefficients_is_bit_identical(dim, par):
+    """Held coefficients spare the transform bit for bit, and the result
+    is C-contiguous either way: the solver's records depend on it."""
     half = replace(GRIDS[dim], parity=par)
-    u = Field(half, half.fold(class_field(GRIDS[dim], par)))
-    held = dilate(u, 1.1, _dst(u.data, par))
-    assert np.array_equal(held.data, dilate(u, 1.1).data)
+    b = half.fold(class_field(GRIDS[dim], par))
+    held = dilate(half, b, 1.1, _dst(b, par))
+    plain = dilate(half, b, 1.1)
+    assert np.array_equal(held, plain)
+    for out in (held, plain):
+        assert out.shape == half.shape and out.flags.c_contiguous
 
 
 SHIFT = np.array([0.7, -0.4, 0.3])
@@ -273,15 +279,17 @@ SHIFT = np.array([0.7, -0.4, 0.3])
 @pytest.mark.parametrize("dim,par", CASES)
 def test_translation_folds_onto_the_target_half(dim, par):
     """An even source translated onto the half of parity par is that
-    half's fold of the full-grid translate."""
+    half's fold of the full-grid translate, on the source's M and on M/2,
+    as a C-contiguous array of the target's shape."""
     grid = GRIDS[dim]
     even = replace(grid, parity=(1,) * dim)
     a = class_field(grid, even.parity)
-    target = replace(grid, parity=par)
-    out = translate(Field(even, even.fold(a)), SHIFT[:dim], target)
-    assert out.grid == target
-    full = translate(Field(grid, a), SHIFT[:dim]).data
-    assert rel(out.data, target.fold(full)) <= TOL
+    for m in (grid.M, grid.M // 2):
+        target = replace(grid, M=m, parity=par)
+        out = translate(even, even.fold(a), SHIFT[:dim], target)
+        assert out.shape == target.shape and out.flags.c_contiguous
+        full = translate(grid, a, SHIFT[:dim], replace(target, parity=None))
+        assert rel(out, target.fold(full)) <= TOL
 
 
 @pytest.mark.parametrize("dim,par", CASES)
@@ -291,14 +299,15 @@ def test_translation_from_a_half_source_reads_its_mirror_images(dim, par):
     grid = GRIDS[dim]
     half = replace(grid, parity=par)
     a = class_field(grid, par)
-    out = translate(Field(half, half.fold(a)), SHIFT[:dim], grid)
-    assert rel(out.data, translate(Field(grid, a), SHIFT[:dim]).data) <= TOL
+    out = translate(half, half.fold(a), SHIFT[:dim], grid)
+    assert out.shape == grid.shape and out.flags.c_contiguous
+    assert rel(out, translate(grid, a, SHIFT[:dim])) <= TOL
 
 
 def test_translation_target_must_share_the_cube():
     grid = GRIDS[2]
     with pytest.raises(GridMismatch):
-        translate(Field(grid, class_field(grid, (0, 0))), SHIFT[:2],
+        translate(grid, class_field(grid, (0, 0)), SHIFT[:2],
                   GridSpec(2, grid.M, 2.0 * grid.L, (1, 1)))
 
 

@@ -186,13 +186,14 @@ def test_an_averaging_class_start_off_the_class_still_retracts(kernel, ground,
     residual exceeds grad_tol is retracted once, and the group average runs
     only inside that retraction."""
     action = GroupAction(from_name("I2:3"), GRID)
+    half = action.half
     built = build_initializer(action, ground.field)
-    state = _state_parts(NL, kernel, built.data, built.grid)[0]
-    start = dilate(built, pohozaev_root(state, GRID.dim, kernel.alpha)).data
+    state = _state_parts(NL, kernel, built, half)[0]
+    start = dilate(half, built, pohozaev_root(state, GRID.dim, kernel.alpha))
     descent = _Descent(NL, kernel, CFG, action)
     assert descent._near_gradient(
-        start, *_state_parts(NL, kernel, start, built.grid))[1] is not None
-    drift = symmetry_residual(action, Field(GRID, built.grid.unfold(start)))
+        start, *_state_parts(NL, kernel, start, half))[1] is not None
+    drift = symmetry_residual(action, Field(GRID, half.unfold(start)))
     assert drift > CFG.grad_tol
     averaged, retracting = _recorded_averages(monkeypatch)
     *_, iters = descent.run(start)
@@ -236,8 +237,7 @@ def test_a_held_averaging_start_is_measured_once(kernel, monkeypatch):
                         lambda *args: calls.append(None) or measure(*args))
     monkeypatch.setattr(solver, "residuals", lambda grid, state, grad: (0.0, 0.0))
     cfg = SolverConfig(restarts=1)
-    rep = solver._solve(cfg, Field(action.half, start),
-                        [_Descent(NL, kernel, cfg, action)])
+    rep = solver._solve(cfg, start, [_Descent(NL, kernel, cfg, action)])
     assert rep.iters == 0 and len(calls) == 1
     assert rep.symmetry_residual == measure(action, rep.field)
 
@@ -267,7 +267,7 @@ def discrete_pohozaev(kernel, a):
 @pytest.mark.parametrize("t", [0.97, 0.99, 1.01, 1.03])
 def test_near_regime_retraction_cuts_discrete_pohozaev(kernel, ground, t):
     """One retraction of a dilated ground state shrinks |P_h| at least 100x."""
-    a = dilate(ground.field, t).data
+    a = dilate(GRID, ground.field.data, t)
     state, coeff, conv = _state_parts(NL, kernel, a, GRID)
     assert abs(pohozaev_root(state, GRID.dim, kernel.alpha) - 1.0) <= 0.05
     half = HALF.fold(a)
@@ -401,7 +401,7 @@ def test_trial_above_the_iterate_but_below_the_window_is_accepted(
 
 def test_zero_initializer_rejected(kernel):
     cfg = SolverConfig(seed=0, restarts=1)
-    flat = Field(HALF, np.zeros(HALF.shape))
+    flat = np.zeros(HALF.shape)
     with pytest.raises(NonpositiveQ):
         solver._solve(cfg, flat, [_Descent(NL, kernel, cfg, TRIVIAL)])
 
@@ -473,7 +473,7 @@ def test_quintic_cutoff_plateau_and_support(radius):
 
 def test_orbit_bump_initializer(kernel, ground):
     action = GroupAction(from_name("A1"), GRID)
-    init = Field(GRID, action.half.unfold(build_initializer(action, ground.field).data))
+    init = Field(GRID, action.half.unfold(build_initializer(action, ground.field)))
     assert init.data.min() < 0.0 < init.data.max()
     assert init.data.max() == pytest.approx(-init.data.min(), rel=1e-12)
     assert symmetry_residual(action, init) <= 1e-12
@@ -493,8 +493,8 @@ def _full_grid_start(action, base, spacing):
     separation = spacing / orbit.min_dist
     radius = 0.80 * grid.L / (separation * np.max(np.abs(orbit.points)) + 2.0)
     bump = quintic_cutoff(grid, radius) * base.data
-    moved = translate(Field(grid, bump), action.embed_point(separation * radius * q))
-    return group.order * symmetrize_array(action, action.half.fold(moved.data))
+    moved = translate(grid, bump, action.embed_point(separation * radius * q))
+    return group.order * symmetrize_array(action, action.half.fold(moved))
 
 
 GRID3 = GridSpec(dim=3, M=16, L=6.0)
@@ -528,9 +528,9 @@ def test_half_grid_start_is_the_folded_full_grid_start(
     assert base.half.parity == source_parity
     action = GroupAction(from_name(tag), grid)
     start = build_initializer(action, base, spacing)
-    assert start.grid == action.half
+    assert start.shape == action.half.shape
     expected = _full_grid_start(action, base, spacing)
-    assert np.max(np.abs(start.data - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(start - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_each_restart_start_is_convolved_once(kernel, monkeypatch):
@@ -567,6 +567,25 @@ def test_trivial_group_solve_is_the_ground_solve(kernel, ground, monkeypatch):
     assert rep.field.data.tobytes() == ground.field.data.tobytes()
 
 
+@pytest.mark.parametrize("tag", ["trivial", "A1"])
+def test_a_solve_builds_a_field_only_for_its_report(kernel, ground, monkeypatch,
+                                                     tag):
+    """The descent runs on arrays: it builds no `Field`, and a solve, given
+    its base, builds one, the report's."""
+    group = from_name(tag)
+    action = GroupAction(group, GRID)
+    start = (HALF.fold(_gaussian_seed(GRID)) if tag == "trivial"
+             else build_initializer(action, ground.field))
+    built = []
+    init = Field.__post_init__
+    monkeypatch.setattr(Field, "__post_init__",
+                        lambda self: built.append(self.grid) or init(self))
+    _Descent(NL, kernel, CFG, action).run(start)
+    assert built == []
+    solve_saddle(group, NL, kernel, GRID, CFG, base=ground.field if group.rank else None)
+    assert built == [GRID]
+
+
 @pytest.mark.parametrize("grid,first_m", [
     (GRID, 32), (GridSpec(3, 64, 12.0), 32), (GridSpec(2, 256, 16.0), 32),
     (GridSpec(2, 256, 24.0), 64), (GridSpec(2, 12, 3.0), 12),
@@ -590,9 +609,7 @@ def test_ground_starts_from_the_gaussian_built_on_the_half(monkeypatch, grid,
     first = levels[0]
     assert levels[-1].action.grid == grid
     assert first.action.grid == GridSpec(grid.dim, first_m, grid.L)
-    assert start.grid == first.grid
-    assert np.array_equal(start.data,
-                          first.grid.fold(_gaussian_seed(first.action.grid)))
+    assert np.array_equal(start, first.grid.fold(_gaussian_seed(first.action.grid)))
 
 
 def _scripted_descents(monkeypatch, grid, coarse_energies=None,
@@ -641,7 +658,7 @@ def _carried(a, grids, failing=()):
     failing, its start prolonged."""
     for below, above in zip(grids, grids[1:]):
         b = a if below.M in failing else 2.0 * a
-        a = translate(Field(below, b), np.zeros(below.dim), above).data
+        a = translate(below, b, np.zeros(below.dim), above)
     return a
 
 
@@ -772,9 +789,10 @@ def _recorded_scan(monkeypatch):
     built, evaluated = [], []
     build, parts = solver.build_initializer, solver._state_parts
 
-    def recorded_build(*args):
-        start = build(*args)
-        built.append(start.grid)
+    def recorded_build(action, *rest):
+        start = build(action, *rest)
+        assert start.shape == action.half.shape
+        built.append(action.half)
         return start
 
     def recorded_parts(nl, kernel, a, grid, *rest):
@@ -808,7 +826,7 @@ def test_a_yardstick_saddle_scans_its_starts_on_the_half_resolution(monkeypatch,
     expected = _least_ray_start(NL, RieszKernel(grid, 1.0).restrict(coarse_action.grid),
                                 coarse_action, base)
     assert runs[0][0] == coarse
-    np.testing.assert_array_equal(runs[0][2], expected.data)
+    np.testing.assert_array_equal(runs[0][2], expected)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 66, 10.0)], ids=["M%4"])
@@ -1023,7 +1041,7 @@ def test_the_ladder_reaches_the_fine_only_solutions(kernel, ground, saddle):
     the nodal counts agree."""
     cfg = SolverConfig(seed=0, restarts=1)
     fine_ground = _fine_only(kernel, cfg, TRIVIAL,
-                             Field(HALF, HALF.fold(_gaussian_seed(GRID))))
+                             HALF.fold(_gaussian_seed(GRID)))
     action = GroupAction(from_name("A1"), GRID)
     fine_saddle = _fine_only(kernel, cfg, action,
                              _least_ray_start(NL, kernel, action, ground.field))
@@ -1049,7 +1067,7 @@ def test_scanned_and_widest_starts_reach_the_same_saddle(kernel, ground):
 
 
 def _ray_level(kernel, action, start):
-    state = _state_parts(NL, kernel, start.data, start.grid)[0]
+    state = _state_parts(NL, kernel, start, action.half)[0]
     return ray_maximum(state, GRID.dim, kernel.alpha)
 
 
@@ -1083,7 +1101,7 @@ def test_start_falls_back_to_the_widest_spacing(kernel, ground, monkeypatch):
     action = GroupAction(from_name("A1"), GRID)
     chosen = _least_ray_start(NL, kernel, action, ground.field)
     widest = build_initializer(action, ground.field, 6.0)
-    assert np.array_equal(chosen.data, widest.data)
+    assert np.array_equal(chosen, widest)
 
 
 def test_saddle_is_odd_with_two_nodal_domains(saddle):
@@ -1117,7 +1135,7 @@ def test_descent_checks_drift_only_when_the_projector_averages(
     assert (project is np.abs) == (tag == "trivial")
     assert (project is None) == (tag == "A1")
     start = (action.half.fold(_gaussian_seed(GRID)) if tag == "trivial"
-             else build_initializer(action, ground.field).data)
+             else build_initializer(action, ground.field))
     cfg = SolverConfig(max_iters=1, grad_tol=1e-14, pohozaev_tol=1e-14)
     with pytest.raises(SymmetryDrift if checks else NoDescent):
         _Descent(NL, kernel, cfg, action).run(start)
