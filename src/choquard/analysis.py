@@ -80,7 +80,7 @@ def nodal_domains(u: Field, threshold: float = NODAL_THRESHOLD,
                   action: GroupAction = None) -> NodalReport:
     """Count face-connected components of u above/below the threshold,
     labelled on `u.half` with their mirror images counted
-    (`_unfolded_domains`); the chamber sign reads u unfolded to its full grid."""
+    (`_unfolded_domains`); the chamber sign reads u on its full grid."""
     half, b = u.half, u.half_data
     theta = threshold * float(np.max(np.abs(b)))
     pos_sizes, pos_kept, pos_flipped = _unfolded_domains(b > theta, half)
@@ -88,9 +88,9 @@ def nodal_domains(u: Field, threshold: float = NODAL_THRESHOLD,
     n_pos, n_neg = pos_kept + neg_flipped, neg_kept + pos_flipped
     sign = None
     if action is not None:
-        chamber, full = open_chamber_mask(action), u.grid.unfold(u.data)
-        has_pos = bool(np.any(chamber & (full > theta)))
-        has_neg = bool(np.any(chamber & (full < -theta)))
+        chamber = open_chamber_mask(action)
+        has_pos = bool(np.any(chamber & (u.data > theta)))
+        has_neg = bool(np.any(chamber & (u.data < -theta)))
         sign = 0 if has_pos == has_neg else (1 if has_pos else -1)
     sizes = np.sort(np.concatenate((pos_sizes, neg_sizes))).tolist()
     return NodalReport(n_pos + n_neg, n_pos, n_neg, tuple(sizes), threshold, sign)
@@ -106,17 +106,11 @@ class DecayFit:
     n_shells: int
 
 
-def decay_fit(u: Field, r_min: float = None, r_max: float = None) -> DecayFit:
-    """Fit log max_shell |u| = log C - rate * r over the shells of a radial
-    window whose maximum is above AMPLITUDE_FLOOR; fewer than 10 such
-    shells raise ValueError."""
-    grid = u.grid
-    if r_min is None:
-        r_min = 0.4 * grid.L
-    if r_max is None:
-        r_max = 0.7 * grid.L
-    if not (0.0 < r_min < r_max < grid.L):
-        raise ValueError(f"window [{r_min}, {r_max}] not inside (0, {grid.L})")
+def decay_fit(u: Field) -> DecayFit:
+    """Fit log max_shell |u| = log C - rate * r over the shells of the radial
+    window [0.4 L, 0.7 L] whose maximum is above AMPLITUDE_FLOOR; fewer than
+    10 such shells raise ValueError."""
+    r_min, r_max = 0.4 * u.grid.L, 0.7 * u.grid.L
     centers, max_abs, _ = radial_shell_stats(u)
     sel = (centers >= r_min) & (centers <= r_max) & (max_abs > AMPLITUDE_FLOOR)
     r, vals = centers[sel], max_abs[sel]
@@ -250,7 +244,7 @@ def parse_chain(tags, grid) -> list:
 
 
 def hierarchy_report(groups, nl: Nonlinearity, kernel: RieszKernel,
-                     grid, cfg: SolverConfig = SolverConfig(),
+                     cfg: SolverConfig = SolverConfig(),
                      threshold: float = NODAL_THRESHOLD) -> HierarchyReport:
     """Solve the groups `parse_chain` returns and check c_G < |Gq| c_{S_q}.
 
@@ -266,7 +260,7 @@ def hierarchy_report(groups, nl: Nonlinearity, kernel: RieszKernel,
     by_signature = {}
     ground = None
     for group in groups:
-        report = solve_saddle(group, nl, kernel, grid, cfg,
+        report = solve_saddle(group, nl, kernel, kernel.grid, cfg,
                               base=ground.field if ground else None)
         if group.rank == 0:
             ground = report

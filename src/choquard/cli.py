@@ -157,9 +157,8 @@ def cmd_hierarchy(args) -> int:
     tags = [t.strip() for t in opts["groups"].split(",") if t.strip()]
     if not tags:
         raise ParseError("hierarchy needs a non-empty group list")
-    nl, grid, groups, kernel, cfg = _problem(opts, tags, args.force)
-    report = analysis.hierarchy_report(groups, nl, kernel, grid, cfg,
-                                       opts["threshold"])
+    nl, _, groups, kernel, cfg = _problem(opts, tags, args.force)
+    report = analysis.hierarchy_report(groups, nl, kernel, cfg, opts["threshold"])
     sys.stdout.write(report.to_text() + "\n")
     if args.out:
         with open(args.out, "w") as fh:

@@ -147,12 +147,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Field:
-    """Immutable scalar field sampled at the grid nodes."""
+    """Immutable scalar field sampled at the nodes of a full grid."""
 
     grid: GridSpec
     data: np.ndarray
 
     def __post_init__(self):
+        if self.grid.folded:
+            raise IncompatibleGrid(
+                f"a field needs a full grid, got parity {self.grid.parity}")
         a = np.asarray(self.data, dtype=float)
         if a.shape != self.grid.shape:
             raise IncompatibleGrid(
@@ -167,12 +170,12 @@ class Field:
 
     @cached_property
     def half(self) -> GridSpec:
-        """The grid of the positive halves that hold this field: an axis the
-        grid folds keeps its parity, and a whole axis takes parity s where
-        the data equal s times their mirror image bit for bit, s = +1 tried
-        first, else 0.  Found on first use and kept: data is read-only."""
+        """The grid of the positive halves that hold this field: each axis
+        takes parity s where the data equal s times their mirror image bit
+        for bit, s = +1 tried first, else 0.  Found on first use and kept:
+        data is read-only."""
         return replace(self.grid, parity=tuple(
-            s or _mirror_sign(self.data, ax) for ax, s in enumerate(self.grid.parity)))
+            _mirror_sign(self.data, ax) for ax in range(self.grid.dim)))
 
     @property
     def half_data(self) -> np.ndarray:
@@ -273,9 +276,8 @@ def x_dot_grad_array(grid: GridSpec, coeff: np.ndarray) -> np.ndarray:
 
 
 def l2_sq_integral(u: Field) -> float:
-    """B(u) = integral of u^2 over the full cube: the node sum weighted by
-    `grid.weight`, so a parity-reduced field counts each mirror image."""
-    return float(u.grid.weight * np.sum(u.data ** 2))
+    """B(u) = integral of u^2 over the cube: the node sum times the cell volume."""
+    return float(u.grid.cell_volume * np.sum(u.data ** 2))
 
 
 # -- group action -------------------------------------------------------------
@@ -635,8 +637,7 @@ def radial_shell_stats(u: Field):
 # -- serialization ------------------------------------------------------------
 
 def write_field(path, u: Field):
-    """Binary field file: magic, version, dim, per-axis M, L, row-major f64
-    of the full grid (a parity-reduced field is unfolded)."""
+    """Binary field file: magic, version, dim, per-axis M, L, row-major f64."""
     grid = u.grid
     with open(path, "wb") as fh:
         fh.write(FORMAT_MAGIC)
@@ -644,7 +645,7 @@ def write_field(path, u: Field):
         fh.write(struct.pack("<B3x", grid.dim))
         fh.write(struct.pack(f"<{grid.dim}I", *(grid.M,) * grid.dim))
         fh.write(struct.pack("<d", grid.L))
-        fh.write(np.ascontiguousarray(grid.unfold(u.data), "<f8").tobytes())
+        fh.write(np.ascontiguousarray(u.data, "<f8").tobytes())
 
 
 def read_field(path) -> Field:

@@ -44,11 +44,10 @@ class Nonlinearity:
 
     F is even, so the energy is invariant under u -> psi(g) u o g^-1 and the
     sign-equivariant classes are natural constraints (Palais, Comm. Math.
-    Phys. 69, 1979).  config is the text the nonlinearity was given by, or
-    the canonical text of its terms.
+    Phys. 69, 1979).  config is the text the nonlinearity was given by.
     """
 
-    def __init__(self, terms=(), table=None, config=None):
+    def __init__(self, terms=(), table=None, *, config):
         terms = list(terms)
         if not np.all(np.isfinite(terms)):
             raise ParseError("nonlinearity coefficients and exponents must be finite")
@@ -74,10 +73,6 @@ class Nonlinearity:
 
             self._interp = PchipInterpolator(s_vals, f_vals, extrapolate=True)
             self._dinterp = self._interp.derivative()
-        if config is None:
-            config = "tabulated" if table is not None else "sum:" + ";".join(
-                f"c{i}={_num(c)},p{i}={_num(p)}"
-                for i, (p, c) in enumerate(self.terms.items(), start=1))
         self.config = config
 
     def F(self, s: np.ndarray) -> np.ndarray:
@@ -115,10 +110,8 @@ def _num(x: float) -> str:
     return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
 
-def power(p: float, coeff: float = 1.0) -> Nonlinearity:
-    text = (f"power:p={_num(p)}" if coeff == 1.0
-            else f"sum:c1={_num(coeff)},p1={_num(p)}")
-    return Nonlinearity([(coeff, p)], config=text)
+def power(p: float) -> Nonlinearity:
+    return Nonlinearity([(1.0, p)], config=f"power:p={_num(p)}")
 
 
 def parse_nonlinearity(text: str) -> Nonlinearity:

@@ -370,14 +370,14 @@ def _coarse_grid(grid):
     return GridSpec(grid.dim, grid.M // 2, grid.L)
 
 
-def _levels(nl, kernel, cfg, group, grid):
+def _levels(nl, kernel, cfg, group):
     """The ladder of descents of one solve, built once, coarsest first: on
-    grid's M/2 grid, where it exists, and each M/2 grid below that which
-    keeps a node per unit length, the decay length of -Delta + 1 (h <= 1),
-    with the kernel restricted to it, to grad_tol with no Pohozaev bound
-    and at most COARSE_MAX_ITERS iterations; then on the fine grid."""
-    fine = _Descent(nl, kernel, cfg, GroupAction(group, grid))
-    grids, g = [], _coarse_grid(grid)
+    the M/2 grid of kernel.grid, where it exists, and each M/2 grid below
+    that which keeps a node per unit length (h <= 1, the decay length of
+    -Delta + 1), with the kernel restricted to it, to grad_tol with no
+    Pohozaev bound and at most COARSE_MAX_ITERS iterations; then on kernel.grid."""
+    fine = _Descent(nl, kernel, cfg, GroupAction(group, kernel.grid))
+    grids, g = [], _coarse_grid(kernel.grid)
     while g is not None and (not grids or g.h <= 1.0):
         grids.insert(0, g)
         g = _coarse_grid(g)
@@ -554,7 +554,7 @@ def solve_saddle(group: CoxeterGroup, nl: Nonlinearity, kernel: RieszKernel,
     """
     if grid != kernel.grid:
         raise GridMismatch("solver grid does not match the kernel grid")
-    levels = _levels(nl, kernel, cfg, group, grid)
+    levels = _levels(nl, kernel, cfg, group)
     first = levels[0]
     if group.rank == 0:
         return _solve(cfg, _gaussian_seed(first.grid), levels)

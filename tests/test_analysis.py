@@ -9,7 +9,6 @@ of test_acceptance.py imports from here.
 import dataclasses
 import itertools
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,15 +27,10 @@ from choquard.analysis import (
 )
 from choquard.coxeter import from_name
 from choquard.errors import ChoquardError, ParseError
-from choquard.field import (
-    Field,
-    GridSpec,
-    GroupAction,
-    radial_shell_stats,
-)
+from choquard.field import Field, GridSpec, GroupAction
 from choquard.functionals import parse_nonlinearity
 from choquard.riesz import RieszKernel
-from choquard.solver import SolveReport, SolverConfig, solve_ground
+from choquard.solver import SolverConfig, solve_ground
 from helpers import full_grid_nodal_domains, mirror_class, node_mesh, project
 
 GRID = GridSpec(dim=2, M=64, L=10.0)
@@ -243,31 +237,6 @@ def test_a_component_never_joins_its_image_across_an_odd_axis(par):
         2 ** odd, 2 ** (odd - 1), 2 ** (odd - 1))
 
 
-@pytest.mark.parametrize("M", [16, 64])
-def test_a_half_grid_field_reads_as_its_full_grid_field(M):
-    """x exp(-|x|), odd in x and even in y, stored on the (-1, 1) half: its
-    radial shells, nodal domains, chamber sign and decay fit are its
-    full-grid field's."""
-    grid = GridSpec(2, M, 4.0)
-    x, _ = node_mesh(grid)
-    full = Field(grid, x * np.exp(-grid.radius()))
-    h = replace(grid, parity=(-1, 1))
-    half = Field(h, h.fold(full.data))
-    for got, want in zip(radial_shell_stats(half), radial_shell_stats(full),
-                         strict=True):
-        np.testing.assert_array_equal(got, want)
-    action = GroupAction(from_name("A1"), grid)
-    rep = nodal_domains(half, action=action)
-    assert rep == nodal_domains(full, action=action)
-    assert (rep.count, rep.sign_on_chamber) == (2, 1)
-    if M == 16:  # two shells in the default window [1.6, 2.8], too few to fit
-        for u in (half, full):
-            with pytest.raises(ValueError, match="only 2 shells"):
-                decay_fit(u)
-    else:
-        assert decay_fit(half) == decay_fit(full)
-
-
 # -- chamber masks and unfolding ----------------------------------------------
 
 def test_chamber_masks_match_half_space(mesh):
@@ -308,29 +277,17 @@ def test_decay_fit_recovers_exponential_rate(c):
     assert (fit.r_min, fit.r_max) == (4.0, 7.0)
 
 
-def test_decay_fit_custom_window():
-    u = Field(GRID, np.exp(-GRID.radius()))
-    fit = decay_fit(u, r_min=2.0, r_max=8.0)
-    assert fit.rate == pytest.approx(1.0, rel=2e-2)
-
-
 def test_power_law_leaves_large_residual():
     r = GRID.radius()
     fit = decay_fit(Field(GRID, (1.0 + r) ** -3))
     assert fit.rms_residual > 0.01
 
 
-@pytest.mark.parametrize("window", [(5.0, 3.0), (0.0, 7.0), (4.0, 12.0)])
-def test_decay_fit_rejects_bad_windows(window):
-    u = Field(GRID, np.exp(-GRID.radius()))
-    with pytest.raises(ValueError):
-        decay_fit(u, r_min=window[0], r_max=window[1])
-
-
 def test_decay_fit_needs_ten_shells():
-    u = Field(GRID, np.exp(-GRID.radius()))
-    with pytest.raises(ValueError, match="shells"):
-        decay_fit(u, r_min=4.0, r_max=4.5)
+    """On 16^2 at L = 4 the window [1.6, 2.8] holds two shells."""
+    grid = GridSpec(2, 16, 4.0)
+    with pytest.raises(ValueError, match="only 2 shells"):
+        decay_fit(Field(grid, np.exp(-grid.radius())))
 
 
 def test_decay_fit_floor():
@@ -339,7 +296,7 @@ def test_decay_fit_floor():
 
 
 def test_decay_fit_counts_only_shells_above_the_floor(ground):
-    """exp(-|x|) cut to 0 past |x| = 4.1: in the default window [4, 7] one
+    """exp(-|x|) cut to 0 past |x| = 4.1: in the window [4, 7] one
     shell holds a nonzero maximum, too few to fit."""
     r = GRID.radius()
     u = Field(GRID, np.where(r < 4.1, np.exp(-r), 0.0))
@@ -405,7 +362,7 @@ def test_facet_representative_stabilizers_b3():
 @pytest.fixture(scope="module")
 def hierarchy(kernel):
     return hierarchy_report(parse_chain(["trivial", "A1"], GRID), NL, kernel,
-                            GRID, SolverConfig(seed=0, restarts=1))
+                            SolverConfig(seed=0, restarts=1))
 
 
 def test_hierarchy_rows(hierarchy):
@@ -435,7 +392,7 @@ def test_hierarchy_lists_each_stabilizer_signature_once(monkeypatch, tags, liste
     """Both facet rays of I2:2 have a stabilizer of signature (rank 1,
     order 2), so its inequality against A1, or the note that no such group
     was solved, appears once, in the report and in its text.  The solves
-    are stubbed, so no descent runs."""
+    are stubbed, so no descent runs and the kernel is its grid alone."""
     energies = {"trivial": 1.9, "A1": 3.25, "I2:2": 5.2}
 
     def solved(group, *args, **kwargs):
@@ -444,7 +401,7 @@ def test_hierarchy_lists_each_stabilizer_signature_once(monkeypatch, tags, liste
 
     monkeypatch.setattr(analysis, "solve_saddle", solved)
     monkeypatch.setattr(analysis, "annotate_report", lambda report, threshold: report)
-    report = hierarchy_report(parse_chain(tags, GRID), NL, None, GRID)
+    report = hierarchy_report(parse_chain(tags, GRID), NL, SimpleNamespace(grid=GRID))
     pairs = [(iq.group, iq.description) for iq in report.inequalities]
     assert len(set(pairs)) == len(pairs)
     assert len(set(report.notes)) == len(report.notes)

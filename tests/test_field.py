@@ -25,7 +25,6 @@ from choquard.field import (
     l2_sq_integral,
     radial_shell_stats,
     read_field,
-    sine_multipliers,
     symmetrize_array,
     symmetry_residual,
     thread_count,
@@ -34,13 +33,13 @@ from choquard.field import (
     write_radial_csv,
     x_dot_grad_array,
 )
-from choquard.functionals import evaluate_with_gradient, power
+from choquard.functionals import _state_parts, evaluate_with_gradient, parse_nonlinearity
 from choquard.solver import _gaussian_seed
 from choquard.riesz import get_kernel
 from helpers import mirror_class, node_mesh, project
 
 # F = 0 leaves E = (A + B)/2, whose L^2 gradient is -Delta u + u
-NO_INTERACTION = power(2.0, coeff=0.0)
+NO_INTERACTION = parse_nonlinearity("sum:c1=0,p1=2")
 
 
 def from_function(grid, fn):
@@ -121,6 +120,17 @@ def test_field_shape_checked():
     grid = GridSpec(2, 16, 4.0)
     with pytest.raises(IncompatibleGrid):
         Field(grid, np.zeros((16, 8)))
+
+
+@pytest.mark.parametrize("parity", [p for dim in (2, 3)
+                                    for p in itertools.product((-1, 0, 1), repeat=dim)
+                                    if any(p)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_a_field_refuses_a_folded_grid(parity):
+    """A field lives on a full grid: data shaped to a half is refused."""
+    half = GridSpec(len(parity), 16, 4.0, parity)
+    with pytest.raises(IncompatibleGrid, match="full grid"):
+        Field(half, np.zeros(half.shape))
 
 
 # -- spectral operators -------------------------------------------------------
@@ -655,13 +665,15 @@ def test_dilate_matches_analytic_gaussian(t):
 @pytest.mark.parametrize("parity", list(itertools.product((-1, 0, 1), repeat=2)),
                          ids=lambda p: ",".join(map(str, p)))
 def test_l2_sq_integral_is_the_full_grid_b_on_every_half(parity):
-    """A parity-reduced field gives the B of its unfolded full-grid field."""
+    """The B the evaluation core sums on a half, by `grid.weight`, is the
+    full-grid field's l2_sq_integral."""
     grid = GridSpec(2, 16, 4.0)
     a = mirror_class(grid, gaussian(grid, [1.2, -0.9]).data, parity)
     half = replace(grid, parity=parity)
     full_b = l2_sq_integral(Field(grid, a))
     assert full_b > 0.1
-    assert l2_sq_integral(Field(half, half.fold(a))) == pytest.approx(full_b, rel=1e-13)
+    state = _state_parts(NO_INTERACTION, get_kernel(grid, 1.0), half.fold(a), half)[0]
+    assert state.B == pytest.approx(full_b, rel=1e-13)
 
 
 def test_dilate_l2_scaling():
@@ -822,18 +834,6 @@ def test_field_roundtrip(tmp_path):
     v = read_field(path)
     assert v.grid == grid
     np.testing.assert_array_equal(v.data, u.data)
-
-
-def test_reduced_field_reads_back_unfolded(tmp_path):
-    """A parity-reduced field is written, and read back, as its full grid."""
-    half = GridSpec(2, 16, 4.0, parity=(1, -1))
-    rng = np.random.default_rng(6)
-    u = Field(half, rng.standard_normal(half.shape))
-    path = tmp_path / "u.field"
-    write_field(path, u)
-    v = read_field(path)
-    assert v.grid == GridSpec(2, 16, 4.0)
-    np.testing.assert_array_equal(v.data, half.unfold(u.data))
 
 
 def test_read_rejects_bad_magic(tmp_path):

@@ -83,7 +83,8 @@ def test_parse_power():
     np.testing.assert_allclose(nl.f(s), 2.0 * s)
 
 
-@pytest.mark.parametrize("nl,text", [(power(2.0, coeff=0.5), "sum:c1=0.5,p1=2"),
+@pytest.mark.parametrize("nl,text", [(parse_nonlinearity("sum:c1=0.5,p1=2"),
+                                      "sum:c1=0.5,p1=2"),
                                      (power(3.0), "power:p=3"),
                                      (power(7.0 / 3.0), f"power:p={7.0 / 3.0!r}")])
 def test_config_string_parses_back_to_the_same_f(nl, text):
@@ -173,7 +174,7 @@ def test_tabulated_must_start_at_zero(tmp_path):
 
 def test_tabulated_requires_increasing_samples():
     with pytest.raises(ParseError):
-        Nonlinearity(table=([0.0, 1.0, 0.5], [0, 1, 2]))
+        Nonlinearity(table=([0.0, 1.0, 0.5], [0, 1, 2]), config="tabulated")
 
 
 def test_f_is_derivative_of_big_f():
@@ -220,7 +221,7 @@ def test_hypotheses_no_critical_exponent_in_2d():
 
 
 def test_hypotheses_tabulated_unverified():
-    nl = Nonlinearity(table=([0.0, 1.0, 2.0], [0.0, 2.0, 4.0]))
+    nl = Nonlinearity(table=([0.0, 1.0, 2.0], [0.0, 2.0, 4.0]), config="tabulated")
     with pytest.warns(UserWarning):
         assert validate_hypotheses(nl, 3, 2.0) == ()
 
@@ -232,9 +233,9 @@ def test_hypotheses_judge_f_not_its_terms(text):
     assert validate_hypotheses(parse_nonlinearity(text), 3, 2.0) == ()
 
 
-@pytest.mark.parametrize("nl", [power(2.0, coeff=0.0), power(1.5, coeff=0.0),
-                                parse_nonlinearity("sum:c1=1,p1=2;c2=-1,p2=2"),
-                                Nonlinearity([])])
+@pytest.mark.parametrize("nl", [parse_nonlinearity(text) for text in (
+    "sum:c1=0,p1=2", "sum:c1=0,p1=1.5", "sum:c1=1,p1=2;c2=-1,p2=2",
+    "sum:c1=0,p1=2;c2=0,p2=3")])
 def test_hypotheses_f0_fires_when_f_vanishes(nl):
     assert validate_hypotheses(nl, 3, 2.0) == ("(F0): F vanishes identically",)
 
@@ -550,7 +551,8 @@ def test_ray_maximum_is_the_energy_at_the_root(dim, alpha, abq, t_root, level):
 def test_amplitude_doubling_reaches_positive_q(monkeypatch):
     """F = 0 on [0, 1] makes Q of a start below 1 exactly 0; one doubling
     lifts it past 1 and is evaluated once."""
-    nl = Nonlinearity(table=([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 4.0]))
+    nl = Nonlinearity(table=([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 1.0, 4.0]),
+                      config="tabulated")
     kernel = RieszKernel(GridSpec(2, 32, 8.0), 1.0)
     half = GridSpec(2, 32, 8.0, parity=(1, 1))
     a = 0.8 * np.exp(-half.radius_sq() / 4.0)

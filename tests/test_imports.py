@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, every
-name a package module defines is used somewhere, and every function and
-method of the package is reached from program code, not from tests alone.
+"""Every name a package module or a test file imports is used in that
+file, every name a package module defines is used somewhere, and every
+function and method of the package is reached from program code, not
+from tests alone.
 
 A re-export kept for a caller outside the module carries `# noqa: F401`
 on its import line and is exempt; so are the names listed in `__all__`.
@@ -14,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "choquard"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(path):
@@ -41,7 +43,9 @@ def unused_imports(path):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
 

@@ -117,26 +117,6 @@ def test_exact_half_finds_the_class_once_per_field(dim, par, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_a_half_grid_field_keeps_its_folded_axis_and_finds_a_whole_even_one(
-        dim, monkeypatch):
-    """x0 exp(-|x|) stored on the half odd along axis 0 only: the folded
-    axis keeps its parity, only the whole axes are searched, and each is
-    found even."""
-    calls = []
-    find = field_mod._mirror_sign
-    monkeypatch.setattr(field_mod, "_mirror_sign",
-                        lambda a, ax: calls.append(ax) or find(a, ax))
-    grid = GridSpec(dim, 16, 4.0)
-    x0 = grid.along(0, grid.axis_coords())
-    full = x0 * np.exp(-grid.radius())
-    h = replace(grid, parity=(-1,) + (0,) * (dim - 1))
-    u = Field(h, h.fold(full))
-    assert u.half == replace(grid, parity=(-1,) + (1,) * (dim - 1))
-    assert np.array_equal(u.half_data, positive_half(grid, u.half.parity, full))
-    assert calls == list(range(1, dim))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
 def test_an_odd_axis_with_zero_planes_at_its_mirror_is_odd(dim):
     """Zero node planes next to the mirror pass the even check there; only
     the whole half rules +1 out, and -1 holds."""

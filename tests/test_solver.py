@@ -719,7 +719,7 @@ def test_the_coarse_level_takes_the_solve_tolerance_and_a_capped_budget(max_iter
     grid = GridSpec(2, 256, 16.0)
     kernel = RieszKernel(grid, 1.0)
     cfg = SolverConfig(max_iters=max_iters, grad_tol=3e-5, restarts=1)
-    *coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"), grid)
+    *coarse, fine = solver._levels(NL, kernel, cfg, from_name("trivial"))
     assert (fine.cfg, fine.kernel) == (cfg, kernel)
     assert [level.kernel.grid.M for level in coarse] == [32, 64, 128]
     for level in coarse:
